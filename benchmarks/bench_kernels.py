@@ -15,7 +15,6 @@ from repro.core.clock import DecayClock
 from repro.core.table import DecayingTable
 from repro.fungi import EGIFungus
 from repro.storage import Schema
-from repro.storage.vector import HAVE_NUMPY
 
 
 def _infected_table(n_rows: int, kernels: bool) -> tuple[DecayingTable, EGIFungus]:
@@ -34,8 +33,6 @@ def _infected_table(n_rows: int, kernels: bool) -> tuple[DecayingTable, EGIFungu
 @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
 def test_egi_decay_cycle(benchmark, n_rows, backend):
     """rows/s of one full-spot EGI decay cycle per backend."""
-    if backend == "vectorized" and not HAVE_NUMPY:
-        pytest.skip("vectorized backend needs numpy")
     table, fungus = _infected_table(n_rows, kernels=backend == "vectorized")
     rng = random.Random(0)
     benchmark.extra_info["rows"] = n_rows

@@ -146,9 +146,9 @@ class FungusDB:
 
         ``fungus=None`` installs the :class:`NullFungus` control —
         a table that never rots (but still supports consume).
-        ``kernels`` selects the decay-kernel backend: ``None`` uses
-        numpy-backed ``t``/``f`` columns when numpy is importable,
-        ``True`` requires them, ``False`` forces the pure-python path.
+        ``kernels`` selects the decay-kernel backend: ``None`` or
+        ``True`` use numpy-backed ``t``/``f`` columns, ``False`` forces
+        the pure-python reference path.
         """
         if name in self.tables:
             raise CatalogError(f"table {name!r} already exists")

@@ -93,8 +93,8 @@ class DecayingTable:
             ColumnDef(freshness_column, DataType.FLOAT),
             *attributes.columns,
         ]
-        # t and f ride on float64 arrays when numpy is available
-        # (kernels=None auto-detects; False forces the scalar fallback)
+        # t and f ride on float64 arrays (a false ``kernels`` forces
+        # the scalar reference backend)
         self.storage = Table(
             Schema(full),
             name=name,

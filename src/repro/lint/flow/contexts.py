@@ -26,8 +26,8 @@ barriers that absorb contexts:
   the loop by atomic attribute assignment,
 * ``repro.server.admission`` — loop-side queue accounting,
 * ``repro.server.policy`` — the gatekeeper analyzes whichever engine
-  handle its *caller* owns (live on the worker, snapshot-materialized
-  on the loop), so the ownership obligation sits at the call site,
+  handle its *caller* owns (live on the worker, the snapshot's frozen
+  copies on the loop), so the ownership obligation sits at the call site,
 * ``start``/``stop`` lifecycle methods (single-threaded by protocol:
   concurrency begins only once ``start`` returns),
 * client-process modules (``client``, ``loadgen``) — they run in the
@@ -124,9 +124,8 @@ TRACKED_METHODS = frozenset(
         "delete_many",
         "delete_rows",
         "write_rows",
-        "decay_rows",
-        "scale_rows",
         "compact",
+        "dense_copy",
         "scan",
         "row",
         "value",

@@ -45,7 +45,7 @@ from typing import Any, Callable
 
 from repro.storage.schema import DataType, Schema
 from repro.storage.table import Table, _EXACT_INT
-from repro.storage.vector import HAVE_NUMPY, numpy
+from repro.storage.vector import numpy
 
 from repro.query.ast_nodes import (
     Between,
@@ -100,16 +100,16 @@ def _numeric_literal(expr: Expression) -> float | int:
 
 
 # ----------------------------------------------------------------------
-# static judgement (planner: no data, no numpy required)
+# static judgement (planner: schema only, no data)
 # ----------------------------------------------------------------------
 
 
 def mask_compilable(expr: Expression, schema: Schema, binding: str) -> bool:
     """True when ``expr`` has mask-compilable *shape* against ``schema``.
 
-    Schema-level only: runtime compilation can still refuse (numpy
-    missing, INT column magnitudes past the float64-exact range) — the
-    executor re-checks per conjunct. The planner uses this to label
+    Schema-level only: runtime compilation can still refuse (INT
+    column magnitudes past the float64-exact range) — the executor
+    re-checks per conjunct. The planner uses this to label
     plan nodes vectorized vs row-fallback.
     """
     try:
@@ -194,8 +194,6 @@ def compile_mask(expr: Expression, table: Table, binding: str) -> MaskFn | None:
     interpreter's ``matches`` would be True. None means "use the row
     interpreter for this conjunct".
     """
-    if not HAVE_NUMPY:
-        return None
     try:
         node = _compile_bool(expr, table, binding)
     except _Fallback:

@@ -13,8 +13,9 @@ network boundary in front of the embedded engine:
 * :mod:`repro.server.session` — per-connection session state;
 * :mod:`repro.server.admission` — bounded-queue admission control with
   explicit ``BUSY`` backpressure and drain support;
-* :mod:`repro.server.snapshot` — tick-boundary snapshots of the numpy
-  columns, so read-only queries never block behind a mid-flight decay
+* :mod:`repro.server.snapshot` — tick-boundary snapshots: frozen
+  column copies queried by the same vectorized executor as strong
+  reads, so read-only queries never block behind a mid-flight decay
   tick and never observe a torn one;
 * :mod:`repro.server.server` — :class:`FungusServer`, wiring it all to
   an :mod:`asyncio` TCP listener (``python -m repro.serve``);

@@ -11,9 +11,11 @@ Ownership rules, stated once and enforced everywhere:
   the storage layer documents. The gatekeeper also runs *inside* the
   job, immediately before execution, so policy is checked against the
   exact catalog state the statement will run on.
-* The snapshot crosses from worker to loop by a single attribute
-  assignment — atomic under the interpreter — and is immutable after
-  publication.
+* The snapshot — dense column copies of every table behind their own
+  query engine — crosses from worker to loop by a single attribute
+  assignment, atomic under the interpreter, and is immutable after
+  publication. Snapshot and strong reads run the same executor; only
+  the tables it is pointed at differ.
 
 Each connection's frames are handled strictly sequentially, which is
 the per-client response-ordering guarantee the concurrency suite
@@ -550,12 +552,13 @@ class FungusServer:
 
         Never touches the worker, so it answers even while a decay tick
         (or a long consume) is mid-flight — the "readers never block"
-        half of snapshot-at-tick.
+        half of snapshot-at-tick. Policy and execution both go through
+        the snapshot's own engine, the same executor strong reads use.
         """
         snapshot = self.snapshot
         assert snapshot is not None, "server not started"
         with self._stage(req, "policy.analyze"):
-            gatekeeper = Gatekeeper(snapshot.materialized())
+            gatekeeper = Gatekeeper(snapshot.engine)
             admission = gatekeeper.admit(sql, session.grant)
             if admission.kind != "select":
                 raise AccessDenied(

@@ -1,88 +1,62 @@
-"""Snapshot-at-tick: immutable read views over the vector backend.
+"""Snapshot-at-tick: immutable read views queried by the one executor.
 
 Law 1 mutates the numpy freshness/time columns in place; a reader that
 scanned those arrays while a tick was mid-flight could see half a
 relation decayed and half not — a torn read. The server avoids this
 without ever blocking readers: at each tick *boundary* the worker
-thread captures the live rows of every decaying table into a
-:class:`TickSnapshot` (bulk array copies on the vectorized backend, a
-plain column walk on the fallback) and publishes it with one atomic
-attribute swap. Snapshot reads then run against that frozen capture on
-the event loop, while the worker grinds the next tick against the live
-arrays — the two never share mutable state.
+thread copies the live rows of every decaying table
+(:meth:`~repro.storage.table.Table.dense_copy` — one gather per
+column, the rot dirty-map carried along so freshness span pruning
+stays sound) into a :class:`TickSnapshot` and publishes it with one
+atomic attribute swap. Snapshot reads then run against those frozen
+copies on the event loop, while the worker grinds the next tick
+against the live arrays — the two never share mutable state.
 
-A capture is cheap (one fancy-index copy per vector column) but
-building a queryable catalog is not, so materialization is lazy: the
-throwaway :class:`~repro.storage.catalog.Catalog` of plain tables, and
-the hook-less :class:`~repro.query.executor.QueryEngine` over it, are
-only constructed the first time somebody actually queries the
-snapshot.
+The copies are ordinary vectorized tables behind an ordinary
+:class:`~repro.query.executor.QueryEngine`, so a snapshot read plans
+and executes exactly as a strong read does (same mask pipeline, same
+EXPLAIN); only the data it sees is one tick boundary old.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.errors import StorageError
 from repro.query.ast_nodes import SelectStmt, Statement
+from repro.query.executor import QueryEngine
 from repro.query.result import ResultSet
 from repro.storage.catalog import Catalog
-from repro.storage.table import Table
 
 if TYPE_CHECKING:
     from repro.core.db import FungusDB
 
 
-class _TableCapture:
-    """One table's live rows frozen at a tick boundary."""
-
-    __slots__ = ("name", "schema", "columns", "count")
-
-    def __init__(self, name: str, schema: Any, columns: list[list[Any]], count: int) -> None:
-        self.name = name
-        self.schema = schema
-        self.columns = columns  # schema order, live-row order, plain lists
-        self.count = count
-
-
 class TickSnapshot:
     """A frozen, queryable view of the whole database at one tick."""
 
-    def __init__(self, tick: float, captures: dict[str, _TableCapture]) -> None:
+    def __init__(self, tick: float, engine: QueryEngine) -> None:
         self.tick = tick
-        self._captures = captures
-        self._engine: Any = None  # lazily built QueryEngine
+        #: hook-less engine over the frozen copies (the gatekeeper
+        #: analyzes snapshot statements against it)
+        self.engine = engine
 
     @classmethod
     def capture(cls, db: "FungusDB") -> "TickSnapshot":
         """Copy every decaying table's live rows. Worker thread only."""
-        captures: dict[str, _TableCapture] = {}
+        catalog = Catalog()
         for name in sorted(db.tables):
-            storage = db.tables[name].storage
-            rows = storage.live_list()
-            columns = [
-                _capture_column(storage, column, rows)
-                for column in storage.schema.names
-            ]
-            captures[name] = _TableCapture(
-                name, storage.schema, columns, len(rows)
-            )
-        return cls(tick=db.clock.now, captures=captures)
-
-    @property
-    def tables(self) -> tuple[str, ...]:
-        return tuple(self._captures)
+            catalog.register(db.tables[name].storage.dense_copy())
+        return cls(tick=db.clock.now, engine=QueryEngine(catalog))
 
     @property
     def rows(self) -> int:
         """Total live rows captured, across all tables (span attribute)."""
-        return sum(capture.count for capture in self._captures.values())
-
-    def extent(self, name: str) -> int:
-        return self._captures[name].count
+        catalog = self.engine.catalog
+        return sum(len(catalog.table(name)) for name in catalog)
 
     def query(self, statement: Statement, sql: str) -> ResultSet:
-        """Run one read-only statement against the frozen capture.
+        """Run one read-only statement against the frozen copies.
 
         The statement has already passed the gatekeeper; this guard is
         the snapshot defending itself — a consume executed here would
@@ -93,35 +67,4 @@ class TickSnapshot:
                 f"snapshot reads are SELECT-only; {sql!r} must run at "
                 f"strong consistency"
             )
-        return self.materialized().execute(statement)
-
-    # ------------------------------------------------------------------
-
-    def materialized(self) -> Any:
-        """Build (once) the throwaway catalog + engine over the capture."""
-        if self._engine is None:
-            from repro.query.executor import QueryEngine
-
-            catalog = Catalog()
-            for capture in self._captures.values():
-                # plain list-backed tables: the snapshot is read-only, so
-                # the vector kernels would buy nothing
-                table = Table(capture.schema, name=capture.name, kernels=False)
-                for values in zip(*capture.columns):
-                    table.append(values)
-                catalog.register(table)
-            self._engine = QueryEngine(catalog)
-        return self._engine
-
-
-def _capture_column(storage: Table, column: str, rows: list[int]) -> list[Any]:
-    """Copy one column's live values, fast path through the array view."""
-    try:
-        arr = storage.column_array(column)
-    except StorageError:
-        return storage.column_values(column)
-    if not rows:
-        return []
-    from repro.storage.vector import numpy
-
-    return arr[numpy.asarray(rows, dtype=numpy.intp)].tolist()
+        return self.engine.execute(statement)

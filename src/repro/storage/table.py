@@ -14,17 +14,18 @@ compaction, so they never go stale.
 Decay kernels: selected columns (in practice ``t`` and ``f``) can be
 backed by ``float64`` arrays (:mod:`repro.storage.vector`), in which
 case the table also maintains a boolean live mask and exposes bulk
-primitives — :meth:`freshness_array`, :meth:`decay_rows`,
-:meth:`scale_rows`, :meth:`live_mask`, :meth:`live_runs`,
+primitives — :meth:`freshness_array`, :meth:`read_rows`,
+:meth:`write_rows`, :meth:`live_mask`, :meth:`live_runs`,
 :meth:`delete_many` — that apply Law 1 as array operations instead of
-per-row Python calls. A pure-Python fallback is selected at
-construction when numpy is unavailable (or ``kernels=False``); the
-fallback implements the same primitives with loops so callers never
+per-row Python calls. A false ``kernels`` argument selects the
+pure-Python list backend, the reference the equivalence suites compare
+against; it implements the same primitives with loops so callers never
 branch on the backend for correctness, only for speed.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Protocol, Sequence
 
 from repro.errors import StorageError
@@ -34,7 +35,7 @@ if TYPE_CHECKING:
 from repro.obs.profile import PROFILER
 from repro.storage.rowset import RowSet
 from repro.storage.schema import DataType, Schema
-from repro.storage.vector import HAVE_NUMPY, BoolColumn, FloatColumn, numpy
+from repro.storage.vector import BoolColumn, FloatColumn, numpy
 
 
 class TableObserver(Protocol):
@@ -123,21 +124,11 @@ class Table:
         self.name = name
         self.freshness_column = freshness_column
         requested = tuple(vector_columns)
-        if kernels is None:
-            use_kernels = HAVE_NUMPY and bool(requested)
-        elif kernels:
-            if not HAVE_NUMPY:
-                raise StorageError(
-                    f"table {name!r}: vectorized kernels requested but numpy "
-                    "is not available"
-                )
-            if not requested:
-                raise StorageError(
-                    f"table {name!r}: kernels=True needs at least one vector column"
-                )
-            use_kernels = True
-        else:
-            use_kernels = False
+        if kernels and not requested:
+            raise StorageError(
+                f"table {name!r}: kernels=True needs at least one vector column"
+            )
+        use_kernels = bool(requested) if kernels is None else kernels
         positions: set[int] = set()
         if use_kernels:
             for column in requested:
@@ -523,39 +514,6 @@ class Table:
         for rid, value in zip(rids, values):
             col[rid] = value
 
-    def decay_rows(self, rids: Sequence[int], amount: float) -> tuple[Any, Any]:
-        """Clamped freshness drop ``f := min(max(f - amount, 0), 1)``.
-
-        Returns ``(old, new)`` value sequences aligned with ``rids``.
-        Pure storage arithmetic: pins, exhausted bookkeeping and event
-        publication live in ``core/table.py`` on top of this.
-        """
-        old = self.read_rows(self._freshness_name(), rids)
-        if self.vectorized:
-            new = numpy.minimum(numpy.maximum(old - amount, 0.0), 1.0)
-        else:
-            new = [min(max(o - amount, 0.0), 1.0) for o in old]
-        self.write_rows(self._freshness_name(), rids, new)
-        return old, new
-
-    def scale_rows(self, rids: Sequence[int], factor: float) -> tuple[Any, Any]:
-        """Clamped freshness scale ``f := min(max(f * factor, 0), 1)``.
-
-        Returns ``(old, new)`` value sequences aligned with ``rids``.
-        """
-        old = self.read_rows(self._freshness_name(), rids)
-        if self.vectorized:
-            new = numpy.minimum(numpy.maximum(old * factor, 0.0), 1.0)
-        else:
-            new = [min(max(o * factor, 0.0), 1.0) for o in old]
-        self.write_rows(self._freshness_name(), rids, new)
-        return old, new
-
-    def _freshness_name(self) -> str:
-        if self.freshness_column is None:
-            raise StorageError(f"table {self.name!r} has no freshness column")
-        return self.freshness_column
-
     def live_runs(self, lo: int, hi: int) -> list[tuple[int, int]]:
         """Maximal contiguous runs of live rids within ``[lo, hi]``.
 
@@ -611,7 +569,7 @@ class Table:
         """
         if self._rot is None or len(rids) == 0:
             return
-        if HAVE_NUMPY and len(rids) > 64:
+        if len(rids) > 64:
             # the decay kernels hit this every cycle with the whole
             # infected batch, so the common cases must stay cheap:
             # a batch inside an already-dirty span is a no-op, and run
@@ -703,12 +661,10 @@ class Table:
         """Float64 view of a numeric column for boolean-mask predicates.
 
         Returns ``None`` when the column cannot back exact mask
-        arithmetic: numpy missing, non-numeric dtype, or an INT column
-        whose magnitude exceeds the float64-exact range. Views for
-        non-vector columns are cached per :meth:`data_token`.
+        arithmetic: non-numeric dtype, or an INT column whose magnitude
+        exceeds the float64-exact range. Views for non-vector columns
+        are cached per :meth:`data_token`.
         """
-        if not HAVE_NUMPY:
-            return None
         pos = self.schema.index_of(column)
         dtype = self.schema.columns[pos].dtype
         if dtype not in _MASKABLE:
@@ -800,8 +756,59 @@ class Table:
         return self.prev_live(rid), self.next_live(rid)
 
     # ------------------------------------------------------------------
-    # compaction
+    # dense copies: compaction and frozen read views
     # ------------------------------------------------------------------
+
+    def _adopt_live_rows(self, source: "Table") -> list[int]:
+        """Make this table's row space a dense copy of ``source``'s live rows.
+
+        The one survivor gather: every column is copied at the live
+        rids (new arrays and lists, never views), liveness becomes
+        all-true, and the rot dirty-map is carried over by rank — dense
+        renumbering only closes gaps, so the survivors of a span stay
+        contiguous. ``source`` may be ``self`` (compaction). Returns
+        the survivors, ascending; a survivor's new rid is its position.
+        """
+        survivors = source.live_list()
+        count = len(survivors)
+        for pos, col in enumerate(source._columns):
+            # one column at a time: compaction frees each old column
+            # before gathering the next
+            self._columns[pos] = (
+                col.take(survivors)
+                if pos in source._vector_positions
+                else [col[rid] for rid in survivors]
+            )
+        self._live = (
+            BoolColumn(count, fill=True) if source.vectorized else [True] * count
+        )
+        self._next_rid = count
+        self._live_count = count
+        if source._rot is not None:
+            runs = (
+                (bisect_left(survivors, lo), bisect_right(survivors, hi) - 1)
+                for lo, hi in source._rot.spans()
+            )
+            self._rot.replace([(lo, hi) for lo, hi in runs if lo <= hi])
+        return survivors
+
+    def dense_copy(self) -> "Table":
+        """A frozen-in-time copy of the live rows as an ordinary table.
+
+        Same schema, same backend, rids renumbered densely, sharing no
+        mutable state with this table: what a tick snapshot queries
+        while Law 1 keeps mutating the original. Observers and indexes
+        are not carried over.
+        """
+        names = self.schema.names
+        copy = Table(
+            self.schema,
+            name=self.name,
+            vector_columns=[names[pos] for pos in sorted(self._vector_positions)],
+            freshness_column=self.freshness_column,
+        )
+        copy._adopt_live_rows(self)
+        return copy
 
     def compact(self) -> dict[int, int]:
         """Physically drop tombstones, remapping live rows densely.
@@ -813,25 +820,12 @@ class Table:
             return {}
         if self.probe is not None:
             self.probe.note(self.name, "compact")
-        survivors = self.live_list()
+        survivors = self._adopt_live_rows(self)
         remap = {old: new for new, old in enumerate(survivors)}
-        for pos, col in enumerate(self._columns):
-            if pos in self._vector_positions:
-                self._columns[pos] = col.take(survivors)
-            else:
-                self._columns[pos] = [col[rid] for rid in survivors]
-        count = len(survivors)
-        self._live = (
-            BoolColumn(count, fill=True) if self.vectorized else [True] * count
-        )
-        self._next_rid = count
-        self._live_count = count
         self._generation += 1
         self._version += 1
         self._live_cache = None
         self._mask_cache.clear()
-        if self._rot is not None:
-            self._rot.remap(remap)
         for obs in self._observers:
             obs.on_compact(remap)
         return remap

@@ -9,9 +9,9 @@ growable ``float64`` arrays instead. :class:`FloatColumn` and
 that the scalar code paths keep working unchanged, while the batch
 kernels reach the raw array through :meth:`FloatColumn.array`.
 
-numpy is load-bearing for the vectorized path but deliberately *not*
-required: ``HAVE_NUMPY`` gates kernel selection, and every consumer
-falls back to pure-Python lists when the import is missing.
+numpy is a hard dependency (``pyproject.toml``); the pure-Python list
+backend survives only as the reference the equivalence suites compare
+against.
 
 Float semantics: elementwise ``float64`` arithmetic is bit-identical
 to Python ``float`` arithmetic (both are IEEE-754 doubles), which is
@@ -25,22 +25,10 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Iterator
 
-try:  # pragma: no cover - exercised implicitly by both backends
-    import numpy
-except ImportError:  # pragma: no cover - the container ships numpy
-    numpy = None  # type: ignore[assignment]
-
-HAVE_NUMPY = numpy is not None
+import numpy
 
 #: initial capacity of a freshly created vector column
 _INITIAL_CAPACITY = 16
-
-
-def _require_numpy() -> None:
-    if not HAVE_NUMPY:
-        raise RuntimeError(
-            "numpy is required for vectorized columns but is not installed"
-        )
 
 
 class FloatColumn:
@@ -49,7 +37,6 @@ class FloatColumn:
     __slots__ = ("_data", "_size")
 
     def __init__(self, values: Iterable[float] = ()) -> None:
-        _require_numpy()
         seed = numpy.asarray(list(values), dtype=numpy.float64)
         capacity = max(_INITIAL_CAPACITY, len(seed))
         self._data = numpy.zeros(capacity, dtype=numpy.float64)
@@ -86,13 +73,12 @@ class FloatColumn:
         """The live ``float64`` view (length == rows ever appended).
 
         Mutating the view mutates the column; only the sanctioned
-        batch mutators in ``core/table.py`` (and the table's own
-        ``decay_rows``/``scale_rows``) may write through it.
+        batch mutators in ``core/table.py`` may write through it.
         """
         return self._data[: self._size]
 
     def take(self, indices: Iterable[int]) -> "FloatColumn":
-        """A new column holding ``self[i]`` for each index (compaction)."""
+        """A new column holding ``self[i]`` for each index (dense copies)."""
         picked = self._data[: self._size][
             numpy.asarray(list(indices), dtype=numpy.intp)
         ]
@@ -105,7 +91,6 @@ class BoolColumn:
     __slots__ = ("_data", "_size")
 
     def __init__(self, size: int = 0, fill: bool = True) -> None:
-        _require_numpy()
         capacity = max(_INITIAL_CAPACITY, size)
         self._data = numpy.zeros(capacity, dtype=numpy.bool_)
         if size:

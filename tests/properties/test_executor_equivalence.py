@@ -14,18 +14,12 @@ the hybrid path (string equality conjuncts).
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.query import QueryEngine
 from repro.storage import Catalog, Schema, Table
 from repro.storage.schema import ColumnDef, DataType
-from repro.storage.vector import HAVE_NUMPY
-
-pytestmark = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="vectorized backend needs numpy"
-)
 
 
 class _Recorder:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import random
 from contextlib import contextmanager
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,11 +23,6 @@ from repro.core.events import TupleDecayed, TupleDecayedBatch
 from repro.core.table import DecayingTable
 from repro.fungi import BlueCheeseFungus, EGIFungus
 from repro.storage import RowSet, Schema
-from repro.storage.vector import HAVE_NUMPY
-
-pytestmark = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="vectorized backend needs numpy"
-)
 
 _DEFAULT_SMALL_BATCH = core_table._SMALL_BATCH
 
