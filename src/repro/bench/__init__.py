@@ -3,7 +3,7 @@
 Every experiment module in :mod:`repro.experiments` returns an
 :class:`~repro.bench.runner.ExperimentResult`; the helpers here time
 code sections, format result tables/series as ASCII, and register the
-experiments so ``python -m repro.bench`` can regenerate everything.
+experiments so ``python -m repro.experiments`` can run them all.
 """
 
 from repro.bench.charts import line_chart

@@ -28,8 +28,7 @@ class Timer:
 def time_callable(fn: Callable[[], Any], repeats: int = 5) -> dict[str, float]:
     """Run ``fn`` ``repeats`` times; returns min/mean/max seconds.
 
-    The *min* is the headline number (least-noise estimate), matching
-    pytest-benchmark's convention.
+    The *min* is the headline number (least-noise estimate).
     """
     if repeats < 1:
         raise BenchError(f"repeats must be >= 1, got {repeats}")

@@ -26,6 +26,9 @@ class ExperimentResult:
     may fill both. ``checks`` maps qualitative-claim names to booleans —
     the shape assertions ("fungus bounded, control unbounded") that
     stand in for matching the paper's (nonexistent) absolute numbers.
+    ``wall_clock_checks`` names the ones whose predicate compares
+    measured times: they count everywhere except tier-1, which must not
+    depend on how busy the machine is.
     """
 
     experiment_id: str
@@ -36,6 +39,7 @@ class ExperimentResult:
     rows: Sequence[Sequence[Any]] = ()
     series: dict[str, SeriesBundle] = field(default_factory=dict)
     checks: dict[str, bool] = field(default_factory=dict)
+    wall_clock_checks: set[str] = field(default_factory=set)
     notes: list[str] = field(default_factory=list)
 
     def add_series(
@@ -48,9 +52,14 @@ class ExperimentResult:
         """Attach one figure's series."""
         self.series[name] = (x_name, x_values, series)
 
-    def check(self, name: str, passed: bool) -> None:
-        """Record one shape assertion outcome."""
+    def check(self, name: str, passed: bool, *, wall_clock: bool = False) -> None:
+        """Record one shape assertion outcome.
+
+        ``wall_clock=True`` marks a predicate derived from timings.
+        """
         self.checks[name] = passed
+        if wall_clock:
+            self.wall_clock_checks.add(name)
 
     @property
     def all_checks_pass(self) -> bool:

@@ -21,7 +21,8 @@ def main(argv: list[str]) -> int:
         print(render_result(result))
         for name, passed in result.checks.items():
             marker = "PASS" if passed else "FAIL"
-            print(f"  [{marker}] {name}")
+            tag = " (wall-clock)" if name in result.wall_clock_checks else ""
+            print(f"  [{marker}] {name}{tag}")
         print()
     failed = [r.experiment_id for r in results if not r.all_checks_pass]
     print("=" * 72)

@@ -73,7 +73,6 @@ def run(scale: str = "smoke") -> ExperimentResult:
         oldest_live = table.oldest_live()
         oldest_f = table.inserted_at(oldest_live) if oldest_live is not None else db.now
         oldest_b = baseline.oldest_timestamp()
-        merged = db.merged_summary("readings")
 
         x.append(tick)
         mem_fungus.append(db.extent("readings"))
@@ -81,7 +80,10 @@ def run(scale: str = "smoke") -> ExperimentResult:
         oldest_fungus.append(oldest_f)
         oldest_baseline.append(oldest_b if oldest_b is not None else db.now)
         # knowledge coverage of [0, now]: live span plus summarised span
-        summarised_from = merged.time_range[0] if merged and merged.time_range else oldest_f
+        summarised_from = min(
+            (s.time_range[0] for s in db.summaries("readings") if s.time_range),
+            default=oldest_f,
+        )
         known_from = min(oldest_f, summarised_from)
         coverage_fungus.append(1.0 - known_from / max(db.now, 1.0))
         coverage_baseline.append(baseline.coverage(0.0))

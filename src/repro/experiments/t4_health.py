@@ -130,6 +130,7 @@ def run(scale: str = "smoke") -> ExperimentResult:
     result.check(
         "healthy answers the workload faster",
         measured["healthy"]["ms"] <= measured["hoard"]["ms"],
+        wall_clock=True,
     )
     result.check("historical count is exact via summaries", count_err <= 1e-9)
     result.check("historical mean within 5% via summaries", mean_err <= 0.05)

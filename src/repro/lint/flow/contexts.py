@@ -30,8 +30,8 @@ barriers that absorb contexts:
   copies on the loop), so the ownership obligation sits at the call site,
 * ``start``/``stop`` lifecycle methods (single-threaded by protocol:
   concurrency begins only once ``start`` returns),
-* client-process modules (``client``, ``loadgen``) — they run in the
-  client, not in the server's loop.
+* the client-process module (``client``) — it runs in the client, not
+  in the server's loop.
 
 The RaceProbe runtime sanitizer cross-checks this static model against
 observed mutation threads.
@@ -66,7 +66,7 @@ SANCTIONED_MODULES = frozenset(
 )
 
 #: client-process code: runs outside the server's threads entirely
-CLIENT_MODULES = frozenset({"repro.server.client", "repro.server.loadgen"})
+CLIENT_MODULES = frozenset({"repro.server.client"})
 
 #: single-threaded lifecycle methods — concurrency starts after start()
 LIFECYCLE_METHODS = frozenset({"start", "stop"})

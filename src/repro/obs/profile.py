@@ -8,7 +8,7 @@ scans over the row space) carry a guarded call into this module::
 
 When disabled — the default — the cost at each site is exactly one
 attribute load and a falsy branch; no objects are allocated and no
-clock is read. ``benchmarks/bench_t3_overhead.py`` holds that claim to
+clock is read. Experiment T3's wall-clock check holds that claim to
 < 5% ingest overhead.
 
 This module is imported by the *storage* layer, the bottom of the

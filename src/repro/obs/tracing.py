@@ -51,7 +51,7 @@ an error on the request path.
 The disabled path is :data:`NULL_TRACER`: every instrumented call site
 costs one attribute lookup, a no-op ``span()`` call returning a shared
 singleton, and two no-op ``__enter__``/``__exit__`` calls — measured
-at < 5% ingest overhead by ``benchmarks/bench_t3_overhead.py``.
+at < 5% ingest overhead by experiment T3's wall-clock check.
 """
 
 from __future__ import annotations

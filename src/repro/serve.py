@@ -1,6 +1,6 @@
-"""``python -m repro.serve``: run, poke, and benchmark the network front-end.
+"""``python -m repro.serve``: run and poke the network front-end.
 
-Three subcommands:
+Two subcommands:
 
 ``serve``
     Start a :class:`~repro.server.server.FungusServer` on a host/port,
@@ -13,10 +13,6 @@ Three subcommands:
     A line-oriented shell against a running server: plain lines run as
     strong SQL, ``\\s SELECT ...`` reads from the latest tick snapshot,
     ``.tick`` / ``.stats`` / ``.metrics`` hit the admin ops.
-
-``loadgen``
-    The qps/p50/p99 benchmark behind ``benchmarks/baselines/
-    BENCH_server.json`` — see :mod:`repro.server.loadgen`.
 """
 
 from __future__ import annotations
@@ -25,17 +21,15 @@ import argparse
 import asyncio
 import json
 import sys
-from pathlib import Path
 from typing import Any
 
 from repro.cli import parse_fungus_spec
 from repro.core.db import FungusDB
 from repro.errors import FungusError
 from repro.obs.querystats import render_queries
-from repro.obs.tracing import JsonlTraceExporter, Tracer, validate_trace
+from repro.obs.tracing import JsonlTraceExporter, Tracer
 from repro.server.auth import RIGHTS, AuthRegistry, Grant
 from repro.server.client import FungusClient, ServerError
-from repro.server.loadgen import LoadgenConfig, run_loadgen
 from repro.server.server import FungusServer, ServerConfig
 from repro.storage.schema import Schema
 
@@ -227,74 +221,6 @@ def _print_result(response: dict[str, Any]) -> None:
     print(tail + f", {response.get('consistency', 'strong')})")
 
 
-async def _cmd_loadgen(args: argparse.Namespace) -> int:
-    config = LoadgenConfig(
-        connections=args.connections,
-        duration=args.duration,
-        tick_interval=args.tick_interval,
-        queue_limit=args.queue_limit,
-        token=args.token,
-        trace=args.trace,
-        trace_sample=args.trace_sample,
-        scrape_ops=args.scrape_ops,
-        race_probe=args.race_probe,
-    )
-    report = await run_loadgen(config, host=args.host, port=args.port)
-    print(
-        f"{report.connections} connections, {report.duration_s:.1f}s: "
-        f"{report.requests} requests ({report.qps:.0f} qps), "
-        f"p50 {report.p50_s * 1e3:.2f}ms p95 {report.p95_s * 1e3:.2f}ms "
-        f"p99 {report.p99_s * 1e3:.2f}ms; "
-        f"{report.busy} busy, {report.errors} errors, "
-        f"{report.ticks:g} ticks"
-    )
-    for stage, stats in sorted(report.stages.items()):
-        print(
-            f"  stage {stage:<16} p50 {stats['p50_s'] * 1e3:8.3f}ms "
-            f"p95 {stats['p95_s'] * 1e3:8.3f}ms "
-            f"p99 {stats['p99_s'] * 1e3:8.3f}ms "
-            f"({stats['count']:.0f} spans)"
-        )
-    if report.scraped_samples >= 0:
-        print(f"mid-run /metrics scrape: {report.scraped_samples} samples, parse ok")
-    if report.scraped_fingerprints >= 0:
-        print(
-            f"mid-run /debug/queries scrape: "
-            f"{report.scraped_fingerprints} fingerprints tracked"
-        )
-    if args.out:
-        path = report.write_snapshot(args.out)
-        print(f"wrote {path}")
-        if args.trace:
-            trace_path = Path(args.out) / "TRACE_server.jsonl"
-            written = report.write_trace(trace_path)
-            problems = validate_trace(trace_path)
-            if problems:
-                print(
-                    f"trace {trace_path} failed validation: {problems[:3]}",
-                    file=sys.stderr,
-                )
-                return 1
-            print(f"wrote {trace_path} ({written} spans, validate_spans clean)")
-    if report.race_violations >= 0:
-        print(
-            f"race probe: {report.race_violations} cross-thread "
-            f"mutation(s) observed"
-        )
-        if report.race_violations:
-            print("race probe caught cross-thread mutations", file=sys.stderr)
-            return 1
-    if report.requests == 0:
-        print("no requests completed", file=sys.stderr)
-        return 1
-    if report.errors:
-        # BUSY rejections are counted separately and are expected under
-        # saturation; anything in `errors` is a genuine failure.
-        print(f"{report.errors} request(s) failed", file=sys.stderr)
-        return 1
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve", description=__doc__.split("\n", 1)[0]
@@ -352,41 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     client.add_argument("--host", default="127.0.0.1")
     client.add_argument("--port", type=int, default=7474)
     client.add_argument("--token", default=None)
-
-    loadgen = sub.add_parser("loadgen", help="qps/p50/p99 load benchmark")
-    loadgen.add_argument("--connections", type=int, default=1000)
-    loadgen.add_argument("--duration", type=float, default=10.0)
-    loadgen.add_argument("--tick-interval", type=float, default=0.25)
-    loadgen.add_argument("--queue-limit", type=int, default=256)
-    loadgen.add_argument("--host", default=None, help="target a running server")
-    loadgen.add_argument("--token", default=None, help="auth token for --host")
-    loadgen.add_argument("--port", type=int, default=None)
-    loadgen.add_argument("--out", default=None, metavar="DIR", help="write BENCH_server.json here")
-    loadgen.add_argument(
-        "--trace",
-        action="store_true",
-        help="trace sampled requests; adds per-stage quantiles and, with "
-        "--out, writes TRACE_server.jsonl",
-    )
-    loadgen.add_argument(
-        "--trace-sample",
-        type=float,
-        default=0.05,
-        metavar="FRACTION",
-        help="fraction of requests to trace (default 0.05)",
-    )
-    loadgen.add_argument(
-        "--scrape-ops",
-        action="store_true",
-        help="scrape /metrics mid-run through the ops listener and "
-        "parse-check the exposition",
-    )
-    loadgen.add_argument(
-        "--race-probe",
-        action="store_true",
-        help="arm the runtime thread-sanitizer on the in-process "
-        "server (record mode); any cross-thread mutation fails the run",
-    )
     return parser
 
 
@@ -398,7 +289,6 @@ def main(argv: list[str] | None = None) -> int:
     runner = {
         "serve": _cmd_serve,
         "client": _cmd_client,
-        "loadgen": _cmd_loadgen,
     }[args.command]
     try:
         return asyncio.run(runner(args))

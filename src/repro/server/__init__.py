@@ -21,10 +21,7 @@ network boundary in front of the embedded engine:
   an :mod:`asyncio` TCP listener (``python -m repro.serve``);
 * :mod:`repro.server.ops` — the ops plane: the slow-query ring and the
   embedded HTTP listener serving ``/metrics``, ``/healthz``,
-  ``/readyz`` and the ``/debug/*`` views;
-* :mod:`repro.server.loadgen` — the qps/p50/p99 load generator behind
-  ``benchmarks/baselines/BENCH_server.json``, now also the trace
-  sampler feeding the per-stage latency entries.
+  ``/readyz`` and the ``/debug/*`` views.
 
 Threading model (the whole design in one paragraph): the event loop
 owns connections, framing, auth and admission; a single worker thread

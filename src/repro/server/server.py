@@ -168,7 +168,7 @@ class FungusServer:
             self._handle_connection,
             self.config.host,
             self.config.port,
-            backlog=2048,  # the loadgen opens 1k+ connections in one burst
+            backlog=2048,  # room for 1k+ clients connecting in one burst
         )
         if self.config.ops_port is not None:
             self._ops = OpsServer(self, self.config.host, self.config.ops_port)

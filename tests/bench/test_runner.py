@@ -14,6 +14,13 @@ class TestExperimentResult:
         result.check("b", False)
         assert not result.all_checks_pass
 
+    def test_wall_clock_checks_are_tagged_and_still_count(self):
+        result = ExperimentResult("X", "t", "c", "smoke")
+        result.check("a", True)
+        result.check("slow", False, wall_clock=True)
+        assert result.wall_clock_checks == {"slow"}
+        assert not result.all_checks_pass
+
     def test_add_series(self):
         result = ExperimentResult("X", "t", "c", "smoke")
         result.add_series("s", "tick", [0, 1], {"x": [1, 2]})

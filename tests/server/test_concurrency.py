@@ -130,23 +130,27 @@ class TestNoTornReads:
         asyncio.run(scenario())
 
 
-def _run_mixed_workload(seed: int, fungus: str) -> tuple:
+def _run_mixed_workload(
+    seed: int, fungus: str, workers: int = 4, ops: int = 30
+) -> tuple:
     """Drive a server with interleaved clients; return (oplog, state, clock).
 
-    Four workers insert/select/consume concurrently while a fifth
-    advances the decay clock; every strong op lands in the op log in
-    worker execution order.
+    ``workers`` connections insert/select/consume ``ops`` times each,
+    concurrently, while one more advances the decay clock; every strong
+    op lands in the op log in worker execution order.
     """
 
     async def scenario():
         db = seeded_db(seed=seed, fungus=fungus)
-        async with running_server(db) as server:
+        # closed loop: one request in flight per connection, so this
+        # queue bound can never answer BUSY
+        async with running_server(db, queue_limit=workers + 1) as server:
 
             async def worker(cid: int) -> None:
                 rng = random.Random(seed * 100 + cid)
                 client = await connect(server)
                 try:
-                    for j in range(30):
+                    for j in range(ops):
                         roll = rng.random()
                         if roll < 0.5:
                             await client.insert(
@@ -171,7 +175,7 @@ def _run_mixed_workload(seed: int, fungus: str) -> tuple:
                 finally:
                     await client.close()
 
-            await asyncio.gather(*(worker(cid) for cid in range(4)), ticker())
+            await asyncio.gather(*(worker(cid) for cid in range(workers)), ticker())
             oplog = list(server.oplog)
             state = table_state(server.db, "r")
             clock = server.db.clock.now
@@ -182,21 +186,26 @@ def _run_mixed_workload(seed: int, fungus: str) -> tuple:
 
 class TestReplayOracle:
     def test_final_state_matches_single_threaded_replay(self):
-        """Across 5 seeds and both deterministic fungi: bit-identical."""
-        for seed, fungus in [
-            (11, "linear"),
-            (12, "exponential"),
-            (13, "linear"),
-            (14, "exponential"),
-            (15, "linear"),
+        """Across 5 seeds and both deterministic fungi: bit-identical.
+
+        The last case trades depth for width: 64 connections racing
+        8 ops each through the same oracle.
+        """
+        for seed, fungus, workers, ops in [
+            (11, "linear", 4, 30),
+            (12, "exponential", 4, 30),
+            (13, "linear", 4, 30),
+            (14, "exponential", 4, 30),
+            (15, "linear", 4, 30),
+            (31, "linear", 64, 8),
         ]:
-            oplog, state, clock = _run_mixed_workload(seed, fungus)
+            oplog, state, clock = _run_mixed_workload(seed, fungus, workers, ops)
             assert any(entry[0] == "query" for entry in oplog)
             assert any(entry[0] == "tick" for entry in oplog)
             replayed = replay_oplog(oplog, seed=seed, fungus=fungus)
             assert replayed.clock.now == clock
             assert table_state(replayed, "r") == state, (
-                f"seed {seed} ({fungus}): replay diverged"
+                f"seed {seed} ({fungus}, {workers} connections): replay diverged"
             )
 
     def test_replay_agrees_with_sim_oracle(self):
