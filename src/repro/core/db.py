@@ -50,14 +50,6 @@ from repro.storage.rowset import RowSet
 from repro.storage.schema import Schema
 
 
-def _statement_table(stmt: Any) -> str:
-    """The relation a recorded statement targets (for event scoping)."""
-    table = getattr(stmt, "table", None)
-    if isinstance(table, str):
-        return table  # INSERT / DELETE carry the name directly
-    return getattr(table, "name", "")  # SELECT carries a TableRef
-
-
 class FungusDB:
     """A relational database that obeys the two natural laws of Big Data."""
 
@@ -281,13 +273,7 @@ class FungusDB:
         ``EXPLAIN CONSUME SELECT ...`` but handing back the structured
         report instead of text rows. Publishes :class:`ConsumeAnalyzed`.
         """
-        from repro.query.parser import parse
-        from repro.query.ast_nodes import ExplainStmt
-
-        stmt = parse(sql)
-        if isinstance(stmt, ExplainStmt):
-            stmt = stmt.inner
-        return self.engine.analyze_consume(stmt)
+        return self.engine.analyze_consume(sql)
 
     def _column_domains(self, table_name: str) -> dict[str, tuple[float, float]] | None:
         """Closed numeric domains the analyzer may assume for a table.
@@ -435,7 +421,7 @@ class FungusDB:
                 self.bus.publish_lazy(
                     QueryExecuted,
                     lambda: QueryExecuted(
-                        _statement_table(record.statement),
+                        record.statement.target,
                         self.clock.now,
                         kind=record.kind,
                         fingerprint=observation.fingerprint,

@@ -11,7 +11,7 @@ optionally subject to its own retention (summaries rot too).
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from repro.core.events import SummaryCreated
 from repro.core.table import DecayingTable
@@ -131,28 +131,6 @@ class Distiller:
         summary.spans = rows.spans()
         for rid in rows:
             summary.add_row(table.row_dict(rid))
-        self.store.add(summary)
-        table.bus.publish(
-            SummaryCreated(table.name, table.clock.now, rows=len(rows), reason=reason)
-        )
-        return summary
-
-    def distill_dicts(
-        self,
-        table: DecayingTable,
-        rows: list[Mapping[str, object]],
-        reason: str,
-    ) -> TableSummary:
-        """Summarise already-extracted row dicts (post-eviction path)."""
-        summary = TableSummary(
-            table.name,
-            table.storage.schema,
-            self.config,
-            reason=reason,
-            time_column=table.time_column,
-        )
-        for row in rows:
-            summary.add_row(row)
         self.store.add(summary)
         table.bus.publish(
             SummaryCreated(table.name, table.clock.now, rows=len(rows), reason=reason)

@@ -16,7 +16,7 @@ to stay consistent with the row space.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from repro.core.table import BatchOutcome, DecayingTable
@@ -91,18 +91,3 @@ class Fungus:
         report.newly_exhausted += outcome.newly_exhausted
 
 
-@dataclass
-class FungusObserverState:
-    """Mixin-style holder for fungi tracking per-row state.
-
-    Keeps a set of row ids and rewrites it on eviction/compaction so
-    subclasses only manage semantics, not bookkeeping.
-    """
-
-    rows: set[int] = field(default_factory=set)
-
-    def discard(self, rid: int) -> None:
-        self.rows.discard(rid)
-
-    def remap(self, remap: Mapping[int, int]) -> None:
-        self.rows = {remap[rid] for rid in self.rows if rid in remap}

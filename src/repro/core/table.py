@@ -578,19 +578,6 @@ class DecayingTable:
             self._pending_reason = "external"
         return evicted
 
-    def evict_exhausted_batch(self, reason: str = "decay") -> int:
-        """Evict every exhausted row in one batch; returns the count.
-
-        The LAZY-collection fast path: one :meth:`evict` pass (mask
-        flip + per-row events) over the whole exhausted set, with no
-        value dicts built.
-        """
-        rids = sorted(self._exhausted)
-        if not rids:
-            return 0
-        self.evict(RowSet(rids), reason, collect_values=False)
-        return len(rids)
-
     def set_eviction_reason(self, reason: str) -> None:
         """Label upcoming storage-level deletions (Law 2 consume path).
 

@@ -10,8 +10,9 @@ statement *before* execution and reports:
 * a footprint verdict — ``none`` (the predicate provably matches no
   row), ``total`` (provably matches every live row), ``partial``
   (anything in between), or ``invalid`` (static errors present);
-* an estimated row footprint from the table's equi-width histograms
-  (:mod:`repro.storage.stats`), without touching a single row.
+* an estimated row footprint from the equi-width histograms of the
+  planner's lazy, cached :func:`~repro.storage.stats.planner_stats`
+  view — only the columns the predicate names are ever read.
 
 Verdicts are exact claims, checked by the sim driver's ``--analyze``
 mode: an executed consume classified ``none`` must consume zero rows
@@ -36,6 +37,7 @@ from repro.query.ast_nodes import (
     Literal,
     SelectStmt,
     UnaryOp,
+    walk,
 )
 from repro.query.normalize import (
     Domains,
@@ -51,7 +53,7 @@ from repro.query.parser import parse
 from repro.query.planner import plan_select
 from repro.storage.catalog import Catalog
 from repro.storage.schema import ColumnDef, DataType, Schema
-from repro.storage.stats import ColumnStats, TableStats, collect_stats
+from repro.storage.stats import ColumnStats, PlannerStats, planner_stats
 
 #: Selectivity guess for atoms the estimator cannot reason about
 #: (function calls, column-to-column comparisons, ...).
@@ -145,7 +147,7 @@ class ConsumeAnalyzer:
         errors: list[str] = []
         warnings: list[str] = []
         schema: Optional[Schema] = None
-        stats: Optional[TableStats] = None
+        stats: Optional[PlannerStats] = None
         extent: Optional[int] = None
 
         if self.catalog is not None:
@@ -164,7 +166,7 @@ class ConsumeAnalyzer:
             if schema is not None:
                 errors.extend(_type_errors(stmt.where, schema))
                 if not errors:
-                    stats = collect_stats(self.catalog.table(stmt.table.name))
+                    stats = planner_stats(table)
 
         normalized = normalize(stmt.where) if stmt.where is not None else None
         domains = self._domains(stmt.table.name)
@@ -227,9 +229,9 @@ class ConsumeAnalyzer:
 def _type_errors(where: Optional[Expression], schema: Schema) -> list[str]:
     """Column-vs-constant type mismatches that would raise at runtime."""
     errors: list[str] = []
-    if where is None:
-        return errors
-    _walk_types(where, schema, errors)
+    if where is not None:
+        for node in walk(where):
+            _check_node(node, schema, errors)
     return errors
 
 
@@ -269,45 +271,30 @@ def _check_pair(column: ColumnDef, literal: Literal, context: str, errors: list[
         )
 
 
-def _walk_types(expr: Expression, schema: Schema, errors: list[str]) -> None:
-    if isinstance(expr, BinaryOp):
-        if expr.op in ("=", "!=", "<", "<=", ">", ">="):
-            left_def = _column_def(expr.left, schema)
-            right_def = _column_def(expr.right, schema)
-            if left_def is not None and isinstance(expr.right, Literal):
-                _check_pair(left_def, expr.right, expr.to_sql(), errors)
-            if right_def is not None and isinstance(expr.left, Literal):
-                _check_pair(right_def, expr.left, expr.to_sql(), errors)
-            if (
-                left_def is not None
-                and right_def is not None
-                and _dtype_group(left_def.dtype) != _dtype_group(right_def.dtype)
-            ):
-                errors.append(
-                    f"type mismatch in {expr.to_sql()}: {left_def.name!r} is "
-                    f"{left_def.dtype.value}, {right_def.name!r} is "
-                    f"{right_def.dtype.value}"
-                )
-        _walk_types(expr.left, schema, errors)
-        _walk_types(expr.right, schema, errors)
-    elif isinstance(expr, UnaryOp):
-        _walk_types(expr.operand, schema, errors)
-    elif isinstance(expr, Between):
+def _check_node(expr: Expression, schema: Schema, errors: list[str]) -> None:
+    """Type rules of one node; :func:`walk` brings every node here."""
+    if isinstance(expr, BinaryOp) and expr.op in ("=", "!=", "<", "<=", ">", ">="):
+        left_def = _column_def(expr.left, schema)
+        right_def = _column_def(expr.right, schema)
+        if left_def is not None and isinstance(expr.right, Literal):
+            _check_pair(left_def, expr.right, expr.to_sql(), errors)
+        if right_def is not None and isinstance(expr.left, Literal):
+            _check_pair(right_def, expr.left, expr.to_sql(), errors)
+        if (
+            left_def is not None
+            and right_def is not None
+            and _dtype_group(left_def.dtype) != _dtype_group(right_def.dtype)
+        ):
+            errors.append(
+                f"type mismatch in {expr.to_sql()}: {left_def.name!r} is "
+                f"{left_def.dtype.value}, {right_def.name!r} is "
+                f"{right_def.dtype.value}"
+            )
+    elif isinstance(expr, (Between, InList)):
         operand_def = _column_def(expr.operand, schema)
-        for bound in (expr.low, expr.high):
-            if operand_def is not None and isinstance(bound, Literal):
-                _check_pair(operand_def, bound, expr.to_sql(), errors)
-            _walk_types(bound, schema, errors)
-        _walk_types(expr.operand, schema, errors)
-    elif isinstance(expr, InList):
-        operand_def = _column_def(expr.operand, schema)
-        for item in expr.items:
-            if operand_def is not None and isinstance(item, Literal):
-                _check_pair(operand_def, item, expr.to_sql(), errors)
-            _walk_types(item, schema, errors)
-        _walk_types(expr.operand, schema, errors)
-    elif isinstance(expr, IsNull):
-        _walk_types(expr.operand, schema, errors)
+        for other in expr.children()[1:]:
+            if operand_def is not None and isinstance(other, Literal):
+                _check_pair(operand_def, other, expr.to_sql(), errors)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +302,7 @@ def _walk_types(expr: Expression, schema: Schema, errors: list[str]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def predicate_selectivity(expr: Optional[Expression], stats: TableStats) -> float:
+def predicate_selectivity(expr: Optional[Expression], stats: PlannerStats) -> float:
     """Estimated matching fraction of the live rows, in ``[0, 1]``.
 
     The public face of the Tier-B estimator: ``EXPLAIN ANALYZE`` uses
@@ -326,7 +313,7 @@ def predicate_selectivity(expr: Optional[Expression], stats: TableStats) -> floa
     return _selectivity(expr, stats)
 
 
-def _selectivity(expr: Optional[Expression], stats: TableStats) -> float:
+def _selectivity(expr: Optional[Expression], stats: PlannerStats) -> float:
     """Estimated matching fraction of the live rows, in ``[0, 1]``."""
     if expr is None:
         return 1.0
@@ -348,14 +335,14 @@ def _selectivity(expr: Optional[Expression], stats: TableStats) -> float:
     return _atom_selectivity(expr, stats)
 
 
-def _column_stats(stats: TableStats, name: str) -> Optional[ColumnStats]:
+def _column_stats(stats: PlannerStats, name: str) -> Optional[ColumnStats]:
     try:
         return stats.column(name)
     except KeyError:
         return None
 
 
-def _atom_selectivity(expr: Expression, stats: TableStats) -> float:
+def _atom_selectivity(expr: Expression, stats: PlannerStats) -> float:
     atom = numeric_atom(expr)
     if atom is not None:
         column, satisfied, _ = atom
@@ -389,7 +376,7 @@ def _atom_selectivity(expr: Expression, stats: TableStats) -> float:
     return DEFAULT_SELECTIVITY
 
 
-def _equality_selectivity(expr: BinaryOp, stats: TableStats) -> Optional[float]:
+def _equality_selectivity(expr: BinaryOp, stats: PlannerStats) -> Optional[float]:
     """``1/distinct`` for ``col = const`` when the constant is in range."""
     column: Optional[ColumnRef] = None
     literal: Optional[Literal] = None

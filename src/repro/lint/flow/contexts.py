@@ -113,7 +113,6 @@ TRACKED_METHODS = frozenset(
         "scale_many",
         "set_freshness",
         "set_freshness_many",
-        "evict_exhausted_batch",
         "pin",
         "unpin",
         # storage Table surface

@@ -30,10 +30,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
+from repro.errors import ParseError
 from repro.lint.analyze import ConsumeAnalyzer, ConsumeReport
 
 if TYPE_CHECKING:  # runtime imports stay lazy: repro.query imports us back
-    from repro.query.ast_nodes import DeleteStmt, Expression, SelectStmt
+    from repro.query.ast_nodes import DeleteStmt, SelectStmt
     from repro.storage import Catalog
 
 _CONSUME_RE = re.compile(r"\s*(EXPLAIN\s+)?CONSUME\s+SELECT\b", re.IGNORECASE)
@@ -115,7 +116,21 @@ def scan(paths: Iterable[str | Path]) -> list[EmbeddedConsume]:
         if found.sql is None:
             results.append(found)
             continue
-        report = analyzer.analyze(found.sql)
+        try:
+            report = analyzer.analyze(found.sql)
+        except ParseError as exc:
+            # looked like a consume, is not SQL: invalid, never a crash
+            report = ConsumeReport(
+                sql=found.sql,
+                table="",
+                verdict="invalid",
+                where_sql=None,
+                normalized_sql=None,
+                extent=None,
+                estimated_rows=None,
+                selectivity=None,
+                errors=(str(exc),),
+            )
         results.append(
             EmbeddedConsume(found.path, found.line, found.sql, report)
         )
@@ -205,37 +220,15 @@ def _inferred_catalog(stmt: SelectStmt | DeleteStmt) -> Catalog:
     empty: the check is parse → plan → instrument → render, not
     row-level evaluation.
     """
-    from repro.query.ast_nodes import (
-        BinaryOp,
-        ColumnRef,
-        DeleteStmt,
-        InList,
-        Literal,
-        SelectStmt,
-    )
+    from repro.query.ast_nodes import ColumnRef, Literal, SelectStmt, walk
     from repro.storage import Catalog, Schema, Table
 
     # binding (alias or name) -> real table name, in FROM-first order
-    bindings: dict[str, str] = {}
-    exprs: list[Expression] = []
-    if isinstance(stmt, DeleteStmt):
-        bindings[stmt.table] = stmt.table
-        if stmt.where is not None:
-            exprs.append(stmt.where)
-    elif isinstance(stmt, SelectStmt):
-        bindings[stmt.table.binding] = stmt.table.name
+    bindings = {stmt.target: stmt.target}
+    if isinstance(stmt, SelectStmt):
+        bindings = {stmt.table.binding: stmt.target}
         if stmt.join is not None:
             bindings.setdefault(stmt.join.table.binding, stmt.join.table.name)
-            exprs.extend((stmt.join.left, stmt.join.right))
-        exprs.extend(p.expr for p in stmt.projections)
-        if stmt.where is not None:
-            exprs.append(stmt.where)
-        exprs.extend(stmt.group_by)
-        if stmt.having is not None:
-            exprs.append(stmt.having)
-        exprs.extend(item.expr for item in stmt.order_by)
-    else:  # pragma: no cover - callers filter to SELECT/DELETE first
-        raise TypeError(f"cannot infer a catalog for {type(stmt).__name__}")
 
     home = next(iter(bindings))  # unqualified columns bind to FROM
     columns: dict[str, dict[str, str]] = {name: {} for name in bindings.values()}
@@ -245,29 +238,23 @@ def _inferred_catalog(stmt: SelectStmt | DeleteStmt) -> Catalog:
         if table is None:  # unknown qualifier: leave it to the planner
             return
         if dtype or ref.name not in columns[table]:
-            columns[table][ref.name] = dtype or columns[table].get(
-                ref.name, "float"
-            )
+            columns[table][ref.name] = dtype or "float"
 
-    for expr in exprs:
-        for ref in expr.column_refs():
-            place(ref)
-        for node in _walk_expr(expr):
-            if isinstance(node, BinaryOp):
-                sides = (node.left, node.right)
-                for ref, lit in (sides, sides[::-1]):
-                    if (
-                        isinstance(ref, ColumnRef)
-                        and isinstance(lit, Literal)
-                        and isinstance(lit.value, str)
-                    ):
+    for expr in stmt.expressions():
+        for node in walk(expr):
+            if isinstance(node, ColumnRef):
+                place(node)
+                continue
+            # a column that shares a node with a string literal (compared
+            # with it, listed against it, bounded by it) is a str column
+            operands = node.children()
+            if any(
+                isinstance(lit, Literal) and isinstance(lit.value, str)
+                for lit in operands
+            ):
+                for ref in operands:
+                    if isinstance(ref, ColumnRef):
                         place(ref, "str")
-            elif isinstance(node, InList):
-                if isinstance(node.operand, ColumnRef) and any(
-                    isinstance(item, Literal) and isinstance(item.value, str)
-                    for item in node.items
-                ):
-                    place(node.operand, "str")
 
     catalog = Catalog()
     for name in bindings.values():
@@ -275,24 +262,6 @@ def _inferred_catalog(stmt: SelectStmt | DeleteStmt) -> Catalog:
         spec.setdefault("f", "float")  # the freshness column always exists
         catalog.register(Table(Schema.of(**spec), name=name))
     return catalog
-
-
-def _walk_expr(expr: Expression) -> Iterator[Expression]:
-    """Depth-first walk over an expression tree's nodes."""
-    from repro.query.ast_nodes import BinaryOp, FuncCall, InList, UnaryOp
-
-    stack: list[Expression] = [expr]
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, BinaryOp):
-            stack.extend((node.left, node.right))
-        elif isinstance(node, UnaryOp):
-            stack.append(node.operand)
-        elif isinstance(node, FuncCall):
-            stack.extend(node.args)
-        elif isinstance(node, InList):
-            stack.append(node.operand)
 
 
 def explain_check(paths: Iterable[str | Path]) -> list[ExplainOutcome]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from repro.errors import ObsError
 
@@ -306,11 +306,3 @@ class MetricsRegistry:
                     children[key] = float(child.value)
             out[family.name] = children
         return out
-
-
-def merge_label_maps(*maps: Mapping[str, object]) -> dict[str, object]:
-    """Left-to-right merge of label dicts (later wins)."""
-    out: dict[str, object] = {}
-    for m in maps:
-        out.update(m)
-    return out

@@ -6,20 +6,84 @@ All nodes are frozen dataclasses; each renders back to SQL via
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Union
+import dataclasses
+from dataclasses import dataclass
+from typing import Any, Callable, ClassVar, Iterator, Union
 
 
 class Expression:
-    """Base class for expression nodes."""
+    """Base class for expression nodes.
+
+    Traversal is defined here, once: a node's operands are its dataclass
+    fields annotated ``Expression`` or ``tuple[Expression, ...]``, in
+    declaration order (which every node keeps equal to ``to_sql()``
+    order). Everything that reads a tree — planner, analyzer, lint,
+    fingerprinter — goes through :meth:`children`, :meth:`map_children`
+    or :func:`walk`; only the interpreters (``expressions.evaluate``,
+    ``masks``) dispatch on node type, because they give each type a
+    meaning rather than enumerate its operands.
+    """
+
+    #: ``(field name, is a tuple of operands)`` per operand field,
+    #: computed once per node class
+    _operand_fields: ClassVar[tuple[tuple[str, bool], ...]] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        annotations = cls.__dict__.get("__annotations__", {})
+        cls._operand_fields = tuple(
+            (name, annotation != "Expression")
+            for name, annotation in annotations.items()
+            if annotation in ("Expression", "tuple[Expression, ...]")
+        )
 
     def to_sql(self) -> str:
         """Render back to query-language text."""
         raise NotImplementedError
 
+    def children(self) -> tuple["Expression", ...]:
+        """This node's operands, in ``to_sql()`` order."""
+        if not self._operand_fields:
+            return ()  # leaves are most of any tree
+        out: list[Expression] = []
+        for name, many in self._operand_fields:
+            if many:
+                out.extend(getattr(self, name))
+            else:
+                out.append(getattr(self, name))
+        return tuple(out)
+
+    def map_children(
+        self, fn: "Callable[[Expression], Expression]"
+    ) -> "Expression":
+        """The same node (type and flags) over ``fn(child)`` operands;
+        ``self`` itself when ``fn`` changed none of them."""
+        changed: dict[str, Any] = {}
+        for name, many in self._operand_fields:
+            old = getattr(self, name)
+            if many:
+                new = tuple(fn(child) for child in old)
+                if any(n is not o for n, o in zip(new, old)):
+                    changed[name] = new
+            else:
+                new = fn(old)
+                if new is not old:
+                    changed[name] = new
+        # every subclass is a dataclass; the base class only hosts the walk
+        return dataclasses.replace(self, **changed) if changed else self  # type: ignore[type-var]
+
     def column_refs(self) -> list["ColumnRef"]:
         """Every column reference in this subtree, depth-first."""
-        raise NotImplementedError
+        return [node for node in walk(self) if isinstance(node, ColumnRef)]
+
+
+def walk(expr: Expression) -> Iterator[Expression]:
+    """Every node of ``expr``, pre-order, operands in ``to_sql()`` order."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children()))
 
 
 @dataclass(frozen=True)
@@ -37,9 +101,6 @@ class Literal(Expression):
             return "'" + self.value.replace("'", "''") + "'"
         return repr(self.value)
 
-    def column_refs(self) -> list["ColumnRef"]:
-        return []
-
 
 @dataclass(frozen=True)
 class ColumnRef(Expression):
@@ -50,9 +111,6 @@ class ColumnRef(Expression):
 
     def to_sql(self) -> str:
         return f"{self.table}.{self.name}" if self.table else self.name
-
-    def column_refs(self) -> list["ColumnRef"]:
-        return [self]
 
     @property
     def key(self) -> str:
@@ -73,9 +131,6 @@ class UnaryOp(Expression):
         # the space matters: "(--1)" would lex as a line comment
         return f"(- {self.operand.to_sql()})"
 
-    def column_refs(self) -> list[ColumnRef]:
-        return self.operand.column_refs()
-
 
 @dataclass(frozen=True)
 class BinaryOp(Expression):
@@ -87,9 +142,6 @@ class BinaryOp(Expression):
 
     def to_sql(self) -> str:
         return f"({self.left.to_sql()} {self.op} {self.right.to_sql()})"
-
-    def column_refs(self) -> list[ColumnRef]:
-        return self.left.column_refs() + self.right.column_refs()
 
 
 @dataclass(frozen=True)
@@ -109,12 +161,6 @@ class FuncCall(Expression):
             inner = "DISTINCT " + inner
         return f"{self.name}({inner})"
 
-    def column_refs(self) -> list[ColumnRef]:
-        refs: list[ColumnRef] = []
-        for arg in self.args:
-            refs.extend(arg.column_refs())
-        return refs
-
 
 @dataclass(frozen=True)
 class InList(Expression):
@@ -128,12 +174,6 @@ class InList(Expression):
         op = "NOT IN" if self.negated else "IN"
         inner = ", ".join(i.to_sql() for i in self.items)
         return f"({self.operand.to_sql()} {op} ({inner}))"
-
-    def column_refs(self) -> list[ColumnRef]:
-        refs = self.operand.column_refs()
-        for item in self.items:
-            refs.extend(item.column_refs())
-        return refs
 
 
 @dataclass(frozen=True)
@@ -149,9 +189,6 @@ class Between(Expression):
         op = "NOT BETWEEN" if self.negated else "BETWEEN"
         return f"({self.operand.to_sql()} {op} {self.low.to_sql()} AND {self.high.to_sql()})"
 
-    def column_refs(self) -> list[ColumnRef]:
-        return self.operand.column_refs() + self.low.column_refs() + self.high.column_refs()
-
 
 @dataclass(frozen=True)
 class IsNull(Expression):
@@ -164,9 +201,6 @@ class IsNull(Expression):
         op = "IS NOT NULL" if self.negated else "IS NULL"
         return f"({self.operand.to_sql()} {op})"
 
-    def column_refs(self) -> list[ColumnRef]:
-        return self.operand.column_refs()
-
 
 @dataclass(frozen=True)
 class Star(Expression):
@@ -174,9 +208,6 @@ class Star(Expression):
 
     def to_sql(self) -> str:
         return "*"
-
-    def column_refs(self) -> list[ColumnRef]:
-        return []
 
 
 @dataclass(frozen=True)
@@ -251,6 +282,13 @@ class InsertStmt:
     columns: tuple[str, ...]  # empty means "all columns in schema order"
     rows: tuple[tuple[Expression, ...], ...]
 
+    kind: ClassVar[str] = "insert"
+
+    @property
+    def target(self) -> str:
+        """The base table this statement is scoped to."""
+        return self.table
+
     def to_sql(self) -> str:
         cols = f" ({', '.join(self.columns)})" if self.columns else ""
         rows = ", ".join(
@@ -271,6 +309,18 @@ class DeleteStmt:
     table: str
     where: Expression | None = None
 
+    kind: ClassVar[str] = "delete"
+
+    @property
+    def target(self) -> str:
+        """The base table this statement is scoped to."""
+        return self.table
+
+    def expressions(self) -> Iterator[Expression]:
+        """Every expression slot of the statement (just the WHERE)."""
+        if self.where is not None:
+            yield self.where
+
     def to_sql(self) -> str:
         suffix = f" WHERE {self.where.to_sql()}" if self.where else ""
         return f"DELETE FROM {self.table}{suffix}"
@@ -290,6 +340,30 @@ class SelectStmt:
     limit: int | None = None
     consume: bool = False
     distinct: bool = False
+
+    @property
+    def kind(self) -> str:
+        return "consume" if self.consume else "select"
+
+    @property
+    def target(self) -> str:
+        """The base (FROM) table this statement is scoped to."""
+        return self.table.name
+
+    def expressions(self) -> Iterator[Expression]:
+        """Every expression slot of the statement, in clause order."""
+        if self.join is not None:
+            yield self.join.left
+            yield self.join.right
+        for proj in self.projections:
+            yield proj.expr
+        if self.where is not None:
+            yield self.where
+        yield from self.group_by
+        if self.having is not None:
+            yield self.having
+        for item in self.order_by:
+            yield item.expr
 
     def to_sql(self) -> str:
         parts = []
@@ -333,6 +407,13 @@ class ExplainStmt:
     inner: SelectStmt | DeleteStmt
     analyze: bool = False
 
+    kind: ClassVar[str] = "explain"
+
+    @property
+    def target(self) -> str:
+        """The base table the wrapped statement is scoped to."""
+        return self.inner.target
+
     def to_sql(self) -> str:
         prefix = "EXPLAIN ANALYZE" if self.analyze else "EXPLAIN"
         return f"{prefix} {self.inner.to_sql()}"
@@ -346,46 +427,15 @@ def rewrite_leaves(
     column_fn: "Callable[[ColumnRef], Expression] | None" = None,
     literal_fn: "Callable[[Literal], Expression] | None" = None,
 ) -> Expression:
-    """Rebuild ``expr`` with every leaf passed through a mapping function.
+    """``expr`` with every :class:`ColumnRef` / :class:`Literal` leaf
+    replaced by ``column_fn(ref)`` / ``literal_fn(lit)`` (when given).
 
-    Interior nodes (boolean/arithmetic operators, function calls, IN,
-    BETWEEN, IS NULL) are reconstructed; :class:`ColumnRef` and
-    :class:`Literal` leaves are replaced by ``column_fn(ref)`` /
-    ``literal_fn(lit)`` when given. Used by EXPLAIN ANALYZE's estimator
-    (de-qualifying join residuals) and by query fingerprinting
-    (stripping literals to placeholders).
+    Subtrees without a replaced leaf come back as the same objects.
+    Used to de-qualify predicates for the single-table estimators and
+    by query fingerprinting (stripping literals to placeholders).
     """
-    def rec(node: Expression) -> Expression:
-        if isinstance(node, Literal):
-            return literal_fn(node) if literal_fn is not None else node
-        if isinstance(node, ColumnRef):
-            return column_fn(node) if column_fn is not None else node
-        if isinstance(node, UnaryOp):
-            return UnaryOp(node.op, rec(node.operand))
-        if isinstance(node, BinaryOp):
-            return BinaryOp(node.op, rec(node.left), rec(node.right))
-        if isinstance(node, FuncCall):
-            return FuncCall(
-                node.name,
-                tuple(rec(a) for a in node.args),
-                star=node.star,
-                distinct=node.distinct,
-            )
-        if isinstance(node, InList):
-            return InList(
-                rec(node.operand),
-                tuple(rec(i) for i in node.items),
-                negated=node.negated,
-            )
-        if isinstance(node, Between):
-            return Between(
-                rec(node.operand),
-                rec(node.low),
-                rec(node.high),
-                negated=node.negated,
-            )
-        if isinstance(node, IsNull):
-            return IsNull(rec(node.operand), negated=node.negated)
-        return node  # Star and any future leaf node
-
-    return rec(expr)
+    if isinstance(expr, Literal):
+        return literal_fn(expr) if literal_fn is not None else expr
+    if isinstance(expr, ColumnRef):
+        return column_fn(expr) if column_fn is not None else expr
+    return expr.map_children(lambda c: rewrite_leaves(c, column_fn, literal_fn))

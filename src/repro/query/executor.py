@@ -15,10 +15,9 @@ of what the user chose to look at.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import Callable
-
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sized
 
 from repro.errors import ConsumeError
 from repro.obs.profile import PROFILER
@@ -31,6 +30,7 @@ from repro.query.ast_nodes import (
 )
 from repro.query.expressions import evaluate
 from repro.query.opstats import (
+    OperatorStats,
     PlanInstrumentation,
     instrument_delete,
     instrument_select,
@@ -66,8 +66,7 @@ class QueryRecord:
     ``statement`` is the executed AST (for ``EXPLAIN ANALYZE`` the
     *inner* statement, since that is what ran); ``misestimation`` is
     the worst per-operator q-error when instrumentation ran, ``None``
-    for ordinary executions (estimates need a full stats collection
-    pass, too expensive to pay per query).
+    for ordinary executions (which carry no estimates).
     """
 
     statement: Statement
@@ -81,14 +80,31 @@ class QueryRecord:
 StatsHook = Callable[[QueryRecord], None]
 
 
-def _statement_kind(stmt: Statement) -> str:
-    if isinstance(stmt, InsertStmt):
-        return "insert"
-    if isinstance(stmt, DeleteStmt):
-        return "delete"
-    if isinstance(stmt, ExplainStmt):
-        return "explain"
-    return "consume" if getattr(stmt, "consume", False) else "select"
+def _step(
+    node: OperatorStats | None, op: Callable[..., Any], rows: Any = (), *args: Any
+) -> Any:
+    """Run one plan operator: ``op(rows, *args)``, observed when ``node`` is set.
+
+    Without a collector this *is* the operator call — whatever lazy iterator
+    the operator returns, untouched, so the ordinary path stays a
+    generator chain. With one (EXPLAIN ANALYZE) the input and output
+    are materialized around the call, so the node records its own
+    ``rows_in``/``rows_out``/``seconds`` and nothing of its neighbours'.
+    Sources take no row input: they count their candidates through the
+    ``collect`` argument of the operator itself.
+    """
+    if node is None:
+        return op(rows, *args)
+    if not isinstance(rows, Sized):
+        rows = list(rows)
+    started = PROFILER.time()
+    out = op(rows, *args)
+    if not isinstance(out, Sized):
+        out = list(out)
+    node.seconds += PROFILER.time() - started
+    node.rows_in += len(rows)
+    node.rows_out = len(out)
+    return out
 
 
 class QueryEngine:
@@ -197,7 +213,7 @@ class QueryEngine:
     def execute(self, query: str | Statement) -> ResultSet:
         """Parse (if needed), plan, and run one statement."""
         stmt = parse(query) if isinstance(query, str) else query
-        kind = _statement_kind(stmt)
+        kind = stmt.kind
         self.current_sql = query if isinstance(query, str) else None
         self._last_instr = None
         started = PROFILER.time() if self._stats_hooks else 0.0
@@ -236,7 +252,7 @@ class QueryEngine:
             if not stmt.analyze:
                 return  # plain EXPLAIN executes nothing — nothing to record
             stmt = stmt.inner
-            kind = _statement_kind(stmt)
+            kind = stmt.kind
         instr = self._last_instr
         record = QueryRecord(
             statement=stmt,
@@ -327,8 +343,6 @@ class QueryEngine:
 
     def _run_insert(self, stmt: InsertStmt) -> ResultSet:
         if not stmt.columns and stmt.table in self._insert_default_columns:
-            import dataclasses
-
             stmt = dataclasses.replace(
                 stmt, columns=self._insert_default_columns[stmt.table]
             )
@@ -357,132 +371,88 @@ class QueryEngine:
         instr: PlanInstrumentation | None,
     ) -> ResultSet:
         stats = ExecutionStats()
-        collect = instr.delete if instr is not None else None
-        started = PROFILER.time() if collect is not None else 0.0
-        victims = RowSet(ops.scan_rids(plan, self.catalog, stats, collect))
-        table = self.catalog.table(stmt.table)
-        table.delete_rows(victims)
-        if collect is not None:
-            collect.seconds += PROFILER.time() - started
-        result = ResultSet(columns=("deleted",), rows=[(len(victims),)], stats=stats)
-        return result
+        node = instr.node("delete") if instr is not None else None
+
+        def delete(_: Any) -> RowSet:
+            victims = RowSet(ops.scan_rids(plan, self.catalog, stats, node))
+            self.catalog.table(stmt.table).delete_rows(victims)
+            return victims
+
+        victims = _step(node, delete)
+        return ResultSet(columns=("deleted",), rows=[(len(victims),)], stats=stats)
 
     # ------------------------------------------------------------------
 
     def _run(
         self, plan: SelectPlan, instr: PlanInstrumentation | None = None
     ) -> ResultSet:
+        """Drive ``plan``'s operators in :func:`plan_nodes` order, each
+        through :func:`_step` — EXPLAIN ANALYZE runs this same code."""
         stats = ExecutionStats()
         consumed = RowSet.empty()
-        count_star: int | None = None
+        source = plan.source
+        aggregate = plan.aggregate
+        count_only = ops.is_count_star_only(aggregate)
 
-        if isinstance(plan.source, ScanPlan):
-            scan_collect = instr.scan if instr is not None else None
-            started = PROFILER.time() if scan_collect is not None else 0.0
-            rids = ops.scan_rids(plan.source, self.catalog, stats, scan_collect)
+        def node(kind: str) -> OperatorStats | None:
+            return instr.node(kind) if instr is not None else None
+
+        def scan(_: Any) -> list[Any]:
+            nonlocal consumed
+            assert isinstance(source, ScanPlan)
+            rids = ops.scan_rids(source, self.catalog, stats, node("scan"))
             if self._access_hooks and rids:
                 matched = RowSet(rids)
                 for hook in self._access_hooks:
-                    hook(plan.source.table_name, matched)
+                    hook(source.table_name, matched)
             if plan.consume:
                 consumed = RowSet(rids)
-            if ops.is_count_star_only(plan.aggregate):
+            if count_only:
                 # late materialization's endgame: a pure count(*) needs
                 # no contexts at all, only the surviving rid count
-                count_star = len(rids)
-                contexts = []
-            else:
-                table = self.catalog.table(plan.source.table_name)
-                contexts = ops.materialize(table, plan.source.binding, rids)
-            if scan_collect is not None:
-                scan_collect.seconds += PROFILER.time() - started
-            stats.rows_matched = len(rids)
-        else:
-            assert isinstance(plan.source, JoinPlan)
-            collect = instr.join if instr is not None else None
-            started = PROFILER.time() if collect is not None else 0.0
-            joined = ops.hash_join(plan.source, self.catalog, stats, collect)
-            if plan.source.residual is not None:
+                return rids
+            table = self.catalog.table(source.table_name)
+            return ops.materialize(table, source.binding, rids)
+
+        def join(_: Any) -> list[ops.RowContext]:
+            assert isinstance(source, JoinPlan)
+            joined = ops.hash_join(source, self.catalog, stats, node("join"))
+            if source.residual is not None:
                 joined = ops.apply_filter(
-                    joined, plan.source.residual, stats, collect
+                    joined, source.residual, stats, node("join")
                 )
-            contexts = list(joined)
-            if collect is not None:
-                collect.seconds += PROFILER.time() - started
-                collect.rows_out = len(contexts)
-            stats.rows_matched = len(contexts)
+            return list(joined)
 
-        rows_iter = iter(contexts)
-        if plan.aggregate is not None:
-            agg_in = count_star if count_star is not None else len(contexts)
-            if count_star is not None:
-                grouper = ops.count_star_group(plan.aggregate, count_star)
-            else:
-                grouper = ops.aggregate(rows_iter, plan.aggregate)
-            if instr is not None and instr.aggregate is not None:
-                node = instr.aggregate
-                node.rows_in = agg_in
-                started = PROFILER.time()
-                grouped = list(grouper)
-                node.seconds += PROFILER.time() - started
-                node.rows_out = len(grouped)
-                rows_iter = iter(grouped)
-            else:
-                rows_iter = grouper
-
-        if plan.order_by:
-            pre_sort = list(rows_iter)
-            if instr is not None and instr.sort is not None:
-                instr.sort.rows_in = len(pre_sort)
-                started = PROFILER.time()
-                ordered = ops.sort_rows(pre_sort, plan.order_by)
-                instr.sort.seconds += PROFILER.time() - started
-                instr.sort.rows_out = len(ordered)
-            else:
-                ordered = ops.sort_rows(pre_sort, plan.order_by)
-            projected = ops.project(iter(ordered), plan.projections)
-        else:
-            projected = ops.project(rows_iter, plan.projections)
-
-        if plan.distinct:
-            if instr is not None and instr.distinct is not None:
-                node = instr.distinct
-                pre = list(projected)
-                node.rows_in = len(pre)
-                started = PROFILER.time()
-                kept = list(ops.distinct(iter(pre)))
-                node.seconds += PROFILER.time() - started
-                node.rows_out = len(kept)
-                projected = iter(kept)
-            else:
-                projected = ops.distinct(projected)
-        if plan.limit is not None:
-            if instr is not None and instr.limit is not None:
-                # materializing here over-pulls relative to the lazy
-                # path, which is fine: upstream operators are pure
-                node = instr.limit
-                pre = list(projected)
-                node.rows_in = len(pre)
-                kept = list(ops.limit(iter(pre), plan.limit))
-                node.rows_out = len(kept)
-                projected = iter(kept)
-            else:
-                projected = ops.limit(projected, plan.limit)
-
-        out_rows = list(projected)
-
-        if plan.consume and consumed:
-            table_name = plan.source.table_name
-            with self.tracer.span("consume", table=table_name, rows=len(consumed)):
-                started = PROFILER.time() if instr is not None else 0.0
+        def consume(victims: RowSet) -> RowSet:
+            # Law 2 is per-relation: the planner admits no CONSUME over a join
+            assert isinstance(source, ScanPlan)
+            table_name = source.table_name
+            with self.tracer.span("consume", table=table_name, rows=len(victims)):
                 for hook in self._consume_hooks:
-                    hook(table_name, consumed)
-                ops.consume_rows(self.catalog.table(table_name), consumed)
-                if instr is not None and instr.consume is not None:
-                    node = instr.consume
-                    node.seconds += PROFILER.time() - started
-                    node.rows_in = len(consumed)
-                    node.rows_out = len(consumed)
+                    hook(table_name, victims)
+                ops.consume_rows(self.catalog.table(table_name), victims)
+            return victims
+
+        if isinstance(source, ScanPlan):
+            rows = _step(node("scan"), scan)
+        else:
+            rows = _step(node("join"), join)
+        stats.rows_matched = len(rows)
+
+        if aggregate is not None:
+            grouper = ops.count_star_group if count_only else ops.aggregate
+            rows = _step(node("aggregate"), grouper, rows, aggregate)
+        if plan.order_by:
+            rows = _step(node("sort"), ops.sort_rows, rows, plan.order_by)
+        rows = ops.project(rows, plan.projections)
+        if plan.distinct:
+            rows = _step(node("distinct"), ops.distinct, rows)
+        if plan.limit is not None:
+            rows = _step(node("limit"), ops.limit, rows, plan.limit)
+        out_rows = list(rows)
+
+        if consumed:
+            _step(node("consume"), consume, consumed)
             stats.rows_consumed = len(consumed)
 
         return ResultSet(

@@ -9,7 +9,7 @@ WHERE treats a NULL predicate result as not-matching.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 from repro.errors import ExecutionError
 from repro.query.ast_nodes import (
@@ -219,11 +219,3 @@ def _require_comparable(left: Any, right: Any, op: str) -> None:
     if type(left) is type(right):
         return
     raise ExecutionError(f"cannot apply {op!r} to {left!r} and {right!r}")
-
-
-CompiledPredicate = Callable[[RowContext], bool]
-
-
-def compile_predicate(predicate: Expression) -> CompiledPredicate:
-    """Close over ``predicate`` for repeated row testing."""
-    return lambda row: matches(predicate, row)

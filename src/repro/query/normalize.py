@@ -32,8 +32,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Any, Iterator, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Mapping, Optional, Tuple
 
 from repro.errors import ExecutionError
 from repro.query.ast_nodes import (
@@ -46,6 +46,7 @@ from repro.query.ast_nodes import (
     IsNull,
     Literal,
     UnaryOp,
+    walk,
 )
 from repro.query.expressions import evaluate
 from repro.query.functions import is_aggregate
@@ -236,98 +237,33 @@ def _push_not(expr: Expression, negate: bool) -> Expression:
         if negate:
             op = "OR" if op == "AND" else "AND"
         return BinaryOp(op, _push_not(expr.left, negate), _push_not(expr.right, negate))
+    positive = expr.map_children(lambda child: _push_not(child, False))
     if not negate:
-        return _recurse_positive(expr)
-    if isinstance(expr, BinaryOp) and expr.op in _COMPARISONS:
+        return positive
+    if isinstance(positive, BinaryOp) and positive.op in _COMPARISONS:
         # NOT (a < b) ≡ a >= b: both NULL when an operand is NULL.
-        return BinaryOp(
-            _COMPARISON_FLIP[expr.op],
-            _push_not(expr.left, False),
-            _push_not(expr.right, False),
-        )
-    if isinstance(expr, Between):
-        return Between(
-            _push_not(expr.operand, False),
-            _push_not(expr.low, False),
-            _push_not(expr.high, False),
-            negated=not expr.negated,
-        )
-    if isinstance(expr, InList):
-        return InList(
-            _push_not(expr.operand, False),
-            tuple(_push_not(i, False) for i in expr.items),
-            negated=not expr.negated,
-        )
-    if isinstance(expr, IsNull):
-        # IS [NOT] NULL never yields NULL, so plain inversion is exact.
-        return IsNull(_push_not(expr.operand, False), negated=not expr.negated)
-    if isinstance(expr, Literal):
-        if expr.value is None or not isinstance(expr.value, bool):
-            return UnaryOp("NOT", expr)
-        return Literal(not expr.value)
-    return UnaryOp("NOT", _recurse_positive(expr))
-
-
-def _recurse_positive(expr: Expression) -> Expression:
-    if isinstance(expr, BinaryOp):
-        return BinaryOp(expr.op, _push_not(expr.left, False), _push_not(expr.right, False))
-    if isinstance(expr, UnaryOp):
-        return UnaryOp(expr.op, _push_not(expr.operand, False))
-    if isinstance(expr, Between):
-        return Between(
-            _push_not(expr.operand, False),
-            _push_not(expr.low, False),
-            _push_not(expr.high, False),
-            negated=expr.negated,
-        )
-    if isinstance(expr, InList):
-        return InList(
-            _push_not(expr.operand, False),
-            tuple(_push_not(i, False) for i in expr.items),
-            negated=expr.negated,
-        )
-    if isinstance(expr, IsNull):
-        return IsNull(_push_not(expr.operand, False), negated=expr.negated)
-    if isinstance(expr, FuncCall):
-        return FuncCall(
-            expr.name,
-            tuple(_push_not(a, False) for a in expr.args),
-            star=expr.star,
-            distinct=expr.distinct,
-        )
-    return expr
+        return replace(positive, op=_COMPARISON_FLIP[positive.op])
+    if isinstance(positive, (Between, InList, IsNull)):
+        # IS [NOT] NULL never yields NULL, so plain inversion is exact;
+        # [NOT] BETWEEN / [NOT] IN negate to each other under 3VL.
+        return replace(positive, negated=not positive.negated)
+    if isinstance(positive, Literal) and isinstance(positive.value, bool):
+        return Literal(not positive.value)
+    return UnaryOp("NOT", positive)
 
 
 def _is_constant(expr: Expression) -> bool:
-    if expr.column_refs():
-        return False
-    return not any(is_aggregate(f.name) for f in _func_calls(expr))
-
-
-def _func_calls(expr: Expression) -> Iterator[FuncCall]:
-    if isinstance(expr, FuncCall):
-        yield expr
-        children: Sequence[Expression] = expr.args
-    elif isinstance(expr, BinaryOp):
-        children = (expr.left, expr.right)
-    elif isinstance(expr, UnaryOp):
-        children = (expr.operand,)
-    elif isinstance(expr, Between):
-        children = (expr.operand, expr.low, expr.high)
-    elif isinstance(expr, InList):
-        children = (expr.operand, *expr.items)
-    elif isinstance(expr, IsNull):
-        children = (expr.operand,)
-    else:
-        children = ()
-    for child in children:
-        yield from _func_calls(child)
+    return not any(
+        isinstance(node, ColumnRef)
+        or (isinstance(node, FuncCall) and is_aggregate(node.name))
+        for node in walk(expr)
+    )
 
 
 def _fold(expr: Expression) -> Expression:
+    expr = expr.map_children(_fold)
     if isinstance(expr, BinaryOp):
-        left, right = _fold(expr.left), _fold(expr.right)
-        expr = BinaryOp(expr.op, left, right)
+        left, right = expr.left, expr.right
         if expr.op == "AND":
             if _is_false_literal(left) or _is_false_literal(right):
                 return Literal(False)
@@ -342,27 +278,6 @@ def _fold(expr: Expression) -> Expression:
                 return right
             if _is_false_literal(right):
                 return left
-    elif isinstance(expr, UnaryOp):
-        expr = UnaryOp(expr.op, _fold(expr.operand))
-    elif isinstance(expr, Between):
-        expr = Between(
-            _fold(expr.operand), _fold(expr.low), _fold(expr.high), negated=expr.negated
-        )
-    elif isinstance(expr, InList):
-        expr = InList(
-            _fold(expr.operand),
-            tuple(_fold(i) for i in expr.items),
-            negated=expr.negated,
-        )
-    elif isinstance(expr, IsNull):
-        expr = IsNull(_fold(expr.operand), negated=expr.negated)
-    elif isinstance(expr, FuncCall):
-        expr = FuncCall(
-            expr.name,
-            tuple(_fold(a) for a in expr.args),
-            star=expr.star,
-            distinct=expr.distinct,
-        )
     if not isinstance(expr, Literal) and _is_constant(expr):
         try:
             return Literal(evaluate(expr, {}))

@@ -17,7 +17,7 @@ row counts and error behaviour are bit-identical.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence, Sized
 
 from repro.errors import ExecutionError
 from repro.obs.profile import PROFILER
@@ -25,12 +25,12 @@ from repro.query.ast_nodes import Expression, OrderItem, Projection
 from repro.query.expressions import evaluate, matches
 from repro.query.functions import aggregate_arity, make_aggregate
 from repro.query.masks import compile_mask
+from repro.query.normalize import conjuncts
 from repro.query.planner import (
     AggregatePlan,
     IndexAccess,
     JoinPlan,
     ScanPlan,
-    _conjuncts,
 )
 from repro.query.result import ExecutionStats
 from repro.storage.catalog import Catalog
@@ -112,7 +112,7 @@ def scan_rids(
             collect.index_hits += len(candidates)
     stats.rows_scanned += len(candidates)
 
-    filters = plan.filters or tuple(_conjuncts(plan.residual))
+    filters = plan.filters or tuple(conjuncts(plan.residual))
     current = list(candidates)
     use_masks = table.vectorized
     for conj in filters:
@@ -318,13 +318,14 @@ def is_count_star_only(plan: AggregatePlan | None) -> bool:
     )
 
 
-def count_star_group(plan: AggregatePlan, matched: int) -> Iterator[RowContext]:
+def count_star_group(matched: Sized, plan: AggregatePlan) -> Iterator[RowContext]:
     """Emit the single global group of a ``count(*)``-only aggregation.
 
     Mirrors :func:`aggregate` exactly for the :func:`is_count_star_only`
-    shape (HAVING included) without ever touching row contexts.
+    shape (HAVING included) without ever touching the ``matched`` rows
+    (bare rids will do): only their count is read.
     """
-    out: RowContext = {call.to_sql(): matched for call in plan.aggregates}
+    out: RowContext = {call.to_sql(): len(matched) for call in plan.aggregates}
     if plan.having is not None and not matches(plan.having, out):
         return
     yield out
@@ -367,7 +368,7 @@ class _NullsLast:
 
 
 def sort_rows(
-    rows: list[RowContext], order_by: tuple[OrderItem, ...]
+    rows: Iterable[RowContext], order_by: tuple[OrderItem, ...]
 ) -> list[RowContext]:
     """Stable multi-key sort of contexts; NULLs sort last either direction.
 

@@ -15,34 +15,28 @@ will be graded against.
 
 Instrumentation is strictly opt-in: ordinary execution passes
 ``collect=None`` through the operators, paying one pointer-is-None
-branch per row (gated <5% on ``bench_query`` p50, like the profiler's
-T3 gate). Estimates call :func:`~repro.storage.stats.collect_stats`,
-which walks every live value — acceptable for an explicit diagnostic
-statement, never paid by ordinary queries.
+branch per row. Estimates read the planner's own lazy, cached
+:func:`~repro.storage.stats.planner_stats` view, so only the columns a
+plan mentions are ever histogrammed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.lint.analyze import DEFAULT_SELECTIVITY, predicate_selectivity
-from repro.query.ast_nodes import (
-    BinaryOp,
-    ColumnRef,
-    Expression,
-    Literal,
-    rewrite_leaves,
-)
+from repro.query.ast_nodes import BinaryOp, ColumnRef, Expression, Literal
+from repro.query.normalize import conjuncts
 from repro.query.planner import (
     IndexAccess,
     JoinPlan,
     ScanPlan,
     SelectPlan,
-    render_join,
-    render_scan,
+    dequalify,
+    plan_nodes,
 )
 from repro.storage.catalog import Catalog
-from repro.storage.stats import TableStats, collect_stats
+from repro.storage.stats import PlannerStats, planner_stats
 
 
 @dataclass
@@ -97,30 +91,24 @@ class OperatorStats:
 
 
 class PlanInstrumentation:
-    """Ordered :class:`OperatorStats` nodes for one executed plan."""
+    """:class:`OperatorStats` collectors for one executed plan: one per
+    :func:`~repro.query.planner.plan_nodes` entry, in execution order."""
 
-    def __init__(self) -> None:
-        self.nodes: list[OperatorStats] = []
-        self.scan: OperatorStats | None = None
-        self.join: OperatorStats | None = None
-        self.aggregate: OperatorStats | None = None
-        self.sort: OperatorStats | None = None
-        self.distinct: OperatorStats | None = None
-        self.limit: OperatorStats | None = None
-        self.consume: OperatorStats | None = None
-        self.delete: OperatorStats | None = None
+    def __init__(
+        self, plan: SelectPlan | ScanPlan, estimates: dict[str, int | None]
+    ) -> None:
+        self.nodes = [
+            OperatorStats(kind, label, estimated_rows=estimates.get(kind))
+            for kind, label in plan_nodes(plan)
+        ]
         self.total_seconds = 0.0
         self.result_rows = 0
         #: Tier-B verdict of an analyzed consume (set by the executor)
         self.consume_verdict: str | None = None
 
-    def add(
-        self, kind: str, label: str, estimated_rows: int | None
-    ) -> OperatorStats:
-        node = OperatorStats(kind=kind, label=label, estimated_rows=estimated_rows)
-        self.nodes.append(node)
-        setattr(self, kind, node)
-        return node
+    def node(self, kind: str) -> OperatorStats | None:
+        """The collector of the plan's ``kind`` operator, if it has one."""
+        return next((n for n in self.nodes if n.kind == kind), None)
 
     def worst_misestimation(self) -> float | None:
         """The largest per-node q-error, or ``None`` without estimates."""
@@ -155,7 +143,7 @@ def _index_expr(index: IndexAccess) -> Expression | None:
 
 
 def _scan_estimates(
-    scan: ScanPlan, stats: TableStats, footprint: int | None = None
+    scan: ScanPlan, stats: PlannerStats, footprint: int | None = None
 ) -> tuple[int, int]:
     """(estimated rows entering the scan, estimated rows it emits).
 
@@ -193,40 +181,22 @@ def _clamp(value: float, extent: int) -> int:
     return max(0, min(extent, round(value)))
 
 
-def _dequalify(expr: Expression, binding: str) -> Expression | None:
-    """Strip ``binding.`` qualifiers; ``None`` if another table appears."""
-    foreign = False
-
-    def unqualify(ref: ColumnRef) -> Expression:
-        nonlocal foreign
-        if ref.table is None or ref.table == binding:
-            return ColumnRef(ref.name)
-        foreign = True
-        return ref
-
-    rewritten = rewrite_leaves(expr, column_fn=unqualify)
-    return None if foreign else rewritten
-
-
 def _residual_selectivity(
     residual: Expression | None,
-    left: tuple[str, TableStats],
-    right: tuple[str, TableStats],
+    left: tuple[str, PlannerStats],
+    right: tuple[str, PlannerStats],
 ) -> float:
     """Join-residual selectivity: per-side conjuncts use that side's
     histograms, cross-table conjuncts fall back to the default guess."""
     if residual is None:
         return 1.0
-    from repro.query.normalize import conjuncts
-
     out = 1.0
     for conj in conjuncts(residual):
         sel = DEFAULT_SELECTIVITY
         for binding, stats in (left, right):
-            local = _dequalify(conj, binding)
+            local = dequalify(conj, binding)
             if local is not None and all(
-                ref.name in {c.name for c in stats.columns}
-                for ref in local.column_refs()
+                ref.name in stats.schema for ref in local.column_refs()
             ):
                 sel = predicate_selectivity(local, stats)
                 break
@@ -234,7 +204,7 @@ def _residual_selectivity(
     return out
 
 
-def _key_distinct(key: str, stats: TableStats) -> int:
+def _key_distinct(key: str, stats: PlannerStats) -> int:
     try:
         return max(1, stats.column(key.split(".")[-1]).distinct)
     except KeyError:
@@ -242,7 +212,7 @@ def _key_distinct(key: str, stats: TableStats) -> int:
 
 
 def _group_estimate(
-    keys: tuple[str, ...], est_in: int, stats_by_binding: dict[str, TableStats]
+    keys: tuple[str, ...], est_in: int, stats_by_binding: dict[str, PlannerStats]
 ) -> int:
     """Estimated group count: product of per-key distincts, capped."""
     if not keys:
@@ -265,75 +235,47 @@ def _group_estimate(
 
 def instrument_select(plan: SelectPlan, catalog: Catalog) -> PlanInstrumentation:
     """Build estimate-carrying collectors for every node of ``plan``."""
-    instr = PlanInstrumentation()
+    est: dict[str, int | None] = {}
     source = plan.source
-    stats_by_binding: dict[str, TableStats] = {}
+    stats_by_binding: dict[str, PlannerStats] = {}
     if isinstance(source, ScanPlan):
-        stats = collect_stats(catalog.table(source.table_name))
+        stats = planner_stats(catalog.table(source.table_name))
         stats_by_binding[source.binding] = stats
-        _, est = _scan_estimates(source, stats, _scan_footprint(source, catalog))
-        instr.add("scan", render_scan(source), est)
+        _, rows = _scan_estimates(source, stats, _scan_footprint(source, catalog))
+        est["scan"] = est["consume"] = rows
     else:
         assert isinstance(source, JoinPlan)
-        left_stats = collect_stats(catalog.table(source.left.table_name))
-        right_stats = collect_stats(catalog.table(source.right.table_name))
+        left_stats = planner_stats(catalog.table(source.left.table_name))
+        right_stats = planner_stats(catalog.table(source.right.table_name))
         stats_by_binding[source.left.binding] = left_stats
         stats_by_binding[source.right.binding] = right_stats
         distinct_keys = max(
             _key_distinct(source.left_key, left_stats),
             _key_distinct(source.right_key, right_stats),
         )
-        est_match = left_stats.live_rows * right_stats.live_rows / distinct_keys
-        est_match *= _residual_selectivity(
+        cross = left_stats.live_rows * right_stats.live_rows
+        est_match = cross / distinct_keys * _residual_selectivity(
             source.residual,
             (source.left.binding, left_stats),
             (source.right.binding, right_stats),
         )
-        cross = left_stats.live_rows * right_stats.live_rows
-        instr.add("join", render_join(source), _clamp(est_match, max(cross, 1)))
+        est["join"] = rows = _clamp(est_match, max(cross, 1))
 
-    est_rows = instr.nodes[-1].estimated_rows or 0
     if plan.aggregate is not None:
-        est_groups = _group_estimate(
-            plan.aggregate.group_keys, est_rows, stats_by_binding
-        )
+        rows = _group_estimate(plan.aggregate.group_keys, rows, stats_by_binding)
         if plan.aggregate.having is not None:
-            est_groups = max(1, _clamp(est_groups * DEFAULT_SELECTIVITY, est_groups))
-        label = (
-            f"aggregate by {list(plan.aggregate.group_names) or 'ALL'} "
-            f"computing {[a.to_sql() for a in plan.aggregate.aggregates]}"
-        )
-        instr.add("aggregate", label, est_groups)
-        est_rows = est_groups
-    if plan.order_by:
-        instr.add("sort", f"sort by {[o.to_sql() for o in plan.order_by]}", est_rows)
-    if plan.distinct:
-        instr.add("distinct", "distinct over output columns", est_rows)
-    if plan.limit is not None:
-        est_rows = min(plan.limit, est_rows)
-        instr.add("limit", f"limit {plan.limit}", est_rows)
-    if plan.consume:
-        scan_node = instr.scan
-        est_consumed = scan_node.estimated_rows if scan_node is not None else None
-        instr.add(
-            "consume",
-            "CONSUME: matching base rows are deleted (Law 2)",
-            est_consumed,
-        )
-    return instr
+            rows = max(1, _clamp(rows * DEFAULT_SELECTIVITY, rows))
+        est["aggregate"] = rows
+    est["sort"] = est["distinct"] = rows
+    est["limit"] = rows if plan.limit is None else min(plan.limit, rows)
+    return PlanInstrumentation(plan, est)
 
 
 def instrument_delete(plan: ScanPlan, catalog: Catalog) -> PlanInstrumentation:
     """Collectors for a DELETE's victim scan (shares the scan counters)."""
-    instr = PlanInstrumentation()
-    stats = collect_stats(catalog.table(plan.table_name))
+    stats = planner_stats(catalog.table(plan.table_name))
     _, est = _scan_estimates(plan, stats, _scan_footprint(plan, catalog))
-    label = (
-        render_scan(plan)
-        + "\nDELETE: matching base rows are removed (no distillation)"
-    )
-    instr.add("delete", label, est)
-    return instr
+    return PlanInstrumentation(plan, {"delete": est})
 
 
 # ----------------------------------------------------------------------

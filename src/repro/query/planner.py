@@ -32,10 +32,14 @@ from repro.query.ast_nodes import (
     SelectStmt,
     Star,
     TableRef,
+    rewrite_leaves,
 )
-from repro.query.functions import is_aggregate
+from repro.query.functions import aggregate_arity, is_aggregate
+from repro.query.masks import mask_compilable
+from repro.query.normalize import IntervalSet, conjuncts, numeric_atom
 from repro.storage.catalog import Catalog
 from repro.storage.schema import Schema
+from repro.storage.stats import planner_stats
 
 
 @dataclass(frozen=True)
@@ -172,20 +176,11 @@ class _Scope:
 # index selection
 # ----------------------------------------------------------------------
 
-def _conjuncts(expr: Expression | None) -> list[Expression]:
-    """Split a predicate on top-level ANDs."""
-    if expr is None:
-        return []
-    if isinstance(expr, BinaryOp) and expr.op == "AND":
-        return _conjuncts(expr.left) + _conjuncts(expr.right)
-    return [expr]
-
-
-def _rebuild_and(conjuncts: list[Expression]) -> Expression | None:
-    if not conjuncts:
+def _rebuild_and(conjs: list[Expression]) -> Expression | None:
+    if not conjs:
         return None
-    out = conjuncts[0]
-    for conj in conjuncts[1:]:
+    out = conjs[0]
+    for conj in conjs[1:]:
         out = BinaryOp("AND", out, conj)
     return out
 
@@ -208,13 +203,13 @@ def _choose_index(
     catalog: Catalog, table_name: str, where: Expression | None
 ) -> tuple[IndexAccess | None, Expression | None]:
     """Pick one index-serviceable conjunct; return (access, residual)."""
-    conjuncts = _conjuncts(where)
-    for i, conj in enumerate(conjuncts):
+    conjs = conjuncts(where)
+    for i, conj in enumerate(conjs):
         simple = _as_simple_comparison(conj)
         if simple is not None:
             column, op, value = simple
             if op == "=" and catalog.hash_index(table_name, column) is not None:
-                residual = _rebuild_and(conjuncts[:i] + conjuncts[i + 1:])
+                residual = _rebuild_and(conjs[:i] + conjs[i + 1:])
                 return IndexAccess("hash-eq", column, eq_value=value), residual
             if op != "=" and catalog.sorted_index(table_name, column) is not None:
                 low = high = None
@@ -223,7 +218,7 @@ def _choose_index(
                     low, include_low = value, op == ">="
                 else:
                     high, include_high = value, op == "<="
-                residual = _rebuild_and(conjuncts[:i] + conjuncts[i + 1:])
+                residual = _rebuild_and(conjs[:i] + conjs[i + 1:])
                 return (
                     IndexAccess(
                         "sorted-range",
@@ -244,7 +239,7 @@ def _choose_index(
             and isinstance(conj.high, Literal)
             and catalog.sorted_index(table_name, conj.operand.name) is not None
         ):
-            residual = _rebuild_and(conjuncts[:i] + conjuncts[i + 1:])
+            residual = _rebuild_and(conjs[:i] + conjs[i + 1:])
             return (
                 IndexAccess(
                     "sorted-range",
@@ -261,17 +256,15 @@ def _choose_index(
 # scan finalization: filter order, span pruning, execution mode
 # ----------------------------------------------------------------------
 
-def dequalify(expr: Expression, binding: str) -> Expression:
+def dequalify(expr: Expression, binding: str) -> Expression | None:
     """Strip ``binding.``-qualifications so single-table helpers
-    (interval algebra, selectivity) see bare column references."""
-    from repro.query.ast_nodes import rewrite_leaves
-
-    def strip(ref: ColumnRef) -> Expression:
-        if ref.table == binding:
-            return ColumnRef(ref.name)
-        return ref
-
-    return rewrite_leaves(expr, column_fn=strip)
+    (interval algebra, selectivity) see bare column references;
+    ``None`` when ``expr`` names another table, which they cannot."""
+    if any(ref.table not in (None, binding) for ref in expr.column_refs()):
+        return None
+    return rewrite_leaves(
+        expr, column_fn=lambda ref: ColumnRef(ref.name) if ref.table else ref
+    )
 
 
 def _build_scan(
@@ -284,17 +277,13 @@ def _build_scan(
     """Finalize one base-table scan: order its residual conjuncts by
     estimated selectivity, decide freshness span pruning, and stamp the
     vectorized-vs-fallback mode per conjunct."""
-    from repro.query.masks import mask_compilable
-    from repro.query.normalize import IntervalSet, numeric_atom
-
     table = catalog.table(table_name)
-    conjs = _conjuncts(residual)
+    conjs = conjuncts(residual)
     sels: tuple[float, ...] = ()
     if len(conjs) >= 2:
         # selectivity is only *needed* to order; a single conjunct runs
         # as-is and skips the histogram work entirely
         from repro.lint.analyze import predicate_selectivity
-        from repro.storage.stats import planner_stats
 
         stats = planner_stats(table)
         scored = sorted(
@@ -311,7 +300,8 @@ def _build_scan(
     prune: PrunePlan | None = None
     if index is None and table.freshness_column is not None:
         for conj in conjs:
-            atom = numeric_atom(dequalify(conj, binding))
+            local = dequalify(conj, binding)
+            atom = numeric_atom(local) if local is not None else None
             if (
                 atom is not None
                 and atom[0] == table.freshness_column
@@ -353,33 +343,9 @@ def _build_scan(
 
 def _find_aggregates(expr: Expression) -> list[FuncCall]:
     """All aggregate FuncCall nodes in ``expr`` (not descending into them)."""
-    if isinstance(expr, FuncCall):
-        if is_aggregate(expr.name):
-            return [expr]
-        found: list[FuncCall] = []
-        for arg in expr.args:
-            found.extend(_find_aggregates(arg))
-        return found
-    found = []
-    for child in _children(expr):
-        found.extend(_find_aggregates(child))
-    return found
-
-
-def _children(expr: Expression) -> list[Expression]:
-    from repro.query.ast_nodes import UnaryOp, InList, IsNull
-
-    if isinstance(expr, BinaryOp):
-        return [expr.left, expr.right]
-    if isinstance(expr, UnaryOp):
-        return [expr.operand]
-    if isinstance(expr, Between):
-        return [expr.operand, expr.low, expr.high]
-    if isinstance(expr, InList):
-        return [expr.operand, *expr.items]
-    if isinstance(expr, IsNull):
-        return [expr.operand]
-    return []
+    if isinstance(expr, FuncCall) and is_aggregate(expr.name):
+        return [expr]
+    return [agg for child in expr.children() for agg in _find_aggregates(child)]
 
 
 def _non_aggregate_refs(expr: Expression) -> list[ColumnRef]:
@@ -388,14 +354,7 @@ def _non_aggregate_refs(expr: Expression) -> list[ColumnRef]:
         return []
     if isinstance(expr, ColumnRef):
         return [expr]
-    refs: list[ColumnRef] = []
-    if isinstance(expr, FuncCall):
-        for arg in expr.args:
-            refs.extend(_non_aggregate_refs(arg))
-        return refs
-    for child in _children(expr):
-        refs.extend(_non_aggregate_refs(child))
-    return refs
+    return [ref for child in expr.children() for ref in _non_aggregate_refs(child)]
 
 
 # ----------------------------------------------------------------------
@@ -411,7 +370,7 @@ def plan_select(stmt: SelectStmt, catalog: Catalog) -> SelectPlan:
     join_plan: JoinPlan | None = None
     if stmt.join is not None:
         if stmt.consume:
-            raise PlanError("CONSUME SELECT does not support JOIN (Law 2 is per-relation)")
+            raise PlanError("JOIN is not supported in CONSUME SELECT (Law 2 is per-relation)")
         right_table = catalog.table(stmt.join.table.name)
         scope.add(stmt.join.table, right_table.schema)
 
@@ -537,8 +496,6 @@ def _plan_aggregation(
                 )
 
     # validate arities, then deduplicate aggregate calls by rendered SQL
-    from repro.query.functions import aggregate_arity
-
     seen: dict[str, FuncCall] = {}
     for agg in proj_aggregates + having_aggregates + order_aggregates:
         if not agg.star:
@@ -648,34 +605,44 @@ def render_join(join: JoinPlan) -> str:
     )
 
 
-def render_plan(plan: SelectPlan | ScanPlan) -> list[str]:
-    """Human-readable plan lines (``EXPLAIN`` and the shell).
+def plan_nodes(plan: SelectPlan | ScanPlan) -> list[tuple[str, str]]:
+    """The plan's operators as ``(kind, label)``, in execution order.
 
-    Accepts a full :class:`SelectPlan` or the bare :class:`ScanPlan`
-    that :func:`plan_delete` produces for ``DELETE`` statements.
+    The one list ``EXPLAIN`` prints, ``EXPLAIN ANALYZE`` annotates and
+    the executor runs: scan|join, aggregate, sort, distinct, limit,
+    consume — or the single ``delete`` node of the bare
+    :class:`ScanPlan` that :func:`plan_delete` produces.
     """
     if isinstance(plan, ScanPlan):
-        return [
-            *render_scan(plan).splitlines(),
-            "DELETE: matching base rows are removed (no distillation)",
-        ]
-    lines: list[str] = []
+        label = (
+            render_scan(plan)
+            + "\nDELETE: matching base rows are removed (no distillation)"
+        )
+        return [("delete", label)]
     source = plan.source
     if isinstance(source, ScanPlan):
-        lines.extend(render_scan(source).splitlines())
+        nodes = [("scan", render_scan(source))]
     else:
-        lines.append(render_join(source))
+        nodes = [("join", render_join(source))]
     if plan.aggregate:
-        lines.append(
+        nodes.append((
+            "aggregate",
             f"aggregate by {list(plan.aggregate.group_names) or 'ALL'} "
-            f"computing {[a.to_sql() for a in plan.aggregate.aggregates]}"
-        )
+            f"computing {[a.to_sql() for a in plan.aggregate.aggregates]}",
+        ))
     if plan.order_by:
-        lines.append(f"sort by {[o.to_sql() for o in plan.order_by]}")
+        nodes.append(("sort", f"sort by {[o.to_sql() for o in plan.order_by]}"))
     if plan.distinct:
-        lines.append("distinct over output columns")
+        nodes.append(("distinct", "distinct over output columns"))
     if plan.limit is not None:
-        lines.append(f"limit {plan.limit}")
+        nodes.append(("limit", f"limit {plan.limit}"))
     if plan.consume:
-        lines.append("CONSUME: matching base rows are deleted (Law 2)")
-    return lines
+        nodes.append(("consume", "CONSUME: matching base rows are deleted (Law 2)"))
+    return nodes
+
+
+def render_plan(plan: SelectPlan | ScanPlan) -> list[str]:
+    """Human-readable plan lines (``EXPLAIN`` and the shell)."""
+    return [
+        line for _, label in plan_nodes(plan) for line in label.splitlines()
+    ]

@@ -31,7 +31,6 @@ from repro.errors import FungusError
 from repro.query.ast_nodes import (
     DeleteStmt,
     ExplainStmt,
-    InsertStmt,
     SelectStmt,
     Statement,
 )
@@ -91,7 +90,10 @@ class Gatekeeper:
             stmt = parse(sql)
         except FungusError as exc:
             raise AccessDenied(Code.QUERY_ERROR, str(exc)) from exc
-        kind = self._kind(stmt)
+        # EXPLAIN ANALYZE really runs its inner statement (Postgres
+        # semantics), so that statement's rights and gates apply
+        gated = stmt.inner if isinstance(stmt, ExplainStmt) and stmt.analyze else stmt
+        kind = gated.kind
         tables = self._tables(stmt)
         required = [(table, self._right(kind)) for table in tables]
         if kind == "consume":
@@ -104,13 +106,13 @@ class Gatekeeper:
                     f"{grant.principal!r} lacks {right!r} on table {table!r}",
                 )
         verdict = None
-        if kind == "consume":
-            verdict = self._analyze(stmt, grant, tables)
-        elif kind == "delete":
-            verdict = self._analyze_delete(stmt, grant)
+        if isinstance(gated, SelectStmt) and gated.consume:
+            verdict = self._analyze(gated, grant, tables)
+        elif isinstance(gated, DeleteStmt):
+            verdict = self._analyze_delete(gated, grant)
         return Admission(
             statement=stmt,
-            kind=kind,
+            kind=stmt.kind,
             tables=tables,
             verdict=verdict,
             required=tuple(required),
@@ -118,28 +120,15 @@ class Gatekeeper:
 
     # ------------------------------------------------------------------
 
-    def _kind(self, stmt: Statement) -> str:
-        if isinstance(stmt, InsertStmt):
-            return "insert"
-        if isinstance(stmt, DeleteStmt):
-            return "delete"
-        if isinstance(stmt, ExplainStmt):
-            return "explain"
-        assert isinstance(stmt, SelectStmt)
-        return "consume" if stmt.consume else "select"
-
     def _right(self, kind: str) -> str:
         return RIGHT_FOR_KIND.get(kind, "consume")
 
     def _tables(self, stmt: Statement) -> tuple[str, ...]:
         """Every base table the statement touches, via its plan."""
-        if isinstance(stmt, InsertStmt):
-            return (stmt.table,)
-        if isinstance(stmt, DeleteStmt):
-            return (stmt.table,)
         if isinstance(stmt, ExplainStmt):
             stmt = stmt.inner
-        assert isinstance(stmt, SelectStmt)
+        if not isinstance(stmt, SelectStmt):
+            return (stmt.target,)
         try:
             plan = plan_select(stmt, self.engine.catalog)
         except FungusError as exc:

@@ -10,7 +10,7 @@ whole table can be assembled from per-rot-spot summaries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from repro.errors import DistillError
 from repro.sketch.bloom import BloomFilter
@@ -170,11 +170,6 @@ class TableSummary:
                 else:
                     lo, hi = self.time_range
                     self.time_range = (min(lo, t), max(hi, t))
-
-    def add_rows(self, rows: Sequence[Mapping[str, Any]]) -> None:
-        """Fold many rows."""
-        for row in rows:
-            self.add_row(row)
 
     def column(self, name: str) -> ColumnSummary:
         """Summary of one column."""

@@ -26,7 +26,7 @@ from repro.storage.table import Table
 from repro.storage.index import HashIndex, SortedIndex
 from repro.storage.catalog import Catalog
 from repro.storage.snapshot import load_table, save_table
-from repro.storage.stats import ColumnStats, TableStats, collect_stats
+from repro.storage.stats import ColumnStats
 
 __all__ = [
     "Catalog",
@@ -38,8 +38,6 @@ __all__ = [
     "Schema",
     "SortedIndex",
     "Table",
-    "TableStats",
-    "collect_stats",
     "load_table",
     "save_table",
 ]

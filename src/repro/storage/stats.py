@@ -1,24 +1,20 @@
-"""Table statistics: sizes, per-column min/max/distinct, memory estimate.
-
-The bench harness reports these, and experiment F1 uses
-:func:`estimate_bytes` as its storage-footprint metric (an honest
-Python-object estimate — the paper's point is about growth *shape*,
-not absolute bytes).
+"""Column statistics: per-column count/nulls/min/max/distinct over the
+live rows, computed lazily and cached per table (:func:`planner_stats`).
 
 Numeric columns additionally carry an equi-width
-:class:`ColumnHistogram`, which the ``EXPLAIN CONSUME`` analyzer uses
-to estimate how many rows a Law-2 predicate would destroy before
-anything is actually consumed.
+:class:`ColumnHistogram`. One view serves every estimator: the planner
+orders filters by it, the ``EXPLAIN CONSUME`` analyzer estimates how
+many rows a Law-2 predicate would destroy before anything is consumed,
+and ``EXPLAIN ANALYZE`` grades its per-operator estimates against it.
 """
 
 from __future__ import annotations
 
-import sys
 import weakref
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
-from repro.storage.schema import DataType
+from repro.storage.schema import DataType, Schema
 from repro.storage.table import Table
 
 #: Bin count for equi-width histograms; small tables get exact counts
@@ -116,34 +112,6 @@ class ColumnStats:
     histogram: Optional[ColumnHistogram] = None
 
 
-@dataclass(frozen=True)
-class TableStats:
-    """Summary statistics for a whole table."""
-
-    name: str
-    live_rows: int
-    allocated_rows: int
-    tombstones: int
-    estimated_bytes: int
-    columns: tuple[ColumnStats, ...]
-
-    def column(self, name: str) -> ColumnStats:
-        """Stats for one column by name."""
-        for col in self.columns:
-            if col.name == name:
-                return col
-        raise KeyError(name)
-
-
-def estimate_bytes(table: Table) -> int:
-    """Rough deep size of the live cells of ``table`` in bytes."""
-    total = 0
-    for column in table.schema.names:
-        for value in table.column_values(column):
-            total += sys.getsizeof(value)
-    return total
-
-
 def _column_stats_of(table: Table, name: str, dtype: DataType) -> ColumnStats:
     """One column's :class:`ColumnStats` over the live rows."""
     values = table.column_values(name)
@@ -160,35 +128,16 @@ def _column_stats_of(table: Table, name: str, dtype: DataType) -> ColumnStats:
     )
 
 
-def collect_stats(table: Table) -> TableStats:
-    """Compute :class:`TableStats` over the live rows of ``table``."""
-    col_stats = [
-        _column_stats_of(table, col_def.name, col_def.dtype)
-        for col_def in table.schema
-    ]
-    return TableStats(
-        name=table.name,
-        live_rows=len(table),
-        allocated_rows=table.allocated,
-        tombstones=table.tombstones,
-        estimated_bytes=estimate_bytes(table),
-        columns=tuple(col_stats),
-    )
-
-
 class PlannerStats:
     """Lazy, cached per-column statistics for query planning.
 
-    :func:`collect_stats` walks every live cell of every column (plus a
-    ``getsizeof`` pass) — far too heavy to run per query. The planner
-    only needs histograms for the handful of columns its predicates
-    mention, so this view computes each column on first touch and keeps
-    it while the column's data token (generation, allocation high-water
-    mark, data version) and the table's liveness version stand still.
-
-    Duck-type compatible with :class:`TableStats` where the selectivity
-    estimator cares: ``.column(name)`` raising :class:`KeyError` for
-    unknown columns, and ``.live_rows``.
+    Walking every live cell of every column is far too heavy to run
+    per query, and an estimator only needs histograms for the handful
+    of columns its predicates mention — so this view computes each
+    column on first touch and keeps it while the column's data token
+    (generation, allocation high-water mark, data version) and the
+    table's liveness version stand still. ``.column(name)`` raises
+    :class:`KeyError` for unknown columns.
     """
 
     def __init__(self, table: Table) -> None:
@@ -198,6 +147,10 @@ class PlannerStats:
     @property
     def live_rows(self) -> int:
         return len(self._table)
+
+    @property
+    def schema(self) -> Schema:
+        return self._table.schema
 
     def column(self, name: str) -> ColumnStats:
         """Stats for one column (computed on first use, then cached)."""

@@ -148,11 +148,12 @@ class TestKernelRouting:
 class TestEvictExhaustedBatch:
     def test_evicts_all_exhausted(self, table):
         table.decay_many([0, 4, 7], 1.0, "t")
-        count = table.evict_exhausted_batch(reason="decay")
-        assert count == 3
+        assert len(table.exhausted) == 3
+        table.evict(table.exhausted, "decay", collect_values=False)
         assert sorted(table.exhausted) == []
         assert not table.storage.is_live(0)
         assert table.extent == 5
 
     def test_noop_when_none_exhausted(self, table):
-        assert table.evict_exhausted_batch() == 0
+        assert table.evict(table.exhausted, "decay", collect_values=False) == []
+        assert table.extent == 8

@@ -70,13 +70,6 @@ class TestDistiller:
         assert seen[0].rows == 1
         assert seen[0].reason == "decay"
 
-    def test_distill_dicts(self, decaying):
-        distiller = Distiller()
-        rows = [{"t": 0.0, "f": 0.0, "v": 7}, {"t": 1.0, "f": 0.0, "v": 9}]
-        summary = distiller.distill_dicts(decaying, rows, reason="post-hoc")
-        assert summary.row_count == 2
-        assert summary.column("v").estimate_mean() == pytest.approx(8.0)
-
     def test_summaries_include_freshness_column(self, decaying):
         decaying.decay(0, 0.4, "x")
         summary = Distiller().distill_rowset(decaying, RowSet([0]), reason="decay")

@@ -82,6 +82,59 @@ class TestVerdicts:
         assert [r.verdict for r in results] == ["none"]
 
 
+class TestUnparseableCandidates:
+    def test_scan_reports_invalid_instead_of_crashing(self, tmp_path, capsys):
+        """An error message that merely *starts* like a consume."""
+        write(
+            tmp_path,
+            "errors.py",
+            'MSG = "CONSUME SELECT does not support JOIN"\n'
+            'SQL = "CONSUME SELECT v FROM r WHERE v > 3"\n',
+        )
+        assert lint_main(["sql", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "errors.py:1: invalid (expected FROM" in out
+        assert "errors.py:2: partial" in out
+        assert "2 consume statement(s) analyzed, 0 statically total" in out
+
+    def test_shipped_package_scans_and_explains(self, capsys):
+        """The CI contract now covers src/: no planner error message
+        reads as an embedded statement, and every real one plans."""
+        assert lint_main(["sql", str(REPO / "src")]) == 0
+        assert "invalid" not in capsys.readouterr().out
+        assert lint_main(["sql", "--explain", str(REPO / "src")]) == 0
+        assert "0 failed" in capsys.readouterr().out
+
+
+class TestSchemaInference:
+    """``_inferred_catalog`` sees every node the analyzer sees."""
+
+    @staticmethod
+    def analyzed(sql: str):
+        from repro.query import QueryEngine, parse
+
+        stmt = parse(sql)
+        catalog = sqlscan._inferred_catalog(stmt)
+        report = QueryEngine(catalog).analyze_consume(stmt)
+        return catalog.table("r").schema, report
+
+    def test_comparison_under_is_null_types_the_column(self):
+        schema, report = self.analyzed(
+            "CONSUME SELECT v FROM r WHERE (site = 'a') IS NOT NULL"
+        )
+        assert schema.column("site").dtype.value == "str"
+        assert report.verdict == "partial", report.errors
+
+    def test_comparison_under_not_and_beside_in_list(self):
+        schema, report = self.analyzed(
+            "CONSUME SELECT v FROM r "
+            "WHERE v IN (1, 2) AND NOT ((site = 'a') IS NULL)"
+        )
+        assert schema.column("site").dtype.value == "str"
+        assert schema.column("v").dtype.value == "float"
+        assert report.verdict == "partial", report.errors
+
+
 class TestExplainCheck:
     def test_every_statement_kind_is_picked_up(self, tmp_path):
         write(

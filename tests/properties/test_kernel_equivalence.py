@@ -60,7 +60,7 @@ def _freshness_state(table: DecayingTable) -> list[tuple[int, float]]:
 def _drain_exhausted(table: DecayingTable, fungus) -> None:
     dead = sorted(table.exhausted)
     if dead:
-        table.evict_exhausted_batch(reason="decay")
+        table.evict(table.exhausted, "decay", collect_values=False)
         for rid in dead:
             fungus.on_evicted(rid)
 

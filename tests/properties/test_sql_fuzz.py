@@ -6,7 +6,14 @@ Two guarantees:
   the printer and parser are exact inverses;
 * executing any generated statement either succeeds or raises a
   :class:`FungusError` subclass — never a bare Python crash.
+
+Plus the contract of the one tree walk (``children`` / ``map_children``
+/ ``walk`` on :class:`Expression`), checked against oracles that do not
+use it: the dataclass fields for node counts, the lexer for column
+references.
 """
+
+import dataclasses
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +24,7 @@ from repro.query.ast_nodes import (
     Between,
     BinaryOp,
     ColumnRef,
+    Expression,
     FuncCall,
     InList,
     IsNull,
@@ -26,7 +34,9 @@ from repro.query.ast_nodes import (
     SelectStmt,
     TableRef,
     UnaryOp,
+    walk,
 )
+from repro.query.tokens import TokenType, tokenize
 from repro.storage import Catalog, Schema
 
 # -- expression strategy ------------------------------------------------
@@ -95,6 +105,51 @@ statements = st.builds(
     consume=st.booleans(),
     distinct=st.booleans(),
 )
+
+
+def _operands_by_field(node: Expression) -> list[Expression]:
+    """A node's operands read off its dataclass fields (walk-free oracle)."""
+    out = []
+    for f in dataclasses.fields(node):
+        value = getattr(node, f.name)
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, Expression):
+                out.append(item)
+    return out
+
+
+def _size(node: Expression) -> int:
+    return 1 + sum(_size(child) for child in _operands_by_field(node))
+
+
+@settings(max_examples=200, deadline=None)
+@given(expr=expressions(3))
+def test_children_walk_and_identity_map(expr):
+    nodes = list(walk(expr))
+    assert nodes[0] is expr
+    assert len(nodes) == _size(expr)  # every node once, none invented
+    for node in nodes:
+        assert list(node.children()) == _operands_by_field(node)
+        assert node.map_children(lambda child: child) is node
+    # rebuilding every operand gives an equal tree of fresh interior nodes
+    clone = expr.map_children(lambda child: dataclasses.replace(child))
+    assert clone == expr and (clone is not expr) == bool(expr.children())
+
+
+@settings(max_examples=200, deadline=None)
+@given(expr=expressions(3))
+def test_walk_finds_exactly_the_lexed_column_references(expr):
+    tokens = tokenize(expr.to_sql())
+    # identifiers that are not function names, left to right in the text
+    names = [
+        tok.text
+        for tok, nxt in zip(tokens, tokens[1:])
+        if tok.type is TokenType.IDENT and nxt.type is not TokenType.LPAREN
+    ]
+    refs = [node for node in walk(expr) if isinstance(node, ColumnRef)]
+    # pre-order over to_sql()-ordered operands == order in the rendered text
+    assert [ref.name for ref in refs] == names
+    assert refs == expr.column_refs()
 
 
 @settings(max_examples=200, deadline=None)

@@ -184,6 +184,40 @@ class TestVerdicts:
         )
         assert report.verdict == "invalid"
 
+    def test_invalid_type_mismatch_inside_function_argument(self, db):
+        # the type walk reaches every node, function arguments included:
+        # this used to pass analysis and raise only at run time
+        report = db.explain_consume(
+            "CONSUME SELECT k FROM r WHERE coalesce(v > 'x', FALSE)"
+        )
+        assert report.verdict == "invalid"
+        assert any("'x'" in e for e in report.errors)
+
+    @pytest.mark.parametrize(
+        "where, verdict, estimated, selectivity",
+        [
+            ("v > 50", "partial", 24, 0.48693877551020404),
+            ("v > 50 AND v < 10", "none", 0, 0.0),
+            ("f >= 0.0", "total", 50, 1.0),
+            (
+                "k IN (1, 2, 3) OR NOT (v BETWEEN 10 AND 60)",
+                "partial",
+                26,
+                0.5288489795918367,
+            ),
+            ("k = 7 AND f IS NOT NULL", "partial", 1, 0.02),
+        ],
+    )
+    def test_estimates_pinned_across_the_stats_source(
+        self, db, where, verdict, estimated, selectivity
+    ):
+        """Values recorded with ``collect_stats`` feeding the analyzer;
+        the lazy ``planner_stats`` view must reproduce them exactly."""
+        report = db.explain_consume(f"CONSUME SELECT k FROM r WHERE {where}")
+        assert report.verdict == verdict
+        assert report.estimated_rows == estimated
+        assert report.selectivity == pytest.approx(selectivity, abs=1e-12)
+
     def test_analysis_does_not_consume(self, db):
         db.explain_consume("CONSUME SELECT k FROM r")
         assert db.extent("r") == 50

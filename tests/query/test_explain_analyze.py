@@ -234,6 +234,59 @@ class TestVectorizedPlanGoldens:
         ]
 
 
+GOLDEN_STATEMENTS = [
+    "SELECT v FROM r WHERE v > 50",
+    "SELECT key FROM r WHERE key = 'a'",
+    "SELECT key, count(*) AS n FROM r GROUP BY key ORDER BY key",
+    "SELECT r.v, s.label FROM r JOIN s ON r.key = s.k WHERE r.v > 10",
+    "SELECT DISTINCT key FROM r LIMIT 1",
+    "CONSUME SELECT v FROM r WHERE v > 50",
+    "DELETE FROM r WHERE key = 'b'",
+    "SELECT v FROM r WHERE f < 0.9 AND v >= 0",
+]
+
+
+class TestOnePlanOneExecutor:
+    """EXPLAIN, EXPLAIN ANALYZE and execution share ``plan_nodes``."""
+
+    @pytest.mark.parametrize("vectorized", [False, True])
+    @pytest.mark.parametrize("sql", GOLDEN_STATEMENTS)
+    def test_analyzed_labels_are_the_plan_lines(self, sql, vectorized):
+        engine = build_engine(vectorized)
+        stmt = parse(sql)
+        plan = (plan_select if stmt.kind != "delete" else plan_delete)(
+            stmt, engine.catalog
+        )
+        expected = render_plan(plan)  # rendered before ANALYZE eats rows
+        lines = analyzed(engine, f"EXPLAIN ANALYZE {sql}")
+        labels = [
+            line
+            for line in lines[1:-1]
+            if not line.startswith(("  rows", "Tier-B consume verdict"))
+        ]
+        assert labels == expected
+
+    def test_limit_still_never_over_pulls(self, engine, monkeypatch):
+        """Without instrumentation the step helper adds no ``list()``:
+        projection stays a generator that LIMIT stops after one row."""
+        from repro.query import operators
+
+        evaluated = []
+
+        def counting(expr, ctx):
+            evaluated.append(expr)
+            return evaluate(expr, ctx)
+
+        evaluate = operators.evaluate
+        monkeypatch.setattr(operators, "evaluate", counting)
+        assert engine.execute("SELECT v FROM r LIMIT 1").rows == [(0,)]
+        assert len(evaluated) == 1
+        # the analyzed run materializes between operators to count rows
+        del evaluated[:]
+        engine.execute("EXPLAIN ANALYZE SELECT v FROM r LIMIT 1")
+        assert len(evaluated) == 10
+
+
 class TestPlainExplainStillDescribes:
     def test_plain_explain_does_not_execute(self, engine):
         engine.execute("EXPLAIN DELETE FROM r WHERE key = 'b'")

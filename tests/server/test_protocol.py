@@ -273,6 +273,22 @@ class TestAuthMatrix:
             Code.DENIED,
         ),
         ("t-eater", {"op": "query", "sql": "DELETE FROM r WHERE v < 5"}, None),
+        # EXPLAIN ANALYZE executes what it wraps, so it needs the wrapped
+        # statement's rights and passes its total-extent gate; plain
+        # EXPLAIN only describes and stays a read
+        (
+            "t-reader",
+            {"op": "query", "sql": "EXPLAIN ANALYZE CONSUME SELECT k FROM r WHERE v < 5"},
+            Code.DENIED,
+        ),
+        (
+            "t-reader",
+            {"op": "query", "sql": "EXPLAIN ANALYZE DELETE FROM r WHERE v < 5"},
+            Code.DENIED,
+        ),
+        ("t-eater", {"op": "query", "sql": "EXPLAIN ANALYZE DELETE FROM r"}, Code.DENIED),
+        ("t-reader", {"op": "query", "sql": "EXPLAIN DELETE FROM r WHERE v < 5"}, None),
+        ("t-reader", {"op": "query", "sql": "EXPLAIN CONSUME SELECT k FROM r"}, None),
         ("t-admin", {"op": "query", "sql": "DELETE FROM r"}, None),
         # stats exposes every statement shape the server has run, so it
         # sits behind the same admin bar as the session table

@@ -1,16 +1,14 @@
 """Tests for repro.storage.stats."""
 
-from repro.storage import Schema, Table, collect_stats
+from repro.storage import Schema, Table
 from repro.storage.schema import ColumnDef, DataType
-from repro.storage.stats import estimate_bytes
+from repro.storage.stats import planner_stats
 
 
 class TestCollectStats:
     def test_basic(self, table):
-        stats = collect_stats(table)
-        assert stats.name == "r"
+        stats = planner_stats(table)
         assert stats.live_rows == 10
-        assert stats.tombstones == 0
         v = stats.column("v")
         assert (v.min_value, v.max_value) == (0, 81)
         assert v.distinct == 10
@@ -18,7 +16,7 @@ class TestCollectStats:
 
     def test_live_only(self, table):
         table.delete(9)
-        stats = collect_stats(table)
+        stats = planner_stats(table)
         assert stats.live_rows == 9
         assert stats.column("v").max_value == 64
 
@@ -27,7 +25,7 @@ class TestCollectStats:
         table = Table(schema)
         table.append((1,))
         table.append((None,))
-        stats = collect_stats(table)
+        stats = planner_stats(table)
         assert stats.column("x").nulls == 1
         assert stats.column("x").distinct == 1
 
@@ -35,16 +33,11 @@ class TestCollectStats:
         schema = Schema([ColumnDef("x", DataType.INT, nullable=True)])
         table = Table(schema)
         table.append((None,))
-        col = collect_stats(table).column("x")
+        col = planner_stats(table).column("x")
         assert col.min_value is None and col.max_value is None
 
     def test_column_unknown_raises(self, table):
         import pytest
 
         with pytest.raises(KeyError):
-            collect_stats(table).column("zzz")
-
-    def test_estimated_bytes_positive_and_grows(self, table):
-        before = estimate_bytes(table)
-        table.append((99.0, 1.0, 12345, "some longer string value"))
-        assert estimate_bytes(table) > before > 0
+            planner_stats(table).column("zzz")
