@@ -7,6 +7,11 @@ a new container subject to different data fungi". The
 :class:`~repro.sketch.summary.TableSummary`; the
 :class:`SummaryStore` is the "new container" those summaries live in —
 optionally subject to its own retention (summaries rot too).
+
+Every dying tuple passes through here, so the distiller cooks columns,
+not dicts: one liveness check for the whole rowset, one
+:meth:`~repro.storage.table.Table.gather` per column, one
+:meth:`~repro.sketch.summary.TableSummary.add_columns`.
 """
 
 from __future__ import annotations
@@ -129,8 +134,11 @@ class Distiller:
             time_column=table.time_column,
         )
         summary.spans = rows.spans()
-        for rid in rows:
-            summary.add_row(table.row_dict(rid))
+        storage = table.storage
+        storage.check_live_many(rows.rows)
+        summary.add_columns(
+            {name: storage.gather(name, rows.rows) for name in storage.schema.names}
+        )
         self.store.add(summary)
         table.bus.publish(
             SummaryCreated(table.name, table.clock.now, rows=len(rows), reason=reason)

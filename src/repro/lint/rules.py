@@ -16,7 +16,7 @@ from typing import ClassVar, Iterator, Sequence
 from repro.lint.catalogue import load_metric_catalogue
 from repro.lint.engine import Finding, ModuleSource, Rule
 
-CATALOGUE_VERSION = "1.6"
+CATALOGUE_VERSION = "1.7"
 
 #: packages where simulated time and injected randomness are mandatory
 RESTRICTED_PACKAGES = ("core", "fungi", "query", "sim", "storage")
@@ -487,41 +487,62 @@ class PublishedEventRule(Rule):
 
 
 class BatchMutatorRule(Rule):
-    """RS007 — hot decay paths use batch mutators, not per-row loops."""
+    """RS007 — hot decay and distill paths use batch calls, not per-row loops."""
 
     id: ClassVar[str] = "RS007"
-    title: ClassVar[str] = "no per-row freshness loops in fungi or policy"
+    title: ClassVar[str] = "no per-row freshness or distill loops on the write path"
     rationale: ClassVar[str] = (
         "A scalar set_freshness/decay call inside a loop re-pays "
         "validation, pin checks and event publication per row; the "
         "batch mutators (decay_many, scale_many, set_freshness_many) "
-        "do one vectorized pass and publish one coalesced event."
+        "do one vectorized pass and publish one coalesced event. "
+        "Likewise a row_dict/add_row per dying row builds a dict and "
+        "hashes every cell three times; TableSummary.add_columns takes "
+        "one Table.gather per column and hashes each cell once."
     )
 
     SCALAR_MUTATORS = frozenset(
         {"set_freshness", "decay", "scale_freshness", "_decay"}
     )
+    ROW_DISTILLERS = frozenset({"add_row", "row_dict"})
+
+    @classmethod
+    def _scope(cls, path: Path) -> tuple[frozenset[str], str] | None:
+        """The per-row calls banned in ``path`` and what replaces them."""
+        posix = path.as_posix()
+        if "repro/fungi/" in posix or posix.endswith("repro/core/policy.py"):
+            return cls.SCALAR_MUTATORS, (
+                "use the batch mutators (decay_many/scale_many/"
+                "set_freshness_many) instead"
+            )
+        if posix.endswith(("repro/core/distill.py", "repro/core/db.py")):
+            return cls.ROW_DISTILLERS, (
+                "gather each column once (Table.gather) and feed "
+                "TableSummary.add_columns instead"
+            )
+        return None
 
     def applies_to(self, path: Path) -> bool:
-        posix = path.as_posix()
-        return "repro/fungi/" in posix or posix.endswith("repro/core/policy.py")
+        return self._scope(path) is not None
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
+        scope = self._scope(module.path)
+        if scope is None:
+            return
+        banned, advice = scope
         parents = _parent_map(module.tree)
         for node in ast.walk(module.tree):
             if not (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
-                and node.func.attr in self.SCALAR_MUTATORS
+                and node.func.attr in banned
             ):
                 continue
             if _inside_loop(node, parents):
                 yield self.finding(
                     module,
                     node,
-                    f"per-row {node.func.attr}() inside a loop; use the "
-                    "batch mutators (decay_many/scale_many/"
-                    "set_freshness_many) instead",
+                    f"per-row {node.func.attr}() inside a loop; {advice}",
                 )
 
 

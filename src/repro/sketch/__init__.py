@@ -18,6 +18,14 @@ the summary containers:
 All sketches are single-pass and bounded-space; the mergeable ones
 (count-min, HLL, Bloom, moments, histogram, reservoir) support ``merge``
 so summaries of different rot spots can be combined.
+
+Each of those six takes values one at a time (``add``) or as a batch
+(``add_all``), and the batch leaves exactly the state the loop leaves —
+registers, counters, bits, bins, moments, sample and RNG position. The
+three hash-based sketches get there by vectorizing updates that
+commute, sharing one :func:`~repro.sketch.countmin.stable_hashes` array
+per column (``add_hashes``); moments, reservoir and histogram depend on
+arrival order and consume the batch sequentially.
 """
 
 from repro.sketch.reservoir import ReservoirSample

@@ -8,10 +8,12 @@ cheapest "inspect them once before removal" container.
 from __future__ import annotations
 
 import math
-from typing import Hashable, Iterable
+from typing import Any, Hashable, Iterable
+
+import numpy
 
 from repro.errors import SketchError
-from repro.sketch.countmin import _stable_hash
+from repro.sketch.countmin import _U64, _stable_hash, stable_hashes
 
 
 class BloomFilter:
@@ -49,8 +51,26 @@ class BloomFilter:
 
     def add_all(self, values: Iterable[Hashable]) -> None:
         """Insert every value of ``values``."""
-        for value in values:
-            self.add(value)
+        self.add_hashes(stable_hashes(values))
+
+    def add_hashes(self, hashes: Any) -> None:
+        """Insert one value per :func:`stable_hashes` entry.
+
+        The same double-hashed probes as :meth:`add`
+        (``h1 + i·h2 < 2^32 + k·2^32`` fits ``uint64``), OR-ed into the
+        bit array in one pass.
+        """
+        h1 = hashes & _U64(0xFFFFFFFF)
+        h2 = (hashes >> _U64(32)) | _U64(1)
+        probes = numpy.arange(self.num_hashes, dtype=_U64)[:, None]
+        pos = ((h1 + probes * h2) % _U64(self.num_bits)).ravel()
+        bits = numpy.frombuffer(self._bits, dtype=numpy.uint8)
+        numpy.bitwise_or.at(
+            bits,
+            (pos >> _U64(3)).astype(numpy.intp),
+            (_U64(1) << (pos & _U64(7))).astype(numpy.uint8),
+        )
+        self.count += len(hashes)
 
     def __contains__(self, value: Hashable) -> bool:
         return all(self._bits[pos >> 3] & (1 << (pos & 7)) for pos in self._positions(value))
@@ -67,7 +87,10 @@ class BloomFilter:
         if (self.num_bits, self.num_hashes) != (other.num_bits, other.num_hashes):
             raise SketchError("can only merge identically-parameterised bloom filters")
         merged = BloomFilter(self.num_bits, self.num_hashes)
-        merged._bits = bytearray(a | b for a, b in zip(self._bits, other._bits))
+        merged._bits = bytearray(
+            numpy.frombuffer(self._bits, dtype=numpy.uint8)
+            | numpy.frombuffer(other._bits, dtype=numpy.uint8)
+        )
         merged.count = self.count + other.count
         return merged
 

@@ -8,6 +8,8 @@ count-below queries and exact merging of two histograms.
 from __future__ import annotations
 
 import bisect
+import operator
+from math import inf
 from typing import Iterable
 
 from repro.errors import SketchError
@@ -30,39 +32,47 @@ class StreamingHistogram:
 
     def add(self, value: float) -> None:
         """Insert one numeric value."""
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SketchError(f"histogram takes numbers, got {value!r}")
-        value = float(value)
-        self.total += 1
-        self.min_value = value if self.min_value is None else min(self.min_value, value)
-        self.max_value = value if self.max_value is None else max(self.max_value, value)
-        centroids = [b[0] for b in self._bins]
-        idx = bisect.bisect_left(centroids, value)
-        if idx < len(self._bins) and self._bins[idx][0] == value:
-            self._bins[idx][1] += 1
-            return
-        self._bins.insert(idx, [value, 1])
-        if len(self._bins) > self.max_bins:
-            self._merge_closest()
+        self.add_all((value,))
 
     def add_all(self, values: Iterable[float]) -> None:
-        """Insert every value of ``values``."""
-        for value in values:
-            self.add(value)
+        """Insert every value of ``values``, in order.
 
-    def _merge_closest(self) -> None:
-        best = None
-        best_gap = float("inf")
-        for i in range(len(self._bins) - 1):
-            gap = self._bins[i + 1][0] - self._bins[i][0]
-            if gap < best_gap:
-                best_gap = gap
-                best = i
-        assert best is not None
+        Ben-Haim/Tom-Tov merging depends on arrival order, so this is
+        sequential; the centroid list is built once per call and kept
+        in step with the bins rather than rebuilt per value.
+        """
+        bins = self._bins
+        centroids = [b[0] for b in bins]
+        for value in values:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise SketchError(f"histogram takes numbers, got {value!r}")
+            value = float(value)
+            self.total += 1
+            self.min_value = value if self.min_value is None else min(self.min_value, value)
+            self.max_value = value if self.max_value is None else max(self.max_value, value)
+            idx = bisect.bisect_left(centroids, value)
+            if idx < len(bins) and centroids[idx] == value:
+                bins[idx][1] += 1
+                continue
+            bins.insert(idx, [value, 1])
+            centroids.insert(idx, value)
+            if len(bins) > self.max_bins:
+                self._merge_closest(centroids)
+
+    def _merge_closest(self, centroids: list[float]) -> None:
+        """Merge the closest pair of bins (``centroids`` mirrors them)."""
+        gaps = list(map(operator.sub, centroids[1:], centroids))
+        gap = min(gaps)
+        if not gap < inf:
+            # min() cannot see past a NaN in front, and an infinite gap
+            # never wins: pick the first smallest among the rest
+            gap = min(g for g in gaps if g < inf)
+        best = gaps.index(gap)
         (c1, n1), (c2, n2) = self._bins[best], self._bins[best + 1]
         merged_count = n1 + n2
         merged_centroid = (c1 * n1 + c2 * n2) / merged_count
         self._bins[best: best + 2] = [[merged_centroid, merged_count]]
+        centroids[best: best + 2] = [merged_centroid]
 
     def bins(self) -> list[tuple[float, int]]:
         """The (centroid, count) pairs, ascending by centroid."""
@@ -151,8 +161,9 @@ class StreamingHistogram:
             else:
                 collapsed.append([c, n])
         merged._bins = collapsed
-        while len(merged._bins) > merged.max_bins:
-            merged._merge_closest()
+        centroids = [b[0] for b in collapsed]
+        while len(collapsed) > merged.max_bins:
+            merged._merge_closest(centroids)
         return merged
 
     def memory_cells(self) -> int:

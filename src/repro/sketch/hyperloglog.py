@@ -7,10 +7,12 @@ linear-counting fallback for the small range.
 from __future__ import annotations
 
 import math
-from typing import Hashable, Iterable
+from typing import Any, Hashable, Iterable
+
+import numpy
 
 from repro.errors import SketchError
-from repro.sketch.countmin import _stable_hash
+from repro.sketch.countmin import _U64, _stable_hash, stable_hashes
 
 
 class HyperLogLog:
@@ -40,8 +42,18 @@ class HyperLogLog:
 
     def add_all(self, values: Iterable[Hashable]) -> None:
         """Observe every value of ``values``."""
-        for value in values:
-            self.add(value)
+        self.add_hashes(stable_hashes(values))
+
+    def add_hashes(self, hashes: Any) -> None:
+        """Observe one value per :func:`stable_hashes` entry.
+
+        Register-wise max is commutative, so ``maximum.at`` over the
+        batch leaves exactly the registers a loop of :meth:`add` leaves.
+        """
+        idx = (hashes & _U64(self.m - 1)).astype(numpy.intp)
+        rank = (64 - self.precision + 1) - _bit_lengths(hashes >> _U64(self.precision))
+        registers = numpy.frombuffer(self._registers, dtype=numpy.uint8)
+        numpy.maximum.at(registers, idx, rank.astype(numpy.uint8))
 
     def estimate(self) -> float:
         """Estimated number of distinct values observed."""
@@ -64,13 +76,31 @@ class HyperLogLog:
             raise SketchError("can only merge equal-precision HyperLogLogs")
         merged = HyperLogLog(self.precision)
         merged._registers = bytearray(
-            max(a, b) for a, b in zip(self._registers, other._registers)
+            numpy.maximum(
+                numpy.frombuffer(self._registers, dtype=numpy.uint8),
+                numpy.frombuffer(other._registers, dtype=numpy.uint8),
+            )
         )
         return merged
 
     def memory_cells(self) -> int:
         """Number of registers held."""
         return self.m
+
+
+def _bit_lengths(x: Any) -> Any:
+    """``int.bit_length`` of every element of a ``uint64`` array.
+
+    Shift binary search on integers: the operands run to 60 bits, past
+    the range where ``log2`` on float64 is exact.
+    """
+    length = numpy.zeros(len(x), dtype=numpy.int64)
+    for shift in (32, 16, 8, 4, 2, 1):
+        high = x >> _U64(shift)
+        wide = high != 0
+        x = numpy.where(wide, high, x)
+        length += numpy.where(wide, shift, 0)
+    return length + (x != 0)
 
 
 def _alpha(m: int) -> float:

@@ -5,16 +5,21 @@ of ``R`` rots away (or a consuming query carries it off), the region is
 cooked into one of these — per-column sketches plus provenance (which
 row spans, which time range). Summaries merge, so the summary of a
 whole table can be assembled from per-rot-spot summaries.
+
+Rows arrive in columns: :meth:`TableSummary.add_columns` takes one value
+list per column and :meth:`ColumnSummary.add_all` hashes each cell once
+for the three hash-based sketches. ``add_row`` / ``add`` are the
+one-row / one-value case of the same objects and leave the same bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
-from repro.errors import DistillError
+from repro.errors import DistillError, SchemaError
 from repro.sketch.bloom import BloomFilter
-from repro.sketch.countmin import CountMinSketch
+from repro.sketch.countmin import CountMinSketch, stable_hashes
 from repro.sketch.histogram import StreamingHistogram
 from repro.sketch.hyperloglog import HyperLogLog
 from repro.sketch.moments import RunningMoments
@@ -34,6 +39,13 @@ class SummaryConfig:
     bloom_hashes: int = 5
     reservoir_size: int = 50
     seed: int = 20150104  # CIDR 2015 opening day
+
+
+#: batches shorter than this take the per-value route in
+#: :meth:`ColumnSummary.add_all`: both routes leave identical bits, and
+#: below 20-25 values the fixed numpy dispatch cost exceeds the scalar
+#: work (same value and reason as ``core/table.py``'s ``_SMALL_BATCH``)
+_SMALL_BATCH = 32
 
 
 class ColumnSummary:
@@ -72,6 +84,33 @@ class ColumnSummary:
         self.members.add(value)
         self.examples.add(value)
 
+    def add_all(self, values: Sequence[Any]) -> None:
+        """Fold a batch of cell values into the summary.
+
+        Leaves exactly the state a loop of :meth:`add` leaves. NULLs are
+        stripped once and each value is hashed once: HyperLogLog,
+        count-min and Bloom share one :func:`stable_hashes` array.
+        Moments, histogram and reservoir are order-dependent and consume
+        the batch sequentially.
+        """
+        if len(values) < _SMALL_BATCH:
+            for value in values:
+                self.add(value)
+            return
+        present = [value for value in values if value is not None]
+        self.count += len(values)
+        self.nulls += len(values) - len(present)
+        if not present:
+            return
+        if self.moments is not None:
+            self.moments.add_all(present)
+            self.histogram.add_all(present)
+        hashes = stable_hashes(present)
+        self.distinct.add_hashes(hashes)
+        self.frequencies.add_hashes(hashes)
+        self.members.add_hashes(hashes)
+        self.examples.add_all(present)
+
     def merge(self, other: "ColumnSummary") -> "ColumnSummary":
         """Combine summaries of two disjoint regions of the same column."""
         if self.name != other.name or self.dtype is not other.dtype:
@@ -101,13 +140,30 @@ class ColumnSummary:
         """Approximate distinct non-null values."""
         return self.distinct.estimate()
 
+    def _stored_form(self, value: Any) -> Any:
+        """``value`` as the write path stored it, or None if it cannot be held.
+
+        Sketches hash the ``repr``, so a probe must be spelled the way
+        :meth:`Schema.coerce_row` spelled the cell: ``22`` on a FLOAT
+        column is looked up as ``22.0``, ``22.0`` on an INT column as
+        ``22``.
+        """
+        if self.dtype is DataType.INT and isinstance(value, float) and value.is_integer():
+            value = int(value)
+        try:
+            return self.dtype.coerce(value)
+        except SchemaError:
+            return None
+
     def estimate_frequency(self, value: Any) -> int:
-        """Approximate occurrences of ``value``."""
-        return self.frequencies.estimate(value)
+        """Approximate occurrences of ``value`` (0 for one the column cannot hold)."""
+        stored = self._stored_form(value)
+        return 0 if stored is None else self.frequencies.estimate(stored)
 
     def maybe_contains(self, value: Any) -> bool:
         """Membership with no false negatives."""
-        return value in self.members
+        stored = self._stored_form(value)
+        return stored is not None and stored in self.members
 
     def estimate_mean(self) -> float | None:
         """Mean of numeric columns (exact over summarised values)."""
@@ -159,17 +215,29 @@ class TableSummary:
 
     def add_row(self, row: Mapping[str, Any]) -> None:
         """Fold one row (mapping of column -> value) into the summary."""
-        self.row_count += 1
+        self.add_columns({name: (row.get(name),) for name in self.columns})
+
+    def add_columns(self, columns: Mapping[str, Sequence[Any]]) -> None:
+        """Fold a batch of rows, given as equal-length value lists by column.
+
+        The batch entry point distillation uses: one
+        :meth:`ColumnSummary.add_all` per column, ``row_count`` and
+        ``time_range`` updated once. A column missing from ``columns``
+        counts as all-NULL, as a key missing from an ``add_row`` mapping
+        does.
+        """
+        lengths = {len(values) for values in columns.values()}
+        if len(lengths) > 1:
+            raise DistillError(f"columns of unequal length: {sorted(lengths)}")
+        rows = lengths.pop() if lengths else 0
+        self.row_count += rows
         for name, summary in self.columns.items():
-            summary.add(row.get(name))
+            summary.add_all(columns.get(name, (None,) * rows))
         if self.time_column is not None:
-            t = row.get(self.time_column)
-            if t is not None:
-                if self.time_range is None:
-                    self.time_range = (t, t)
-                else:
-                    lo, hi = self.time_range
-                    self.time_range = (min(lo, t), max(hi, t))
+            times = [t for t in columns.get(self.time_column, ()) if t is not None]
+            if times:
+                lo, hi = self.time_range or (times[0], times[0])
+                self.time_range = (min(lo, *times), max(hi, *times))
 
     def column(self, name: str) -> ColumnSummary:
         """Summary of one column."""

@@ -72,6 +72,27 @@ class TestRulesFireOnFixtures:
         report = LintEngine().lint_paths([FIXTURE_BY_RULE[rule_id]])
         assert {f.rule for f in report.findings} == {rule_id}, report.human()
 
+    def test_rs007_distill_scope_fixture_pair(self):
+        """Cooking dicts per row is flagged in distill.py/db.py; columns pass."""
+        core = FIXTURES / "repro" / "core"
+        bad = LintEngine().lint_paths([core / "distill.py"])
+        assert [f.rule for f in bad.findings] == ["RS007", "RS007"], bad.human()
+        assert {f.message.split("(")[0] for f in bad.findings} == {
+            "per-row add_row",
+            "per-row row_dict",
+        }
+        assert all("add_columns" in f.message for f in bad.findings)
+        good = LintEngine().lint_paths([core / "db.py"])
+        assert good.findings == [], good.human()
+
+    def test_rs007_scopes(self):
+        rule = BatchMutatorRule()
+        assert rule.applies_to(Path("src/repro/core/distill.py"))
+        assert rule.applies_to(Path("src/repro/core/db.py"))
+        assert rule.applies_to(Path("src/repro/core/policy.py"))
+        assert rule.applies_to(Path("src/repro/fungi/egi.py"))
+        assert not rule.applies_to(Path("src/repro/sketch/summary.py"))
+
     def test_findings_carry_location_and_message(self):
         report = LintEngine().lint_paths([FIXTURE_BY_RULE["RS003"]])
         (finding,) = report.findings

@@ -1,18 +1,35 @@
 """Property-based tests of the sketch guarantees."""
 
+import contextlib
+import json
 from collections import Counter
+from unittest import mock
 
+import numpy
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sketch import (
     BloomFilter,
+    ColumnSummary,
     CountMinSketch,
     HyperLogLog,
     ReservoirSample,
     RunningMoments,
     StreamingHistogram,
+    serde,
 )
+from repro.sketch import summary as summary_module
+from repro.sketch.countmin import (
+    _MERSENNE_PRIME,
+    _mod_mersenne,
+    _mulmod_mersenne,
+    _stable_hash,
+    stable_hashes,
+)
+from repro.sketch.summary import SummaryConfig
+from repro.storage.schema import DataType
 
 small_values = st.lists(st.integers(min_value=0, max_value=100), max_size=300)
 
@@ -130,3 +147,126 @@ def test_reservoir_size_and_membership(n, capacity, seed):
     assert len(rs) == min(capacity, n)
     assert rs.seen == n
     assert all(0 <= v < n for v in rs)
+
+
+# ----------------------------------------------------------------------
+# the batch contract: add_all(values) == a loop of add(value), bit for bit
+# ----------------------------------------------------------------------
+
+_P = _MERSENNE_PRIME
+
+hashables = st.one_of(
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(),
+    st.booleans(),
+)
+numbers = st.one_of(
+    st.integers(min_value=-(10**18), max_value=10**18),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+chunk_sizes = st.lists(st.integers(min_value=0, max_value=80), max_size=8)
+
+
+def _chunks(values, sizes):
+    """``values`` cut into consecutive chunks of ``sizes`` (+ the rest)."""
+    start = 0
+    for size in sizes:
+        yield values[start : start + size]
+        start += size
+    yield values[start:]
+
+
+def _frozen(encoded) -> str:
+    # JSON text rather than dict ==: byte-equal, and NaN compares equal
+    return json.dumps(encoded, sort_keys=True)
+
+
+_SKETCHES = {
+    "countmin": (lambda: CountMinSketch(width=61, depth=3, seed=2**40 + 1), hashables, serde.countmin_to_dict),
+    "hll": (lambda: HyperLogLog(4), hashables, serde.hll_to_dict),
+    "bloom": (lambda: BloomFilter(num_bits=1001, num_hashes=3), hashables, serde.bloom_to_dict),
+    "histogram": (lambda: StreamingHistogram(max_bins=8), numbers, serde.histogram_to_dict),
+    "moments": (lambda: RunningMoments(), numbers, serde.moments_to_dict),
+    "reservoir": (lambda: ReservoirSample(5, seed=11), hashables, serde.reservoir_to_dict),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SKETCHES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), sizes=chunk_sizes)
+def test_add_all_equals_add_loop(kind, data, sizes):
+    """Any split into add_all chunks leaves the state the add loop leaves."""
+    make, elements, encode = _SKETCHES[kind]
+    values = data.draw(st.lists(elements, max_size=150))
+    looped, batched = make(), make()
+    for value in values:
+        looped.add(value)
+    for chunk in _chunks(values, sizes):
+        batched.add_all(chunk)
+    assert _frozen(encode(batched)) == _frozen(encode(looped))
+    if kind == "reservoir":  # serde does not carry the RNG position
+        assert batched._rng.getstate() == looped._rng.getstate()
+
+
+_COLUMN_VALUES = {
+    DataType.INT: st.integers(min_value=-(10**18), max_value=10**18),
+    DataType.FLOAT: st.floats(allow_nan=False, allow_infinity=False),
+    DataType.STR: st.text(max_size=12),
+    DataType.BOOL: st.booleans(),
+    DataType.TIMESTAMP: st.floats(min_value=0.0, max_value=1e9),
+}
+
+
+@pytest.mark.parametrize("cutover", [0, None], ids=["always-vector", "default"])
+@pytest.mark.parametrize("dtype", list(_COLUMN_VALUES), ids=lambda d: d.value)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), sizes=chunk_sizes)
+def test_column_summary_add_all_equals_add_loop(dtype, cutover, data, sizes):
+    """The same contract one level up, NULLs included, on both routes."""
+    # at the default cut-over only long lists reach the vector route at all
+    values = data.draw(
+        st.lists(
+            st.none() | _COLUMN_VALUES[dtype],
+            min_size=0 if cutover == 0 else 64,
+            max_size=150,
+        )
+    )
+    looped = ColumnSummary("c", dtype, SummaryConfig())
+    batched = ColumnSummary("c", dtype, SummaryConfig())
+    for value in values:
+        looped.add(value)
+    route = (
+        contextlib.nullcontext()
+        if cutover is None
+        else mock.patch.object(summary_module, "_SMALL_BATCH", cutover)
+    )
+    with route:
+        for chunk in _chunks(values, sizes):
+            batched.add_all(chunk)
+    assert _frozen(serde.column_summary_to_dict(batched)) == _frozen(
+        serde.column_summary_to_dict(looped)
+    )
+    assert batched.examples._rng.getstate() == looped.examples._rng.getstate()
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(hashables, max_size=60))
+@example(values=["x" * 63, "y" * 64, "é" * 40, "", "z" * 500, 0.5])  # past the padded width
+def test_stable_hashes_match_scalar_hash(values):
+    """One vectorized hash per cell, equal to the scalar hash of each."""
+    assert stable_hashes(values).tolist() == [_stable_hash(v) for v in values]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    a=st.integers(min_value=1, max_value=_P - 1),
+    b=st.integers(min_value=0, max_value=_P - 1),
+    xs=st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=20),
+)
+def test_countmin_mulmod_matches_bigint(a, b, xs):
+    """The 31-bit-limb mulmod equals Python's arbitrary-precision result."""
+    xs = xs + [0, _P - 1, _P, 2**64 - 1]
+    reduced = _mod_mersenne(numpy.array(xs, dtype=numpy.uint64))
+    assert reduced.tolist() == [x % _P for x in xs]
+    assert _mulmod_mersenne(a, reduced, b).tolist() == [(a * x + b) % _P for x in xs]

@@ -119,3 +119,54 @@ class TestTableSummaryMerge:
         assert summary.memory_cells() == sum(
             col.memory_cells() for col in summary.columns.values()
         )
+
+
+class TestProbeSpelling:
+    """A lookup must find a number whatever way the literal is spelled."""
+
+    @pytest.fixture
+    def rotted(self):
+        from repro import FungusDB, LinearDecayFungus
+
+        db = FungusDB(seed=1)
+        db.create_table(
+            "r", Schema.of(temp="float", n="int"), fungus=LinearDecayFungus(rate=1.0)
+        )
+        db.insert("r", {"temp": 22, "n": 22})
+        db.insert("r", {"temp": 22.0, "n": 5})
+        db.tick(2)
+        assert db.extent("r") == 0
+        return db.merged_summary("r")
+
+    def test_int_probe_on_float_column(self, rotted):
+        temp = rotted.column("temp")
+        assert temp.maybe_contains(22) and temp.maybe_contains(22.0)
+        assert temp.estimate_frequency(22) == temp.estimate_frequency(22.0) == 2
+
+    def test_int_probe_on_timestamp_column(self, rotted):
+        assert rotted.column("t").maybe_contains(0)
+        assert rotted.column("t").estimate_frequency(0) == 2
+
+    def test_integral_float_probe_on_int_column(self, rotted):
+        n = rotted.column("n")
+        assert n.maybe_contains(22.0) and n.estimate_frequency(22.0) == 1
+        assert not n.maybe_contains(22.5) and n.estimate_frequency(22.5) == 0
+
+    @pytest.mark.parametrize("probe", ["22", True, None, float("nan")])
+    def test_probe_the_column_cannot_hold(self, rotted, probe):
+        assert not rotted.column("n").maybe_contains(probe)
+        assert rotted.column("n").estimate_frequency(probe) == 0
+
+
+class TestAddColumns:
+    def test_unequal_lengths_rejected(self):
+        s = TableSummary("r", Schema.of(t="timestamp", v="float"), time_column="t")
+        with pytest.raises(DistillError):
+            s.add_columns({"t": [0.0, 1.0], "v": [1.0]})
+        assert s.row_count == 0
+
+    def test_missing_column_counts_as_null(self):
+        s = TableSummary("r", Schema.of(t="timestamp", v="float"), time_column="t")
+        s.add_columns({"t": [3.0, 1.0, None]})
+        assert s.row_count == 3 and s.time_range == (1.0, 3.0)
+        assert s.column("v").nulls == 3 and s.column("t").nulls == 1
