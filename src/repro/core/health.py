@@ -17,9 +17,11 @@ turn rotting portions into summaries for later consumption." A
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
-from repro.core.freshness import ROTTEN_THRESHOLD, FreshnessBand, band_of
+from repro.core.freshness import ROTTEN_THRESHOLD, FreshnessBand
 from repro.core.table import DecayingTable
+from repro.storage.vector import numpy
 
 
 @dataclass(frozen=True)
@@ -69,56 +71,46 @@ class HealthReport:
         )
 
 
+def _true_runs(flags: Any) -> list[tuple[int, int]]:
+    """Maximal runs of True in a boolean array, as ``[start, stop)`` pairs."""
+    padded = numpy.concatenate(([False], flags, [False]))
+    # every run opens and closes with one flip: edges alternate start, stop
+    edges = numpy.flatnonzero(padded[1:] != padded[:-1]).tolist()
+    return list(zip(edges[::2], edges[1::2]))
+
+
 def measure_health(table: DecayingTable) -> HealthReport:
-    """Compute a :class:`HealthReport` for ``table`` right now."""
-    freshness: list[float] = []
-    bands = {FreshnessBand.FRESH: 0, FreshnessBand.STALE: 0, FreshnessBand.ROTTEN: 0}
+    """Compute a :class:`HealthReport` for ``table`` right now.
 
-    rot_spots: list[tuple[int, int]] = []
-    spot_start: int | None = None
-    prev_rid: int | None = None
-
-    for rid in table.live_rows():
-        f = table.freshness(rid)
-        freshness.append(f)
-        bands[band_of(f)] += 1
-        if f < ROTTEN_THRESHOLD:
-            if spot_start is None:
-                spot_start = rid
-            prev_rid = rid
-        else:
-            if spot_start is not None:
-                rot_spots.append((spot_start, prev_rid + 1))
-                spot_start = None
-    if spot_start is not None and prev_rid is not None:
-        rot_spots.append((spot_start, prev_rid + 1))
-
-    holes: list[tuple[int, int]] = []
-    hole_start: int | None = None
-    for rid in range(table.storage.allocated):
-        if not table.storage.is_live(rid):
-            if hole_start is None:
-                hole_start = rid
-        else:
-            if hole_start is not None:
-                holes.append((hole_start, rid))
-                hole_start = None
-    if hole_start is not None:
-        holes.append((hole_start, table.storage.allocated))
-
+    Everything is read off the freshness array and the live mask. Every
+    field equals what a per-row walk (``band_of`` per live row, run
+    tracking by hand) reports, except ``mean_freshness``, which numpy
+    sums pairwise: within 1e-12 relative of the left-to-right sum.
+    """
+    storage = table.storage
+    live = numpy.asarray(storage.live_mask(), dtype=numpy.bool_)
+    rids = numpy.flatnonzero(live)
+    freshness = numpy.asarray(storage.freshness_array(), dtype=numpy.float64)[rids]
+    bands = table.band_counts()
+    # a rot spot is a run in the *live* sequence: tombstones between two
+    # rotten rows do not split it, and it spans first rid to last rid + 1
+    rot_spots = tuple(
+        (int(rids[start]), int(rids[stop - 1]) + 1)
+        for start, stop in _true_runs(freshness < ROTTEN_THRESHOLD)
+    )
     return HealthReport(
         table=table.name,
         tick=table.clock.now,
         extent=len(table),
-        allocated=table.storage.allocated,
-        tombstones=table.storage.tombstones,
-        exhausted=len(table.exhausted),
-        pinned=len(table.pinned),
-        mean_freshness=sum(freshness) / len(freshness) if freshness else None,
-        min_freshness=min(freshness) if freshness else None,
+        allocated=storage.allocated,
+        tombstones=storage.tombstones,
+        exhausted=table.exhausted_count,
+        pinned=table.pinned_count,
+        mean_freshness=float(freshness.mean()) if rids.size else None,
+        min_freshness=float(freshness.min()) if rids.size else None,
         fresh_count=bands[FreshnessBand.FRESH],
         stale_count=bands[FreshnessBand.STALE],
         rotten_count=bands[FreshnessBand.ROTTEN],
-        rot_spots=tuple(rot_spots),
-        holes=tuple(holes),
+        rot_spots=rot_spots,
+        holes=tuple(_true_runs(~live)),
     )

@@ -28,7 +28,12 @@ from repro.core.events import (
     TupleInfected,
     TupleInserted,
 )
-from repro.core.freshness import clamp_freshness
+from repro.core.freshness import (
+    FRESH_THRESHOLD,
+    ROTTEN_THRESHOLD,
+    FreshnessBand,
+    clamp_freshness,
+)
 from repro.errors import DecayError
 from repro.obs.tracing import NULL_TRACER
 from repro.storage.rowset import RowSet
@@ -136,6 +141,11 @@ class DecayingTable:
         """Rows whose freshness hit 0, awaiting eviction by the policy."""
         return RowSet(self._exhausted)
 
+    @property
+    def exhausted_count(self) -> int:
+        """Size of the exhausted set (no sorted :class:`RowSet` built)."""
+        return len(self._exhausted)
+
     def live_rows(self) -> Iterator[int]:
         """Live row ids in insertion/time order."""
         return self.storage.live_rows()
@@ -238,6 +248,11 @@ class DecayingTable:
         """All currently pinned rows."""
         return RowSet(self._pinned)
 
+    @property
+    def pinned_count(self) -> int:
+        """Size of the pinned set (no sorted :class:`RowSet` built)."""
+        return len(self._pinned)
+
     def set_freshness(self, rid: int, value: float, fungus: str = "manual") -> float:
         """Set a row's freshness (clamped); returns the new value.
 
@@ -273,6 +288,27 @@ class DecayingTable:
     def freshness_values(self) -> list[float]:
         """Freshness of every live row, in insertion order."""
         return self.storage.column_values(self.freshness_column)
+
+    def band_counts(self) -> dict[FreshnessBand, int]:
+        """Live rows per freshness band, read off the freshness array.
+
+        The one definition of band occupancy (gauges and health reports
+        both ask here). Classifies exactly as a
+        :func:`~repro.core.freshness.band_of` call per live row would:
+        its clamp into [0, 1] cannot move a value across a threshold,
+        and a NaN fails both comparisons and lands in ROTTEN there too.
+        """
+        storage = self.storage
+        live = numpy.asarray(storage.freshness_array(), dtype=numpy.float64)[
+            numpy.asarray(storage.live_mask(), dtype=numpy.bool_)
+        ]
+        fresh = int(numpy.count_nonzero(live >= FRESH_THRESHOLD))
+        edible = int(numpy.count_nonzero(live >= ROTTEN_THRESHOLD))
+        return {
+            FreshnessBand.FRESH: fresh,
+            FreshnessBand.STALE: edible - fresh,
+            FreshnessBand.ROTTEN: int(live.size) - edible,
+        }
 
     # ------------------------------------------------------------------
     # batch freshness mutation (the vectorized decay kernels)

@@ -16,7 +16,7 @@ from typing import ClassVar, Iterator, Sequence
 from repro.lint.catalogue import load_metric_catalogue
 from repro.lint.engine import Finding, ModuleSource, Rule
 
-CATALOGUE_VERSION = "1.7"
+CATALOGUE_VERSION = "1.8"
 
 #: packages where simulated time and injected randomness are mandatory
 RESTRICTED_PACKAGES = ("core", "fungi", "query", "sim", "storage")
@@ -487,10 +487,10 @@ class PublishedEventRule(Rule):
 
 
 class BatchMutatorRule(Rule):
-    """RS007 — hot decay and distill paths use batch calls, not per-row loops."""
+    """RS007 — hot decay, distill and observer paths use batch calls, not per-row loops."""
 
     id: ClassVar[str] = "RS007"
-    title: ClassVar[str] = "no per-row freshness or distill loops on the write path"
+    title: ClassVar[str] = "no per-row freshness, distill or observer loops on the write path"
     rationale: ClassVar[str] = (
         "A scalar set_freshness/decay call inside a loop re-pays "
         "validation, pin checks and event publication per row; the "
@@ -498,13 +498,23 @@ class BatchMutatorRule(Rule):
         "do one vectorized pass and publish one coalesced event. "
         "Likewise a row_dict/add_row per dying row builds a dict and "
         "hashes every cell three times; TableSummary.add_columns takes "
-        "one Table.gather per column and hashes each cell once."
+        "one Table.gather per column and hashes each cell once. The "
+        "observers on top of a vectorized mutation (metrics collector, "
+        "health report, planner statistics) are held to the same "
+        "standard: expanding a TupleDecayedBatch or walking "
+        "freshness_values/column_values through band_of per row costs "
+        "more than the decay it measures. The forensics collector's "
+        "expand() is per-row by contract (one biography per tuple) and "
+        "is outside this rule's scope."
     )
 
     SCALAR_MUTATORS = frozenset(
         {"set_freshness", "decay", "scale_freshness", "_decay"}
     )
     ROW_DISTILLERS = frozenset({"add_row", "row_dict"})
+    OBSERVER_ROW_READS = frozenset(
+        {"expand", "freshness_values", "column_values", "band_of"}
+    )
 
     @classmethod
     def _scope(cls, path: Path) -> tuple[frozenset[str], str] | None:
@@ -520,6 +530,18 @@ class BatchMutatorRule(Rule):
                 "gather each column once (Table.gather) and feed "
                 "TableSummary.add_columns instead"
             )
+        if posix.endswith(
+            (
+                "repro/obs/collector.py",
+                "repro/core/health.py",
+                "repro/storage/stats.py",
+            )
+        ):
+            return cls.OBSERVER_ROW_READS, (
+                "read the column arrays instead (the batch event's "
+                "old/new freshness as arrays, DecayingTable.band_counts, "
+                "Table.mask_data + live_mask)"
+            )
         return None
 
     def applies_to(self, path: Path) -> bool:
@@ -532,17 +554,14 @@ class BatchMutatorRule(Rule):
         banned, advice = scope
         parents = _parent_map(module.tree)
         for node in ast.walk(module.tree):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in banned
-            ):
+            if not isinstance(node, ast.Call):
                 continue
-            if _inside_loop(node, parents):
+            func = node.func
+            # methods by attribute, plain functions (band_of) by name
+            called = getattr(func, "attr", None) or getattr(func, "id", None)
+            if called in banned and _inside_loop(node, parents):
                 yield self.finding(
-                    module,
-                    node,
-                    f"per-row {node.func.attr}() inside a loop; {advice}",
+                    module, node, f"per-row {called}() inside a loop; {advice}"
                 )
 
 

@@ -9,6 +9,16 @@ clock (evictions and consumed tuples per tick), and gauges sampled on
 every ``TickCompleted`` (extent, exhausted, pinned, tombstone ratio,
 freshness-band occupancy).
 
+Observers of a vectorized mutation read what it left in the arrays: a
+``TupleDecayedBatch`` is folded as ``old - new`` in one pass, never
+expanded into per-row ``TupleDecayed`` objects, and the band gauges come
+from :meth:`DecayingTable.band_counts`. Either way the registry ends up
+exactly where the per-row handlers would have left it — same children,
+same float additions in the same order, byte-equal exposition
+(``tests/obs/test_collector_arrays.py`` keeps the per-row forms as
+references). Inserts, evictions and consumes still arrive one event per
+tuple.
+
 Checkpoint restores replay one ``TupleInserted`` per surviving row;
 the ``RestoreCompleted`` event that follows tells the collector how
 many of the preceding inserts were replays, and the collector
@@ -82,8 +92,20 @@ from repro.core.events import (
     TupleInfected,
     TupleInserted,
 )
-from repro.core.freshness import FreshnessBand, band_of
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry
+from repro.storage.vector import numpy
+
+
+def _inc_each(counter: Counter, amounts: Any) -> None:
+    """Add every element of ``amounts`` (a float64 array, none negative)
+    to ``counter``, left to right.
+
+    ``add.accumulate`` seeded with the current value performs the
+    additions a loop of ``counter.inc(amount)`` would, in its order, so
+    the total is bit-identical (a pairwise ``sum`` would not be).
+    """
+    seeded = numpy.concatenate(([counter.value], amounts))
+    counter.value = float(numpy.add.accumulate(seeded)[-1])
 
 
 class BusCollector:
@@ -293,10 +315,21 @@ class BusCollector:
             self.freshness_restored.labels(table=event.table, fungus=event.fungus).inc(-delta)
 
     def _on_decayed_batch(self, event: TupleDecayedBatch) -> None:
-        # per-tuple provenance is preserved: a coalesced batch counts
-        # exactly as its expansion would have, row by row
-        for sub in event.expand():
-            self._on_decayed(sub)
+        # a coalesced batch counts exactly as its expansion through
+        # _on_decayed would have, row by row: same children created,
+        # same float additions in the same order
+        delta = numpy.asarray(event.old_freshness, dtype=numpy.float64) - numpy.asarray(
+            event.new_freshness, dtype=numpy.float64
+        )
+        lowered = delta >= 0
+        removed = delta[lowered]
+        restored = -delta[~lowered]
+        labels = {"table": event.table, "fungus": event.fungus}
+        if removed.size:
+            self.decay_events.labels(**labels).inc(int(removed.size))
+            _inc_each(self.freshness_removed.labels(**labels), removed)
+        if restored.size:
+            _inc_each(self.freshness_restored.labels(**labels), restored)
 
     def _on_evicted(self, event: TupleEvicted) -> None:
         self.evictions.labels(table=event.table, reason=event.reason).inc()
@@ -358,15 +391,12 @@ class BusCollector:
         if table is None:
             return
         self.extent.labels(table=name).set(len(table))
-        self.exhausted.labels(table=name).set(len(table.exhausted))
-        self.pinned.labels(table=name).set(len(table.pinned))
+        self.exhausted.labels(table=name).set(table.exhausted_count)
+        self.pinned.labels(table=name).set(table.pinned_count)
         allocated = table.storage.allocated
         ratio = table.storage.tombstones / allocated if allocated else 0.0
         self.tombstone_ratio.labels(table=name).set(ratio)
-        bands = {band: 0 for band in FreshnessBand}
-        for f in table.freshness_values():
-            bands[band_of(f)] += 1
-        for band, count in bands.items():
+        for band, count in table.band_counts().items():
             self.band_occupancy.labels(table=name, band=band.value).set(count)
 
     def sample_all(self) -> None:

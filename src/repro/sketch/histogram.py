@@ -3,13 +3,19 @@
 Maintains at most ``max_bins`` (centroid, count) pairs; inserting past
 the budget merges the two closest centroids. Supports quantile and
 count-below queries and exact merging of two histograms.
+
+NaN and ±inf have no place on the centroid axis (NaN breaks its sort
+order, an infinite centroid has no finite gap to merge across), so they
+are counted separately in ``non_finite`` and touch nothing else:
+``total``, ``min_value``, ``max_value`` and the bins describe the finite
+values only.
 """
 
 from __future__ import annotations
 
 import bisect
 import operator
-from math import inf
+from math import inf, isfinite
 from typing import Iterable
 
 from repro.errors import SketchError
@@ -24,6 +30,7 @@ class StreamingHistogram:
         self.max_bins = max_bins
         self._bins: list[list[float]] = []  # [centroid, count], sorted by centroid
         self.total = 0
+        self.non_finite = 0
         self.min_value: float | None = None
         self.max_value: float | None = None
 
@@ -47,6 +54,9 @@ class StreamingHistogram:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise SketchError(f"histogram takes numbers, got {value!r}")
             value = float(value)
+            if not isfinite(value):
+                self.non_finite += 1
+                continue
             self.total += 1
             self.min_value = value if self.min_value is None else min(self.min_value, value)
             self.max_value = value if self.max_value is None else max(self.max_value, value)
@@ -146,6 +156,7 @@ class StreamingHistogram:
         """Combine two histograms into one with this histogram's budget."""
         merged = StreamingHistogram(self.max_bins)
         merged.total = self.total + other.total
+        merged.non_finite = self.non_finite + other.non_finite
         mins = [v for v in (self.min_value, other.min_value) if v is not None]
         maxs = [v for v in (self.max_value, other.max_value) if v is not None]
         merged.min_value = min(mins) if mins else None

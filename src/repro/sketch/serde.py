@@ -108,6 +108,7 @@ def histogram_to_dict(hist: StreamingHistogram) -> dict:
         "kind": "histogram",
         "max_bins": hist.max_bins,
         "total": hist.total,
+        "non_finite": hist.non_finite,
         "min_value": hist.min_value,
         "max_value": hist.max_value,
         "bins": [[c, n] for c, n in hist._bins],
@@ -118,6 +119,7 @@ def histogram_from_dict(data: dict) -> StreamingHistogram:
     """Decode a streaming histogram."""
     hist = StreamingHistogram(data["max_bins"])
     hist.total = data["total"]
+    hist.non_finite = data.get("non_finite", 0)  # absent before the field existed
     hist.min_value = data["min_value"]
     hist.max_value = data["max_value"]
     hist._bins = [[c, n] for c, n in data["bins"]]

@@ -6,24 +6,34 @@ Numeric columns additionally carry an equi-width
 orders filters by it, the ``EXPLAIN CONSUME`` analyzer estimates how
 many rows a Law-2 predicate would destroy before anything is consumed,
 and ``EXPLAIN ANALYZE`` grades its per-operator estimates against it.
+
+INT, FLOAT and TIMESTAMP columns are read as arrays —
+:meth:`Table.mask_data` indexed by :meth:`Table.live_mask` — because a
+CONSUME invalidates the statistics it was planned with and the next
+statement rebuilds them: a per-value pass over 28k rows cost more than
+the statement. The results equal a per-value pass over the same cells
+(``tests/storage/test_stats_arrays.py`` holds one as the reference).
+NaN and ±inf count toward ``count`` and ``distinct`` (every NaN as one
+value) and are left out of ``min_value``/``max_value`` and the
+histogram, whose ``total`` is therefore the finite non-nulls. STR, BOOL
+and INT at or beyond 2**53 have no exact float64 view and are read as
+Python objects.
 """
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from typing import Any, Optional
 
 from repro.storage.schema import DataType, Schema
 from repro.storage.table import Table
+from repro.storage.vector import numpy
 
 #: Bin count for equi-width histograms; small tables get exact counts
 #: anyway because each distinct value lands in its own bin.
 DEFAULT_HISTOGRAM_BINS = 32
-
-#: Column types the histogram builder understands (timestamps are the
-#: logical clock's integers).
-_NUMERIC_DTYPES = (DataType.INT, DataType.FLOAT, DataType.TIMESTAMP)
 
 
 @dataclass(frozen=True)
@@ -73,29 +83,26 @@ class ColumnHistogram:
         return max(0.0, self.fraction_le(high) - self.fraction_le(low))
 
 
-def build_histogram(
-    values: Sequence[Any], bins: int = DEFAULT_HISTOGRAM_BINS
-) -> Optional[ColumnHistogram]:
-    """Equi-width histogram of the numeric values in ``values``.
+def build_histogram(finite: Any) -> Optional[ColumnHistogram]:
+    """Equi-width histogram of a float64 array of finite values.
 
-    Returns ``None`` when there is nothing to bin (no non-null numeric
-    values, or a non-numeric column).
+    Bins by ``min(int((v - low) / width), bins - 1)``, evaluated as
+    array arithmetic. ``None`` when there is nothing to bin, or when
+    ``high - low`` overflows and no finite bin width exists.
     """
-    numeric = [
-        float(v)
-        for v in values
-        if v is not None and isinstance(v, (int, float)) and not isinstance(v, bool)
-    ]
-    if not numeric or len(numeric) != sum(1 for v in values if v is not None):
+    total = int(finite.size)
+    if not total:
         return None
-    low, high = min(numeric), max(numeric)
+    low, high = float(finite.min()), float(finite.max())
     if low == high:
-        return ColumnHistogram(low=low, high=high, counts=(len(numeric),), total=len(numeric))
+        return ColumnHistogram(low=low, high=high, counts=(total,), total=total)
+    bins = DEFAULT_HISTOGRAM_BINS
     width = (high - low) / bins
-    counts = [0] * bins
-    for v in numeric:
-        counts[min(int((v - low) / width), bins - 1)] += 1
-    return ColumnHistogram(low=low, high=high, counts=tuple(counts), total=len(numeric))
+    if width == math.inf:
+        return None
+    index = numpy.minimum(((finite - low) / width).astype(numpy.intp), bins - 1)
+    counts = numpy.bincount(index, minlength=bins)
+    return ColumnHistogram(low=low, high=high, counts=tuple(counts.tolist()), total=total)
 
 
 @dataclass(frozen=True)
@@ -114,7 +121,43 @@ class ColumnStats:
 
 def _column_stats_of(table: Table, name: str, dtype: DataType) -> ColumnStats:
     """One column's :class:`ColumnStats` over the live rows."""
-    values = table.column_values(name)
+    data = table.mask_data(name)
+    if data is None:
+        return _object_column_stats(table, name, dtype)
+    live = numpy.asarray(table.live_mask(), dtype=numpy.bool_)
+    values = data.values[live]
+    nulls = 0
+    if data.nulls is not None:
+        null_mask = data.nulls[live]
+        nulls = int(numpy.count_nonzero(null_mask))
+        values = values[~null_mask]
+    finite = values[numpy.isfinite(values)]
+    low = high = None
+    if finite.size:
+        # INT columns get their ints back (exact below 2**53, which
+        # mask_data guarantees); FLOAT/TIMESTAMP cells are floats
+        as_python = int if data.is_int else float
+        low, high = as_python(finite.min()), as_python(finite.max())
+    # distinct = steps in sorted order + 1, and one more for all the
+    # NaNs together (under ``!=`` each would have been its own value)
+    ordered = numpy.sort(values[~numpy.isnan(values)])
+    steps = int(numpy.count_nonzero(ordered[1:] != ordered[:-1]))
+    return ColumnStats(
+        name=name,
+        dtype=dtype,
+        count=len(table),
+        nulls=nulls,
+        distinct=steps + (ordered.size > 0) + (ordered.size < values.size),
+        min_value=low,
+        max_value=high,
+        histogram=build_histogram(finite),
+    )
+
+
+def _object_column_stats(table: Table, name: str, dtype: DataType) -> ColumnStats:
+    """The list path: columns with no exact float64 view (STR, BOOL, and
+    INT at or beyond 2**53, whose histogram alone goes through floats)."""
+    values = table.gather(name, table.live_list())
     non_null = [v for v in values if v is not None]
     return ColumnStats(
         name=name,
@@ -124,7 +167,11 @@ def _column_stats_of(table: Table, name: str, dtype: DataType) -> ColumnStats:
         distinct=len(set(non_null)),
         min_value=min(non_null) if non_null else None,
         max_value=max(non_null) if non_null else None,
-        histogram=(build_histogram(values) if dtype in _NUMERIC_DTYPES else None),
+        histogram=(
+            build_histogram(numpy.asarray(non_null, dtype=numpy.float64))
+            if dtype is DataType.INT
+            else None
+        ),
     )
 
 

@@ -85,8 +85,27 @@ class TestRulesFireOnFixtures:
         good = LintEngine().lint_paths([core / "db.py"])
         assert good.findings == [], good.human()
 
+    def test_rs007_observer_scope_fixture_pair(self):
+        """Re-expanding a batch per row is flagged in the observers; arrays pass."""
+        bad = LintEngine().lint_paths([FIXTURES / "repro" / "obs" / "collector.py"])
+        assert [f.rule for f in bad.findings] == ["RS007"] * 4, bad.human()
+        assert {f.message.split("(")[0] for f in bad.findings} == {
+            "per-row expand",
+            "per-row freshness_values",
+            "per-row band_of",
+            "per-row column_values",
+        }
+        assert all("band_counts" in f.message for f in bad.findings)
+        good = LintEngine().lint_paths([FIXTURES / "repro" / "core" / "health.py"])
+        assert good.findings == [], good.human()
+
     def test_rs007_scopes(self):
         rule = BatchMutatorRule()
+        assert rule.applies_to(Path("src/repro/obs/collector.py"))
+        assert rule.applies_to(Path("src/repro/core/health.py"))
+        assert rule.applies_to(Path("src/repro/storage/stats.py"))
+        # per-row by contract: one biography per tuple
+        assert not rule.applies_to(Path("src/repro/obs/forensics/collector.py"))
         assert rule.applies_to(Path("src/repro/core/distill.py"))
         assert rule.applies_to(Path("src/repro/core/db.py"))
         assert rule.applies_to(Path("src/repro/core/policy.py"))

@@ -1,12 +1,15 @@
 """Property-based tests of the health report's accounting identities."""
 
 import random
+from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.clock import DecayClock
-from repro.core.health import measure_health
+from repro.core.freshness import ROTTEN_THRESHOLD, FreshnessBand, band_of
+from repro.core.health import HealthReport, measure_health
 from repro.core.table import DecayingTable
 from repro.storage import RowSet, Schema
 
@@ -88,3 +91,77 @@ def test_edible_fraction_bounds(table):
     if health.extent:
         expected = 1.0 - health.rotten_count / health.extent
         assert abs(health.edible_fraction - expected) < 1e-12
+
+
+def _per_row_health(table):
+    """The per-row walk ``measure_health`` used to be, as the reference."""
+    freshness, bands = [], {band: 0 for band in FreshnessBand}
+    rot_spots, spot_start, prev_rid = [], None, None
+    for rid in table.live_rows():
+        f = table.freshness(rid)
+        freshness.append(f)
+        bands[band_of(f)] += 1
+        if f < ROTTEN_THRESHOLD:
+            if spot_start is None:
+                spot_start = rid
+            prev_rid = rid
+        elif spot_start is not None:
+            rot_spots.append((spot_start, prev_rid + 1))
+            spot_start = None
+    if spot_start is not None:
+        rot_spots.append((spot_start, prev_rid + 1))
+    holes, hole_start = [], None
+    for rid in range(table.storage.allocated):
+        if not table.storage.is_live(rid):
+            if hole_start is None:
+                hole_start = rid
+        elif hole_start is not None:
+            holes.append((hole_start, rid))
+            hole_start = None
+    if hole_start is not None:
+        holes.append((hole_start, table.storage.allocated))
+    return HealthReport(
+        table=table.name,
+        tick=table.clock.now,
+        extent=len(table),
+        allocated=table.storage.allocated,
+        tombstones=table.storage.tombstones,
+        exhausted=len(table.exhausted),
+        pinned=len(table.pinned),
+        mean_freshness=sum(freshness) / len(freshness) if freshness else None,
+        min_freshness=min(freshness) if freshness else None,
+        fresh_count=bands[FreshnessBand.FRESH],
+        stale_count=bands[FreshnessBand.STALE],
+        rotten_count=bands[FreshnessBand.ROTTEN],
+        rot_spots=tuple(rot_spots),
+        holes=tuple(holes),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=mutated_tables())
+def test_array_report_equals_the_per_row_walk(table):
+    """Every field equal; the mean (pairwise vs left-to-right sum) to 1e-12."""
+    got, want = measure_health(table), _per_row_health(table)
+    assert replace(got, mean_freshness=None) == replace(want, mean_freshness=None)
+    assert got.mean_freshness == pytest.approx(want.mean_freshness, rel=1e-12, abs=0.0)
+    for report in (got, want):
+        assert all(type(v) is int for spot in report.rot_spots + report.holes for v in spot)
+    table.compact()
+    assert replace(measure_health(table), mean_freshness=None) == replace(
+        _per_row_health(table), mean_freshness=None
+    )
+
+
+def test_array_report_on_the_list_backend():
+    """``kernels=False`` hands out lists; the report reads them the same way."""
+    table = DecayingTable("r", Schema.of(v="int"), DecayClock(), kernels=False)
+    for i in range(12):
+        table.insert({"v": i})
+    table.set_freshness_many([1, 2, 5, 6, 9], [0.1, 0.2, 0.0, 0.5, 0.24])
+    table.evict(RowSet([0, 3, 4, 11]), "manual")
+    table.pin(7)
+    got, want = measure_health(table), _per_row_health(table)
+    assert replace(got, mean_freshness=None) == replace(want, mean_freshness=None)
+    assert got.mean_freshness == pytest.approx(want.mean_freshness, rel=1e-12)
+    assert got.rot_spots == ((1, 6), (9, 10)) and got.holes == ((0, 1), (3, 5), (11, 12))

@@ -2,6 +2,7 @@
 
 import contextlib
 import json
+import math
 from collections import Counter
 from unittest import mock
 
@@ -270,3 +271,34 @@ def test_countmin_mulmod_matches_bigint(a, b, xs):
     reduced = _mod_mersenne(numpy.array(xs, dtype=numpy.uint64))
     assert reduced.tolist() == [x % _P for x in xs]
     assert _mulmod_mersenne(a, reduced, b).tolist() == [(a * x + b) % _P for x in xs]
+
+
+any_floats = st.floats(min_value=-1e6, max_value=1e6) | st.sampled_from(
+    [float("nan"), float("inf"), float("-inf")]
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(any_floats, max_size=200), sizes=chunk_sizes)
+# 65+ NaNs used to exhaust _merge_closest: every gap next to a NaN is NaN
+@example(values=[float("nan")] * 70 + [1.0, 2.0], sizes=[])
+@example(values=[float("inf"), float("-inf")] * 40, sizes=[3])
+def test_histogram_keeps_non_finite_values_off_the_axis(values, sizes):
+    """NaN/±inf are counted apart; the bins describe the finite values only."""
+    finite = [v for v in values if math.isfinite(v)]
+    hist, only_finite, batched = (StreamingHistogram(max_bins=8) for _ in range(3))
+    for value in values:
+        hist.add(value)
+    only_finite.add_all(finite)
+    for chunk in _chunks(values, sizes):
+        batched.add_all(chunk)
+    assert (hist.total, hist.non_finite) == (len(finite), len(values) - len(finite))
+    assert _frozen(serde.histogram_to_dict(batched)) == _frozen(serde.histogram_to_dict(hist))
+    assert hist.bins() == only_finite.bins()
+    assert (hist.min_value, hist.max_value) == (only_finite.min_value, only_finite.max_value)
+    if finite:
+        assert min(finite) <= hist.quantile(0.5) <= max(finite)
+    merged = hist.merge(batched)
+    assert (merged.total, merged.non_finite) == (2 * hist.total, 2 * hist.non_finite)
+    restored = serde.histogram_from_dict(serde.histogram_to_dict(hist))
+    assert restored.non_finite == hist.non_finite
