@@ -135,9 +135,10 @@ def load_checkpoint(
 
     After each table's rows are replayed, a
     :class:`~repro.core.events.RestoreCompleted` event is published on
-    the new bus: restore re-publishes one ``TupleInserted`` per
-    surviving row, and metrics consumers use the completion event to
-    avoid double-counting those as fresh inserts.
+    the new bus: restore re-publishes the surviving rows as one
+    ``TupleInsertedBatch`` (counted, and delivered to ``TupleInserted``
+    subscribers, per row), and metrics consumers use the completion
+    event to avoid double-counting those as fresh inserts.
     """
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
@@ -254,10 +255,7 @@ def load_checkpoint(
                 freshness_column=freshness_column,
                 **table_options.get(name, {}),
             )
-            restored = 0
-            for _, values in snapshot.iter_rows():
-                table.restore(dict(zip(names, values)))
-                restored += 1
+            restored = len(table.restore_many(snapshot.to_rows()))
             rows_restored += restored
             ordinals = manifest.get("pinned", {}).get(name, [])
             if ordinals:

@@ -177,7 +177,7 @@ class FungusDB:
         self._distill_on_consume[name] = distill_on_consume
         # SQL INSERTs go through the decaying insert path (t/f stamped);
         # bare INSERT INTO <name> VALUES (...) targets the attributes only
-        self.engine.register_insert_delegate(name, table.insert, attributes.names)
+        self.engine.register_insert_delegate(name, table.insert_many, attributes.names)
         return table
 
     def drop_table(self, name: str) -> None:
@@ -489,8 +489,8 @@ class FungusDB:
             policy = self.policies[name]
             tables[name] = {
                 "extent": len(table),
-                "exhausted": len(table.exhausted),
-                "pinned": len(table.pinned),
+                "exhausted": table.exhausted_count,
+                "pinned": table.pinned_count,
                 "allocated": table.storage.allocated,
                 "tombstones": table.storage.tombstones,
                 "fungus": policy.fungus.name,

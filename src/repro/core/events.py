@@ -4,13 +4,23 @@ Everything observable about a decaying table is an event: insertion,
 infection, freshness decay, eviction, consumption, summarisation, tick
 completion. Health metrics, the distiller, experiment probes and tests
 all subscribe here instead of poking at internals.
+
+Insertions are published once per batch (:class:`TupleInsertedBatch`, a
+rid range), yet the lifecycle ledger counts tuples, not deliveries: a
+batch of *n* advances ``counts["TupleInserted"]`` by *n*, its own
+subscribers get the one event, and subscribers of the per-tuple
+:class:`TupleInserted` still get one event per row in ascending rid
+order — built by the bus, and only when such a subscriber exists. By
+then the whole batch is in the table: a handler looking at row *i* may
+already see rows *i+1…*. :class:`TupleDecayedBatch` predates this rule
+and keeps its per-pass count.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Type, TypeVar
+from typing import Any, Callable, ClassVar, Iterator, Type, TypeVar
 
 from repro.errors import EventFanoutError
 
@@ -22,12 +32,41 @@ class Event:
     table: str
     tick: float
 
+    #: set by a coalesced event that stands for ``len(event)`` events of
+    #: this per-tuple type: the bus counts it under that type's name and
+    #: delivers its :meth:`expand` to that type's subscribers
+    per_tuple: ClassVar["Type[Event] | None"] = None
+
 
 @dataclass(frozen=True)
 class TupleInserted(Event):
     """A tuple entered R with freshness 1.0."""
 
     rid: int
+
+
+@dataclass(frozen=True)
+class TupleInsertedBatch(Event):
+    """Rows ``[start, stop)`` entered R together (``stop > start``).
+
+    The one insertion event: ``insert``, ``insert_many`` and checkpoint
+    restores all publish it, a single row being a batch of one. The
+    rids of a batch are contiguous, so the payload is a range whatever
+    the batch size.
+    """
+
+    start: int
+    stop: int
+
+    per_tuple = TupleInserted
+
+    def __len__(self) -> int:
+        return self.stop - self.start
+
+    def expand(self) -> Iterator[TupleInserted]:
+        """Per-tuple :class:`TupleInserted` events, ascending rid order."""
+        for rid in range(self.start, self.stop):
+            yield TupleInserted(self.table, self.tick, rid)
 
 
 @dataclass(frozen=True)
@@ -243,7 +282,9 @@ class EventBus:
         The event still lands in :attr:`counts` either way, so the
         ledger is identical whether or not the (possibly expensive)
         payload was ever built — batch mutators use this to skip
-        assembling per-row tuples nobody would see.
+        assembling per-row tuples nobody would see. Not for an event
+        with a :attr:`~Event.per_tuple` type: its length is its ledger
+        entry, so build it and :meth:`publish`.
         """
         if self._handlers.get(event_type):
             self.publish(factory())
@@ -260,18 +301,42 @@ class EventBus:
         collected and re-raised after the full fan-out — the original
         exception when one handler failed, an
         :class:`~repro.errors.EventFanoutError` when several did.
+
+        An event with a :attr:`~Event.per_tuple` type is counted as
+        that many per-tuple events and, after its own handlers, expanded
+        for the per-tuple type's handlers (if any) under the same rule.
         """
-        self.counts[type(event).__name__] += 1
-        handlers = self._handlers.get(type(event))
-        if not handlers:
-            return
+        kind = type(event)
+        per_tuple = kind.per_tuple
+        handlers = self._handlers.get(kind)
+        if per_tuple is None:
+            self.counts[kind.__name__] += 1
+            if not handlers:
+                return
+            row_handlers = None
+        else:
+            self.counts[per_tuple.__name__] += len(event)
+            row_handlers = self._handlers.get(per_tuple)
         failures: list[tuple[Callable[[Any], None], Exception]] = []
-        for handler in list(handlers):
-            try:
-                handler(event)
-            except Exception as exc:
-                failures.append((handler, exc))
+        if handlers:
+            _deliver(handlers, event, failures)
+        if row_handlers:
+            for sub in event.expand():
+                _deliver(row_handlers, sub, failures)
         if failures:
             if len(failures) == 1:
                 raise failures[0][1]
-            raise EventFanoutError(type(event).__name__, failures) from failures[0][1]
+            raise EventFanoutError(kind.__name__, failures) from failures[0][1]
+
+
+def _deliver(
+    handlers: list[Callable[[Any], None]],
+    event: Event,
+    failures: list[tuple[Callable[[Any], None], Exception]],
+) -> None:
+    """Run every handler on ``event``, collecting the ones that raise."""
+    for handler in list(handlers):
+        try:
+            handler(event)
+        except Exception as exc:
+            failures.append((handler, exc))

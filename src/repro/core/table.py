@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.clock import DecayClock
 from repro.core.events import (
@@ -26,7 +26,7 @@ from repro.core.events import (
     TupleDecayedBatch,
     TupleEvicted,
     TupleInfected,
-    TupleInserted,
+    TupleInsertedBatch,
 )
 from repro.core.freshness import (
     FRESH_THRESHOLD,
@@ -160,28 +160,47 @@ class DecayingTable:
 
     def insert(self, attrs: Mapping[str, Any]) -> int:
         """Insert one tuple with ``t = clock.now`` and ``f = 1.0``."""
-        values = self.attributes.coerce_row(attrs)
-        rid = self.storage.append((self.clock.now, 1.0, *values))
-        self.bus.publish(TupleInserted(self.name, self.clock.now, rid))
-        return rid
+        return self._admit(self._stamped((attrs,)))[0]
 
-    def insert_many(self, rows: Sequence[Mapping[str, Any]]) -> RowSet:
-        """Insert many tuples at the current tick."""
-        return RowSet(self.insert(row) for row in rows)
+    def insert_many(self, rows: Iterable[Mapping[str, Any]]) -> RowSet:
+        """Insert many tuples at the current tick, all or none.
 
-    def restore(self, row: Mapping[str, Any]) -> int:
-        """Re-insert a full row (t and f included) from a checkpoint.
-
-        Unlike :meth:`insert`, this preserves the recorded insertion
-        time and freshness instead of stamping ``now``/1.0; exhausted
-        rows (f == 0) rejoin the exhausted set.
+        A row that fails coercion raises before anything is written,
+        indexed or published.
         """
-        full = self.storage.schema.coerce_row(row)
-        rid = self.storage.append(full)
-        if full[self._f_pos] <= 0.0:
-            self._exhausted.add(rid)
-        self.bus.publish(TupleInserted(self.name, self.clock.now, rid))
-        return rid
+        return RowSet.from_sorted(self._admit(self._stamped(rows)))
+
+    def restore_many(self, rows: Iterable[Mapping[str, Any]]) -> RowSet:
+        """Re-insert full rows (t and f included) from a checkpoint.
+
+        Unlike :meth:`insert_many`, this preserves the recorded
+        insertion time and freshness instead of stamping ``now``/1.0;
+        exhausted rows (f == 0) rejoin the exhausted set.
+        """
+        return RowSet.from_sorted(
+            self._admit(self.storage.schema.coerce_columns(rows))
+        )
+
+    def _stamped(self, rows: Iterable[Mapping[str, Any]]) -> list[list[Any]]:
+        """Attribute rows as full storage columns: ``t``/``f`` are fills."""
+        columns = self.attributes.coerce_columns(rows)
+        count = len(columns[0])
+        return [[self.clock.now] * count, [1.0] * count, *columns]
+
+    def _admit(self, columns: list[list[Any]]) -> tuple[int, ...]:
+        """The one insertion path: append the (coerced) batch, book its
+        exhausted rows, publish a single event."""
+        rids = self.storage.append_columns(columns)
+        if rids:
+            freshness = columns[self._f_pos]
+            if freshness.count(1.0) != len(rids):  # never on an insert
+                self._exhausted.update(
+                    rid for rid, f in zip(rids, freshness) if f <= 0.0
+                )
+            self.bus.publish(
+                TupleInsertedBatch(self.name, self.clock.now, rids[0], rids[-1] + 1)
+            )
+        return rids
 
     # ------------------------------------------------------------------
     # freshness access and mutation
@@ -636,8 +655,8 @@ class DecayingTable:
 
     # -- TableObserver protocol (self-observation of storage) ----------
 
-    def on_append(self, rid: int, values: tuple) -> None:
-        """Storage observer hook; insertion events are published by insert()."""
+    def on_append_many(self, rids: Sequence[int], columns: Sequence[list]) -> None:
+        """Storage observer hook; insertion events are published by _admit()."""
 
     def on_delete(self, rid: int, values: tuple) -> None:
         """Any deletion — policy eviction or Law-2 consume — lands here."""

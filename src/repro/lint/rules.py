@@ -16,7 +16,7 @@ from typing import ClassVar, Iterator, Sequence
 from repro.lint.catalogue import load_metric_catalogue
 from repro.lint.engine import Finding, ModuleSource, Rule
 
-CATALOGUE_VERSION = "1.8"
+CATALOGUE_VERSION = "1.9"
 
 #: packages where simulated time and injected randomness are mandatory
 RESTRICTED_PACKAGES = ("core", "fungi", "query", "sim", "storage")
@@ -490,7 +490,9 @@ class BatchMutatorRule(Rule):
     """RS007 — hot decay, distill and observer paths use batch calls, not per-row loops."""
 
     id: ClassVar[str] = "RS007"
-    title: ClassVar[str] = "no per-row freshness, distill or observer loops on the write path"
+    title: ClassVar[str] = (
+        "no per-row freshness, distill, observer or insert loops on the write path"
+    )
     rationale: ClassVar[str] = (
         "A scalar set_freshness/decay call inside a loop re-pays "
         "validation, pin checks and event publication per row; the "
@@ -505,7 +507,13 @@ class BatchMutatorRule(Rule):
         "freshness_values/column_values through band_of per row costs "
         "more than the decay it measures. The forensics collector's "
         "expand() is per-row by contract (one biography per tuple) and "
-        "is outside this rule's scope."
+        "is outside this rule's scope. The row going in is held to it "
+        "too: a table append/insert/restore or an event publish per "
+        "row of a batch re-pays coercion, one append per column, every "
+        "index update and one event per row, and leaves half a batch "
+        "behind when a later row is bad; append_many/insert_many/"
+        "restore_many coerce by column, extend each column once and "
+        "publish one TupleInsertedBatch."
     )
 
     SCALAR_MUTATORS = frozenset(
@@ -515,6 +523,11 @@ class BatchMutatorRule(Rule):
     OBSERVER_ROW_READS = frozenset(
         {"expand", "freshness_values", "column_values", "band_of"}
     )
+    ROW_WRITES = frozenset({"append", "insert", "restore"})
+    ROW_PUBLISHES = frozenset({"publish", "publish_lazy"})
+    #: how the write-path modules name a table; their lists (``runs``,
+    #: ``matches``, ``written``...) append per element freely
+    TABLE_RECEIVERS = ("self", "table", "storage", "db")
 
     @classmethod
     def _scope(cls, path: Path) -> tuple[frozenset[str], str] | None:
@@ -542,7 +555,41 @@ class BatchMutatorRule(Rule):
                 "old/new freshness as arrays, DecayingTable.band_counts, "
                 "Table.mask_data + live_mask)"
             )
+        if posix.endswith(
+            (
+                "repro/storage/table.py",
+                "repro/core/table.py",
+                "repro/core/checkpoint.py",
+                "repro/query/executor.py",
+            )
+        ):
+            return cls.ROW_WRITES | cls.ROW_PUBLISHES, (
+                "write the batch once (append_many/insert_many/"
+                "restore_many: coerced by column, one extend per column, "
+                "one TupleInsertedBatch) instead"
+            )
         return None
+
+    @classmethod
+    def _on_table(cls, func: ast.expr) -> bool:
+        """Whether a ``.append``/``.insert``/``.restore`` receiver names a
+        table (``self``, ``table``, ``self.storage``, ``snapshot_table``...)."""
+        receiver = getattr(func, "value", None)
+        name = getattr(receiver, "attr", None) or getattr(receiver, "id", "")
+        return name.endswith(cls.TABLE_RECEIVERS)
+
+    @staticmethod
+    def _publishes_tuple_event(node: ast.Call) -> bool:
+        """Whether a ``publish``/``publish_lazy`` call names a per-tuple
+        event (``Tuple*`` built inline or passed as the type) — a
+        ``RestoreCompleted`` per table of a loop over tables is fine."""
+        if not node.args:
+            return False
+        first = node.args[0]
+        if isinstance(first, ast.Call):
+            first = first.func
+        name = getattr(first, "attr", None) or getattr(first, "id", "")
+        return name.startswith("Tuple")
 
     def applies_to(self, path: Path) -> bool:
         return self._scope(path) is not None
@@ -559,6 +606,10 @@ class BatchMutatorRule(Rule):
             func = node.func
             # methods by attribute, plain functions (band_of) by name
             called = getattr(func, "attr", None) or getattr(func, "id", None)
+            if called in self.ROW_WRITES and not self._on_table(func):
+                continue
+            if called in self.ROW_PUBLISHES and not self._publishes_tuple_event(node):
+                continue
             if called in banned and _inside_loop(node, parents):
                 yield self.finding(
                     module, node, f"per-row {called}() inside a loop; {advice}"

@@ -16,11 +16,13 @@ from :meth:`DecayingTable.band_counts`. Either way the registry ends up
 exactly where the per-row handlers would have left it — same children,
 same float additions in the same order, byte-equal exposition
 (``tests/obs/test_collector_arrays.py`` keeps the per-row forms as
-references). Inserts, evictions and consumes still arrive one event per
-tuple.
+references). Inserts arrive one ``TupleInsertedBatch`` per batch — the
+collector subscribes to it *instead of* the per-tuple ``TupleInserted``,
+one ``labels().inc(n)`` per batch; evictions and consumes still arrive
+one event per tuple.
 
-Checkpoint restores replay one ``TupleInserted`` per surviving row;
-the ``RestoreCompleted`` event that follows tells the collector how
+Checkpoint restores replay the surviving rows as an insert batch; the
+``RestoreCompleted`` event that follows tells the collector how
 many of the preceding inserts were replays, and the collector
 compensates so ``repro_inserts_total`` counts genuinely new tuples
 only (the restored volume is accounted under
@@ -90,7 +92,7 @@ from repro.core.events import (
     TupleDecayedBatch,
     TupleEvicted,
     TupleInfected,
-    TupleInserted,
+    TupleInsertedBatch,
 )
 from repro.obs.metrics import Counter, MetricsRegistry
 from repro.storage.vector import numpy
@@ -267,7 +269,7 @@ class BusCollector:
             raise RuntimeError("collector is already attached")
         self._db = db
         pairs = [
-            (TupleInserted, self._on_inserted),
+            (TupleInsertedBatch, self._on_inserted_batch),
             (TupleInfected, self._on_infected),
             (TupleDecayed, self._on_decayed),
             (TupleDecayedBatch, self._on_decayed_batch),
@@ -300,8 +302,8 @@ class BusCollector:
     # handlers
     # ------------------------------------------------------------------
 
-    def _on_inserted(self, event: TupleInserted) -> None:
-        self.inserts.labels(table=event.table).inc()
+    def _on_inserted_batch(self, event: TupleInsertedBatch) -> None:
+        self.inserts.labels(table=event.table).inc(len(event))
 
     def _on_infected(self, event: TupleInfected) -> None:
         self.infections.labels(table=event.table, fungus=event.fungus).inc()
@@ -373,7 +375,7 @@ class BusCollector:
         self.alert_active.labels(table=event.table, rule=event.rule).set(0)
 
     def _on_restore(self, event: RestoreCompleted) -> None:
-        # the replayed TupleInserted events were counted as new inserts;
+        # the replayed insert batch was counted as new inserts;
         # reclassify them as restored volume now that we know how many
         self.restored.labels(table=event.table).inc(event.rows)
         self.inserts.labels(table=event.table).uncount(event.rows)

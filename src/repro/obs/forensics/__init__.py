@@ -96,7 +96,7 @@ class Forensics:
         decaying = self.db.tables.get(table)
         if decaying is None:
             return None
-        return len(decaying), len(decaying.exhausted)
+        return len(decaying), decaying.exhausted_count
 
     def _log_transition(
         self, tick: float, table: str, rule: str, action: str, value: float

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Sized
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence, Sized
 
 from repro.errors import ConsumeError
 from repro.obs.profile import PROFILER
@@ -56,7 +56,7 @@ from repro.storage.catalog import Catalog
 from repro.storage.rowset import RowSet
 
 ConsumeHook = Callable[[str, RowSet], None]
-InsertDelegate = Callable[[Mapping[str, Any]], int]
+InsertDelegate = Callable[[Sequence[Mapping[str, Any]]], Any]
 
 
 @dataclass(frozen=True)
@@ -158,10 +158,11 @@ class QueryEngine:
         delegate: InsertDelegate,
         columns: tuple[str, ...] | None = None,
     ) -> None:
-        """Route ``INSERT INTO table_name`` rows through ``delegate``.
+        """Hand each ``INSERT INTO table_name`` statement's rows, as one
+        batch, to ``delegate``.
 
-        FungusDB registers each decaying table's :meth:`insert` here so
-        SQL inserts get stamped with ``t = now`` and ``f = 1.0`` instead
+        FungusDB registers each decaying table's :meth:`insert_many` here
+        so SQL inserts get stamped with ``t = now`` and ``f = 1.0`` instead
         of having to supply the reserved columns explicitly. ``columns``
         is the default column list for INSERTs that omit one (a decaying
         table's attributes, without t/f).
@@ -347,19 +348,17 @@ class QueryEngine:
                 stmt, columns=self._insert_default_columns[stmt.table]
             )
         table_name, columns = plan_insert(stmt, self.catalog)
-        table = self.catalog.table(table_name)
-        delegate = self._insert_delegates.get(table_name)
-        inserted = 0
-        for value_row in stmt.rows:
-            row = {
-                name: evaluate(expr, {}) for name, expr in zip(columns, value_row)
-            }
-            if delegate is not None:
-                delegate(row)
-            else:
-                table.append(row)
-            inserted += 1
-        return ResultSet(columns=("inserted",), rows=[(inserted,)])
+        # every VALUES row is evaluated before any is written, and the
+        # statement goes in as one batch: all of its rows or none
+        rows = [
+            {name: evaluate(expr, {}) for name, expr in zip(columns, value_row)}
+            for value_row in stmt.rows
+        ]
+        write = self._insert_delegates.get(
+            table_name, self.catalog.table(table_name).append_many
+        )
+        write(rows)
+        return ResultSet(columns=("inserted",), rows=[(len(rows),)])
 
     def _run_delete(self, stmt: DeleteStmt) -> ResultSet:
         return self._delete_by_plan(stmt, plan_delete(stmt, self.catalog), None)

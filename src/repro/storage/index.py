@@ -9,12 +9,18 @@ Two index kinds cover the query engine's needs:
 
 Both register themselves as table observers, so appends, tombstone
 deletes and compactions keep them consistent without caller effort.
+Appends arrive a batch at a time (``on_append_many``: the rids and one
+value list per column, shared with every other observer): the hash
+index files the batch in one pass, the sorted index sorts it and
+extends, merging only the stretch a batch overlaps when it reaches
+below the current tail. The table never calls ``on_append``; the two
+methods stay because ``bench_e2e/trace.py`` names them as targets.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Any, Hashable, Iterable, Mapping
+from typing import Any, Hashable, Iterable, Mapping, Sequence
 
 from repro.errors import StorageError
 from repro.storage.rowset import RowSet
@@ -54,7 +60,17 @@ class HashIndex:
     # -- TableObserver protocol ---------------------------------------
 
     def on_append(self, rid: int, values: tuple) -> None:
+        # unreachable from Table; kept as a bench_e2e trace target
         self._buckets.setdefault(values[self._col_pos], set()).add(rid)
+
+    def on_append_many(self, rids: Sequence[int], columns: Sequence[list]) -> None:
+        buckets = self._buckets
+        for value, rid in zip(columns[self._col_pos], rids):
+            bucket = buckets.get(value)
+            if bucket is None:
+                buckets[value] = {rid}
+            else:
+                bucket.add(rid)
 
     def on_delete(self, rid: int, values: tuple) -> None:
         bucket = self._buckets.get(values[self._col_pos])
@@ -148,7 +164,21 @@ class SortedIndex:
     # -- TableObserver protocol ---------------------------------------
 
     def on_append(self, rid: int, values: tuple) -> None:
+        # unreachable from Table; kept as a bench_e2e trace target
         bisect.insort(self._entries, (values[self._col_pos], rid))
+
+    def on_append_many(self, rids: Sequence[int], columns: Sequence[list]) -> None:
+        batch = sorted(zip(columns[self._col_pos], rids))
+        entries = self._entries
+        if not entries or entries[-1] <= batch[0]:
+            entries.extend(batch)
+            return
+        # a batch reaching below the current tail (never the case on an
+        # insertion-time column): merge only the stretch it overlaps, so
+        # one out-of-order row is one insort
+        lo = bisect.bisect_left(entries, batch[0])
+        hi = bisect.bisect_right(entries, batch[-1], lo)
+        entries[lo:hi] = sorted(entries[lo:hi] + batch)
 
     def on_delete(self, rid: int, values: tuple) -> None:
         self._dead.add(rid)

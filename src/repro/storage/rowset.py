@@ -33,8 +33,9 @@ class RowSet:
         self._set: frozenset[int] = frozenset(unique)
 
     @classmethod
-    def _from_sorted(cls, rows: tuple[int, ...]) -> "RowSet":
-        """Internal fast path: ``rows`` must already be sorted & unique."""
+    def from_sorted(cls, rows: tuple[int, ...]) -> "RowSet":
+        """Unchecked fast path: ``rows`` must already be sorted & unique
+        row ids (the tuple is kept, not copied)."""
         rs = cls.__new__(cls)
         rs._rows = rows
         rs._set = frozenset(rows)
@@ -50,7 +51,7 @@ class RowSet:
         """All row ids in ``range(start, stop)`` — a contiguous span."""
         if start < 0 or stop < start:
             raise StorageError(f"invalid span [{start}, {stop})")
-        return cls._from_sorted(tuple(range(start, stop)))
+        return cls.from_sorted(tuple(range(start, stop)))
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -85,15 +86,15 @@ class RowSet:
 
     def union(self, other: "RowSet") -> "RowSet":
         """Rows in either selection."""
-        return RowSet._from_sorted(tuple(sorted(self._set | other._set)))
+        return RowSet.from_sorted(tuple(sorted(self._set | other._set)))
 
     def intersection(self, other: "RowSet") -> "RowSet":
         """Rows in both selections."""
-        return RowSet._from_sorted(tuple(sorted(self._set & other._set)))
+        return RowSet.from_sorted(tuple(sorted(self._set & other._set)))
 
     def difference(self, other: "RowSet") -> "RowSet":
         """Rows in this selection but not in ``other``."""
-        return RowSet._from_sorted(tuple(sorted(self._set - other._set)))
+        return RowSet.from_sorted(tuple(sorted(self._set - other._set)))
 
     __or__ = union
     __and__ = intersection

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import SchemaError
@@ -184,6 +185,49 @@ class Schema:
                 f"row has {len(values)} values, schema has {len(self.columns)} columns"
             )
         return tuple(col.coerce(v) for col, v in zip(self.columns, values))
+
+    def coerce_columns(
+        self, rows: Iterable[Mapping[str, Any] | Sequence[Any]]
+    ) -> list[list[Any]]:
+        """Coerce a batch of rows into one value list per column.
+
+        Answers exactly what a :meth:`coerce_row` loop answers, checked
+        by column instead of by cell: a column whose values all have
+        the dtype's exact Python type (``bool`` is not ``int``, and an
+        ``int`` is not yet a ``float``) is taken as is; a column that
+        fails that check goes through :meth:`ColumnDef.coerce` per cell
+        (int -> float widening, NULLs). Anything else — a row that is
+        not a plain ``dict`` holding exactly the schema's keys, or any
+        cell that refuses to coerce — is handed to the row loop, which
+        raises for the *first bad row* with its usual message. Either
+        way nothing is returned unless every row is good, which is what
+        makes a batch write all-or-nothing.
+        """
+        if not isinstance(rows, (list, tuple)):
+            rows = list(rows)
+        columns = self._coerce_dict_rows(rows)
+        if columns is None:
+            coerced = [self.coerce_row(row) for row in rows]
+            columns = [list(values) for values in zip(*coerced)]
+        # an empty batch transposes to nothing: keep one list per column
+        return columns or [[] for _ in self.columns]
+
+    def _coerce_dict_rows(self, rows: Sequence[Any]) -> list[list[Any]] | None:
+        """The column-wise check; ``None`` sends the batch to the row loop."""
+        if set(map(type, rows)) != {dict} or set(map(len, rows)) != {len(self.columns)}:
+            return None
+        columns = []
+        try:
+            for col in self.columns:
+                # a dict with the right number of keys that answers every
+                # column name has no room left for an unknown one
+                values = list(map(itemgetter(col.name), rows))
+                if not set(map(type, values)) <= {col.dtype.python_type}:
+                    values = list(map(col.coerce, values))
+                columns.append(values)
+        except (KeyError, SchemaError, OverflowError):
+            return None
+        return columns
 
     def extend(self, *extra: ColumnDef) -> "Schema":
         """A new schema with ``extra`` columns appended."""

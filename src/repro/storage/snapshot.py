@@ -65,6 +65,7 @@ def load_table(path: str | Path) -> Table:
                 )
             schema = Schema.from_dict(header["schema"])
             table = Table(schema, name=str(header.get("table", "R")))
+            rows = []
             for lineno, line in enumerate(fh, start=2):
                 if not line.strip():
                     continue
@@ -74,7 +75,8 @@ def load_table(path: str | Path) -> Table:
                     raise SnapshotError(f"snapshot {path}:{lineno} is corrupt: {exc}") from exc
                 if not isinstance(values, list):
                     raise SnapshotError(f"snapshot {path}:{lineno} is not a row array")
-                table.append(values)
+                rows.append(values)
+            table.append_many(rows)
             expected = header.get("rows")
             if expected is not None and len(table) != expected:
                 raise SnapshotError(

@@ -7,9 +7,18 @@ axis* the paper's EGI fungus spreads along, which is why the table
 exposes :meth:`Table.prev_live` / :meth:`Table.next_live` neighbour
 navigation.
 
+Rows go in a batch at a time, and there is one way in:
+:meth:`Table.append_columns` takes one coerced value list per column
+(:meth:`Schema.coerce_columns` output), extends every column once and
+tells each observer once. :meth:`Table.append_many` coerces first, so a
+batch with a bad row writes nothing; :meth:`Table.append` is the batch
+of one.
+
 Observers (secondary indexes, decay bookkeeping) register through
 :meth:`Table.add_observer` and are told about every append, delete and
-compaction, so they never go stale.
+compaction, so they never go stale. An append reaches an observer as
+one ``on_append_many(rids, columns)`` call per batch, or — for an
+observer that only defines it — one ``on_append(rid, values)`` per row.
 
 Decay kernels: selected columns (in practice ``t`` and ``f``) can be
 backed by ``float64`` arrays (:mod:`repro.storage.vector`), in which
@@ -26,7 +35,16 @@ branch on the backend for correctness, only for speed.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Protocol, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Iterable,
+    Iterator,
+    Mapping,
+    Protocol,
+    Sequence,
+)
 
 from repro.errors import StorageError
 
@@ -48,6 +66,16 @@ class TableObserver(Protocol):
 
     def on_append(self, rid: int, values: tuple) -> None:
         """Row ``rid`` was appended with ``values`` (schema order)."""
+
+    def on_append_many(self, rids: Sequence[int], columns: Sequence[list]) -> None:
+        """Optional batch form: rows ``rids`` (ascending, contiguous) were
+        appended, ``columns`` holding one value list per schema column.
+
+        An observer that defines it gets one call per batch and no
+        ``on_append``; one that does not gets ``on_append`` per row, in
+        rid order. Both arguments are shared with the other observers —
+        read, never mutate.
+        """
 
     def on_delete(self, rid: int, values: tuple) -> None:
         """Row ``rid`` was tombstoned; ``values`` are its last values."""
@@ -276,31 +304,56 @@ class Table:
     # ------------------------------------------------------------------
 
     def append(self, row: Mapping[str, Any] | Sequence[Any]) -> int:
-        """Append one row, returning its row id."""
+        """Append one row (a batch of one), returning its row id."""
+        return self.append_columns(self.schema.coerce_columns((row,)))[0]
+
+    def append_many(
+        self, rows: Iterable[Mapping[str, Any] | Sequence[Any]]
+    ) -> RowSet:
+        """Append many rows, returning their (contiguous) row ids.
+
+        All-or-nothing: the batch is coerced as a whole first, so a bad
+        row raises before anything is written.
+        """
+        columns = self.schema.coerce_columns(rows)
+        return RowSet.from_sorted(self.append_columns(columns))
+
+    def append_columns(self, columns: Sequence[list[Any]]) -> tuple[int, ...]:
+        """Append a batch given as one value list per column.
+
+        The one write path: ``columns`` is in schema order, equally
+        long and *already coerced* (:meth:`Schema.coerce_columns`
+        output, or fills stamped by the decay core). Each column grows
+        by one ``extend``, and every observer is handed the same rid
+        tuple — also the return value — so no one materialises its own.
+        """
+        count = len(columns[0])
+        if count == 0:
+            return ()
         if self.probe is not None:
             self.probe.note(self.name, "append")
-        values = self.schema.coerce_row(row)
-        rid = self._next_rid
-        for col, value in zip(self._columns, values):
-            col.append(value)
-        self._live.append(True)
-        self._next_rid += 1
-        self._live_count += 1
-        self._version += 1
-        if self._freshness_pos is not None and values[self._freshness_pos] != 1.0:
-            # restore()/snapshot paths append rows mid-decay; they must
-            # land inside the dirty map or span pruning would skip them
-            self._rot.add(rid)
-        for obs in self._observers:
-            obs.on_append(rid, values)
-        return rid
-
-    def append_many(self, rows: Sequence[Mapping[str, Any] | Sequence[Any]]) -> RowSet:
-        """Append many rows, returning their (contiguous) row ids."""
         start = self._next_rid
-        for row in rows:
-            self.append(row)
-        return RowSet.span(start, self._next_rid)
+        rids = tuple(range(start, start + count))
+        for col, values in zip(self._columns, columns):
+            col.extend(values)
+        self._live.extend([True] * count)
+        self._next_rid += count
+        self._live_count += count
+        self._version += 1
+        if self._freshness_pos is not None:
+            freshness = columns[self._freshness_pos]
+            if freshness.count(1.0) != count:
+                # restore and snapshot-load paths append rows mid-decay; they must
+                # land inside the dirty map or span pruning would skip them
+                self.mark_rot([r for r, f in zip(rids, freshness) if f != 1.0])
+        for obs in self._observers:
+            notify = getattr(obs, "on_append_many", None)
+            if notify is not None:
+                notify(rids, columns)
+            else:
+                for rid, values in zip(rids, zip(*columns)):
+                    obs.on_append(rid, values)
+        return rids
 
     def delete(self, rid: int) -> None:
         """Tombstone one live row."""

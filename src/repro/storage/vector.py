@@ -5,7 +5,7 @@ plain Python lists, but the two columns Law 1 hammers every tick —
 ``t`` (insertion time) and ``f`` (freshness) — can be backed by
 growable ``float64`` arrays instead. :class:`FloatColumn` and
 :class:`BoolColumn` expose just enough of the list protocol
-(``append``/``__getitem__``/``__setitem__``/``__len__``/``__iter__``)
+(``extend``/``__getitem__``/``__setitem__``/``__len__``/``__iter__``)
 that the scalar code paths keep working unchanged, while the batch
 kernels reach the raw array through :meth:`FloatColumn.array`.
 
@@ -23,12 +23,25 @@ floats either way.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy
 
 #: initial capacity of a freshly created vector column
 _INITIAL_CAPACITY = 16
+
+
+def _with_capacity(data: Any, size: int, needed: int) -> Any:
+    """``data``, or a copy of its first ``size`` cells in an array grown
+    geometrically (once, however large the batch) to hold ``needed``."""
+    capacity = len(data)
+    if needed <= capacity:
+        return data
+    while capacity < needed:
+        capacity *= 2
+    grown = numpy.zeros(capacity, dtype=data.dtype)
+    grown[:size] = data[:size]
+    return grown
 
 
 class FloatColumn:
@@ -61,13 +74,12 @@ class FloatColumn:
     def __iter__(self) -> Iterator[float]:
         return iter(self._data[: self._size].tolist())
 
-    def append(self, value: float) -> None:
-        if self._size == len(self._data):
-            grown = numpy.zeros(len(self._data) * 2, dtype=numpy.float64)
-            grown[: self._size] = self._data
-            self._data = grown
-        self._data[self._size] = value
-        self._size += 1
+    def extend(self, values: Sequence[float]) -> None:
+        """Append ``values`` in one slice assignment."""
+        stop = self._size + len(values)
+        self._data = _with_capacity(self._data, self._size, stop)
+        self._data[self._size : stop] = values
+        self._size = stop
 
     def array(self) -> Any:
         """The live ``float64`` view (length == rows ever appended).
@@ -115,13 +127,12 @@ class BoolColumn:
     def __iter__(self) -> Iterator[bool]:
         return iter(self._data[: self._size].tolist())
 
-    def append(self, value: bool) -> None:
-        if self._size == len(self._data):
-            grown = numpy.zeros(len(self._data) * 2, dtype=numpy.bool_)
-            grown[: self._size] = self._data
-            self._data = grown
-        self._data[self._size] = value
-        self._size += 1
+    def extend(self, values: Sequence[bool]) -> None:
+        """Append ``values`` in one slice assignment."""
+        stop = self._size + len(values)
+        self._data = _with_capacity(self._data, self._size, stop)
+        self._data[self._size : stop] = values
+        self._size = stop
 
     def array(self) -> Any:
         """The live boolean view (shared, do not mutate outside Table)."""

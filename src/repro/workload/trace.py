@@ -81,8 +81,10 @@ class RecordingDB:
         return self.db.insert(table, row)
 
     def insert_many(self, table: str, rows) -> None:
+        rows = list(rows)
+        self.db.insert_many(table, rows)  # all or nothing: record only what went in
         for row in rows:
-            self.insert(table, row)
+            self.recorder.insert(table, row)
 
     def query(self, sql: str):
         self.recorder.query(sql)
