@@ -132,15 +132,11 @@ class FungusDB:
         time_index: bool = True,
         time_column: str = "t",
         freshness_column: str = "f",
-        kernels: bool | None = None,
     ) -> DecayingTable:
         """Create a decaying relation ``R(t, f, A1..An)``.
 
         ``fungus=None`` installs the :class:`NullFungus` control —
         a table that never rots (but still supports consume).
-        ``kernels`` selects the decay-kernel backend: ``None`` or
-        ``True`` use numpy-backed ``t``/``f`` columns, ``False`` forces
-        the pure-python reference path.
         """
         if name in self.tables:
             raise CatalogError(f"table {name!r} already exists")
@@ -151,7 +147,6 @@ class FungusDB:
             self.bus,
             time_column=time_column,
             freshness_column=freshness_column,
-            kernels=kernels,
         )
         self.catalog.register(table.storage)
         if time_index:

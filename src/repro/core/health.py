@@ -88,9 +88,9 @@ def measure_health(table: DecayingTable) -> HealthReport:
     sums pairwise: within 1e-12 relative of the left-to-right sum.
     """
     storage = table.storage
-    live = numpy.asarray(storage.live_mask(), dtype=numpy.bool_)
+    live = storage.live_mask()
     rids = numpy.flatnonzero(live)
-    freshness = numpy.asarray(storage.freshness_array(), dtype=numpy.float64)[rids]
+    freshness = storage.freshness_array()[rids]
     bands = table.band_counts()
     # a rot spot is a run in the *live* sequence: tombstones between two
     # rotten rows do not split it, and it spans first rid to last rid + 1

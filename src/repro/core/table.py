@@ -61,11 +61,11 @@ class BatchOutcome:
 
 _EMPTY_OUTCOME = BatchOutcome()
 
-#: batches smaller than this run the scalar kernel even on the numpy
-#: backend — per-ufunc dispatch overhead beats the python loop there.
-#: Both kernels produce bit-identical freshness, exhausted sets and
-#: events, so this is purely a latency heuristic (tests pin it to 0 to
-#: force the vector kernel).
+#: batches smaller than this run the scalar kernel — per-ufunc dispatch
+#: overhead beats the python loop there. Both kernels produce
+#: bit-identical freshness, exhausted sets and events, so this is purely
+#: a latency heuristic (tests pin it to 0 to force the vector kernel, or
+#: above the batch size to force the scalar reference).
 _SMALL_BATCH = 32
 
 
@@ -80,7 +80,6 @@ class DecayingTable:
         bus: EventBus | None = None,
         time_column: str = "t",
         freshness_column: str = "f",
-        kernels: bool | None = None,
     ) -> None:
         if time_column in attributes or freshness_column in attributes:
             raise DecayError(
@@ -98,13 +97,12 @@ class DecayingTable:
             ColumnDef(freshness_column, DataType.FLOAT),
             *attributes.columns,
         ]
-        # t and f ride on float64 arrays (a false ``kernels`` forces
-        # the scalar reference backend)
+        # t rides on a float64 array, and so does f, as every
+        # freshness column does
         self.storage = Table(
             Schema(full),
             name=name,
-            vector_columns=(time_column, freshness_column),
-            kernels=kernels,
+            vector_columns=(time_column,),
             freshness_column=freshness_column,
         )
         self._t_pos = 0
@@ -317,10 +315,7 @@ class DecayingTable:
         its clamp into [0, 1] cannot move a value across a threshold,
         and a NaN fails both comparisons and lands in ROTTEN there too.
         """
-        storage = self.storage
-        live = numpy.asarray(storage.freshness_array(), dtype=numpy.float64)[
-            numpy.asarray(storage.live_mask(), dtype=numpy.bool_)
-        ]
+        live = self.storage.freshness_array()[self.storage.live_mask()]
         fresh = int(numpy.count_nonzero(live >= FRESH_THRESHOLD))
         edible = int(numpy.count_nonzero(live >= ROTTEN_THRESHOLD))
         return {
@@ -333,62 +328,40 @@ class DecayingTable:
     # batch freshness mutation (the vectorized decay kernels)
     # ------------------------------------------------------------------
 
-    @property
-    def supports_kernels(self) -> bool:
-        """True when batch mutators run on numpy arrays here."""
-        return self.storage.vectorized
-
     def freshness_of_many(self, rids: Sequence[int]) -> Any:
-        """Freshness values aligned with ``rids`` (array when vectorized)."""
+        """Freshness values aligned with ``rids``, as an array."""
         return self.storage.read_rows(self.freshness_column, rids)
 
     def ages_of(self, rids: Sequence[int]) -> Any:
-        """Ages on the decay clock aligned with ``rids``."""
-        times = self.storage.read_rows(self.time_column, rids)
-        now = self.clock.now
-        if self.supports_kernels:
-            return now - times
-        return [now - t for t in times]
+        """Ages on the decay clock aligned with ``rids``, as an array."""
+        return self.clock.now - self.storage.read_rows(self.time_column, rids)
 
     def live_positive_rows(self) -> Any:
-        """Live row ids with freshness > 0, ascending (array when
-        vectorized, list on the fallback backend — test emptiness with
-        ``len``, not truthiness)."""
-        if self.supports_kernels:
-            mask = self.storage.live_mask() & (self.storage.freshness_array() > 0.0)
-            return numpy.flatnonzero(mask)
-        freshness = self.storage.freshness_array()
-        return [rid for rid in self.storage.live_rows() if freshness[rid] > 0.0]
+        """Live row ids with freshness > 0, ascending, as an array (test
+        emptiness with ``len``, not truthiness)."""
+        mask = self.storage.live_mask() & (self.storage.freshness_array() > 0.0)
+        return numpy.flatnonzero(mask)
 
     def positive_rows_in(self, lo: int, hi: int) -> Any:
         """Live rows with freshness > 0 inside ``[lo, hi]``, ascending.
 
-        Returns an array for wide spans on the vectorized backend and a
-        plain list otherwise — test emptiness with ``len``, not
-        truthiness, and don't rely on the container type."""
+        Returns an array for wide spans and a plain list for tiny ones —
+        test emptiness with ``len``, not truthiness, and don't rely on
+        the container type."""
+        hi = min(hi, self.storage.allocated - 1)
+        lo = max(lo, 0)
         if lo > hi:
             return []
-        if self.supports_kernels:
-            hi = min(hi, self.storage.allocated - 1)
-            lo = max(lo, 0)
-            if lo > hi:
-                return []
-            live = self.storage.live_mask()
-            freshness = self.storage.freshness_array()
-            if hi - lo < _SMALL_BATCH:
-                # a handful of ufunc dispatches costs more than scanning
-                # a tiny span by direct element access
-                return [
-                    rid for rid in range(lo, hi + 1) if live[rid] and freshness[rid] > 0.0
-                ]
-            segment = live[lo : hi + 1] & (freshness[lo : hi + 1] > 0.0)
-            return numpy.flatnonzero(segment) + lo
+        live = self.storage.live_mask()
         freshness = self.storage.freshness_array()
-        return [
-            rid
-            for rid in range(max(lo, 0), min(hi, self.storage.allocated - 1) + 1)
-            if self.storage.is_live(rid) and freshness[rid] > 0.0
-        ]
+        if hi - lo < _SMALL_BATCH:
+            # a handful of ufunc dispatches costs more than scanning
+            # a tiny span by direct element access
+            return [
+                rid for rid in range(lo, hi + 1) if live[rid] and freshness[rid] > 0.0
+            ]
+        segment = live[lo : hi + 1] & (freshness[lo : hi + 1] > 0.0)
+        return numpy.flatnonzero(segment) + lo
 
     def set_freshness_many(
         self, rids: Sequence[int], values: Sequence[float], fungus: str = "manual"
@@ -400,13 +373,14 @@ class DecayingTable:
         with it. Publishes at most one :class:`TupleDecayedBatch`
         carrying only the rows whose freshness actually changed, in rid
         order — collectors expand it back into per-tuple provenance.
-        Both backends perform the same IEEE-754 operations, so the
-        resulting freshness values are bit-identical.
+        The vector kernel and the small-batch scalar kernel perform the
+        same IEEE-754 operations, so the resulting freshness values are
+        bit-identical.
         """
         count = len(rids)
         if count == 0:
             return _EMPTY_OUTCOME
-        if self.supports_kernels and count >= _SMALL_BATCH:
+        if count >= _SMALL_BATCH:
             rid_arr = numpy.asarray(rids, dtype=numpy.intp)
             self.storage.check_live_many(rid_arr)
             old = self.storage.freshness_array()[rid_arr]
@@ -424,7 +398,7 @@ class DecayingTable:
         count = len(rids)
         if count == 0:
             return _EMPTY_OUTCOME
-        if self.supports_kernels and count >= _SMALL_BATCH:
+        if count >= _SMALL_BATCH:
             rid_arr = numpy.asarray(rids, dtype=numpy.intp)
             self.storage.check_live_many(rid_arr)
             old = self.storage.freshness_array()[rid_arr]
@@ -441,7 +415,7 @@ class DecayingTable:
         count = len(rids)
         if count == 0:
             return _EMPTY_OUTCOME
-        if self.supports_kernels and count >= _SMALL_BATCH:
+        if count >= _SMALL_BATCH:
             rid_arr = numpy.asarray(rids, dtype=numpy.intp)
             self.storage.check_live_many(rid_arr)
             old = self.storage.freshness_array()[rid_arr]
@@ -457,8 +431,7 @@ class DecayingTable:
         Feeds the scalar batch kernel; ``tolist`` round-trips float64
         bits exactly, so the arithmetic downstream is unchanged.
         """
-        old = self.storage.read_rows(self.freshness_column, rids)
-        return old if isinstance(old, list) else old.tolist()
+        return self.storage.read_rows(self.freshness_column, rids).tolist()
 
     def _apply_batch_vec(
         self, rid_arr: Any, old: Any, target: Any, fungus: str
@@ -511,7 +484,9 @@ class DecayingTable:
     def _apply_batch_py(
         self, rids: list[int], old: Sequence[float], targets: Sequence[float], fungus: str
     ) -> BatchOutcome:
-        """Pure-Python fallback of :meth:`_apply_batch_vec`.
+        """Scalar twin of :meth:`_apply_batch_vec` for batches under
+        ``_SMALL_BATCH`` rows, and the reference the equivalence suite
+        and ``benchmarks/bench_kernels.py`` hold the vector kernel to.
 
         Performs the identical arithmetic per row so freshness columns,
         exhausted sets and event payloads match the vector kernel

@@ -181,18 +181,20 @@ def run(scale: str = "smoke") -> ExperimentResult:
         growth["egi"] <= size_ratio / 2,
         wall_clock=True,
     )
-    # the bare clock includes eager eviction (reads + deletes + events),
-    # which lands around 3x at paper scale; 4x is the regression gate
+    # both gates are in seconds per ingested row, the unit that does not
+    # move when the no-decay path gets cheaper. The bare clock includes
+    # eager eviction (reads + deletes + events); 6.2 us/row is what it
+    # cost before the write path took batches, and is the regression gate
+    per_row = {name: 1.0 / rows_per_s for name, rows_per_s in throughput.items()}
+    clock_s = per_row["egi"] - per_row["null"]
     result.check(
-        "the bare decay clock costs less than 4x the no-decay ingest path",
-        throughput["egi"] * 4 >= throughput["null"],
+        "the bare decay clock costs at most 6.2 us per ingested row",
+        clock_s <= 6.2e-6,
         wall_clock=True,
     )
     result.check(
         "distill-on-evict dominates the pipeline cost, not the clock",
-        (throughput["egi"] - throughput["egi+distill"])
-        > (throughput["null"] - throughput["egi"]) * 0.5
-        or throughput["egi+distill"] * 10 >= throughput["null"],
+        per_row["egi+distill"] - per_row["egi"] > 0.5 * clock_s,
         wall_clock=True,
     )
 

@@ -152,14 +152,12 @@ class EGIFungus(Fungus):
         #    disjoint and ascending, so the concatenation is the same
         #    ascending rid order the scalar member loop used
         parts = [table.positive_rows_in(lo, hi) for lo, hi in self._spots.spans()]
-        if table.supports_kernels and len(parts) > 1:
+        if len(parts) > 1:
             rids = numpy.concatenate(
                 [numpy.asarray(part, dtype=numpy.intp) for part in parts]
             )
-        elif len(parts) == 1:
-            rids = parts[0]
         else:
-            rids = [rid for part in parts for rid in part]
+            rids = parts[0]
         if len(rids):
             self._account(table.decay_many(rids, self.decay_rate, self.name), report)
         return report

@@ -36,19 +36,11 @@ class ExponentialDecayFungus(Fungus):
         if len(rids) == 0:
             return report
         old = table.freshness_of_many(rids)
-        # both branches compute current - (current - current*factor) —
-        # the exact float dance the scalar path performed — so the
-        # written freshness is bit-identical either way
-        if table.supports_kernels:
-            new = old * self.factor
-            new = numpy.where(new < self.evict_below, 0.0, new)
-            targets = old - (old - new)
-        else:
-            targets = []
-            for current in old:
-                new_value = current * self.factor
-                if new_value < self.evict_below:
-                    new_value = 0.0
-                targets.append(current - (current - new_value))
+        # current - (current - current*factor): the exact float dance a
+        # per-row scalar pass performs, so the written freshness is
+        # bit-identical to it
+        new = old * self.factor
+        new = numpy.where(new < self.evict_below, 0.0, new)
+        targets = old - (old - new)
         self._account(table.set_freshness_many(rids, targets, self.name), report)
         return report

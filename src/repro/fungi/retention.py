@@ -32,31 +32,14 @@ class RetentionFungus(Fungus):
         rids = table.storage.live_list()
         if not rids:
             return report
-        if table.supports_kernels:
-            ages = table.ages_of(rids)
-            current = table.freshness_of_many(rids)
-            target = numpy.maximum(0.0, 1.0 - ages / self.max_age)
-            mask = target < current
-            if not mask.any():
-                return report
-            selected = numpy.asarray(rids, dtype=numpy.intp)[mask].tolist()
-            cur = current[mask]
-            targets = cur - (cur - target[mask])
-            self._account(
-                table.set_freshness_many(selected, targets, self.name), report
-            )
+        ages = table.ages_of(rids)
+        current = table.freshness_of_many(rids)
+        target = numpy.maximum(0.0, 1.0 - ages / self.max_age)
+        mask = target < current
+        if not mask.any():
             return report
-        selected: list[int] = []
-        targets: list[float] = []
-        for rid in rids:
-            age = table.age(rid)
-            target_value = max(0.0, 1.0 - age / self.max_age)
-            current_value = table.freshness(rid)
-            if target_value < current_value:
-                selected.append(rid)
-                targets.append(current_value - (current_value - target_value))
-        if selected:
-            self._account(
-                table.set_freshness_many(selected, targets, self.name), report
-            )
+        selected = numpy.asarray(rids, dtype=numpy.intp)[mask].tolist()
+        cur = current[mask]
+        targets = cur - (cur - target[mask])
+        self._account(table.set_freshness_many(selected, targets, self.name), report)
         return report

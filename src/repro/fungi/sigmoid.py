@@ -59,9 +59,9 @@ class SigmoidDecayFungus(Fungus):
             return report
         # the logistic targets stay per-row python: math.exp and
         # numpy.exp differ in the last ulp, and the differential oracle
-        # demands bit-identical freshness on both backends
-        ages = [float(a) for a in table.ages_of(rids)]
-        current = [float(f) for f in table.freshness_of_many(rids)]
+        # demands freshness bit-identical to its per-row math.exp
+        ages = table.ages_of(rids).tolist()
+        current = table.freshness_of_many(rids).tolist()
         selected: list[int] = []
         targets: list[float] = []
         for rid, age, cur in zip(rids, ages, current):

@@ -505,9 +505,13 @@ class BatchMutatorRule(Rule):
         "health report, planner statistics) are held to the same "
         "standard: expanding a TupleDecayedBatch or walking "
         "freshness_values/column_values through band_of per row costs "
-        "more than the decay it measures. The forensics collector's "
-        "expand() is per-row by contract (one biography per tuple) and "
-        "is outside this rule's scope. The row going in is held to it "
+        "more than the decay it measures. Two places are outside this "
+        "rule's scope: the forensics collector, which expands each "
+        "decay batch per row by contract because the LineageStore keeps "
+        "one biography per tuple, and repro/sketch/, whose per-value "
+        "loops are the sketches' own arithmetic (the streaming "
+        "histogram merges one value at a time). The row going in is "
+        "held to it "
         "too: a table append/insert/restore or an event publish per "
         "row of a batch re-pays coercion, one append per column, every "
         "index update and one event per row, and leaves half a batch "

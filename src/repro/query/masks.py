@@ -31,7 +31,7 @@ Exactness rules keep float64 arithmetic equal to Python's:
 Anything else — string/bool columns, function calls, non-literal
 divisors — refuses to compile and the executor falls back to the
 row-at-a-time interpreter for that conjunct, so errors and results
-never depend on the backend.
+never depend on which route a conjunct took.
 
 :func:`mask_compilable` is the static (schema-only) version of the
 same judgement; the planner uses it to stamp the per-node
@@ -201,7 +201,8 @@ def compile_mask(expr: Expression, table: Table, binding: str) -> MaskFn | None:
 
     def run(rid_arr: Any) -> Any:
         t, _n = node(rid_arr)
-        return t
+        # a predicate over literals alone folds to one numpy bool
+        return numpy.broadcast_to(t, rid_arr.shape)
 
     return run
 

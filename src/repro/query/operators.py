@@ -7,12 +7,13 @@ expression evaluation falls back to suffix matching for unambiguous
 bare references.
 
 Execution is rid-first (late materialization): :func:`scan_rids`
-narrows a candidate rid list conjunct by conjunct — as boolean mask
-operations on the numpy column backend, as batched row evaluation on
-the pure-python fallback — and contexts are only built for survivors
-via the column-wise :func:`materialize`. Both backends run the *same*
-conjunct-major pipeline over the same candidate order, so results,
-row counts and error behaviour are bit-identical.
+narrows a candidate rid list conjunct by conjunct — as a boolean mask
+over the column arrays when :func:`~repro.query.masks.compile_mask`
+accepts the conjunct, as batched row evaluation when it does not — and
+contexts are only built for survivors via the column-wise
+:func:`materialize`. Both routes run the *same* conjunct-major pipeline
+over the same candidate order, so results, row counts and error
+behaviour are bit-identical whichever a conjunct takes.
 """
 
 from __future__ import annotations
@@ -85,8 +86,7 @@ def scan_rids(
     list; each residual conjunct then narrows the rid list in plan
     order. Mask-compilable conjuncts run as one numpy expression per
     batch; the rest fall back to row evaluation over materialized
-    survivor contexts — the pure-python backend takes the fallback for
-    every conjunct, with identical counting.
+    survivor contexts, with identical counting.
     """
     profiling = PROFILER.enabled
     start = PROFILER.time() if profiling else 0.0
@@ -114,13 +114,12 @@ def scan_rids(
 
     filters = plan.filters or tuple(conjuncts(plan.residual))
     current = list(candidates)
-    use_masks = table.vectorized
     for conj in filters:
         if not current:
             break
         if collect is not None:
             collect.predicate_evals += len(current)
-        mask_fn = compile_mask(conj, table, plan.binding) if use_masks else None
+        mask_fn = compile_mask(conj, table, plan.binding)
         if mask_fn is not None:
             rid_arr = numpy.asarray(current, dtype=numpy.intp)
             current = rid_arr[mask_fn(rid_arr)].tolist()

@@ -9,6 +9,11 @@ Plan trees are small frozen dataclasses interpreted by
 :mod:`repro.query.operators`; there is no physical/logical split beyond
 index selection because the substrate has exactly one access path per
 index kind.
+
+Each scan plan carries the ``mode:`` line EXPLAIN prints: its filters
+all run as boolean masks (``vectorized``), some do (``hybrid``), or
+none compiles (``row-fallback``). There is one storage backend, so the
+mode depends on the predicates and the schema, never on the table.
 """
 
 from __future__ import annotations
@@ -85,9 +90,9 @@ class ScanPlan:
     (cheapest-first by estimated selectivity when the planner had ≥ 2
     to order; ``filter_sels`` aligns with them and is empty otherwise).
     ``filter_vec`` flags which conjuncts have mask-compilable shape.
-    ``mode`` is the planned predicate-evaluation backend for EXPLAIN:
-    ``vectorized`` (all filters as masks), ``hybrid`` (some), or
-    ``row-fallback`` (pure-python backend or uncompilable filters).
+    ``mode`` is the planned predicate-evaluation route for EXPLAIN:
+    ``vectorized`` (all filters as masks, or none to run), ``hybrid``
+    (some), or ``row-fallback`` (no filter compiles to a mask).
     """
 
     table_name: str
@@ -276,7 +281,7 @@ def _build_scan(
 ) -> ScanPlan:
     """Finalize one base-table scan: order its residual conjuncts by
     estimated selectivity, decide freshness span pruning, and stamp the
-    vectorized-vs-fallback mode per conjunct."""
+    mask-vs-row mode per conjunct."""
     table = catalog.table(table_name)
     conjs = conjuncts(residual)
     sels: tuple[float, ...] = ()
@@ -315,9 +320,7 @@ def _build_scan(
     vec_flags = tuple(
         mask_compilable(conj, table.schema, binding) for conj in conjs
     )
-    if not table.vectorized:
-        mode = "row-fallback"
-    elif not vec_flags or all(vec_flags):
+    if all(vec_flags):
         mode = "vectorized"
     elif any(vec_flags):
         mode = "hybrid"

@@ -6,7 +6,7 @@ the planner can route equality/range predicates through them.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from repro.errors import CatalogError
 from repro.storage.index import HashIndex, SortedIndex
@@ -31,29 +31,11 @@ class Catalog:
     def __len__(self) -> int:
         return len(self._tables)
 
-    def create_table(
-        self,
-        name: str,
-        schema: Schema,
-        vector_columns: Sequence[str] = (),
-        kernels: bool | None = None,
-        freshness_column: str | None = None,
-    ) -> Table:
-        """Create and register an empty table called ``name``.
-
-        ``vector_columns``/``kernels``/``freshness_column`` pass through
-        to :class:`Table` so query-only catalogs can opt into the numpy
-        column backend and the rot dirty-map.
-        """
+    def create_table(self, name: str, schema: Schema) -> Table:
+        """Create and register an empty table called ``name``."""
         if name in self._tables:
             raise CatalogError(f"table {name!r} already exists")
-        table = Table(
-            schema,
-            name=name,
-            vector_columns=vector_columns,
-            kernels=kernels,
-            freshness_column=freshness_column,
-        )
+        table = Table(schema, name=name)
         self._tables[name] = table
         return table
 

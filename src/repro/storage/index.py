@@ -96,14 +96,20 @@ class SortedIndex:
     Deletions mark a rid dead in a side set; the sorted list is purged
     when dead entries exceed half the list (and on compaction). This
     keeps delete O(1) — important because decay evicts constantly.
+
+    NULL keys are not indexed: NULL never satisfies a range predicate,
+    and it does not order against a value.
     """
 
     def __init__(self, table: Table, column: str) -> None:
         self.table = table
         self.column = column
-        self._col_pos = table.schema.index_of(column)
+        pos = self._col_pos = table.schema.index_of(column)
+        self._nullable = table.schema.columns[pos].nullable
         self._entries: list[tuple[Any, int]] = sorted(
-            (values[self._col_pos], rid) for rid, values in table.iter_rows()
+            (values[pos], rid)
+            for rid, values in table.iter_rows()
+            if values[pos] is not None
         )
         self._dead: set[int] = set()
         table.add_observer(self)
@@ -165,10 +171,16 @@ class SortedIndex:
 
     def on_append(self, rid: int, values: tuple) -> None:
         # unreachable from Table; kept as a bench_e2e trace target
-        bisect.insort(self._entries, (values[self._col_pos], rid))
+        if values[self._col_pos] is not None:
+            bisect.insort(self._entries, (values[self._col_pos], rid))
 
     def on_append_many(self, rids: Sequence[int], columns: Sequence[list]) -> None:
-        batch = sorted(zip(columns[self._col_pos], rids))
+        pairs: Iterable[tuple[Any, int]] = zip(columns[self._col_pos], rids)
+        if self._nullable:
+            pairs = [(value, rid) for value, rid in pairs if value is not None]
+        batch = sorted(pairs)
+        if not batch:
+            return
         entries = self._entries
         if not entries or entries[-1] <= batch[0]:
             entries.extend(batch)
@@ -181,8 +193,9 @@ class SortedIndex:
         entries[lo:hi] = sorted(entries[lo:hi] + batch)
 
     def on_delete(self, rid: int, values: tuple) -> None:
-        self._dead.add(rid)
-        self._purge()
+        if values[self._col_pos] is not None:
+            self._dead.add(rid)
+            self._purge()
 
     def on_compact(self, remap: Mapping[int, int]) -> None:
         self._entries = [

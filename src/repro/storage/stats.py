@@ -124,7 +124,7 @@ def _column_stats_of(table: Table, name: str, dtype: DataType) -> ColumnStats:
     data = table.mask_data(name)
     if data is None:
         return _object_column_stats(table, name, dtype)
-    live = numpy.asarray(table.live_mask(), dtype=numpy.bool_)
+    live = table.live_mask()
     values = data.values[live]
     nulls = 0
     if data.nulls is not None:

@@ -20,16 +20,15 @@ compaction, so they never go stale. An append reaches an observer as
 one ``on_append_many(rids, columns)`` call per batch, or — for an
 observer that only defines it — one ``on_append(rid, values)`` per row.
 
-Decay kernels: selected columns (in practice ``t`` and ``f``) can be
-backed by ``float64`` arrays (:mod:`repro.storage.vector`), in which
-case the table also maintains a boolean live mask and exposes bulk
-primitives — :meth:`freshness_array`, :meth:`read_rows`,
-:meth:`write_rows`, :meth:`live_mask`, :meth:`live_runs`,
-:meth:`delete_many` — that apply Law 1 as array operations instead of
-per-row Python calls. A false ``kernels`` argument selects the
-pure-Python list backend, the reference the equivalence suites compare
-against; it implements the same primitives with loops so callers never
-branch on the backend for correctness, only for speed.
+One storage backend: the live mask is always a boolean array, and the
+freshness column plus any ``vector_columns`` (in practice ``t`` and
+``f``) are ``float64`` arrays (:mod:`repro.storage.vector`); the other
+columns are lists. The bulk primitives — :meth:`freshness_array`,
+:meth:`read_rows`, :meth:`write_rows`, :meth:`live_mask`,
+:meth:`live_runs`, :meth:`delete_many` — apply Law 1 as array
+operations, and the batch readers refuse a column that is not
+array-backed. The only loops left choose on input size: a handful of
+rids is cheaper to check one by one than to hand to numpy.
 """
 
 from __future__ import annotations
@@ -145,35 +144,28 @@ class Table:
         schema: Schema,
         name: str = "R",
         vector_columns: Sequence[str] = (),
-        kernels: bool | None = None,
         freshness_column: str | None = None,
     ) -> None:
         self.schema = schema
         self.name = name
         self.freshness_column = freshness_column
-        requested = tuple(vector_columns)
-        if kernels and not requested:
-            raise StorageError(
-                f"table {name!r}: kernels=True needs at least one vector column"
-            )
-        use_kernels = bool(requested) if kernels is None else kernels
-        positions: set[int] = set()
-        if use_kernels:
-            for column in requested:
-                pos = schema.index_of(column)
-                dtype = schema.column(column).dtype
-                if dtype not in _VECTORIZABLE:
-                    raise StorageError(
-                        f"table {name!r}: column {column!r} has dtype "
-                        f"{dtype.value}; only float/timestamp columns vectorize"
-                    )
-                positions.add(pos)
-        self._vector_positions = frozenset(positions)
+        requested = [*vector_columns]
+        if freshness_column is not None:
+            requested.append(freshness_column)
+        for column in requested:
+            dtype = schema.column(column).dtype
+            if dtype not in _VECTORIZABLE:
+                raise StorageError(
+                    f"table {name!r}: column {column!r} has dtype "
+                    f"{dtype.value}; only float/timestamp columns vectorize"
+                )
+        positions = frozenset(schema.index_of(column) for column in requested)
+        self._vector_positions = positions
         self._columns: list[Any] = [
             FloatColumn() if pos in positions else []
             for pos in range(len(schema))
         ]
-        self._live: Any = BoolColumn() if use_kernels else []
+        self._live = BoolColumn()
         self._live_count = 0
         self._next_rid = 0
         self._observers: list[TableObserver] = []
@@ -235,11 +227,6 @@ class Table:
         """Compaction counter; row ids are only comparable within one."""
         return self._generation
 
-    @property
-    def vectorized(self) -> bool:
-        """True when the decay kernels run on numpy arrays here."""
-        return bool(self._vector_positions)
-
     def is_live(self, rid: int) -> bool:
         """True when ``rid`` exists and has not been deleted."""
         return 0 <= rid < self._next_rid and self._live[rid]
@@ -252,37 +239,31 @@ class Table:
 
     def check_live_many(self, rids: Sequence[int]) -> None:
         """Raise :class:`StorageError` unless every rid is a live row."""
-        if self.vectorized:
-            if len(rids) < 32:
-                # ufunc reductions cost ~2us of fixed dispatch each;
-                # for a handful of rids a direct loop is far cheaper
-                live = self._live.array()
-                upper = self._next_rid
-                for rid in rids:
-                    rid = int(rid)
-                    if not 0 <= rid < upper:
-                        raise StorageError(
-                            f"row id {rid} out of range [0, {upper}) in {self.name!r}"
-                        )
-                    if not live[rid]:
-                        raise StorageError(
-                            f"row id {rid} is deleted in table {self.name!r}"
-                        )
-                return
-            arr = numpy.asarray(rids, dtype=numpy.intp)
-            if arr.size == 0:
-                return
-            if int(arr.min()) < 0 or int(arr.max()) >= self._next_rid:
-                bad = next(r for r in rids if not 0 <= r < self._next_rid)
-                raise StorageError(
-                    f"row id {bad} out of range [0, {self._next_rid}) in {self.name!r}"
-                )
-            if not self._live.array()[arr].all():
-                bad = next(r for r in rids if not self._live[r])
-                raise StorageError(f"row id {bad} is deleted in table {self.name!r}")
+        if len(rids) < 32:
+            # ufunc reductions cost ~2us of fixed dispatch each;
+            # for a handful of rids a direct loop is far cheaper
+            live = self._live.array()
+            upper = self._next_rid
+            for rid in rids:
+                rid = int(rid)
+                if not 0 <= rid < upper:
+                    raise StorageError(
+                        f"row id {rid} out of range [0, {upper}) in {self.name!r}"
+                    )
+                if not live[rid]:
+                    raise StorageError(
+                        f"row id {rid} is deleted in table {self.name!r}"
+                    )
             return
-        for rid in rids:
-            self._check_live(rid)
+        arr = numpy.asarray(rids, dtype=numpy.intp)
+        if int(arr.min()) < 0 or int(arr.max()) >= self._next_rid:
+            bad = next(r for r in rids if not 0 <= r < self._next_rid)
+            raise StorageError(
+                f"row id {bad} out of range [0, {self._next_rid}) in {self.name!r}"
+            )
+        if not self._live.array()[arr].all():
+            bad = next(r for r in rids if not self._live[r])
+            raise StorageError(f"row id {bad} is deleted in table {self.name!r}")
 
     # ------------------------------------------------------------------
     # observers
@@ -387,12 +368,7 @@ class Table:
         captured = [
             (rid, tuple(col[rid] for col in self._columns)) for rid in ordered
         ]
-        if self.vectorized:
-            self._live.array()[numpy.asarray(ordered, dtype=numpy.intp)] = False
-        else:
-            live = self._live
-            for rid in ordered:
-                live[rid] = False
+        self._live.array()[numpy.asarray(ordered, dtype=numpy.intp)] = False
         self._live_count -= len(ordered)
         self._version += 1
         for rid, values in captured:
@@ -464,11 +440,7 @@ class Table:
         cache = self._live_cache
         if cache is not None and cache[0] == self._version:
             return cache[1]
-        if self.vectorized:
-            rows = numpy.flatnonzero(self._live.array()).tolist()
-        else:
-            live = self._live
-            rows = [rid for rid in range(self._next_rid) if live[rid]]
+        rows = numpy.flatnonzero(self._live.array()).tolist()
         self._live_cache = (self._version, rows)
         return rows
 
@@ -495,17 +467,16 @@ class Table:
         return RowSet(matches)
 
     # ------------------------------------------------------------------
-    # bulk decay primitives (vector fast path + list fallback)
+    # bulk decay primitives (array-backed columns only)
     # ------------------------------------------------------------------
 
     def column_array(self, column: str) -> Any:
         """The raw float64 view of a vector-backed column.
 
-        Only meaningful on the vectorized backend; the view covers the
-        whole allocated row space (tombstoned slots hold stale values —
-        mask with :meth:`live_mask`). Writes through the view bypass
-        event publication, so only the sanctioned freshness mutators in
-        ``core/table.py`` may mutate it.
+        The view covers the whole allocated row space (tombstoned slots
+        hold stale values — mask with :meth:`live_mask`). Writes through
+        the view bypass event publication, so only the sanctioned
+        freshness mutators in ``core/table.py`` may mutate it.
         """
         pos = self.schema.index_of(column)
         if pos not in self._vector_positions:
@@ -515,57 +486,37 @@ class Table:
         return self._columns[pos].array()
 
     def freshness_array(self) -> Any:
-        """Bulk view of the freshness column.
-
-        Vectorized: the mutable float64 array view (length
-        :attr:`allocated`). Fallback: a fresh list copy of the same
-        values — positionally identical, but writes do not stick.
-        """
+        """The mutable float64 view of the freshness column (length
+        :attr:`allocated`)."""
         if self.freshness_column is None:
             raise StorageError(f"table {self.name!r} has no freshness column")
-        if self.vectorized:
-            return self.column_array(self.freshness_column)
-        col = self._columns[self.schema.index_of(self.freshness_column)]
-        return list(col)
+        return self.column_array(self.freshness_column)
 
     def live_mask(self) -> Any:
-        """Boolean liveness per allocated row slot.
-
-        Vectorized: the shared boolean array view (do not mutate).
-        Fallback: a fresh list of bools.
-        """
-        if self.vectorized:
-            return self._live.array()
-        return list(self._live)
+        """Boolean liveness per allocated row slot: the shared array
+        view (do not mutate)."""
+        return self._live.array()
 
     def read_rows(self, column: str, rids: Sequence[int]) -> Any:
-        """Values of ``column`` for live ``rids`` (array when vectorized)."""
+        """Values of vector-backed ``column`` for live ``rids``, as an array."""
         self.check_live_many(rids)
-        pos = self.schema.index_of(column)
-        col = self._columns[pos]
-        if pos in self._vector_positions:
-            return col.array()[numpy.asarray(rids, dtype=numpy.intp)]
-        return [col[rid] for rid in rids]
+        return self.column_array(column)[numpy.asarray(rids, dtype=numpy.intp)]
 
     def write_rows(self, column: str, rids: Sequence[int], values: Any) -> None:
-        """Overwrite ``column`` for live ``rids`` with ``values``.
+        """Overwrite vector-backed ``column`` for live ``rids`` with ``values``.
 
-        The bulk counterpart of :meth:`update` for vector-backed
-        columns; values must already be floats (no per-cell coercion).
+        The bulk counterpart of :meth:`update`; values must already be
+        floats (no per-cell coercion).
         """
         if self.probe is not None:
             self.probe.note(self.name, "write_rows")
         self.check_live_many(rids)
+        array = self.column_array(column)
         pos = self.schema.index_of(column)
-        col = self._columns[pos]
         self._data_versions[pos] += 1
         if pos == self._freshness_pos:
             self.mark_rot(rids)
-        if pos in self._vector_positions:
-            col.array()[numpy.asarray(rids, dtype=numpy.intp)] = values
-            return
-        for rid, value in zip(rids, values):
-            col[rid] = value
+        array[numpy.asarray(rids, dtype=numpy.intp)] = values
 
     def live_runs(self, lo: int, hi: int) -> list[tuple[int, int]]:
         """Maximal contiguous runs of live rids within ``[lo, hi]``.
@@ -577,35 +528,21 @@ class Table:
         hi = min(hi, self._next_rid - 1)
         if lo > hi:
             return []
-        if self.vectorized:
-            segment = self._live.array()[lo : hi + 1]
-            # fast path for the common sync case: the whole range is
-            # still alive (spot interiors between eviction batches)
-            if segment.all():
-                return [(lo, hi)]
-            idx = numpy.flatnonzero(segment)
-            if idx.size == 0:
-                return []
-            gaps = numpy.flatnonzero(numpy.diff(idx) > 1)
-            starts = numpy.concatenate(([0], gaps + 1))
-            ends = numpy.concatenate((gaps, [idx.size - 1]))
-            return [
-                (int(idx[s]) + lo, int(idx[e]) + lo)
-                for s, e in zip(starts.tolist(), ends.tolist())
-            ]
-        runs: list[tuple[int, int]] = []
-        live = self._live
-        start: int | None = None
-        for rid in range(lo, hi + 1):
-            if live[rid]:
-                if start is None:
-                    start = rid
-            elif start is not None:
-                runs.append((start, rid - 1))
-                start = None
-        if start is not None:
-            runs.append((start, hi))
-        return runs
+        segment = self._live.array()[lo : hi + 1]
+        # fast path for the common sync case: the whole range is
+        # still alive (spot interiors between eviction batches)
+        if segment.all():
+            return [(lo, hi)]
+        idx = numpy.flatnonzero(segment)
+        if idx.size == 0:
+            return []
+        gaps = numpy.flatnonzero(numpy.diff(idx) > 1)
+        starts = numpy.concatenate(([0], gaps + 1))
+        ends = numpy.concatenate((gaps, [idx.size - 1]))
+        return [
+            (int(idx[s]) + lo, int(idx[e]) + lo)
+            for s, e in zip(starts.tolist(), ends.tolist())
+        ]
 
     # ------------------------------------------------------------------
     # rot dirty-map (freshness-aware span pruning)
@@ -661,8 +598,8 @@ class Table:
     def rot_live_rows(self) -> list[int]:
         """Live rids inside the dirty spans, ascending.
 
-        The candidate set of a span-pruned scan; identical on both
-        backends (``live_runs`` does the liveness intersection).
+        The candidate set of a span-pruned scan (``live_runs`` does the
+        liveness intersection).
         """
         out: list[int] = []
         if self._rot is None:
@@ -767,42 +704,32 @@ class Table:
         """
         if not (0 <= rid < self._next_rid):
             raise StorageError(f"row id {rid} out of range in {self.name!r}")
-        if self.vectorized:
-            if rid == 0:
-                return None
-            live = self._live.array()
-            # adjacency fast path: without a tombstone gap the previous
-            # row id is simply rid - 1 (the overwhelmingly common case)
-            if live[rid - 1]:
-                return rid - 1
-            # reversed view; bool argmax short-circuits at the first hit
-            before = live[rid - 1 :: -1]
-            pos = int(numpy.argmax(before))
-            return rid - 1 - pos if before[pos] else None
-        for cand in range(rid - 1, -1, -1):
-            if self._live[cand]:
-                return cand
-        return None
+        if rid == 0:
+            return None
+        live = self._live.array()
+        # adjacency fast path: without a tombstone gap the previous
+        # row id is simply rid - 1 (the overwhelmingly common case)
+        if live[rid - 1]:
+            return rid - 1
+        # reversed view; bool argmax short-circuits at the first hit
+        before = live[rid - 1 :: -1]
+        pos = int(numpy.argmax(before))
+        return rid - 1 - pos if before[pos] else None
 
     def next_live(self, rid: int) -> int | None:
         """The nearest live row id strictly after ``rid``, or None."""
         if not (0 <= rid < self._next_rid):
             raise StorageError(f"row id {rid} out of range in {self.name!r}")
-        if self.vectorized:
-            if rid + 1 >= self._next_rid:
-                return None
-            live = self._live.array()
-            if live[rid + 1]:
-                return rid + 1
-            after = live[rid + 2 :]
-            if after.size == 0:
-                return None
-            pos = int(numpy.argmax(after))
-            return rid + 2 + pos if after[pos] else None
-        for cand in range(rid + 1, self._next_rid):
-            if self._live[cand]:
-                return cand
-        return None
+        if rid + 1 >= self._next_rid:
+            return None
+        live = self._live.array()
+        if live[rid + 1]:
+            return rid + 1
+        after = live[rid + 2 :]
+        if after.size == 0:
+            return None
+        pos = int(numpy.argmax(after))
+        return rid + 2 + pos if after[pos] else None
 
     def neighbours(self, rid: int) -> tuple[int | None, int | None]:
         """Both time-axis neighbours: ``(prev_live, next_live)``."""
@@ -832,9 +759,7 @@ class Table:
                 if pos in source._vector_positions
                 else [col[rid] for rid in survivors]
             )
-        self._live = (
-            BoolColumn(count, fill=True) if source.vectorized else [True] * count
-        )
+        self._live = BoolColumn(count, fill=True)
         self._next_rid = count
         self._live_count = count
         if source._rot is not None:
@@ -848,7 +773,7 @@ class Table:
     def dense_copy(self) -> "Table":
         """A frozen-in-time copy of the live rows as an ordinary table.
 
-        Same schema, same backend, rids renumbered densely, sharing no
+        Same schema, same column layout, rids renumbered densely, sharing no
         mutable state with this table: what a tick snapshot queries
         while Law 1 keeps mutating the original. Observers and indexes
         are not carried over.

@@ -1,24 +1,22 @@
-"""numpy-backed column primitives for the vectorized decay kernels.
+"""numpy-backed column primitives for the decay kernels.
 
-The storage :class:`~repro.storage.table.Table` keeps most columns as
-plain Python lists, but the two columns Law 1 hammers every tick —
-``t`` (insertion time) and ``f`` (freshness) — can be backed by
-growable ``float64`` arrays instead. :class:`FloatColumn` and
-:class:`BoolColumn` expose just enough of the list protocol
-(``extend``/``__getitem__``/``__setitem__``/``__len__``/``__iter__``)
-that the scalar code paths keep working unchanged, while the batch
-kernels reach the raw array through :meth:`FloatColumn.array`.
+Every storage :class:`~repro.storage.table.Table` keeps its live mask
+in a :class:`BoolColumn` and its freshness column (plus any other
+requested float/timestamp column — ``t`` on a decaying table) in a
+growable ``float64`` :class:`FloatColumn`; the remaining columns are
+plain Python lists. Both classes expose just enough of the list
+protocol (``extend``/``__getitem__``/``__setitem__``/``__len__``/
+``__iter__``) that per-cell code reads them like lists, while the batch
+kernels reach the raw array through ``array()``.
 
-numpy is a hard dependency (``pyproject.toml``); the pure-Python list
-backend survives only as the reference the equivalence suites compare
-against.
+numpy is a hard dependency (``pyproject.toml``).
 
 Float semantics: elementwise ``float64`` arithmetic is bit-identical
 to Python ``float`` arithmetic (both are IEEE-754 doubles), which is
-what lets the differential oracle stay at zero divergences with
-kernels on. Scalar reads convert back through ``float()`` so values
-that escape into events, snapshots and query results are plain Python
-floats either way.
+what lets the vector kernel and the scalar small-batch kernel in
+``core/table.py`` agree bit for bit. Scalar reads convert back through
+``float()`` so values that escape into events, snapshots and query
+results are plain Python floats.
 """
 
 from __future__ import annotations
@@ -98,7 +96,7 @@ class FloatColumn:
 
 
 class BoolColumn:
-    """Growable boolean column; backs the live mask when vectorized."""
+    """Growable boolean column; backs every table's live mask."""
 
     __slots__ = ("_data", "_size")
 

@@ -108,7 +108,7 @@ class TestCoalescedEvents:
 
 class TestKernelRouting:
     def test_small_batches_route_to_scalar_kernel(self, table, monkeypatch):
-        """Below _SMALL_BATCH the python kernel runs even with numpy."""
+        """Below _SMALL_BATCH the python kernel runs."""
         calls = []
         orig = DecayingTable._apply_batch_py
         monkeypatch.setattr(
@@ -117,12 +117,9 @@ class TestKernelRouting:
             lambda self, *a: calls.append(1) or orig(self, *a),
         )
         table.decay_many([0, 1], 0.1, "t")
-        if table.supports_kernels:
-            assert calls, "small batch should use the scalar kernel"
+        assert calls, "small batch should use the scalar kernel"
 
     def test_threshold_zero_forces_vector_kernel(self, table, monkeypatch):
-        if not table.supports_kernels:
-            pytest.skip("scalar-only backend")
         monkeypatch.setattr(core_table, "_SMALL_BATCH", 0)
         calls = []
         orig = DecayingTable._apply_batch_vec
@@ -134,10 +131,12 @@ class TestKernelRouting:
         table.decay_many([0, 1], 0.1, "t")
         assert calls, "threshold 0 should force the vector kernel"
 
-    def test_backends_agree_on_a_simple_batch(self, clock):
+    def test_backends_agree_on_a_simple_batch(self, clock, monkeypatch):
+        """The vector kernel and the scalar reference write the same bits."""
         tables = []
-        for kernels in (None, False):
-            t = DecayingTable("r", Schema.of(v="int"), clock, kernels=kernels)
+        for threshold in (0, 41):
+            monkeypatch.setattr(core_table, "_SMALL_BATCH", threshold)
+            t = DecayingTable("r", Schema.of(v="int"), clock)
             for i in range(40):
                 t.insert({"v": i})
             t.decay_many(list(range(40)), 0.125, "t")

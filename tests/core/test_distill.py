@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.table as core_table
 from repro import FungusDB, LinearDecayFungus
 from repro.core.clock import DecayClock
 from repro.core.distill import Distiller, SummaryStore
@@ -21,6 +22,8 @@ from repro.sketch.serde import summary_to_dict
 from repro.sketch.summary import TableSummary
 from repro.storage import RowSet, Schema, Table
 from repro.storage.schema import ColumnDef, DataType
+
+_DEFAULT_SMALL_BATCH = core_table._SMALL_BATCH
 
 
 class TestSummaryStore:
@@ -169,21 +172,30 @@ _ops = st.lists(
 )
 
 
-@pytest.mark.parametrize("kernels", [True, False], ids=["numpy", "reference"])
+@pytest.mark.parametrize("small_batch", [0, 10**9], ids=["numpy", "reference"])
 @settings(max_examples=30, deadline=None)
 @given(bulk=st.lists(_row, min_size=40, max_size=70), ops=_ops)
-def test_distill_equals_add_row_reference(kernels, bulk, ops):
+def test_distill_equals_add_row_reference(small_batch, bulk, ops):
     """Every summary a schedule produces equals the per-row reference.
 
     ``bulk`` goes in first and dies as one batch above the summary's
     small-batch cut-over; the schedule's own distills are mostly below it.
+    The decay batches run the vector kernel (``numpy``) or the scalar
+    one (``reference``).
     """
+    core_table._SMALL_BATCH = small_batch
+    try:
+        _check_distill_schedule(bulk, ops)
+    finally:
+        core_table._SMALL_BATCH = _DEFAULT_SMALL_BATCH
+
+
+def _check_distill_schedule(bulk, ops):
     db = FungusDB(seed=3)
     table = db.create_table(
         "r",
         Schema([ColumnDef("k", DataType.INT), ColumnDef("x", DataType.FLOAT, nullable=True)]),
         fungus=LinearDecayFungus(rate=0.5),
-        kernels=kernels,
     )
     compared = []
     columnar = db.distiller.distill_rowset

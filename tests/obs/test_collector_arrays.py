@@ -45,12 +45,11 @@ mutations = st.tuples(
 @given(
     schedule=st.lists(mutations, max_size=25),
     pins=st.sets(st.integers(min_value=0, max_value=ROWS - 1), max_size=10),
-    kernels=st.booleans(),
 )
-def test_batch_fold_is_byte_equal_to_the_expand_loop(schedule, pins, kernels):
+def test_batch_fold_is_byte_equal_to_the_expand_loop(schedule, pins):
     db = FungusDB(seed=3)
     for name in ("a", "b"):
-        db.create_table(name, Schema.of(v="int"), kernels=kernels)
+        db.create_table(name, Schema.of(v="int"))
         db.insert_many(name, [{"v": i} for i in range(ROWS)])
     for rid in pins:
         db.tables["a"].pin(rid)
@@ -95,13 +94,10 @@ def _sampled_gauges(collector, name):
     rows=st.integers(min_value=0, max_value=120),
     ticks=st.integers(min_value=0, max_value=6),
     threshold=st.integers(min_value=0, max_value=120),
-    kernels=st.booleans(),
 )
-def test_sampled_bands_equal_a_band_of_loop(rows, ticks, threshold, kernels):
+def test_sampled_bands_equal_a_band_of_loop(rows, ticks, threshold):
     db = FungusDB(seed=9)
-    db.create_table(
-        "r", Schema.of(v="int"), fungus=LinearDecayFungus(rate=0.17), kernels=kernels
-    )
+    db.create_table("r", Schema.of(v="int"), fungus=LinearDecayFungus(rate=0.17))
     collector = BusCollector().attach(db)
     table = db.tables["r"]
 

@@ -1,18 +1,25 @@
-"""Dual-backend equivalence of the vectorized query executor.
+"""The mask-compiled query executor against the row interpreter.
 
-The mask-compiled path (numpy-backed tables, ``mode: vectorized``) and
-the row-at-a-time fallback (pure-python tables) must be
-*bit-identical*: the same SQL over the same rows yields the same
-ResultSet (rows, columns, order), the same execution statistics, the
-same storage observer streams (append/delete callbacks — Law 2's
-deletions included), and the same surviving extent afterwards — across
-randomly generated predicates spanning every mask-compilable shape
-(comparisons, arithmetic with ``%`` and ``/``, BETWEEN, IN with NULL
-items, IS NULL, AND/OR/NOT) *and* the non-compilable shapes that force
-the hybrid path (string equality conjuncts).
+Every table is array-backed, so the reference is the executor with mask
+compilation switched off: :func:`row_interpreter` patches
+``repro.query.operators.compile_mask`` to refuse every conjunct, which
+sends each one through the row-at-a-time interpreter the product keeps
+for uncompilable conjuncts. The reference table also keeps ``t`` in a
+list rather than an array. Both must be *bit-identical*: the same SQL
+over the same rows yields the same ResultSet (rows, columns, order),
+the same execution statistics, the same storage observer streams
+(append/delete callbacks — Law 2's deletions included), and the same
+surviving extent afterwards — across randomly generated predicates
+spanning every mask-compilable shape (comparisons, arithmetic with
+``%`` and ``/``, BETWEEN, IN with NULL items, IS NULL, AND/OR/NOT)
+*and* the non-compilable shapes that force the hybrid path (string
+equality conjuncts).
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager, nullcontext
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -62,6 +69,13 @@ def _build(vector: bool, rows: list[tuple]) -> tuple[QueryEngine, Table, _Record
     return QueryEngine(catalog), table, recorder
 
 
+@contextmanager
+def row_interpreter():
+    """Run every conjunct through the row interpreter, none as a mask."""
+    with mock.patch("repro.query.operators.compile_mask", lambda *args: None):
+        yield
+
+
 def _dump(table: Table) -> list[tuple[int, tuple]]:
     """The live extent, rid-ordered, original Python values."""
     rids = table.live_list()
@@ -93,12 +107,15 @@ _int_literal = st.integers(min_value=-30, max_value=30)
 def _atoms(draw) -> str:
     kind = draw(
         st.sampled_from(
-            ["cmp", "arith", "mod", "div", "between", "inlist", "isnull", "str"]
+            ["cmp", "arith", "mod", "div", "between", "inlist", "isnull", "str", "const"]
         )
     )
     col = draw(_numeric_column)
     op = draw(_comparator)
     k = draw(_int_literal)
+    if kind == "const":
+        # literals alone: the mask folds to one bool for every candidate
+        return f"{k} {op} {draw(st.one_of(_int_literal.map(str), st.just('NULL')))}"
     if kind == "cmp":
         rhs = f"{draw(st.floats(min_value=-1.0, max_value=1.0, allow_nan=False, width=64))!r}" if col == "f" else str(k)
         return f"{col} {op} {rhs}"
@@ -183,18 +200,18 @@ class TestStatementEquivalence:
     @settings(max_examples=120, deadline=None)
     @given(rows=_rows, statements=st.lists(_statements(), min_size=1, max_size=4))
     def test_statement_schedules_are_backend_identical(self, rows, statements):
-        """Random statement schedules leave both backends bit-identical.
+        """Random statement schedules leave both executors bit-identical.
 
         Statements run in sequence on *both* engines so later ones see
         the extent earlier CONSUME/DELETE statements carved out.
         """
         vec_engine, vec_table, vec_rec = _build(True, rows)
         py_engine, py_table, py_rec = _build(False, rows)
-        assert vec_table.vectorized and not py_table.vectorized
 
         for sql in statements:
             rv = vec_engine.execute(sql)
-            rp = py_engine.execute(sql)
+            with row_interpreter():
+                rp = py_engine.execute(sql)
             assert rv.columns == rp.columns, sql
             assert rv.rows == rp.rows, sql
             assert sorted(rv.consumed) == sorted(rp.consumed), sql
@@ -207,15 +224,16 @@ class TestStatementEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(rows=_rows, sql=_statements())
     def test_analyzed_actuals_match_on_both_backends(self, rows, sql):
-        """EXPLAIN ANALYZE's masked paths report true actual rows."""
+        """EXPLAIN ANALYZE reports true actual rows, masked or not."""
         import re
 
         totals = []
         for vector in (True, False):
-            engine, _, _ = _build(vector, rows)
-            expected = len(engine.execute(sql))
-            fresh_engine, _, _ = _build(vector, rows)
-            result = fresh_engine.execute(f"EXPLAIN ANALYZE {sql}")
+            with nullcontext() if vector else row_interpreter():
+                engine, _, _ = _build(vector, rows)
+                expected = len(engine.execute(sql))
+                fresh_engine, _, _ = _build(vector, rows)
+                result = fresh_engine.execute(f"EXPLAIN ANALYZE {sql}")
             match = re.match(r"total: (\d+) row\(s\)", result.rows[-1][0])
             assert match is not None, result.rows
             assert int(match.group(1)) == expected, sql

@@ -152,16 +152,3 @@ def test_array_report_equals_the_per_row_walk(table):
         _per_row_health(table), mean_freshness=None
     )
 
-
-def test_array_report_on_the_list_backend():
-    """``kernels=False`` hands out lists; the report reads them the same way."""
-    table = DecayingTable("r", Schema.of(v="int"), DecayClock(), kernels=False)
-    for i in range(12):
-        table.insert({"v": i})
-    table.set_freshness_many([1, 2, 5, 6, 9], [0.1, 0.2, 0.0, 0.5, 0.24])
-    table.evict(RowSet([0, 3, 4, 11]), "manual")
-    table.pin(7)
-    got, want = measure_health(table), _per_row_health(table)
-    assert replace(got, mean_freshness=None) == replace(want, mean_freshness=None)
-    assert got.mean_freshness == pytest.approx(want.mean_freshness, rel=1e-12)
-    assert got.rot_spots == ((1, 6), (9, 10)) and got.holes == ((0, 1), (3, 5), (11, 12))

@@ -1,12 +1,18 @@
-"""Dual-backend equivalence of the vectorized decay kernels.
+"""The vector decay kernels against the scalar reference, on one backend.
 
-The numpy kernels (``kernels=True``) and the pure-python scalar
-fallback (``kernels=False``) must be *bit-identical*: same freshness
-columns, same exhausted sets, same per-tuple decay event streams —
-across random schedules of batch mutations, pins, evictions and
-mid-run compaction. ``_SMALL_BATCH`` is pinned to 0 in half the cases
-so even tiny batches exercise the vector kernel rather than being
-routed to the scalar one.
+Every table keeps ``t``/``f`` and its live mask in arrays; what differs
+is the kernel a batch runs through. ``_SMALL_BATCH`` pinned above any
+batch size routes every batch to the scalar ``_apply_batch_py`` (and
+every ``positive_rows_in`` span to the list walk); the vector side runs
+with it pinned to 0 in half the cases, so even tiny batches exercise the
+vector kernel, and at the product default in the other half. Both must
+be *bit-identical*: same freshness columns, same exhausted sets, same
+per-tuple decay event streams — across random schedules of batch
+mutations, pins, evictions and mid-run compaction.
+
+The storage navigation primitives (``live_runs``, ``prev_live``,
+``next_live``, ``live_list``) are held to a plain list walk over the
+live mask.
 """
 
 from __future__ import annotations
@@ -22,9 +28,11 @@ from repro.core.clock import DecayClock
 from repro.core.events import TupleDecayed, TupleDecayedBatch
 from repro.core.table import DecayingTable
 from repro.fungi import BlueCheeseFungus, EGIFungus
-from repro.storage import RowSet, Schema
+from repro.storage import RowSet, Schema, Table
 
 _DEFAULT_SMALL_BATCH = core_table._SMALL_BATCH
+#: a threshold no batch reaches: everything runs the scalar kernel
+_SCALAR_ONLY = 10**9
 
 
 @contextmanager
@@ -37,9 +45,13 @@ def small_batch(threshold: int):
         core_table._SMALL_BATCH = _DEFAULT_SMALL_BATCH
 
 
-def _build(kernels: bool, n_rows: int) -> tuple[DecayingTable, list]:
+def _vector_threshold(force_vector: bool) -> int:
+    return 0 if force_vector else _DEFAULT_SMALL_BATCH
+
+
+def _build(n_rows: int) -> tuple[DecayingTable, list]:
     clock = DecayClock()
-    table = DecayingTable("r", Schema.of(v="int"), clock, kernels=kernels)
+    table = DecayingTable("r", Schema.of(v="int"), clock)
     events: list = []
     table.bus.subscribe(TupleDecayed, events.append)
     table.bus.subscribe(TupleDecayedBatch, lambda e: events.extend(e.expand()))
@@ -105,13 +117,12 @@ class TestScheduleEquivalence:
     def test_batch_mutator_schedules_are_backend_identical(
         self, steps, n_rows, force_vector
     ):
-        """Random mutation schedules leave both backends bit-identical."""
-        with small_batch(0 if force_vector else _DEFAULT_SMALL_BATCH):
-            vec, vec_events = _build(True, n_rows)
-            py, py_events = _build(False, n_rows)
-            assert vec.supports_kernels and not py.supports_kernels
-
+        """Random mutation schedules leave both kernels bit-identical."""
+        with small_batch(_vector_threshold(force_vector)):
+            vec, vec_events = _build(n_rows)
             _apply(vec, steps, n_rows)
+        with small_batch(_SCALAR_ONLY):
+            py, py_events = _build(n_rows)
             _apply(py, steps, n_rows)
 
         assert _freshness_state(vec) == _freshness_state(py)
@@ -132,11 +143,11 @@ class TestFungusEquivalence:
     def test_egi_spread_is_backend_identical(
         self, n_rows, ticks, seed, rate, force_vector
     ):
-        """EGI on the SpotSet engine evolves identically on both backends."""
+        """EGI on the SpotSet engine evolves identically on both kernels."""
         states = []
-        with small_batch(0 if force_vector else _DEFAULT_SMALL_BATCH):
-            for kernels in (True, False):
-                table, events = _build(kernels, n_rows)
+        for threshold in (_vector_threshold(force_vector), _SCALAR_ONLY):
+            with small_batch(threshold):
+                table, events = _build(n_rows)
                 fungus = EGIFungus(seeds_per_cycle=2, decay_rate=rate)
                 rng = random.Random(seed)
                 for _ in range(ticks):
@@ -164,9 +175,9 @@ class TestFungusEquivalence:
         self, n_rows, ticks, seed, force_vector
     ):
         states = []
-        with small_batch(0 if force_vector else _DEFAULT_SMALL_BATCH):
-            for kernels in (True, False):
-                table, events = _build(kernels, n_rows)
+        for threshold in (_vector_threshold(force_vector), _SCALAR_ONLY):
+            with small_batch(threshold):
+                table, events = _build(n_rows)
                 fungus = BlueCheeseFungus(
                     max_spots=2, base_rate=0.15, acceleration=0.5
                 )
@@ -189,11 +200,11 @@ class TestFungusEquivalence:
     def test_egi_with_midrun_compaction_is_backend_identical(
         self, n_rows, ticks, seed, compact_every
     ):
-        """Compaction remaps spots identically on both backends."""
+        """Compaction remaps spots identically on both kernels."""
         states = []
-        with small_batch(0):
-            for kernels in (True, False):
-                table, _ = _build(kernels, n_rows)
+        for threshold in (0, _SCALAR_ONLY):
+            with small_batch(threshold):
+                table, _ = _build(n_rows)
                 fungus = EGIFungus(seeds_per_cycle=2, decay_rate=0.5)
                 rng = random.Random(seed)
                 for step in range(ticks):
@@ -226,11 +237,11 @@ class TestPinEquivalence:
     def test_pins_are_honoured_identically(
         self, n_rows, pin_offsets, amount, force_vector
     ):
-        """Pinned rows never lose freshness, on either backend."""
+        """Pinned rows never lose freshness, on either kernel."""
         results = []
-        with small_batch(0 if force_vector else _DEFAULT_SMALL_BATCH):
-            for kernels in (True, False):
-                table, _ = _build(kernels, n_rows)
+        for threshold in (_vector_threshold(force_vector), _SCALAR_ONLY):
+            with small_batch(threshold):
+                table, _ = _build(n_rows)
                 pinned = sorted({o for o in pin_offsets if o < n_rows})
                 for rid in pinned:
                     table.pin(rid)
@@ -239,3 +250,60 @@ class TestPinEquivalence:
                 for rid in pinned:
                     assert table.freshness(rid) == 1.0
         assert results[0] == results[1]
+
+
+# -- storage navigation against a list walk over the live mask ----------
+
+
+def _walk_live_runs(live: list[bool], lo: int, hi: int) -> list[tuple[int, int]]:
+    runs: list[tuple[int, int]] = []
+    start = None
+    hi = min(hi, len(live) - 1)
+    for rid in range(max(lo, 0), hi + 1):
+        if live[rid]:
+            if start is None:
+                start = rid
+        elif start is not None:
+            runs.append((start, rid - 1))
+            start = None
+    if start is not None:
+        runs.append((start, hi))
+    return runs
+
+
+def _walk_prev_live(live: list[bool], rid: int) -> int | None:
+    return next((cand for cand in range(rid - 1, -1, -1) if live[cand]), None)
+
+
+def _walk_next_live(live: list[bool], rid: int) -> int | None:
+    return next((cand for cand in range(rid + 1, len(live)) if live[cand]), None)
+
+
+class TestNavigationEquivalence:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_rows=st.integers(min_value=1, max_value=90),
+        dead=st.sets(st.integers(min_value=0, max_value=89)),
+        compact=st.booleans(),
+        spans=st.lists(
+            st.tuples(
+                st.integers(min_value=-3, max_value=95),
+                st.integers(min_value=-3, max_value=95),
+            ),
+            max_size=8,
+        ),
+    )
+    def test_navigation_matches_a_list_walk(self, n_rows, dead, compact, spans):
+        """Batch deletes on both sides of the 32-rid cut, then compaction."""
+        table = Table(Schema.of(v="int"), name="r")
+        table.append_many([(i,) for i in range(n_rows)])
+        table.delete_many(sorted(rid for rid in dead if rid < n_rows))
+        if compact:
+            table.compact()
+        live = list(table.live_mask())
+        assert table.live_list() == [rid for rid, alive in enumerate(live) if alive]
+        for rid in range(len(live)):
+            assert table.prev_live(rid) == _walk_prev_live(live, rid)
+            assert table.next_live(rid) == _walk_next_live(live, rid)
+        for lo, hi in [(0, len(live) - 1), *spans]:
+            assert table.live_runs(lo, hi) == _walk_live_runs(live, lo, hi)

@@ -114,11 +114,11 @@ def batches(allow_bad: bool):
     return st.lists(st.lists(rows(allow_bad), max_size=12), min_size=1, max_size=4)
 
 
-def make_table(kernels: bool):
+def make_table(vector_t: bool):
     table = Table(
         SCHEMA,
         name="r",
-        vector_columns=("t", "f") if kernels else (),
+        vector_columns=("t",) if vector_t else (),
         freshness_column="f",
     )
     return table, HashIndex(table, "k"), SortedIndex(table, "t")
@@ -153,12 +153,12 @@ def assert_matches(table, hash_index, sorted_index, model: PerRowModel) -> None:
 @settings(max_examples=120, deadline=None)
 @given(
     data=batches(allow_bad=True),
-    kernels=st.booleans(),
+    vector_t=st.booleans(),
     as_generator=st.booleans(),
     victims=st.sets(st.integers(min_value=0, max_value=40), max_size=6),
 )
-def test_append_many_matches_the_per_row_model(data, kernels, as_generator, victims):
-    table, hash_index, sorted_index = make_table(kernels)
+def test_append_many_matches_the_per_row_model(data, vector_t, as_generator, victims):
+    table, hash_index, sorted_index = make_table(vector_t)
     model = PerRowModel()
     for number, batch in enumerate(data):
         try:
@@ -199,16 +199,15 @@ def attribute_rows(allow_bad: bool):
     data=st.lists(
         st.lists(attribute_rows(allow_bad=True), max_size=10), min_size=1, max_size=4
     ),
-    kernels=st.booleans(),
     watch_tuples=st.booleans(),
 )
-def test_insert_many_matches_a_loop_of_inserts(data, kernels, watch_tuples):
+def test_insert_many_matches_a_loop_of_inserts(data, watch_tuples):
     """Batch table vs. one ``insert`` per row: same rows, ``t``/``f``,
     exhausted set, rot spans, returned rids and ``TupleInserted`` stream."""
 
     def build():
         clock = DecayClock()
-        table = DecayingTable("r", ATTRIBUTES, clock, kernels=kernels)
+        table = DecayingTable("r", ATTRIBUTES, clock)
         index = HashIndex(table.storage, "k"), SortedIndex(table.storage, "t")
         seen: list = []
         if watch_tuples:

@@ -91,7 +91,7 @@ class TestGoldenOutput:
         assert analyzed(engine, "EXPLAIN ANALYZE SELECT v FROM r WHERE v > 50") == [
             "EXPLAIN ANALYZE (plan vs. actual)",
             "scan r via full scan; residual (v > 50)",
-            "  mode: row-fallback",
+            "  mode: vectorized",
             "  rows: est 2, actual 2 (q=1.00) | in 10, index hits 0, "
             "rotted skipped 0, span pruned 0, predicate evals 10",
             "total: 2 row(s); worst misestimation q=1.00",
@@ -103,7 +103,7 @@ class TestGoldenOutput:
         ) == [
             "EXPLAIN ANALYZE (plan vs. actual)",
             "scan r via hash(key='a'); residual none",
-            "  mode: row-fallback",
+            "  mode: vectorized",
             "  rows: est 5, actual 5 (q=1.00) | in 5, index hits 5, "
             "rotted skipped 0, span pruned 0, predicate evals 0",
             "total: 5 row(s); worst misestimation q=1.00",
@@ -117,7 +117,7 @@ class TestGoldenOutput:
         ) == [
             "EXPLAIN ANALYZE (plan vs. actual)",
             "scan r via full scan; residual none",
-            "  mode: row-fallback",
+            "  mode: vectorized",
             "  rows: est 10, actual 10 (q=1.00) | in 10, index hits 0, "
             "rotted skipped 0, span pruned 0, predicate evals 0",
             "aggregate by ['key'] computing ['count(*)']",
@@ -147,7 +147,7 @@ class TestGoldenOutput:
         ) == [
             "EXPLAIN ANALYZE (plan vs. actual)",
             "scan r via full scan; residual none",
-            "  mode: row-fallback",
+            "  mode: vectorized",
             "  rows: est 10, actual 10 (q=1.00) | in 10, index hits 0, "
             "rotted skipped 0, span pruned 0, predicate evals 0",
             "distinct over output columns",
@@ -163,7 +163,7 @@ class TestGoldenOutput:
         ) == [
             "EXPLAIN ANALYZE (plan vs. actual)",
             "scan r via full scan; residual (v > 50)",
-            "  mode: row-fallback",
+            "  mode: vectorized",
             "  rows: est 2, actual 2 (q=1.00) | in 10, index hits 0, "
             "rotted skipped 0, span pruned 0, predicate evals 10",
             "CONSUME: matching base rows are deleted (Law 2)",
@@ -180,7 +180,7 @@ class TestGoldenOutput:
         ) == [
             "EXPLAIN ANALYZE (plan vs. actual)",
             "scan r via hash(key='b'); residual none",
-            "  mode: row-fallback",
+            "  mode: vectorized",
             "DELETE: matching base rows are removed (no distillation)",
             "  rows consumed: est 5, actual 5 (q=1.00) | in 5, index hits 5, "
             "rotted skipped 0, span pruned 0, predicate evals 0",
@@ -296,7 +296,7 @@ class TestPlainExplainStillDescribes:
         plan = plan_delete(parse("DELETE FROM r WHERE v > 50"), engine.catalog)
         assert render_plan(plan) == [
             "scan r via full scan; residual (v > 50)",
-            "  mode: row-fallback",
+            "  mode: vectorized",
             "DELETE: matching base rows are removed (no distillation)",
         ]
 
@@ -306,7 +306,7 @@ class TestPlainExplainStillDescribes:
         )
         assert render_plan(plan) == [
             "scan r via full scan; residual (v > 50)",
-            "  mode: row-fallback",
+            "  mode: vectorized",
             "CONSUME: matching base rows are deleted (Law 2)",
         ]
 

@@ -14,7 +14,8 @@ from repro.storage.table import Table
 
 
 def _table() -> Table:
-    return Table(Schema.of(k="int", v="float"), name="t")
+    # ``v`` is array-backed so the bulk ``write_rows`` accepts it
+    return Table(Schema.of(k="int", v="float"), name="t", vector_columns=("v",))
 
 
 def _in_thread(fn) -> None:

@@ -125,11 +125,11 @@ class TestFloatColumn:
         assert len(col) == 1005
 
 
-def make_table(kernels):
+def make_table(vector_t):
     table = Table(
         SCHEMA,
         name="r",
-        vector_columns=("t", "f") if kernels else (),
+        vector_columns=("t",) if vector_t else (),
         freshness_column="f",
     )
     return table, HashIndex(table, "k"), SortedIndex(table, "t")
@@ -147,17 +147,17 @@ def state_of(table, hash_index, sorted_index):
     )
 
 
-@pytest.mark.parametrize("kernels", [True, False])
+@pytest.mark.parametrize("vector_t", [True, False])
 class TestAppendMany:
-    def test_returns_the_contiguous_rids(self, kernels):
-        table, _, _ = make_table(kernels)
+    def test_returns_the_contiguous_rids(self, vector_t):
+        table, _, _ = make_table(vector_t)
         assert table.append_many([row(), row()]) == RowSet([0, 1])
         assert table.append_many(row() for _ in range(3)) == RowSet([2, 3, 4])
         assert table.append_many([]) == RowSet.empty()
         assert table.append(row()) == 5
 
-    def test_bad_row_leaves_the_table_untouched(self, kernels):
-        table, hash_index, sorted_index = make_table(kernels)
+    def test_bad_row_leaves_the_table_untouched(self, vector_t):
+        table, hash_index, sorted_index = make_table(vector_t)
         table.append_many([row(k=1), row(f=0.5)])
         seen = []
 
@@ -172,15 +172,15 @@ class TestAppendMany:
         assert state_of(table, hash_index, sorted_index) == before
         assert seen == []
 
-    def test_rot_map_marks_only_rows_below_full_freshness(self, kernels):
-        table, _, _ = make_table(kernels)
+    def test_rot_map_marks_only_rows_below_full_freshness(self, vector_t):
+        table, _, _ = make_table(vector_t)
         table.append_many([row(), row(f=0.5), row(f=0.25), row(), row(f=0.0)])
         assert table.rot_spans() == [(1, 2), (4, 4)]
         table.append_many([row(f=float("nan"))])
         assert table.rot_spans() == [(1, 2), (4, 5)]
 
-    def test_indexes_file_an_out_of_order_batch(self, kernels):
-        table, hash_index, sorted_index = make_table(kernels)
+    def test_indexes_file_an_out_of_order_batch(self, vector_t):
+        table, hash_index, sorted_index = make_table(vector_t)
         table.append_many([row(t=5.0, k=1), row(t=9.0, k=None)])
         table.append_many([row(t=7.0, k=1), row(t=2, k=None), row(t=9.0, k=3)])
         assert hash_index.lookup(1) == RowSet([0, 2])
@@ -188,8 +188,8 @@ class TestAppendMany:
         assert sorted_index.ascending() == [3, 0, 2, 1, 4]
         assert sorted_index.range(5.0, 7.0) == RowSet([0, 2])
 
-    def test_one_out_of_order_row_is_a_bisect_not_a_resort(self, kernels):
-        table, _, sorted_index = make_table(kernels)
+    def test_one_out_of_order_row_is_a_bisect_not_a_resort(self, vector_t):
+        table, _, sorted_index = make_table(vector_t)
         table.append_many(row(t=float(i)) for i in range(0, 4000, 2))
         compares = []
 
@@ -210,16 +210,16 @@ class TestAppendMany:
         assert sorted_index._entries[501] == (1001.0, 2000)
         assert len(compares) <= 2 * 12 + 2  # the tail check, two bisects of 2000
 
-    def test_an_overlapping_batch_merges_only_the_stretch_it_covers(self, kernels):
-        table, _, sorted_index = make_table(kernels)
+    def test_an_overlapping_batch_merges_only_the_stretch_it_covers(self, vector_t):
+        table, _, sorted_index = make_table(vector_t)
         table.append_many(row(t=float(i)) for i in (0, 2, 4, 6, 8))
         table.append_many([row(t=5.0), row(t=3.0), row(t=4.0)])
         assert sorted_index.ascending() == [0, 1, 6, 2, 7, 5, 3, 4]
         table.append_many([row(t=-1.0), row(t=9.0)])
         assert sorted_index.ascending() == [8, 0, 1, 6, 2, 7, 5, 3, 4, 9]
 
-    def test_per_row_only_observer_gets_one_call_per_row_in_order(self, kernels):
-        table, _, _ = make_table(kernels)
+    def test_per_row_only_observer_gets_one_call_per_row_in_order(self, vector_t):
+        table, _, _ = make_table(vector_t)
         table.append(row())
         calls = []
 
@@ -234,8 +234,8 @@ class TestAppendMany:
             (2, (1.0, 0.5, None, "x", True)),
         ]
 
-    def test_every_observer_shares_one_rid_sequence(self, kernels):
-        table, _, _ = make_table(kernels)
+    def test_every_observer_shares_one_rid_sequence(self, vector_t):
+        table, _, _ = make_table(vector_t)
         got = []
 
         class Batch:
@@ -250,8 +250,8 @@ class TestAppendMany:
         assert list(rids_a) == [0, 1]
         assert columns_a[2] == [1, 2]
 
-    def test_one_version_bump_per_batch(self, kernels):
-        table, _, _ = make_table(kernels)
+    def test_one_version_bump_per_batch(self, vector_t):
+        table, _, _ = make_table(vector_t)
         table.append_many([row()] * 4)
         cached = table.live_list()
         assert cached == [0, 1, 2, 3]
