@@ -202,7 +202,10 @@ def compile_mask(expr: Expression, table: Table, binding: str) -> MaskFn | None:
     def run(rid_arr: Any) -> Any:
         t, _n = node(rid_arr)
         # a predicate over literals alone folds to one numpy bool
-        return numpy.broadcast_to(t, rid_arr.shape)
+        t = numpy.broadcast_to(t, rid_arr.shape)
+        # anything but a bool mask would index rids instead of masking them
+        assert t.dtype == bool, t.dtype
+        return t
 
     return run
 
@@ -378,7 +381,9 @@ def _num_with_bound(
         bound = abs(float(value))
         if is_int and bound >= _EXACT_INT:
             raise _Fallback
-        scalar = float(value)
+        # numpy-typed, so a literal-only comparison yields numpy.bool_
+        # and NOT is logical (a Python bool would give ~True == -2)
+        scalar = numpy.float64(value)
 
         def lit(rid_arr: Any) -> tuple[Any, Any]:
             return scalar, None

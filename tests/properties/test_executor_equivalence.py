@@ -21,7 +21,7 @@ from __future__ import annotations
 from contextlib import contextmanager, nullcontext
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.query import QueryEngine
@@ -199,6 +199,12 @@ def _stats_tuple(result) -> tuple:
 class TestStatementEquivalence:
     @settings(max_examples=120, deadline=None)
     @given(rows=_rows, statements=st.lists(_statements(), min_size=1, max_size=4))
+    # NOT over a literal-only comparison once produced an integer "mask"
+    # (~False == -1) that indexed rids instead of selecting them
+    @example(
+        rows=[(0.0, 1.0, None, None), (1.0, 1.0, None, None)],
+        statements=["SELECT t, f, v, key FROM r WHERE NOT (0 < 0)"],
+    )
     def test_statement_schedules_are_backend_identical(self, rows, statements):
         """Random statement schedules leave both executors bit-identical.
 
