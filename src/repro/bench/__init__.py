@@ -7,8 +7,7 @@ experiments so ``python -m repro.experiments`` can run them all.
 """
 
 from repro.bench.charts import line_chart
-from repro.bench.export import export_result
-from repro.bench.measure import Timer, estimate_object_bytes, time_callable
+from repro.bench.measure import Timer, time_callable
 from repro.bench.reporting import ascii_table, format_series, render_result
 from repro.bench.runner import REGISTRY, ExperimentResult, register, run_all, run_experiment
 
@@ -17,8 +16,6 @@ __all__ = [
     "ExperimentResult",
     "Timer",
     "ascii_table",
-    "estimate_object_bytes",
-    "export_result",
     "format_series",
     "line_chart",
     "register",

@@ -1,8 +1,7 @@
-"""Timing and memory measurement helpers."""
+"""Timing helpers."""
 
 from __future__ import annotations
 
-import sys
 import time
 from typing import Any, Callable
 
@@ -43,17 +42,3 @@ def time_callable(fn: Callable[[], Any], repeats: int = 5) -> dict[str, float]:
         "max": max(samples),
     }
 
-
-def estimate_object_bytes(obj: Any, _depth: int = 0) -> int:
-    """Shallow-ish recursive size estimate (containers two levels deep)."""
-    size = sys.getsizeof(obj)
-    if _depth >= 2:
-        return size
-    if isinstance(obj, dict):
-        for key, value in obj.items():
-            size += estimate_object_bytes(key, _depth + 1)
-            size += estimate_object_bytes(value, _depth + 1)
-    elif isinstance(obj, (list, tuple, set, frozenset)):
-        for item in obj:
-            size += estimate_object_bytes(item, _depth + 1)
-    return size

@@ -74,7 +74,6 @@ class FungusDB:
         self.distiller = Distiller(self.store, summary_config)
         self.tables: dict[str, DecayingTable] = {}
         self.policies: dict[str, DecayPolicy] = {}
-        self._distill_on_consume: dict[str, bool] = {}
         self._tracer = NULL_TRACER
         self.telemetry = None
         self.forensics = None
@@ -128,15 +127,15 @@ class FungusDB:
         lazy_batch: int = 64,
         compact_every: int = 0,
         distill_on_evict: bool = True,
-        distill_on_consume: bool = True,
-        time_index: bool = True,
         time_column: str = "t",
         freshness_column: str = "f",
     ) -> DecayingTable:
         """Create a decaying relation ``R(t, f, A1..An)``.
 
         ``fungus=None`` installs the :class:`NullFungus` control —
-        a table that never rots (but still supports consume).
+        a table that never rots (but still supports consume). Every
+        table gets a sorted index on its time column, and consumed
+        tuples are always distilled before they leave.
         """
         if name in self.tables:
             raise CatalogError(f"table {name!r} already exists")
@@ -149,8 +148,7 @@ class FungusDB:
             freshness_column=freshness_column,
         )
         self.catalog.register(table.storage)
-        if time_index:
-            self.catalog.create_sorted_index(name, table.time_column)
+        self.catalog.create_sorted_index(name, table.time_column)
         policy = DecayPolicy(
             table,
             fungus if fungus is not None else NullFungus(),
@@ -169,7 +167,6 @@ class FungusDB:
             table.storage.probe = self.race_probe
         self.tables[name] = table
         self.policies[name] = policy
-        self._distill_on_consume[name] = distill_on_consume
         # SQL INSERTs go through the decaying insert path (t/f stamped);
         # bare INSERT INTO <name> VALUES (...) targets the attributes only
         self.engine.register_insert_delegate(name, table.insert_many, attributes.names)
@@ -189,7 +186,6 @@ class FungusDB:
             table.evict(live, reason="truncate", collect_values=False)
         del self.tables[name]
         del self.policies[name]
-        del self._distill_on_consume[name]
         self.catalog.drop_table(name)
 
     def table(self, name: str) -> DecayingTable:
@@ -303,9 +299,8 @@ class FungusDB:
         table = self.tables.get(table_name)
         if table is None:
             return  # a plain storage table, not a decaying one
-        if self._distill_on_consume.get(table_name, False):
-            self.distiller.distill_rowset(table, consumed, reason="consume")
-            self.policies[table_name].stats.tuples_distilled += len(consumed)
+        self.distiller.distill_rowset(table, consumed, reason="consume")
+        self.policies[table_name].stats.tuples_distilled += len(consumed)
         # the executor exposes the SQL text of the statement currently
         # running — Law-2 death records carry the consuming query verbatim,
         # plus the acting session when one is set (the network server)

@@ -41,8 +41,3 @@ def band_of(freshness: float) -> FreshnessBand:
     if f >= ROTTEN_THRESHOLD:
         return FreshnessBand.STALE
     return FreshnessBand.ROTTEN
-
-
-def is_edible(freshness: float) -> bool:
-    """The Blue Cheese test: still usable (not in the ROTTEN band)."""
-    return band_of(freshness) is not FreshnessBand.ROTTEN

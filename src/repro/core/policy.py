@@ -114,10 +114,6 @@ class DecayPolicy:
         if note is not None:
             note(rids)
 
-    def flush(self) -> int:
-        """Force-evict all exhausted tuples now (end of experiment)."""
-        return self._evict(self.table.exhausted)
-
     # ------------------------------------------------------------------
 
     def _maybe_collect(self, tick: int) -> int:

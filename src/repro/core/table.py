@@ -540,10 +540,6 @@ class DecayingTable:
     # navigation and sampling (what fungi grow along)
     # ------------------------------------------------------------------
 
-    def neighbours(self, rid: int) -> tuple[int | None, int | None]:
-        """Time-axis neighbours ``(prev_live, next_live)`` of a row."""
-        return self.storage.neighbours(rid)
-
     def sample_live(self, rng: random.Random, k: int = 1) -> list[int]:
         """Up to ``k`` live row ids sampled uniformly (without replacement).
 

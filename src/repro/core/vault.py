@@ -127,10 +127,6 @@ class SummaryVault(SummaryStore):
         """The coarse merged summary of everything composted."""
         return self._compost.get(table_name)
 
-    def freshness_of(self, table_name: str) -> list[float]:
-        """Vault-freshness of the fresh entries, oldest first."""
-        return [e.freshness for e in self._entries.get(table_name, [])]
-
     # -- persistence -----------------------------------------------------
 
     def to_dict(self) -> dict:

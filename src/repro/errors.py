@@ -87,10 +87,6 @@ class SketchError(FungusError):
     """A sketch was constructed or merged with invalid parameters."""
 
 
-class StreamError(FungusError):
-    """Streaming/CEP substrate misuse (bad window spec, pattern)."""
-
-
 class WorkloadError(FungusError):
     """Workload generator misconfiguration."""
 

@@ -5,18 +5,22 @@ data science pipelines, and even fundamental to streaming database
 systems, or Complex Event Processing systems". So: what does the
 fungus model buy over a streaming database's cliff retention?
 
-Both arms ingest the same sensor stream:
+Both arms are FungusDB tables ingesting the same sensor stream:
 
-* **baseline** — :class:`~repro.stream.baseline.WindowedRetentionBaseline`
-  keeping the last W ticks; perfect recall inside the window, amnesia
-  outside it.
-* **fungus** — FungusDB with EGI + distill-on-evict; the live extent
-  is bounded like the window, but everything that ever left the table
-  survives as summaries.
+* **window baseline** — the paper's "old-fashioned decay function":
+  :class:`~repro.fungi.retention.RetentionFungus` expires each tuple
+  W ticks after insertion, with no distillation. Perfect recall inside
+  the window, amnesia outside it — a streaming database's retention.
+  It runs on its own database, so the fungus arm's schedule is the one
+  it would have alone.
+* **fungus** — EGI + distill-on-evict; the live extent is bounded like
+  the window, but everything that ever left the table survives as
+  summaries.
 
-Series per tick: memory (elements held), oldest answerable timestamp,
-and *knowledge coverage* of the full history (fraction of [0, now] an
-arm can say anything about — exact or summarised).
+Series per tick: memory (live tuples) and *knowledge coverage* of the
+full history — the fraction of [0, now] an arm can say anything about,
+exact or summarised, measured from its oldest live tuple and, for the
+fungus, its oldest summary.
 """
 
 from __future__ import annotations
@@ -24,15 +28,20 @@ from __future__ import annotations
 from repro.bench.runner import ExperimentResult, register
 from repro.core.db import FungusDB
 from repro.experiments.common import pick
-from repro.fungi import EGIFungus
-from repro.stream.baseline import WindowedRetentionBaseline
-from repro.stream.element import StreamElement
+from repro.fungi import EGIFungus, RetentionFungus
 from repro.workload.generators import SensorGenerator
 
 CLAIM = (
     "A window baseline and a fungus table both bound memory, but the "
     "fungus retains degraded knowledge of the entire history via summaries."
 )
+
+
+def _oldest_live_t(db: FungusDB) -> float:
+    """Insertion time of the oldest live reading (``now`` when empty)."""
+    table = db.table("readings")
+    oldest = table.oldest_live()
+    return table.inserted_at(oldest) if oldest is not None else db.now
 
 
 @register("F4")
@@ -50,35 +59,30 @@ def run(scale: str = "smoke") -> ExperimentResult:
         fungus=EGIFungus(seeds_per_cycle=3, decay_rate=0.3),
         distill_on_evict=True,
     )
-    baseline = WindowedRetentionBaseline(window)
+    window_db = FungusDB(seed=8)
+    window_db.create_table(
+        "readings",
+        generator.schema,
+        fungus=RetentionFungus(window),
+        distill_on_evict=False,
+    )
 
     x: list[int] = []
     mem_fungus: list[int] = []
     mem_baseline: list[int] = []
-    oldest_fungus: list[float] = []
-    oldest_baseline: list[float] = []
     coverage_fungus: list[float] = []
     coverage_baseline: list[float] = []
 
     for tick in range(ticks):
         rows = [generator.generate(tick) for _ in range(rate)]
-        db.insert_many("readings", rows)
-        now = db.now
-        for row in rows:
-            baseline.ingest(StreamElement(now, row))
-        db.tick(1)
-        baseline.advance(db.now)
+        for arm in (db, window_db):
+            arm.insert_many("readings", rows)
+            arm.tick(1)
 
-        table = db.table("readings")
-        oldest_live = table.oldest_live()
-        oldest_f = table.inserted_at(oldest_live) if oldest_live is not None else db.now
-        oldest_b = baseline.oldest_timestamp()
-
+        oldest_f = _oldest_live_t(db)
         x.append(tick)
         mem_fungus.append(db.extent("readings"))
-        mem_baseline.append(len(baseline))
-        oldest_fungus.append(oldest_f)
-        oldest_baseline.append(oldest_b if oldest_b is not None else db.now)
+        mem_baseline.append(window_db.extent("readings"))
         # knowledge coverage of [0, now]: live span plus summarised span
         summarised_from = min(
             (s.time_range[0] for s in db.summaries("readings") if s.time_range),
@@ -86,7 +90,7 @@ def run(scale: str = "smoke") -> ExperimentResult:
         )
         known_from = min(oldest_f, summarised_from)
         coverage_fungus.append(1.0 - known_from / max(db.now, 1.0))
-        coverage_baseline.append(baseline.coverage(0.0))
+        coverage_baseline.append(1.0 - _oldest_live_t(window_db) / max(window_db.now, 1.0))
 
     stride = max(1, ticks // 40)
     sampled = list(range(0, ticks, stride))

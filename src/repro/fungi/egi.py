@@ -75,11 +75,6 @@ class EGIFungus(Fungus):
         """Currently infected row ids (live rows only)."""
         return frozenset(self._spots.members())
 
-    @property
-    def spot_spans(self) -> list[tuple[int, int]]:
-        """The rot spots as inclusive ``(lo, hi)`` rid intervals."""
-        return self._spots.spans()
-
     def reset(self) -> None:
         self._spots.clear()
 

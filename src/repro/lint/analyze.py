@@ -85,14 +85,6 @@ class ConsumeReport:
     def is_total(self) -> bool:
         return self.verdict == "total"
 
-    @property
-    def is_none(self) -> bool:
-        return self.verdict == "none"
-
-    @property
-    def is_invalid(self) -> bool:
-        return self.verdict == "invalid"
-
     def describe(self) -> str:
         """Multi-line human rendering (the ``EXPLAIN CONSUME`` output)."""
         extent = "unknown" if self.extent is None else str(self.extent)

@@ -292,17 +292,3 @@ class MetricsRegistry:
         if isinstance(child, Histogram):
             return float(child.count)
         return float(child.value)
-
-    def as_dict(self) -> dict[str, dict[str, float]]:
-        """Flat ``{name: {label_repr: value}}`` snapshot (debugging)."""
-        out: dict[str, dict[str, float]] = {}
-        for family in self.families():
-            children = {}
-            for labels, child in family.samples():
-                key = ",".join(f"{k}={v}" for k, v in labels.items())
-                if isinstance(child, Histogram):
-                    children[key] = float(child.count)
-                else:
-                    children[key] = float(child.value)
-            out[family.name] = children
-        return out

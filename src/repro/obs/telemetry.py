@@ -62,11 +62,6 @@ class Telemetry:
             PROFILER.enable()
         self._owns_profiler = profile
 
-    @property
-    def tracing_enabled(self) -> bool:
-        """True when a live tracer is wired in."""
-        return self.tracer.enabled
-
     def exposition(self) -> str:
         """Prometheus text exposition of every metric, gauges refreshed."""
         self.collector.sample_all()

@@ -171,13 +171,6 @@ class QueryEngine:
         if columns is not None:
             self._insert_default_columns[table_name] = tuple(columns)
 
-    def remove_consume_hook(self, hook: ConsumeHook) -> None:
-        """Unregister a previously added hook (no-op if absent)."""
-        try:
-            self._consume_hooks.remove(hook)
-        except ValueError:
-            pass
-
     def add_explain_hook(self, hook: "Callable[[ConsumeReport], None]") -> None:
         """Run ``hook(report)`` after every Tier-B consume analysis
         (both ``EXPLAIN CONSUME`` and the strict-consume gate) — the

@@ -102,9 +102,6 @@ class AuthRegistry:
         self._grants[token] = grant
         return grant
 
-    def revoke(self, token: str) -> None:
-        self._grants.pop(token, None)
-
     def authenticate(self, token: str | None, now: float) -> Grant:
         """Resolve a token or raise :class:`AuthError` with the precise code."""
         from repro.server.protocol import Code

@@ -88,33 +88,6 @@ class StreamingHistogram:
         """The (centroid, count) pairs, ascending by centroid."""
         return [(c, int(n)) for c, n in self._bins]
 
-    def count_below(self, threshold: float) -> float:
-        """Estimated number of inserted values ≤ ``threshold``.
-
-        Bins at or below the threshold count fully; the first bin past
-        it contributes a linear fraction of its count, interpolated
-        between the previous centroid (or the minimum) and its own.
-        """
-        if not self._bins:
-            return 0.0
-        if self.min_value is not None and threshold < self.min_value:
-            return 0.0
-        if self.max_value is not None and threshold >= self.max_value:
-            return float(self.total)
-        count = 0.0
-        prev_c = self.min_value
-        for c, n in self._bins:
-            if c <= threshold:
-                count += n
-                prev_c = c
-            else:
-                span = c - (prev_c if prev_c is not None else c)
-                if span > 0:
-                    frac = (threshold - (prev_c if prev_c is not None else c)) / span
-                    count += max(0.0, min(frac, 1.0)) * n / 2.0
-                break
-        return min(max(count, 0.0), float(self.total))
-
     def quantile(self, q: float) -> float:
         """Estimated q-quantile (0 ≤ q ≤ 1) of the inserted values."""
         if not (0.0 <= q <= 1.0):

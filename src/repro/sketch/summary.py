@@ -132,10 +132,6 @@ class ColumnSummary:
 
     # -- queries over the summary ---------------------------------------
 
-    def estimate_count(self) -> int:
-        """Number of cells summarised (exact)."""
-        return self.count
-
     def estimate_distinct(self) -> float:
         """Approximate distinct non-null values."""
         return self.distinct.estimate()

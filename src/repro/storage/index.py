@@ -46,17 +46,6 @@ class HashIndex:
         """Live rows whose indexed column equals ``value``."""
         return RowSet(self._buckets.get(value, ()))
 
-    def lookup_many(self, values: Iterable[Hashable]) -> RowSet:
-        """Live rows whose indexed column is in ``values`` (an IN list)."""
-        rids: set[int] = set()
-        for value in values:
-            rids |= self._buckets.get(value, set())
-        return RowSet(rids)
-
-    def distinct_values(self) -> list[Hashable]:
-        """Currently indexed distinct values (non-empty buckets only)."""
-        return [v for v, bucket in self._buckets.items() if bucket]
-
     # -- TableObserver protocol ---------------------------------------
 
     def on_append(self, rid: int, values: tuple) -> None:

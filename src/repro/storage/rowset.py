@@ -100,14 +100,6 @@ class RowSet:
     __and__ = intersection
     __sub__ = difference
 
-    def isdisjoint(self, other: "RowSet") -> bool:
-        """True when the two selections share no row."""
-        return self._set.isdisjoint(other._set)
-
-    def issubset(self, other: "RowSet") -> bool:
-        """True when every row here is also in ``other``."""
-        return self._set <= other._set
-
     def spans(self) -> list[tuple[int, int]]:
         """Decompose into maximal contiguous ``[start, stop)`` spans.
 

@@ -273,13 +273,6 @@ class Table:
         """Register an observer for appends/deletes/compactions."""
         self._observers.append(observer)
 
-    def remove_observer(self, observer: TableObserver) -> None:
-        """Unregister a previously added observer (no-op if absent)."""
-        try:
-            self._observers.remove(observer)
-        except ValueError:
-            pass
-
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
@@ -730,10 +723,6 @@ class Table:
             return None
         pos = int(numpy.argmax(after))
         return rid + 2 + pos if after[pos] else None
-
-    def neighbours(self, rid: int) -> tuple[int | None, int | None]:
-        """Both time-axis neighbours: ``(prev_live, next_live)``."""
-        return self.prev_live(rid), self.next_live(rid)
 
     # ------------------------------------------------------------------
     # dense copies: compaction and frozen read views

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Iterator, Protocol
+from typing import Protocol
 
 from repro.errors import WorkloadError
 
@@ -109,11 +109,3 @@ class ChessboardArrivals:
         if square >= 63:
             return self.cap
         return min(self.initial * (2 ** square), self.cap)
-
-
-def cumulative_arrivals(process: ArrivalProcess, ticks: int) -> Iterator[int]:
-    """Running total of arrivals over ``ticks`` ticks (tick 0 first)."""
-    total = 0
-    for tick in range(ticks):
-        total += process.count_at(tick)
-        yield total

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.measure import Timer, estimate_object_bytes, time_callable
+from repro.bench.measure import Timer, time_callable
 from repro.errors import BenchError
 
 
@@ -26,18 +26,3 @@ class TestTimeCallable:
         calls = []
         time_callable(lambda: calls.append(1), repeats=3)
         assert len(calls) == 3
-
-
-class TestEstimateBytes:
-    def test_scalars(self):
-        assert estimate_object_bytes(1) > 0
-
-    def test_containers_bigger_than_elements(self):
-        assert estimate_object_bytes([1, 2, 3]) > estimate_object_bytes(1)
-
-    def test_dict_counts_keys_and_values(self):
-        assert estimate_object_bytes({"key": "value"}) > estimate_object_bytes("key")
-
-    def test_depth_cap_terminates(self):
-        nested = [[[[[1]]]]]
-        assert estimate_object_bytes(nested) > 0

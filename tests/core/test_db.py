@@ -43,10 +43,6 @@ class TestSchemaManagement:
         db.create_table("r", Schema.of(v="int"))
         assert db.catalog.sorted_index("r", "t") is not None
 
-    def test_time_index_optional(self, db):
-        db.create_table("r", Schema.of(v="int"), time_index=False)
-        assert db.catalog.sorted_index("r", "t") is None
-
 
 class TestLaw1:
     def test_tick_advances_and_decays(self, db):
@@ -115,12 +111,6 @@ class TestLaw2:
         assert len(summaries) == 1
         assert summaries[0].reason == "consume"
         assert summaries[0].row_count == 4
-
-    def test_consume_distill_disabled(self, db):
-        db.create_table("r", Schema.of(v="int"), distill_on_consume=False)
-        db.insert("r", {"v": 1})
-        db.query("CONSUME SELECT * FROM r")
-        assert db.summaries("r") == []
 
     def test_consume_publishes_events(self, logs_db):
         consumed, evicted = [], []
@@ -194,3 +184,25 @@ class TestIntrospection:
 
     def test_merged_summary_none_initially(self, logs_db):
         assert logs_db.merged_summary("logs") is None
+
+
+class TestDbStats:
+    def test_stats_shape(self, db):
+        db.create_table("r", Schema.of(v="int"), fungus=LinearDecayFungus(rate=0.5))
+        db.insert_many("r", [{"v": 1}, {"v": 2}])
+        db.tick(2)
+        stats = db.stats()
+        assert stats["clock"] == 2.0
+        table_stats = stats["tables"]["r"]
+        assert table_stats["extent"] == 0
+        assert table_stats["tuples_evicted"] == 2
+        assert table_stats["tuples_distilled"] == 2
+        assert table_stats["fungus"] == "linear"
+        assert stats["events"]["TupleInserted"] == 2
+        assert stats["summary_rows"] == 2
+        assert stats["summary_cells"] > 0
+
+    def test_stats_empty_db(self, db):
+        stats = db.stats()
+        assert stats["tables"] == {}
+        assert stats["clock"] == 0.0

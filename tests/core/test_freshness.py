@@ -8,7 +8,6 @@ from repro.core.freshness import (
     FreshnessBand,
     band_of,
     clamp_freshness,
-    is_edible,
 )
 from repro.errors import DecayError
 
@@ -44,8 +43,3 @@ class TestBands:
     def test_rotten(self):
         assert band_of(0.1) is FreshnessBand.ROTTEN
         assert band_of(0.0) is FreshnessBand.ROTTEN
-
-    def test_is_edible(self):
-        assert is_edible(1.0)
-        assert is_edible(0.5)
-        assert not is_edible(0.1)

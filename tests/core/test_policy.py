@@ -75,20 +75,6 @@ class TestEviction:
         policy.run_tick(1)
         assert len(decaying) == 0
 
-    def test_flush_forces_lazy_eviction(self, clock, decaying):
-        policy = make_policy(
-            decaying,
-            fungus=LinearDecayFungus(rate=1.0),
-            eviction=EvictionMode.LAZY,
-        )
-        clock.advance(1)
-        policy.run_tick(1)
-        assert policy.flush() == 10
-        assert len(decaying) == 0
-
-    def test_flush_on_empty(self, decaying):
-        assert make_policy(decaying).flush() == 0
-
 
 class TestDistillation:
     def test_distiller_receives_evictions(self, clock, decaying):

@@ -186,9 +186,6 @@ class TestEviction:
 
 
 class TestNavigationAndSampling:
-    def test_neighbours_passthrough(self, decaying):
-        assert decaying.neighbours(5) == (4, 6)
-
     def test_oldest_live(self, decaying):
         assert decaying.oldest_live() == 0
         decaying.evict(RowSet([0, 1]), "decay")

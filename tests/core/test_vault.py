@@ -8,6 +8,11 @@ from repro.errors import DistillError
 from repro.storage import RowSet
 
 
+def freshness_of(vault, table_name):
+    """Vault-freshness of the fresh entries, oldest first, as persisted."""
+    return [e["freshness"] for e in vault.to_dict()["entries"].get(table_name, [])]
+
+
 @pytest.fixture
 def vault():
     return SummaryVault(half_life=2.0, compost_below=0.4)
@@ -31,14 +36,14 @@ class TestValidation:
 class TestDecay:
     def test_entries_start_fresh(self, vault, distiller, decaying):
         distiller.distill_rowset(decaying, RowSet([0]), reason="decay")
-        assert vault.freshness_of("r") == [1.0]
+        assert freshness_of(vault, "r") == [1.0]
         assert vault.fresh_count("r") == 1
 
     def test_freshness_halves_per_half_life(self, vault, distiller, decaying):
         distiller.distill_rowset(decaying, RowSet([0]), reason="decay")
         vault.on_tick(1)
         vault.on_tick(2)
-        assert vault.freshness_of("r")[0] == pytest.approx(0.5)
+        assert freshness_of(vault, "r")[0] == pytest.approx(0.5)
 
     def test_composting_below_threshold(self, vault, distiller, decaying):
         distiller.distill_rowset(decaying, RowSet([0, 1]), reason="decay")
@@ -62,7 +67,7 @@ class TestDecay:
 
     def test_no_decay_without_ticks(self, vault, distiller, decaying):
         distiller.distill_rowset(decaying, RowSet([0]), reason="decay")
-        assert vault.freshness_of("r") == [1.0]
+        assert freshness_of(vault, "r") == [1.0]
 
 
 class TestConservation:

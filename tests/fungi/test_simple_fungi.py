@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from repro.core.db import FungusDB
 from repro.errors import DecayError
 from repro.fungi import ExponentialDecayFungus, LinearDecayFungus, RetentionFungus
+from repro.storage import Schema
 
 
 @pytest.fixture
@@ -46,6 +48,27 @@ class TestRetention:
         clock.advance(1)
         fungus.cycle(decaying, rng)
         assert decaying.freshness(0) == pytest.approx(0.1)
+
+    @pytest.mark.parametrize("window", [1, 3, 30])
+    def test_eager_table_holds_exactly_the_last_window_minus_one_ticks(self, window):
+        """The window baseline F4 compares against: a cliff, not a ramp.
+
+        A row inserted at ``t`` is exhausted at ``t + W`` and evicted in
+        that same tick, so after each tick the table holds the rows of
+        the last W-1 insert ticks and nothing older.
+        """
+        db = FungusDB(seed=0)
+        db.create_table(
+            "r", Schema.of(v="int"), fungus=RetentionFungus(window), distill_on_evict=False
+        )
+        for tick in range(3 * window + 5):
+            # v records the insert tick; some ticks insert nothing
+            db.insert_many("r", [{"v": tick}] * (tick % 3))
+            db.tick(1)
+            live = sorted(v for (v,) in db.query("SELECT v FROM r").rows)
+            recent = range(max(0, tick - window + 2), tick + 1)
+            assert live == [v for v in recent for _ in range(v % 3)]
+            assert db.table("r").exhausted_count == 0
 
 
 class TestLinear:

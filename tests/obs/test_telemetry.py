@@ -36,7 +36,7 @@ class TestAttachDetach:
     def test_metrics_only_leaves_null_tracer(self):
         db = FungusDB(seed=1)
         tel = db.enable_telemetry()
-        assert tel.tracing_enabled is False
+        assert tel.tracer.enabled is False
         assert db.tracer is NULL_TRACER
 
     def test_tracing_wires_one_shared_tracer(self):

@@ -136,7 +136,6 @@ def test_nothing_dies_unseen(n_rows, cycles, consume_at, seed):
         Schema.of(v="int"),
         fungus=EGIFungus(seeds_per_cycle=2, decay_rate=0.4),
         distill_on_evict=True,
-        distill_on_consume=True,
     )
     db.insert_many("r", [{"v": i} for i in range(n_rows)])
     for tick in range(cycles):

@@ -17,7 +17,6 @@ def test_rowset_algebra_matches_set_semantics(rows_a, rows_b):
     assert set(a | b) == rows_a | rows_b
     assert set(a & b) == rows_a & rows_b
     assert set(a - b) == rows_a - rows_b
-    assert a.isdisjoint(b) == rows_a.isdisjoint(rows_b)
 
 
 @settings(max_examples=50, deadline=None)
@@ -88,7 +87,7 @@ def test_table_and_indexes_match_model(ops):
     for i, rid in enumerate(live_sorted):
         prev_rid = live_sorted[i - 1] if i > 0 else None
         next_rid = live_sorted[i + 1] if i + 1 < len(live_sorted) else None
-        assert table.neighbours(rid) == (prev_rid, next_rid)
+        assert (table.prev_live(rid), table.next_live(rid)) == (prev_rid, next_rid)
 
 
 @settings(max_examples=30, deadline=None)

@@ -201,14 +201,6 @@ class TestConsume:
         engine.execute("CONSUME SELECT v FROM r WHERE v >= 64")
         assert seen["values"] == [64, 81]
 
-    def test_remove_consume_hook(self, engine):
-        calls = []
-        hook = lambda name, rows: calls.append(name)
-        engine.add_consume_hook(hook)
-        engine.remove_consume_hook(hook)
-        engine.execute("CONSUME SELECT v FROM r WHERE v > 50")
-        assert calls == []
-
     def test_plain_select_does_not_consume(self, engine, catalog):
         res = engine.execute("SELECT v FROM r WHERE v > 50")
         assert len(res.consumed) == 0

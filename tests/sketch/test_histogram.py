@@ -79,26 +79,6 @@ class TestQuantiles:
         assert hist.quantile(0.95) == pytest.approx(0.95, abs=0.05)
 
 
-class TestCountBelow:
-    def test_empty(self):
-        assert StreamingHistogram().count_below(5.0) == 0.0
-
-    def test_below_minimum(self):
-        hist = StreamingHistogram(8)
-        hist.add_all([1.0, 2.0])
-        assert hist.count_below(0.0) == 0.0
-
-    def test_at_or_above_maximum(self):
-        hist = StreamingHistogram(8)
-        hist.add_all([1.0, 2.0])
-        assert hist.count_below(2.0) == 2.0
-
-    def test_midpoint_roughly_half(self):
-        hist = StreamingHistogram(32)
-        hist.add_all(float(i) for i in range(1000))
-        assert hist.count_below(500.0) == pytest.approx(500, rel=0.1)
-
-
 class TestMerge:
     def test_merge_totals(self):
         a, b = StreamingHistogram(32), StreamingHistogram(32)

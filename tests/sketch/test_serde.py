@@ -165,7 +165,7 @@ class TestStoreRoundTrips:
         restored = SummaryVault.from_dict(roundtrip(vault.to_dict()))
         assert restored.composted_summaries == vault.composted_summaries
         assert restored.fresh_count("r") == vault.fresh_count("r")
-        assert restored.freshness_of("r") == vault.freshness_of("r")
+        assert restored.to_dict()["entries"] == vault.to_dict()["entries"]
         assert restored.merged("r").row_count == vault.merged("r").row_count
         # the restored vault keeps decaying
         for tick in range(7, 40):

@@ -48,7 +48,7 @@ class TestColumnSummary:
 class TestTableSummary:
     def test_row_count_exact(self, summary):
         assert summary.row_count == 100
-        assert summary.column("v").estimate_count() == 100
+        assert summary.column("v").count == 100
 
     def test_time_range_tracked(self, summary):
         assert summary.time_range == (0.0, 99.0)

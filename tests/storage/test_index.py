@@ -16,10 +16,6 @@ class TestHashIndex:
         index = HashIndex(table, "key")
         assert index.lookup("zzz") == RowSet.empty()
 
-    def test_lookup_many(self, table):
-        index = HashIndex(table, "key")
-        assert index.lookup_many(["a", "b"]) == RowSet(range(10))
-
     def test_tracks_append(self, table):
         index = HashIndex(table, "key")
         rid = table.append((10.0, 1.0, 100, "c"))
@@ -38,13 +34,6 @@ class TestHashIndex:
         # old rid 2 (key 'b') is now rid 1
         assert 1 in index.lookup("b")
         assert len(index) == 9
-
-    def test_distinct_values(self, table):
-        index = HashIndex(table, "key")
-        assert sorted(index.distinct_values()) == ["a", "b"]
-        for rid in (1, 3, 5, 7, 9):
-            table.delete(rid)
-        assert index.distinct_values() == ["b"]
 
 
 class TestSortedIndex:

@@ -43,14 +43,6 @@ class TestAlgebra:
     def test_difference(self):
         assert (RowSet([1, 2, 3]) - RowSet([2])).rows == (1, 3)
 
-    def test_isdisjoint(self):
-        assert RowSet([1]).isdisjoint(RowSet([2]))
-        assert not RowSet([1, 2]).isdisjoint(RowSet([2]))
-
-    def test_issubset(self):
-        assert RowSet([1]).issubset(RowSet([1, 2]))
-        assert not RowSet([1, 3]).issubset(RowSet([1, 2]))
-
     def test_contains(self):
         rs = RowSet([1, 5])
         assert 5 in rs

@@ -102,16 +102,16 @@ class TestReadsAndUpdate:
 
 class TestNeighbours:
     def test_basic(self, table):
-        assert table.neighbours(5) == (4, 6)
+        assert (table.prev_live(5), table.next_live(5)) == (4, 6)
 
     def test_skips_tombstones(self, table):
         table.delete(4)
         table.delete(6)
-        assert table.neighbours(5) == (3, 7)
+        assert (table.prev_live(5), table.next_live(5)) == (3, 7)
 
     def test_neighbours_of_dead_row(self, table):
         table.delete(5)
-        assert table.neighbours(5) == (4, 6)
+        assert (table.prev_live(5), table.next_live(5)) == (4, 6)
 
     def test_edges(self, table):
         assert table.prev_live(0) is None
@@ -166,13 +166,3 @@ class TestObservers:
         assert ("append", rid) in rec.events
         assert ("delete", rid, 100) in rec.events
         assert rec.events[-1][0] == "compact"
-
-    def test_remove_observer(self, table):
-        rec = self.Recorder()
-        table.add_observer(rec)
-        table.remove_observer(rec)
-        table.append((10.0, 1.0, 100, "a"))
-        assert rec.events == []
-
-    def test_remove_absent_observer_is_noop(self, table):
-        table.remove_observer(self.Recorder())

@@ -8,7 +8,6 @@ from repro.workload.arrival import (
     ChessboardArrivals,
     ConstantArrivals,
     PoissonArrivals,
-    cumulative_arrivals,
 )
 
 
@@ -74,9 +73,3 @@ class TestChessboard:
     def test_extreme_square_capped(self):
         arr = ChessboardArrivals(initial=1, doubling_period=1, cap=500)
         assert arr.count_at(70) == 500  # square >= 63 shortcut
-
-
-class TestCumulative:
-    def test_running_total(self):
-        arr = ConstantArrivals(2)
-        assert list(cumulative_arrivals(arr, 4)) == [2, 4, 6, 8]
