@@ -88,7 +88,8 @@ def build_histogram(finite: Any) -> Optional[ColumnHistogram]:
 
     Bins by ``min(int((v - low) / width), bins - 1)``, evaluated as
     array arithmetic. ``None`` when there is nothing to bin, or when
-    ``high - low`` overflows and no finite bin width exists.
+    ``high - low`` overflows or is so small (subnormal) that the bin
+    width rounds to 0, so no finite nonzero bin width exists.
     """
     total = int(finite.size)
     if not total:
@@ -98,7 +99,7 @@ def build_histogram(finite: Any) -> Optional[ColumnHistogram]:
         return ColumnHistogram(low=low, high=high, counts=(total,), total=total)
     bins = DEFAULT_HISTOGRAM_BINS
     width = (high - low) / bins
-    if width == math.inf:
+    if width == math.inf or width == 0.0:
         return None
     index = numpy.minimum(((finite - low) / width).astype(numpy.intp), bins - 1)
     counts = numpy.bincount(index, minlength=bins)

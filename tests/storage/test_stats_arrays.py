@@ -36,6 +36,8 @@ def reference_histogram(values, bins=DEFAULT_HISTOGRAM_BINS):
     if low == high:
         return ColumnHistogram(low=low, high=high, counts=(len(numeric),), total=len(numeric))
     width = (high - low) / bins
+    if width == 0.0:
+        return None
     counts = [0] * bins
     for v in numeric:
         counts[min(int((v - low) / width), bins - 1)] += 1
@@ -191,6 +193,12 @@ class TestNonFinite:
         """Finite values whose range is not: no bin width, so no histogram."""
         stats = planner_stats(self._table([-1.7e308, 0.0, 1.7e308])).column("x")
         assert (stats.min_value, stats.max_value, stats.distinct) == (-1.7e308, 1.7e308, 3)
+        assert stats.histogram is None
+
+    def test_span_underflow_gives_up_on_the_histogram_only(self):
+        """A subnormal range: the bin width rounds to 0, so no histogram."""
+        stats = planner_stats(self._table([0.0, 5e-324])).column("x")
+        assert (stats.min_value, stats.max_value, stats.distinct) == (0.0, 5e-324, 2)
         assert stats.histogram is None
 
     def test_vector_backed_column(self):
