@@ -25,7 +25,6 @@ layers are attached (each restored automatically on load).
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -33,8 +32,7 @@ from repro.core.db import FungusDB
 from repro.core.events import RestoreCompleted
 from repro.core.fungus import Fungus
 from repro.errors import SnapshotError
-from repro.obs.tracing import NULL_TRACER
-from repro.storage.snapshot import load_table, save_table
+from repro.storage.snapshot import load_table, save_table, sync_directory, write_atomic
 
 MANIFEST_VERSION = 1
 MANIFEST_NAME = "manifest.json"
@@ -44,14 +42,15 @@ def save_checkpoint(db: FungusDB, directory: str | Path) -> list[str]:
     """Write ``db``'s clock and every table under ``directory``.
 
     Returns the table names written. The manifest is written last, so
-    a directory without a manifest is never mistaken for a checkpoint.
+    a directory without a manifest is never mistaken for a checkpoint;
+    every file is on disk before the manifest names it, and the
+    directory is synced after the manifest lands.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     tables = []
     pinned: dict[str, list[int]] = {}
-    tracer = getattr(db, "tracer", NULL_TRACER)
-    with tracer.span("checkpoint.save", path=str(directory)) as span:
+    with db.tracer.span("checkpoint.save", path=str(directory)) as span:
         rows_saved = 0
         for name in sorted(db.tables):
             table = db.tables[name]
@@ -67,27 +66,20 @@ def save_checkpoint(db: FungusDB, directory: str | Path) -> list[str]:
             if ordinals:
                 pinned[name] = ordinals
         span.set(tables=len(tables), rows=rows_saved)
-        store_tmp = directory / "summaries.json.tmp"
-        with open(store_tmp, "w", encoding="utf-8") as fh:
-            json.dump(db.store.to_dict(), fh)
-        os.replace(store_tmp, directory / "summaries.json")
+        write_atomic(directory / "summaries.json", json.dumps(db.store.to_dict()))
         forensics = getattr(db, "forensics", None)
         if forensics is not None:
             # lineage survives the checkpoint: biographies in live-row
             # ordinal order (rids are renumbered on restore), death
             # records and alert rules/log verbatim
-            forensics_tmp = directory / "forensics.json.tmp"
-            with open(forensics_tmp, "w", encoding="utf-8") as fh:
-                json.dump(forensics.to_dict(), fh)
-            os.replace(forensics_tmp, directory / "forensics.json")
+            write_atomic(directory / "forensics.json", json.dumps(forensics.to_dict()))
         querystats = getattr(db, "querystats", None)
         if querystats is not None:
             # the per-fingerprint aggregates survive like forensics:
             # written whole, atomically, before the manifest names them
-            querystats_tmp = directory / "querystats.json.tmp"
-            with open(querystats_tmp, "w", encoding="utf-8") as fh:
-                json.dump(querystats.to_dict(), fh)
-            os.replace(querystats_tmp, directory / "querystats.json")
+            write_atomic(
+                directory / "querystats.json", json.dumps(querystats.to_dict())
+            )
         manifest = {
             "manifest_version": MANIFEST_VERSION,
             "clock": db.clock.now,
@@ -98,11 +90,20 @@ def save_checkpoint(db: FungusDB, directory: str | Path) -> list[str]:
             "forensics": forensics is not None,
             "querystats": querystats is not None,
         }
-        tmp = directory / (MANIFEST_NAME + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2)
-        os.replace(tmp, directory / MANIFEST_NAME)
+        write_atomic(directory / MANIFEST_NAME, json.dumps(manifest, indent=2))
+        sync_directory(directory)
     return tables
+
+
+def _read_json(path: Path, what: str) -> Any:
+    """``path``'s JSON document; any read or parse failure is a SnapshotError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise SnapshotError(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise SnapshotError(f"corrupt {what} {path}: {exc}") from exc
 
 
 def load_checkpoint(
@@ -141,14 +142,7 @@ def load_checkpoint(
     event to avoid double-counting those as fresh inserts.
     """
     directory = Path(directory)
-    manifest_path = directory / MANIFEST_NAME
-    try:
-        with open(manifest_path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except OSError as exc:
-        raise SnapshotError(f"cannot read checkpoint manifest {manifest_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SnapshotError(f"corrupt checkpoint manifest {manifest_path}: {exc}") from exc
+    manifest = _read_json(directory / MANIFEST_NAME, "checkpoint manifest")
     version = manifest.get("manifest_version")
     if version != MANIFEST_VERSION:
         raise SnapshotError(
@@ -161,13 +155,7 @@ def load_checkpoint(
     store = None
     if manifest.get("store"):
         store_path = directory / "summaries.json"
-        try:
-            with open(store_path, encoding="utf-8") as fh:
-                store_data = json.load(fh)
-        except OSError as exc:
-            raise SnapshotError(f"cannot read summary store {store_path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise SnapshotError(f"corrupt summary store {store_path}: {exc}") from exc
+        store_data = _read_json(store_path, "summary store")
         kind = store_data.get("kind")
         if kind == "vault":
             from repro.core.vault import SummaryVault
@@ -193,19 +181,10 @@ def load_checkpoint(
         bool(manifest.get("forensics")) if forensics is None else forensics
     )
     if want_forensics:
-        forensics_path = directory / "forensics.json"
         if manifest.get("forensics"):
-            try:
-                with open(forensics_path, encoding="utf-8") as fh:
-                    forensics_data = json.load(fh)
-            except OSError as exc:
-                raise SnapshotError(
-                    f"cannot read forensics state {forensics_path}: {exc}"
-                ) from exc
-            except json.JSONDecodeError as exc:
-                raise SnapshotError(
-                    f"corrupt forensics state {forensics_path}: {exc}"
-                ) from exc
+            forensics_data = _read_json(
+                directory / "forensics.json", "forensics state"
+            )
             from repro.obs.forensics import Forensics
 
             # attach BEFORE row replay: the collector sees the replayed
@@ -216,18 +195,9 @@ def load_checkpoint(
             db.enable_forensics()
 
     if manifest.get("querystats"):
-        querystats_path = directory / "querystats.json"
-        try:
-            with open(querystats_path, encoding="utf-8") as fh:
-                querystats_data = json.load(fh)
-        except OSError as exc:
-            raise SnapshotError(
-                f"cannot read query statistics {querystats_path}: {exc}"
-            ) from exc
-        except json.JSONDecodeError as exc:
-            raise SnapshotError(
-                f"corrupt query statistics {querystats_path}: {exc}"
-            ) from exc
+        querystats_data = _read_json(
+            directory / "querystats.json", "query statistics"
+        )
         # independent of row replay: fingerprints reference statement
         # shapes, not row ids, so order does not matter here
         db.enable_querystats()

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.errors import DecayError
-from repro.obs.tracing import NULL_TRACER
+from repro.obs.tracing import Tracer
 
 
 class DecayClock:
@@ -21,15 +21,15 @@ class DecayClock:
     registration order — this is how :class:`~repro.core.policy.DecayPolicy`
     instances get driven.
 
-    ``tracer`` defaults to the no-op :data:`NULL_TRACER`;
-    :class:`~repro.obs.telemetry.Telemetry` swaps in a live tracer so
-    each tick's subscriber fan-out becomes a ``clock.advance`` span.
+    Each tick's subscriber fan-out is a ``clock.advance`` span on
+    ``tracer`` — the clock's own non-recording one until a
+    :class:`~repro.core.db.FungusDB` hands it the database's.
     """
 
     def __init__(self, start: float = 0.0) -> None:
         self._now = float(start)
         self._subscribers: list[Callable[[int], None]] = []
-        self.tracer = NULL_TRACER
+        self.tracer = Tracer(max_finished=0)
 
     @property
     def now(self) -> float:

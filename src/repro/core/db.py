@@ -41,7 +41,7 @@ from repro.core.policy import DecayPolicy, EvictionMode
 from repro.core.table import DecayingTable
 from repro.errors import CatalogError, DecayError
 from repro.fungi.wrappers import NullFungus
-from repro.obs.tracing import NULL_TRACER
+from repro.obs.tracing import Tracer
 from repro.query.executor import QueryEngine
 from repro.query.result import ResultSet
 from repro.sketch.summary import SummaryConfig, TableSummary
@@ -74,7 +74,8 @@ class FungusDB:
         self.distiller = Distiller(self.store, summary_config)
         self.tables: dict[str, DecayingTable] = {}
         self.policies: dict[str, DecayPolicy] = {}
-        self._tracer = NULL_TRACER
+        # non-recording: spans time the work, none are kept
+        self.tracer = Tracer(max_finished=0)
         self.telemetry = None
         self.forensics = None
         self.querystats = None
@@ -92,12 +93,12 @@ class FungusDB:
     # ------------------------------------------------------------------
 
     @property
-    def tracer(self):
-        """The tracer every instrumented component records spans on."""
+    def tracer(self) -> Tracer:
+        """The tracer every instrumented component times its spans on."""
         return self._tracer
 
     @tracer.setter
-    def tracer(self, tracer) -> None:
+    def tracer(self, tracer: Tracer) -> None:
         """Wire one tracer everywhere, atomically from the caller's view.
 
         Assigning ``db.tracer`` propagates to the clock, the query
@@ -321,33 +322,18 @@ class FungusDB:
     # observability
     # ------------------------------------------------------------------
 
-    def enable_telemetry(
-        self,
-        tracing: bool = False,
-        trace_path: str | None = None,
-        rate_tau: float = 10.0,
-        sample_every: int = 1,
-        profile: bool = False,
-    ):
-        """Attach the rot-telemetry layer; returns the :class:`Telemetry`.
+    def enable_telemetry(self):
+        """Attach the metrics layer; returns the :class:`Telemetry`.
 
-        Metrics collection starts immediately (a bus subscriber feeds
-        the registry); ``tracing=True`` (or a ``trace_path``) swaps a
-        live tracer onto the clock, query engine and checkpoint paths;
-        ``profile=True`` turns on the hot-path profiler. Idempotent:
+        Collection starts immediately (a bus subscriber feeds the
+        registry). Tracing is separate and never touched here: assign
+        a recording tracer to :attr:`tracer` to keep spans. Idempotent:
         a second call returns the existing attachment.
         """
         if self.telemetry is None:
             from repro.obs.telemetry import Telemetry
 
-            self.telemetry = Telemetry(
-                self,
-                tracing=tracing,
-                trace_path=trace_path,
-                rate_tau=rate_tau,
-                sample_every=sample_every,
-                profile=profile,
-            )
+            self.telemetry = Telemetry(self)
         return self.telemetry
 
     def disable_telemetry(self) -> None:

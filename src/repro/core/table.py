@@ -35,7 +35,7 @@ from repro.core.freshness import (
     clamp_freshness,
 )
 from repro.errors import DecayError
-from repro.obs.tracing import NULL_TRACER
+from repro.obs.tracing import Tracer
 from repro.storage.rowset import RowSet
 from repro.storage.schema import ColumnDef, DataType, Schema
 from repro.storage.table import Table
@@ -113,9 +113,9 @@ class DecayingTable:
         # against the storage table; observing our own storage keeps the
         # decay bookkeeping consistent no matter who deletes.
         self._pending_reason = "external"
-        #: set by FungusDB's tracer property so tables created at any
-        #: point — before or after a checkpoint restore — record spans
-        self.tracer = NULL_TRACER
+        #: replaced by FungusDB's tracer property so tables created at
+        #: any point — before or after a checkpoint restore — share it
+        self.tracer = Tracer(max_finished=0)
         self.storage.add_observer(self)
 
     # ------------------------------------------------------------------
@@ -211,10 +211,6 @@ class DecayingTable:
     def inserted_at(self, rid: int) -> float:
         """Insertion timestamp of a live row."""
         return self.storage.row(rid)[self._t_pos]
-
-    def age(self, rid: int) -> float:
-        """Age of a live row on the decay clock."""
-        return self.clock.now - self.inserted_at(rid)
 
     def attributes_of(self, rid: int) -> dict[str, Any]:
         """The A1..An attribute values of a live row."""

@@ -21,8 +21,9 @@ Age-biased seeding is implemented by tournament selection: draw
 probability of a tuple then rises with its age rank (for bias k, the
 oldest of n tuples is k times likelier than uniform), which realises
 "inversely randomly correlated with its age" without an O(n) weighted
-draw per cycle. ``exact_age_weighting=True`` switches to a true
-age-proportional draw for tests and small tables.
+draw per cycle. Exactly: on a table of ``n`` uninfected live rows, the
+``i``-th oldest (counting from 0) is seeded with probability
+``C(n-1-i, k-1) / C(n, k)``.
 
 Membership lives in a :class:`~repro.fungi.spotset.SpotSet`, making
 the infection structure explicit: spread is O(#spots) endpoint
@@ -40,7 +41,6 @@ from repro.core.fungus import DecayReport, Fungus
 from repro.core.table import DecayingTable
 from repro.errors import DecayError
 from repro.fungi.spotset import SpotSet
-from repro.obs.profile import PROFILER
 from repro.storage.vector import numpy
 
 
@@ -55,7 +55,6 @@ class EGIFungus(Fungus):
         decay_rate: float = 0.2,
         spread: bool = True,
         age_bias: int = 8,
-        exact_age_weighting: bool = False,
     ) -> None:
         if seeds_per_cycle < 0:
             raise DecayError(f"seeds_per_cycle must be >= 0, got {seeds_per_cycle}")
@@ -67,7 +66,6 @@ class EGIFungus(Fungus):
         self.decay_rate = decay_rate
         self.spread = spread
         self.age_bias = age_bias
-        self.exact_age_weighting = exact_age_weighting
         self._spots = SpotSet()
 
     @property
@@ -87,16 +85,6 @@ class EGIFungus(Fungus):
     # ------------------------------------------------------------------
 
     def cycle(self, table: DecayingTable, rng: random.Random) -> DecayReport:
-        if not PROFILER.enabled:
-            return self._cycle(table, rng)
-        start = PROFILER.time()
-        report = self._cycle(table, rng)
-        PROFILER.record(
-            "egi.cycle", rows=len(self._spots), seconds=PROFILER.time() - start
-        )
-        return report
-
-    def _cycle(self, table: DecayingTable, rng: random.Random) -> DecayReport:
         report = DecayReport(self.name, table.clock.now)
         # drop dead members: intersect every spot with the live runs it
         # still covers (splits spots around evicted interiors). With no
@@ -139,8 +127,6 @@ class EGIFungus(Fungus):
                     table.mark_infected(next_rid, self.name, origin="spread", source=hi)
                     grown += 1
             report.spread += grown
-            if PROFILER.enabled:
-                PROFILER.record("egi.spread", rows=grown)
 
         # 3. decay: every infected element loses freshness at equal
         #    rate — one batch kernel call across all spots; spans are
@@ -158,14 +144,6 @@ class EGIFungus(Fungus):
         return report
 
     def _select_seed(self, table: DecayingTable, rng: random.Random) -> int | None:
-        if self.exact_age_weighting:
-            candidates = [
-                rid for rid in table.live_rows() if not self._spots.covers(rid)
-            ]
-            if not candidates:
-                return None
-            ages = [table.age(rid) + 1.0 for rid in candidates]
-            return rng.choices(candidates, weights=ages, k=1)[0]
         sample = table.sample_live(rng, self.age_bias)
         sample = [rid for rid in sample if not self._spots.covers(rid)]
         if not sample:

@@ -3,9 +3,7 @@
 RS004 requires every metric name handed to the registry to be a
 literal ``repro_*`` string that a DESIGN.md catalogue table documents.
 This module parses those tables with the same grammar the
-catalogue-consistency tests use (including the
-``repro_hotpath_calls/rows/seconds`` slash shorthand for families that
-share a stem), so the linter and the tests can never disagree about
+catalogue-consistency tests use, so the linter and the tests can never disagree about
 what "catalogued" means.
 
 There may be more than one catalogue: the engine's event-driven series
@@ -26,7 +24,7 @@ CATALOGUE_HEADING = "### Metric catalogue"
 
 _HEADING_RE = re.compile(r"^#{2,5}\s.*metric catalogue\s*$", flags=re.M | re.I)
 _NEXT_HEADING_RE = re.compile(r"^#{1,5}\s", flags=re.M)
-_ROW_RE = re.compile(r"^\|\s*`(repro_[a-z_/]+)`\s*\|", flags=re.M)
+_ROW_RE = re.compile(r"^\|\s*`(repro_[a-z_]+)`\s*\|", flags=re.M)
 
 _cache: dict[Path, Optional[frozenset[str]]] = {}
 
@@ -52,13 +50,7 @@ def parse_catalogue_names(text: str) -> Optional[frozenset[str]]:
     """
     names: set[str] = set()
     for match in _HEADING_RE.finditer(text):
-        for raw in _ROW_RE.findall(_section_body(text, match.end())):
-            if "/" in raw:
-                stem, _, suffixes = raw.rpartition("_")
-                for suffix in suffixes.split("/"):
-                    names.add(f"{stem}_{suffix}")
-            else:
-                names.add(raw)
+        names.update(_ROW_RE.findall(_section_body(text, match.end())))
     return frozenset(names) if names else None
 
 

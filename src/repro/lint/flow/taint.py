@@ -29,7 +29,7 @@ Source families:
   therefore deterministic; it is deliberately not a source.
 
 ``repro.obs`` is exempt end to end: observation code reads real time
-by design (profiler spans, tracer timestamps) and never feeds values
+by design (span timestamps and durations) and never feeds values
 back into engine state — taint neither seeds there nor crosses it.
 """
 

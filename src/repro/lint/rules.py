@@ -705,17 +705,18 @@ class SpanContextManagerRule(Rule):
         "A span opened outside a with block leaks on any exception "
         "path: it never closes, never exports, and poisons interval "
         "nesting for every later span in the trace. The opener methods "
-        "(span/root_span/stage_span/anchor_span) must be the context "
-        "expression of a with statement; only the one-shot record_span "
+        "(span/detached_span) must be the context expression of a "
+        "with statement; only the one-shot record_span "
         "— which returns an already-finished span — may stand alone."
     )
 
     #: tracer methods that return an *open* span needing a close
-    OPENERS = frozenset({"span", "root_span", "stage_span", "anchor_span"})
+    OPENERS = frozenset({"span", "detached_span"})
 
     def applies_to(self, path: Path) -> bool:
-        posix = path.as_posix()
-        return "repro/server/" in posix or "repro/obs/" in posix
+        # every span pushes onto (or times against) a tracer, recording
+        # or not, so the whole package is in scope
+        return "repro/" in path.as_posix()
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
         managed: set[int] = set()

@@ -1,4 +1,4 @@
-"""Rot telemetry: metrics, tracing, exposition, and profiling.
+"""Rot telemetry: metrics, tracing and exposition.
 
 The paper's "optimal health condition" is an *operational* promise —
 an operator must be able to watch rot progress continuously, not just
@@ -9,21 +9,19 @@ probe it. This package is that observability layer:
 * :mod:`repro.obs.collector` — the event-bus subscriber that keeps
   the registry current (evictions/sec, infections per fungus, consume
   volume, tombstone ratio, freshness-band occupancy per table);
-* :mod:`repro.obs.tracing` — span tracing (``tick`` / ``query`` /
-  ``checkpoint`` / ``consume``) with parent/child links and a JSONL
-  exporter;
+* :mod:`repro.obs.tracing` — spans (``tick`` / ``query`` /
+  ``checkpoint`` / ``consume`` / server stages) with parent/child links
+  and a JSONL exporter; every duration the product reports is a span's;
 * :mod:`repro.obs.export` — Prometheus text exposition + strict
   round-trip parser;
-* :mod:`repro.obs.profile` — zero-overhead-when-disabled hot-path
-  hooks (EGI spread loop, rowset scans);
 * :mod:`repro.obs.dashboard` — the ``python -m repro obs`` live
   terminal rot dashboard;
 * :mod:`repro.obs.telemetry` — the :class:`Telemetry` facade
-  ``FungusDB.enable_telemetry`` hands back.
+  (registry + collector) ``FungusDB.enable_telemetry`` hands back.
 
-Imports here are lazy (PEP 562): the storage layer imports
-``repro.obs.profile`` from its hottest loop, and this package must
-never drag ``repro.core`` into that import path.
+Imports here are lazy (PEP 562): the core imports
+``repro.obs.tracing``, and this package must never drag
+``repro.core`` back into that import path.
 """
 
 from __future__ import annotations
@@ -32,8 +30,6 @@ _EXPORTS = {
     "BusCollector": "repro.obs.collector",
     "JsonlTraceExporter": "repro.obs.tracing",
     "MetricsRegistry": "repro.obs.metrics",
-    "NULL_TRACER": "repro.obs.tracing",
-    "PROFILER": "repro.obs.profile",
     "Span": "repro.obs.tracing",
     "Telemetry": "repro.obs.telemetry",
     "TraceContext": "repro.obs.tracing",

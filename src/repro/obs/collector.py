@@ -113,19 +113,10 @@ def _inc_each(counter: Counter, amounts: Any) -> None:
 class BusCollector:
     """Feeds a metrics registry from one database's event bus."""
 
-    def __init__(
-        self,
-        registry: MetricsRegistry | None = None,
-        rate_tau: float = 10.0,
-        sample_every: int = 1,
-    ) -> None:
-        if sample_every < 1:
-            sample_every = 1
+    def __init__(self, registry: MetricsRegistry | None = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.sample_every = sample_every
         self._db: Any = None
         self._subscriptions: list[tuple[type, Any]] = []
-        self._ticks_seen: dict[str, int] = {}
 
         r = self.registry
         self.inserts = r.counter(
@@ -193,13 +184,11 @@ class BusCollector:
             "repro_eviction_rate",
             "Time-decayed evictions per clock tick.",
             ("table",),
-            tau=rate_tau,
         )
         self.consume_rate = r.ewma(
             "repro_consume_rate",
             "Time-decayed consumed tuples per clock tick.",
             ("table",),
-            tau=rate_tau,
         )
         self.extent = r.gauge("repro_extent", "Live tuples per table.", ("table",))
         self.exhausted = r.gauge(
@@ -351,10 +340,7 @@ class BusCollector:
     def _on_tick(self, event: TickCompleted) -> None:
         self.ticks.labels(table=event.table).inc()
         self.tick_evicted.labels(table=event.table).observe(event.evicted)
-        seen = self._ticks_seen.get(event.table, 0) + 1
-        self._ticks_seen[event.table] = seen
-        if seen % self.sample_every == 0:
-            self.sample_table(event.table)
+        self.sample_table(event.table)
 
     def _on_query(self, event: QueryExecuted) -> None:
         self.query_calls.labels(kind=event.kind).inc()

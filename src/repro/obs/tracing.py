@@ -1,24 +1,28 @@
-"""Span tracing with parent/child links and a JSONL exporter.
+"""Span tracing: the one timer every reported duration comes from.
 
-A :class:`Tracer` hands out :class:`Span` context managers; nesting is
-tracked on an explicit stack (the embedded engine is single-threaded
-by design), so a ``tick`` span opened by :meth:`FungusDB.tick` becomes
-the parent of the ``clock.advance`` and ``policy.cycle`` spans opened
-inside it. Span ids are sequential per tracer (allocated off an atomic
-counter, so the server's loop + worker threads never collide), which
-keeps traces deterministic and diffable across runs.
+A :class:`Span` is one named, timed interval with a parent, recorded by
+a :class:`Tracer`. Every span reads the clock on enter and exit, so
+whatever the product reports as a duration — a server stage histogram,
+a slow-query entry, a querystats ``seconds``, an EXPLAIN ANALYZE
+operator time — is some span's :attr:`Span.duration`. The tracer only
+decides whether finished spans are *kept*: each :class:`FungusDB`
+starts with ``Tracer(max_finished=0)``, which keeps none, and tracing
+is switched on by assigning a recording tracer (``db.tracer =
+Tracer(...)``).
 
-The server adds a second parentage mode: **explicit-parent spans**.
-A request crosses the event loop and the engine worker, where stack
-discipline cannot hold, so the request root (:meth:`Tracer.root_span`)
-and its stage children (:meth:`Tracer.stage_span`) never touch the
-stack. :meth:`Tracer.anchor_span` is the bridge back: an
-explicit-parent span that *does* push onto the stack, used by the
-worker thread so the engine's own stack-based ``query``/``tick`` spans
-nest under the request's ``worker.exec`` stage.
-:meth:`Tracer.record_span` records an already-measured interval in one
-call (the admission queue wait, which starts on the loop and ends on
-the worker, closes this way).
+Nesting is tracked on the tracer's stack, so a ``tick`` span opened by
+:meth:`FungusDB.tick` becomes the parent of the ``clock.advance`` and
+``policy.cycle`` spans opened inside it. A stack is only coherent on
+one thread; the server's event loop therefore opens its spans with
+:meth:`Tracer.detached_span`, which never touches the stack, and gives
+a parent explicitly. The engine worker opens ``worker.exec`` with
+:meth:`Tracer.span` and an explicit parent — it joins the worker's
+stack, so the engine's own ``query``/``tick`` spans nest under the
+request. :meth:`Tracer.record_span` records an already-measured
+interval in one call (the admission queue wait, which starts on the
+loop and ends on the worker, closes this way). Span ids are sequential
+per tracer (allocated off an atomic counter, so the loop and worker
+never collide), which keeps traces deterministic and diffable.
 
 The span taxonomy instrumented across the codebase:
 
@@ -28,11 +32,12 @@ The span taxonomy instrumented across the codebase:
 ``policy.cycle``          one table's fungus cycle + collection
 ``query``                 one SQL statement end-to-end
 ``consume``               the Law-2 removal phase of a consuming query
+``explain.analyze``       the instrumented run inside EXPLAIN ANALYZE
+``plan.<kind>``           one EXPLAIN ANALYZE operator (scan, sort, ...)
 ``checkpoint.save``       one checkpoint write
 ``checkpoint.restore``    one checkpoint load (rows re-inserted)
 ``sim.op``                one simulator schedule step (fault steps included)
 ``table.compact``         one tombstone-reclaim pass on a decaying table
-``client.request``        one client round trip (root; mints the trace field)
 ``server.request``        one network frame end-to-end (root, event loop)
 ``frame.decode``          frame body → payload object
 ``admission.wait``        enqueue → worker pickup (queue time)
@@ -42,16 +47,11 @@ The span taxonomy instrumented across the codebase:
 ``reply``                 response framing + flush
 ========================  =====================================================
 
-Trace context crosses the wire as a W3C-traceparent-shaped string
+Trace context arrives on the wire as a W3C-traceparent-shaped string
 (:class:`TraceContext`): ``00-<32 hex trace-id>-<16 hex span-id>-01``.
 :meth:`TraceContext.parse` is deliberately tolerant — anything
 malformed yields ``None`` and the server minting its own root, never
 an error on the request path.
-
-The disabled path is :data:`NULL_TRACER`: every instrumented call site
-costs one attribute lookup, a no-op ``span()`` call returning a shared
-singleton, and two no-op ``__enter__``/``__exit__`` calls — measured
-at < 5% ingest overhead by experiment T3's wall-clock check.
 """
 
 from __future__ import annotations
@@ -156,6 +156,12 @@ class Span:
         self.end: float | None = None
         self.status = "ok"
 
+    @property
+    def duration(self) -> float:
+        """Seconds from enter to exit (0.0 while the span is open)."""
+        end = self.end if self.end is not None else self.start
+        return end - self.start
+
     def set(self, **attrs: Any) -> None:
         """Attach attributes (rows touched, table name, ...)."""
         self.attrs.update(attrs)
@@ -184,7 +190,7 @@ class Span:
             "parent_id": self.parent_id,
             "start": self.start,
             "end": end,
-            "duration": end - self.start,
+            "duration": self.duration,
             "status": self.status,
             "attrs": self.attrs,
         }
@@ -196,68 +202,14 @@ class Span:
         )
 
 
-class _NullSpan:
-    """Shared no-op span: the whole disabled-tracing fast path."""
-
-    __slots__ = ()
-
-    def set(self, **attrs: Any) -> None:
-        pass
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
-
-
-_NULL_SPAN = _NullSpan()
-
-
-class NullTracer:
-    """The disabled tracer every instrumented object starts with."""
-
-    __slots__ = ()
-    enabled = False
-
-    def span(self, name: str, **attrs: Any) -> _NullSpan:
-        """A shared no-op span; nothing is recorded."""
-        return _NULL_SPAN
-
-    def root_span(self, name: str, **attrs: Any) -> _NullSpan:
-        """A shared no-op span; nothing is recorded."""
-        return _NULL_SPAN
-
-    def stage_span(self, name: str, parent: Any, **attrs: Any) -> _NullSpan:
-        """A shared no-op span; nothing is recorded."""
-        return _NULL_SPAN
-
-    def anchor_span(self, name: str, parent: Any, **attrs: Any) -> _NullSpan:
-        """A shared no-op span; nothing is recorded."""
-        return _NULL_SPAN
-
-    def record_span(
-        self, name: str, parent: Any, start: float, end: float, **attrs: Any
-    ) -> _NullSpan:
-        """Dropped; nothing is recorded."""
-        return _NULL_SPAN
-
-    def now(self) -> float:
-        """A fixed zero clock; record_span intervals are dropped anyway."""
-        return 0.0
-
-    def close(self) -> None:
-        pass
-
-
-#: Process-wide disabled tracer (stateless, safe to share).
-NULL_TRACER = NullTracer()
-
-
 class Tracer:
-    """Records spans onto an in-memory ring and an optional exporter."""
+    """Times spans; keeps the last ``max_finished`` and exports each one.
 
-    enabled = True
+    ``Tracer(max_finished=0)`` with no exporter is the non-recording
+    tracer every database, clock, engine and table starts with: its
+    spans still time themselves (every reported duration needs that),
+    they are just not kept.
+    """
 
     def __init__(
         self,
@@ -284,48 +236,24 @@ class Tracer:
         """The tracer's clock, for :meth:`record_span` intervals."""
         return self._time()
 
-    def span(self, name: str, **attrs: Any) -> Span:
-        """A new span, child of the innermost open span (if any)."""
-        parent = self._stack[-1] if self._stack else None
-        if parent is None:
-            trace_id = next(self._trace_ids)
-            parent_id = None
-        else:
-            trace_id = parent.trace_id
-            parent_id = parent.span_id
-        return Span(self, name, trace_id, next(self._span_ids), parent_id, attrs)
+    def span(self, name: str, parent: Span | None = None, **attrs: Any) -> Span:
+        """A span that joins the stack while open.
 
-    def root_span(self, name: str, **attrs: Any) -> Span:
-        """A new trace root that ignores (and never touches) the stack.
-
-        This is the request-root constructor for concurrent callers:
-        many root spans can be open at once on the event loop without
-        interfering with each other or with the engine's stack.
+        Its parent is ``parent`` when given, else the innermost open
+        span, else none (a new trace). Only one thread may open these
+        on a given tracer — the engine's, never the server's event loop.
         """
-        return Span(
-            self, name, next(self._trace_ids), next(self._span_ids), None, attrs,
-            attached=False,
-        )
+        if parent is None and self._stack:
+            parent = self._stack[-1]
+        return self._new(name, parent, attrs, True)
 
-    def stage_span(self, name: str, parent: Span, **attrs: Any) -> Span:
-        """A child of ``parent`` that never touches the stack."""
-        return Span(
-            self, name, parent.trace_id, next(self._span_ids), parent.span_id,
-            attrs, attached=False,
-        )
-
-    def anchor_span(self, name: str, parent: Span, **attrs: Any) -> Span:
-        """A child of ``parent`` that *does* join the stack.
-
-        The worker thread opens its ``worker.exec`` stage this way so
-        the engine's stack-based spans (``query``, ``tick``, ...) nest
-        under the request. Only safe where stack discipline holds —
-        i.e. on the single engine worker, never on the event loop.
-        """
-        return Span(
-            self, name, parent.trace_id, next(self._span_ids), parent.span_id,
-            attrs, attached=True,
-        )
+    def detached_span(
+        self, name: str, parent: Span | None = None, **attrs: Any
+    ) -> Span:
+        """A span that never touches the stack: a child of ``parent``,
+        or a new trace root without one. Safe on any thread, so the
+        event loop can hold many open at once."""
+        return self._new(name, parent, attrs, False)
 
     def record_span(
         self, name: str, parent: Span, start: float, end: float, **attrs: Any
@@ -336,21 +264,23 @@ class Tracer:
         starts on the event loop and ends at worker pickup): both ends
         sample :meth:`now`, then whichever side finishes calls this.
         """
-        span = Span(
-            self, name, parent.trace_id, next(self._span_ids), parent.span_id,
-            attrs, attached=False,
-        )
+        span = self._new(name, parent, attrs, False)
         span.start = float(start)
         span.end = float(end) if end >= start else float(start)
-        self.finished.append(span)
-        if self.exporter is not None:
-            self.exporter.export(span.to_dict())
+        self._close(span)
         return span
 
-    def mint_context(self, span: Span) -> TraceContext:
-        """The wire-shaped trace context for ``span`` (hex-widened ids)."""
-        return TraceContext(
-            trace_id=f"{span.trace_id:032x}", span_id=f"{span.span_id:016x}"
+    def _new(
+        self, name: str, parent: Span | None, attrs: dict[str, Any], attached: bool
+    ) -> Span:
+        if parent is None:
+            return Span(
+                self, name, next(self._trace_ids), next(self._span_ids), None,
+                attrs, attached,
+            )
+        return Span(
+            self, name, parent.trace_id, next(self._span_ids), parent.span_id,
+            attrs, attached,
         )
 
     def _close(self, span: Span) -> None:

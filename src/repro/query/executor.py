@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence, Sized
 
 from repro.errors import ConsumeError
-from repro.obs.profile import PROFILER
 from repro.query.ast_nodes import (
     DeleteStmt,
     ExplainStmt,
@@ -49,7 +48,7 @@ from repro.query.planner import (
 
 if TYPE_CHECKING:
     from repro.lint.analyze import ConsumeAnalyzer, ConsumeReport, DomainsProvider
-from repro.obs.tracing import NULL_TRACER
+from repro.obs.tracing import Tracer
 from repro.query import operators as ops
 from repro.query.result import ExecutionStats, ResultSet
 from repro.storage.catalog import Catalog
@@ -80,33 +79,6 @@ class QueryRecord:
 StatsHook = Callable[[QueryRecord], None]
 
 
-def _step(
-    node: OperatorStats | None, op: Callable[..., Any], rows: Any = (), *args: Any
-) -> Any:
-    """Run one plan operator: ``op(rows, *args)``, observed when ``node`` is set.
-
-    Without a collector this *is* the operator call — whatever lazy iterator
-    the operator returns, untouched, so the ordinary path stays a
-    generator chain. With one (EXPLAIN ANALYZE) the input and output
-    are materialized around the call, so the node records its own
-    ``rows_in``/``rows_out``/``seconds`` and nothing of its neighbours'.
-    Sources take no row input: they count their candidates through the
-    ``collect`` argument of the operator itself.
-    """
-    if node is None:
-        return op(rows, *args)
-    if not isinstance(rows, Sized):
-        rows = list(rows)
-    started = PROFILER.time()
-    out = op(rows, *args)
-    if not isinstance(out, Sized):
-        out = list(out)
-    node.seconds += PROFILER.time() - started
-    node.rows_in += len(rows)
-    node.rows_out = len(out)
-    return out
-
-
 class QueryEngine:
     """Executes SELECT / CONSUME SELECT statements against a catalog.
 
@@ -117,7 +89,7 @@ class QueryEngine:
 
     def __init__(self, catalog: Catalog) -> None:
         self.catalog = catalog
-        self.tracer = NULL_TRACER
+        self.tracer = Tracer(max_finished=0)
         #: SQL text of the statement currently executing (None outside
         #: execute()); consume hooks read it so Law-2 death provenance
         #: records the consuming query verbatim.
@@ -181,9 +153,8 @@ class QueryEngine:
         """Run ``hook(record)`` after every *executing* statement —
         SELECT, CONSUME, INSERT, DELETE, and the inner statement of an
         ``EXPLAIN ANALYZE`` (plain ``EXPLAIN`` runs nothing and is not
-        reported). The query-statistics store feeds off this; with no
-        hooks registered the execute path does not even read the
-        clock."""
+        reported). The query-statistics store feeds off this; a
+        record's ``seconds`` is the statement's ``query`` span."""
         self._stats_hooks.append(hook)
 
     @property
@@ -210,7 +181,6 @@ class QueryEngine:
         kind = stmt.kind
         self.current_sql = query if isinstance(query, str) else None
         self._last_instr = None
-        started = PROFILER.time() if self._stats_hooks else 0.0
         try:
             with self.tracer.span("query", kind=kind) as span:
                 if isinstance(stmt, ExplainStmt):
@@ -230,11 +200,9 @@ class QueryEngine:
                     rows_matched=result.stats.rows_matched,
                     rows_consumed=result.stats.rows_consumed,
                 )
-                if self._stats_hooks:
-                    self._record_statement(
-                        stmt, kind, result, PROFILER.time() - started
-                    )
-                return result
+            if self._stats_hooks:
+                self._record_statement(stmt, kind, result, span.duration)
+            return result
         finally:
             self.current_sql = None
 
@@ -290,22 +258,22 @@ class QueryEngine:
         """Execute the wrapped statement — CONSUME/DELETE really remove
         rows — and return the annotated plan instead of its rows."""
         inner = stmt.inner
-        started = PROFILER.time()
         report: "ConsumeReport | None" = None
-        if isinstance(inner, DeleteStmt):
-            plan = plan_delete(inner, self.catalog)
-            instr = instrument_delete(plan, self.catalog)
-            result = self._delete_by_plan(inner, plan, instr)
-        else:
-            if inner.consume:
-                # pre-execution Tier-B verdict: the extent is still intact
-                report = self.analyze_consume(inner)
-                if self.strict_consume:
-                    self._enforce_strict_consume(inner, report)
-            select_plan = plan_select(inner, self.catalog)
-            instr = instrument_select(select_plan, self.catalog)
-            result = self._run(select_plan, instr)
-        instr.total_seconds = PROFILER.time() - started
+        with self.tracer.span("explain.analyze") as span:
+            if isinstance(inner, DeleteStmt):
+                plan = plan_delete(inner, self.catalog)
+                instr = instrument_delete(plan, self.catalog)
+                result = self._delete_by_plan(inner, plan, instr)
+            else:
+                if inner.consume:
+                    # pre-execution Tier-B verdict: the extent is still intact
+                    report = self.analyze_consume(inner)
+                    if self.strict_consume:
+                        self._enforce_strict_consume(inner, report)
+                select_plan = plan_select(inner, self.catalog)
+                instr = instrument_select(select_plan, self.catalog)
+                result = self._run(select_plan, instr)
+        instr.total_seconds = span.duration
         instr.result_rows = len(result)
         if report is not None:
             instr.consume_verdict = report.verdict
@@ -370,16 +338,48 @@ class QueryEngine:
             self.catalog.table(stmt.table).delete_rows(victims)
             return victims
 
-        victims = _step(node, delete)
+        victims = self._step(node, delete)
         return ResultSet(columns=("deleted",), rows=[(len(victims),)], stats=stats)
 
     # ------------------------------------------------------------------
+
+    def _step(
+        self,
+        node: OperatorStats | None,
+        op: Callable[..., Any],
+        rows: Any = (),
+        *args: Any,
+    ) -> Any:
+        """Run one plan operator: ``op(rows, *args)``, observed when ``node`` is set.
+
+        Without a collector this *is* the operator call — whatever lazy
+        iterator the operator returns, untouched, so the ordinary path
+        stays a generator chain. With one (EXPLAIN ANALYZE) the input
+        and output are materialized around the call, inside a
+        ``plan.<kind>`` span, so the node records its own
+        ``rows_in``/``rows_out`` and that span's duration as ``seconds``,
+        and nothing of its neighbours'. Sources take no row input: they
+        count their candidates through the ``collect`` argument of the
+        operator itself.
+        """
+        if node is None:
+            return op(rows, *args)
+        if not isinstance(rows, Sized):
+            rows = list(rows)
+        with self.tracer.span(f"plan.{node.kind}") as span:
+            out = op(rows, *args)
+            if not isinstance(out, Sized):
+                out = list(out)
+        node.seconds += span.duration
+        node.rows_in += len(rows)
+        node.rows_out = len(out)
+        return out
 
     def _run(
         self, plan: SelectPlan, instr: PlanInstrumentation | None = None
     ) -> ResultSet:
         """Drive ``plan``'s operators in :func:`plan_nodes` order, each
-        through :func:`_step` — EXPLAIN ANALYZE runs this same code."""
+        through :meth:`_step` — EXPLAIN ANALYZE runs this same code."""
         stats = ExecutionStats()
         consumed = RowSet.empty()
         source = plan.source
@@ -426,25 +426,25 @@ class QueryEngine:
             return victims
 
         if isinstance(source, ScanPlan):
-            rows = _step(node("scan"), scan)
+            rows = self._step(node("scan"), scan)
         else:
-            rows = _step(node("join"), join)
+            rows = self._step(node("join"), join)
         stats.rows_matched = len(rows)
 
         if aggregate is not None:
             grouper = ops.count_star_group if count_only else ops.aggregate
-            rows = _step(node("aggregate"), grouper, rows, aggregate)
+            rows = self._step(node("aggregate"), grouper, rows, aggregate)
         if plan.order_by:
-            rows = _step(node("sort"), ops.sort_rows, rows, plan.order_by)
+            rows = self._step(node("sort"), ops.sort_rows, rows, plan.order_by)
         rows = ops.project(rows, plan.projections)
         if plan.distinct:
-            rows = _step(node("distinct"), ops.distinct, rows)
+            rows = self._step(node("distinct"), ops.distinct, rows)
         if plan.limit is not None:
-            rows = _step(node("limit"), ops.limit, rows, plan.limit)
+            rows = self._step(node("limit"), ops.limit, rows, plan.limit)
         out_rows = list(rows)
 
         if consumed:
-            _step(node("consume"), consume, consumed)
+            self._step(node("consume"), consume, consumed)
             stats.rows_consumed = len(consumed)
 
         return ResultSet(

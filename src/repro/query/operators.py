@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence, Sized
 
 from repro.errors import ExecutionError
-from repro.obs.profile import PROFILER
 from repro.query.ast_nodes import Expression, OrderItem, Projection
 from repro.query.expressions import evaluate, matches
 from repro.query.functions import aggregate_arity, make_aggregate
@@ -88,8 +87,6 @@ def scan_rids(
     batch; the rest fall back to row evaluation over materialized
     survivor contexts, with identical counting.
     """
-    profiling = PROFILER.enabled
-    start = PROFILER.time() if profiling else 0.0
     table = catalog.table(plan.table_name)
     candidates: list[int]
     if plan.index is not None:
@@ -132,10 +129,6 @@ def scan_rids(
             ]
     if collect is not None:
         collect.rows_out += len(current)
-    if profiling:
-        PROFILER.record(
-            "query.scan", rows=len(candidates), seconds=PROFILER.time() - start
-        )
     return current
 
 

@@ -2,8 +2,8 @@
 
 Plan-vs-actual observability for the Law-2 executor: every plan node
 gets an :class:`OperatorStats` collector (rows in/out, rotted rows the
-scan skipped over, predicate evaluations, index hits, wall time via
-the :class:`~repro.obs.profile.HotPathProfiler` clock) plus an
+scan skipped over, predicate evaluations, index hits, wall time as
+the duration of the operator's ``plan.<kind>`` span) plus an
 *estimated* output cardinality computed with the very same selectivity
 arithmetic the Tier-B consume analyzer trusts
 (:func:`repro.lint.analyze.predicate_selectivity` over

@@ -1,17 +1,12 @@
 """A small asyncio client for the frame protocol.
 
-Used by the test harness, the load generator, and the interactive
-``python -m repro.serve client`` shell. One client is one connection
-is one session; requests are sequential per client by construction
-(the protocol has no pipelining), which mirrors the server's
-per-connection ordering guarantee.
-
-Tracing: give the client a :class:`~repro.obs.tracing.Tracer` and a
-``trace_sample`` rate and it mints a ``client.request`` root span for
-the sampled fraction of requests, attaching the W3C-shaped ``trace``
-field the server continues. Sampling is deterministic — an error
-accumulator, not a coin flip — so a rate of 0.25 traces exactly every
-fourth request and replays identically.
+Used by the test harness, the ``bench_e2e`` server workload, and the
+interactive ``python -m repro.serve client`` shell. One client is one
+connection is one session; requests are sequential per client by
+construction (the protocol has no pipelining), which mirrors the
+server's per-connection ordering guarantee. A caller that wants the
+server to annotate a request with its own trace passes a W3C-shaped
+``trace`` field in the payload (``client.query(sql, trace=...)``).
 """
 
 from __future__ import annotations
@@ -19,7 +14,6 @@ from __future__ import annotations
 import asyncio
 from typing import Any
 
-from repro.obs.tracing import NULL_TRACER
 from repro.server.protocol import read_frame, write_frame
 
 
@@ -39,16 +33,11 @@ class FungusClient:
         self,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
-        tracer: Any = NULL_TRACER,
-        trace_sample: float = 1.0,
     ) -> None:
         self.reader = reader
         self.writer = writer
         self.session: str | None = None
         self.principal: str | None = None
-        self.tracer = tracer
-        self.trace_sample = trace_sample
-        self._sample_debt = 0.0
 
     @classmethod
     async def connect(
@@ -56,11 +45,9 @@ class FungusClient:
         host: str,
         port: int,
         token: str | None = None,
-        tracer: Any = NULL_TRACER,
-        trace_sample: float = 1.0,
     ) -> "FungusClient":
         reader, writer = await asyncio.open_connection(host, port)
-        client = cls(reader, writer, tracer=tracer, trace_sample=trace_sample)
+        client = cls(reader, writer)
         hello: dict[str, Any] = {"op": "hello"}
         if token is not None:
             hello["token"] = token
@@ -76,28 +63,8 @@ class FungusClient:
             raise ServerError(response.get("code", "?"), response.get("error", "?"))
         return response
 
-    def _sampled(self) -> bool:
-        """Deterministic rate sampling (accumulated debt, no RNG)."""
-        if not self.tracer.enabled or self.trace_sample <= 0.0:
-            return False
-        self._sample_debt += min(self.trace_sample, 1.0)
-        if self._sample_debt >= 1.0:
-            self._sample_debt -= 1.0
-            return True
-        return False
-
     async def request_raw(self, payload: dict[str, Any]) -> dict[str, Any]:
         """One round trip returning the raw response, errors included."""
-        if self._sampled():
-            with self.tracer.root_span(
-                "client.request", op=str(payload.get("op", "?"))
-            ) as root:
-                context = self.tracer.mint_context(root)
-                payload = {**payload, "trace": context.to_traceparent()}
-                return await self._round_trip(payload)
-        return await self._round_trip(payload)
-
-    async def _round_trip(self, payload: dict[str, Any]) -> dict[str, Any]:
         await write_frame(self.writer, payload)
         response = await read_frame(self.reader)
         if response is None:

@@ -28,12 +28,13 @@ FungusDB with the same seed must reproduce the server's final state
 bit-for-bit — the differential oracle the concurrency tests run.
 
 Every frame is also an observability unit. The loop opens a detached
-``server.request`` root span per frame (continuing the client's trace
-when the payload carries a valid ``trace`` field), times each stage
-into both child spans and the ``repro_server_stage_seconds``
-histogram, and distills over-threshold requests into the bounded
-slow-query log that ``/debug/slow`` serves. Stage timing always runs;
-span recording costs nothing unless ``db.tracer`` is enabled.
+``server.request`` root span per frame (annotated with the client's
+trace when the payload carries a valid ``trace`` field) and one child
+span per stage. Each stage's span duration is what the
+``repro_server_stage_seconds`` histogram observes, and the root's is
+what the bounded slow-query log behind ``/debug/slow`` records — the
+server reads no clock of its own. Whether the spans are also *kept* is
+up to ``db.tracer``.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from repro.errors import FungusError
-from repro.obs.tracing import TraceContext
+from repro.obs.tracing import Span, TraceContext
 from repro.server.admission import AdmissionController
 from repro.server.auth import AuthError, AuthRegistry, Grant
 from repro.server.metrics import ServerMetrics
@@ -101,18 +102,18 @@ _SPAN_NAMES = {"decode": "frame.decode"}
 class _Request:
     """Loop-side context for one in-flight frame.
 
-    Carries the request root span, the wall-clock start, the per-stage
-    latency ledger, and what the slow-query log will want if this
-    request runs long. Stage values are written by whichever side runs
-    the stage (loop or worker) but only *read* on the loop after the
-    response is written, so no stage entry is ever raced.
+    Carries the request root span (whose start is the request's), the
+    per-stage ledger of span durations, and what the slow-query log
+    will want if this request runs long. Stage values are written by
+    whichever side runs the stage (loop or worker) but only *read* on
+    the loop after the root span closes, so no stage entry is ever
+    raced.
     """
 
-    __slots__ = ("span", "started", "op", "sql", "verdict", "trace", "stages")
+    __slots__ = ("span", "op", "sql", "verdict", "trace", "stages")
 
-    def __init__(self, span: Any, started: float) -> None:
+    def __init__(self, span: Span) -> None:
         self.span = span
-        self.started = started
         self.op = "?"
         self.sql: str | None = None
         self.verdict: str | None = None
@@ -232,16 +233,15 @@ class FungusServer:
     async def _tick_loop(self) -> None:
         assert self.config.tick_interval is not None
         interval = self.config.tick_interval
+        clock = self.db.tracer.now
         while True:
-            before = time.perf_counter()
+            before = clock()
             await asyncio.sleep(interval)
             await self._run_tick(1)
             # lag = everything past the nominal interval: sleep
             # overshoot under loop pressure plus the tick's own worker
             # time (which queues behind in-flight strong ops)
-            self.metrics.ticker_lag.set(
-                max(0.0, time.perf_counter() - before - interval)
-            )
+            self.metrics.ticker_lag.set(max(0.0, clock() - before - interval))
 
     async def _run_tick(self, ticks: int) -> float:
         """Advance the clock in the worker and publish the new snapshot.
@@ -313,50 +313,63 @@ class FungusServer:
         The root is detached (never on the tracer stack), so any number
         of connections can hold one open concurrently. It closes when
         the ``with`` exits — after the reply is flushed — which is what
-        makes every stage span nest inside it.
+        makes every stage span nest inside it, and only then are its
+        stages and duration folded into the metrics.
         """
-        with self.db.tracer.root_span("server.request") as root:
-            req = _Request(root, time.perf_counter())
-            try:
-                with self._stage(req, "decode"):
-                    payload = decode_frame(body)
-            except FrameError as exc:
-                # decode failures poison the stream, same as framing
-                # failures: answer once and close
-                req.op = "frame"
-                self.metrics.request("frame", exc.code)
-                await self._reply(writer, req, error(exc.code, exc.message))
-                self._finish_request(req, session, exc.code)
-                return session, False
-            context = TraceContext.parse(payload.get("trace"))
-            if context is not None:
-                # continue the client's trace by annotation: the root
-                # stays a local root, the W3C ids ride as attributes
-                req.trace = context.trace_id
-                root.set(trace=context.trace_id, remote_parent=context.span_id)
-            response, session, keep_open = await self._dispatch(
-                payload, session, writer, req
+        with self.db.tracer.detached_span("server.request") as root:
+            req = _Request(root)
+            session, keep_open, status = await self._serve_frame(
+                body, session, writer, req
             )
-            if "id" in payload:
-                response["id"] = payload["id"]
-            await self._reply(writer, req, response)
-            status = "ok" if response.get("ok") else str(response.get("code", "?"))
-            self._finish_request(req, session, status)
+            root.set(op=req.op, status=status)
+            if session is not None:
+                root.set(session=session.id)
+        self._finish_request(req, session)
         return session, keep_open
 
+    async def _serve_frame(
+        self,
+        body: bytes,
+        session: Session | None,
+        writer: asyncio.StreamWriter,
+        req: _Request,
+    ) -> tuple[Session | None, bool, str]:
+        """Decode, dispatch and reply; returns (session, keep_open, status)."""
+        try:
+            with self._stage(req, "decode"):
+                payload = decode_frame(body)
+        except FrameError as exc:
+            # decode failures poison the stream, same as framing
+            # failures: answer once and close
+            req.op = "frame"
+            self.metrics.request("frame", exc.code)
+            await self._reply(writer, req, error(exc.code, exc.message))
+            return session, False, exc.code
+        context = TraceContext.parse(payload.get("trace"))
+        if context is not None:
+            # continue the client's trace by annotation: the root
+            # stays a local root, the W3C ids ride as attributes
+            req.trace = context.trace_id
+            req.span.set(trace=context.trace_id, remote_parent=context.span_id)
+        response, session, keep_open = await self._dispatch(
+            payload, session, writer, req
+        )
+        if "id" in payload:
+            response["id"] = payload["id"]
+        await self._reply(writer, req, response)
+        status = "ok" if response.get("ok") else str(response.get("code", "?"))
+        return session, keep_open, status
+
     @contextlib.contextmanager
-    def _stage(self, req: _Request, label: str) -> Iterator[Any]:
-        """Time one request stage into ``req.stages`` and a child span."""
-        started = time.perf_counter()
-        with self.db.tracer.stage_span(
-            _SPAN_NAMES.get(label, label), req.span
-        ) as span:
-            try:
+    def _stage(self, req: _Request, label: str) -> Iterator[Span]:
+        """Run one request stage in a child span; ``req.stages`` gets its duration."""
+        try:
+            with self.db.tracer.detached_span(
+                _SPAN_NAMES.get(label, label), req.span
+            ) as span:
                 yield span
-            finally:
-                req.stages[label] = (
-                    req.stages.get(label, 0.0) + time.perf_counter() - started
-                )
+        finally:
+            req.stages[label] = req.stages.get(label, 0.0) + span.duration
 
     async def _reply(
         self, writer: asyncio.StreamWriter, req: _Request, response: dict[str, Any]
@@ -364,16 +377,11 @@ class FungusServer:
         with self._stage(req, "reply"):
             await self._safe_write(writer, response)
 
-    def _finish_request(
-        self, req: _Request, session: Session | None, status: str
-    ) -> None:
+    def _finish_request(self, req: _Request, session: Session | None) -> None:
         """Fold one finished request into histograms and the slow log."""
-        duration = time.perf_counter() - req.started
+        duration = req.span.duration
         for label, seconds in req.stages.items():
             self.metrics.stage(req.op, label, seconds)
-        req.span.set(op=req.op, status=status)
-        if session is not None:
-            req.span.set(session=session.id)
         if duration >= self.slow_log.threshold:
             self.metrics.slow_requests.labels(op=req.op).inc()
             self.slow_log.record(
@@ -584,10 +592,9 @@ class FungusServer:
             # worker side: the stack holds the worker.exec anchor the
             # admission wrapper pushed, so this span — and the engine's
             # own query/consume spans under db.query — nest beneath it
-            analyze_started = time.perf_counter()
-            with self.db.tracer.span("policy.analyze"):
+            with self.db.tracer.span("policy.analyze") as span:
                 admission = self.gatekeeper.admit(sql, session.grant)
-            req.stages["policy.analyze"] = time.perf_counter() - analyze_started
+            req.stages["policy.analyze"] = span.duration
             req.verdict = admission.verdict
             engine = self.db.engine
             engine.current_actor = _actor(session, req)
@@ -664,7 +671,7 @@ class FungusServer:
         The admitted path is also where two cross-thread stages are
         measured: ``admission.wait`` spans enqueue (here, on the loop)
         to worker pickup (the first statement of the wrapped job), and
-        ``worker.exec`` anchors onto the tracer stack so the engine's
+        ``worker.exec`` joins the worker's tracer stack so the engine's
         own spans nest inside the request.
         """
         if self.admission.draining:
@@ -680,21 +687,19 @@ class FungusServer:
         depth = self.admission.in_flight
         self.metrics.queue_depth.set(depth)
         tracer = self.db.tracer
-        enqueued_pc = time.perf_counter()
         enqueued_at = tracer.now()
 
         def admitted_job() -> dict[str, Any]:
             # first statement on the worker: the queue wait is over
-            req.stages["admission.wait"] = time.perf_counter() - enqueued_pc
-            tracer.record_span(
+            waited = tracer.record_span(
                 "admission.wait", req.span, enqueued_at, tracer.now(), depth=depth
             )
-            exec_started = time.perf_counter()
-            with tracer.anchor_span("worker.exec", req.span, op=req.op):
-                try:
+            req.stages["admission.wait"] = waited.duration
+            try:
+                with tracer.span("worker.exec", req.span, op=req.op) as span:
                     return job()
-                finally:
-                    req.stages["worker.exec"] = time.perf_counter() - exec_started
+            finally:
+                req.stages["worker.exec"] = span.duration
 
         try:
             return await self._run_strong(admitted_job)

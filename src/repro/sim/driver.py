@@ -40,7 +40,7 @@ from repro.core.checkpoint import load_checkpoint, save_checkpoint
 from repro.core.db import FungusDB
 from repro.core.policy import EvictionMode
 from repro.errors import DecayError, SnapshotError
-from repro.obs.tracing import NULL_TRACER, JsonlTraceExporter, Tracer
+from repro.obs.tracing import JsonlTraceExporter, Tracer
 from repro.sim import faults
 from repro.sim.invariants import FreshnessTracker, check_conservation, check_table
 from repro.sim.oracle import ModelRow, Oracle
@@ -149,7 +149,7 @@ class Simulator:
         self._ckpt_serial = 0
         self.tracker = FreshnessTracker()
         self.report = SimReport(seed=config.seed, steps_run=0)
-        self.tracer = NULL_TRACER
+        self.tracer = Tracer(max_finished=0)
         self.trace_path: Path | None = None
         if trace_dir is not None:
             self.trace_path = Path(trace_dir) / f"seed-{config.seed}.jsonl"

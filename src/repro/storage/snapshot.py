@@ -4,6 +4,11 @@ Format: line 1 is a header object ``{"table": name, "schema": {...}}``,
 then one JSON array per live row in time order. Tombstones are not
 persisted — a snapshot is a compacted view, which matches the paper's
 stance that rotten data should not survive.
+
+Every file this package and the checkpoint layer write goes through
+:func:`write_atomic`: the bytes reach the disk before the rename makes
+them visible, so a crash leaves either the old file or the whole new
+one — never a name pointing at unwritten data.
 """
 
 from __future__ import annotations
@@ -19,14 +24,37 @@ from repro.storage.table import Table
 FORMAT_VERSION = 1
 
 
-def save_table(table: Table, path: str | Path) -> int:
-    """Write ``table``'s live rows to ``path``; returns rows written.
+def write_atomic(path: str | Path, text: str) -> None:
+    """Replace ``path`` with ``text``, durably.
 
-    The write is atomic: content goes to a temp file that is renamed
-    into place, so a crash never leaves a half snapshot behind.
+    The text goes to a temp file that is flushed and fsynced before it
+    is renamed over ``path``. The rename itself becomes durable once
+    the directory is synced (:func:`sync_directory`).
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(text)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+
+
+def sync_directory(directory: str | Path) -> None:
+    """fsync ``directory`` so the renames inside it survive a crash."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def save_table(table: Table, path: str | Path) -> int:
+    """Write ``table``'s live rows to ``path``; returns rows written.
+
+    The write is atomic (:func:`write_atomic`), so a crash never leaves
+    a half snapshot behind.
+    """
     lines = [json.dumps(list(values)) for _, values in table.iter_rows()]
     header = {
         "format_version": FORMAT_VERSION,
@@ -36,11 +64,7 @@ def save_table(table: Table, path: str | Path) -> int:
         # otherwise load silently as a shorter table
         "rows": len(lines),
     }
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header) + "\n")
-        for line in lines:
-            fh.write(line + "\n")
-    os.replace(tmp, path)
+    write_atomic(path, "".join(f"{line}\n" for line in [json.dumps(header), *lines]))
     return len(lines)
 
 

@@ -37,7 +37,6 @@ from bisect import bisect_left, bisect_right
 from typing import (
     TYPE_CHECKING,
     Any,
-    Callable,
     Iterable,
     Iterator,
     Mapping,
@@ -49,7 +48,6 @@ from repro.errors import StorageError
 
 if TYPE_CHECKING:
     from repro.storage.raceprobe import RaceProbe
-from repro.obs.profile import PROFILER
 from repro.storage.rowset import RowSet
 from repro.storage.schema import DataType, Schema
 from repro.storage.vector import BoolColumn, FloatColumn, numpy
@@ -441,23 +439,6 @@ class Table:
         """Yield ``(rid, values)`` for every live row in time order."""
         for rid in self.live_rows():
             yield rid, tuple(col[rid] for col in self._columns)
-
-    def scan(self, predicate: Callable[[dict[str, Any]], bool] | None = None) -> RowSet:
-        """Row ids of live rows matching ``predicate`` (all, if None)."""
-        if predicate is None:
-            return self.live_rowset()
-        profiling = PROFILER.enabled
-        start = PROFILER.time() if profiling else 0.0
-        names = self.schema.names
-        matches = []
-        scanned = 0
-        for rid, values in self.iter_rows():
-            scanned += 1
-            if predicate(dict(zip(names, values))):
-                matches.append(rid)
-        if profiling:
-            PROFILER.record("table.scan", rows=scanned, seconds=PROFILER.time() - start)
-        return RowSet(matches)
 
     # ------------------------------------------------------------------
     # bulk decay primitives (array-backed columns only)

@@ -1,6 +1,8 @@
 """Tests for repro.core.checkpoint."""
 
 import json
+import os
+import stat
 
 import pytest
 
@@ -74,6 +76,46 @@ class TestSaveLoad:
             tmp_path, table_options={"a": {"period": 7}}
         )
         assert loaded.policies["a"].period == 7
+
+
+class TestDurability:
+    def test_files_fsynced_before_manifest_directory_after(
+        self, populated_db, tmp_path, monkeypatch
+    ):
+        """Every file is on disk before the manifest names it, and the
+        directory entry of the manifest flip is synced after it."""
+        populated_db.enable_forensics()
+        populated_db.enable_querystats()
+        populated_db.query("SELECT v FROM a")
+        events: list[tuple] = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            info = os.fstat(fd)
+            events.append(("fsync", info.st_ino, stat.S_ISDIR(info.st_mode)))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", os.path.basename(dst)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        save_checkpoint(populated_db, tmp_path)
+
+        written = [event[1] for event in events if event[0] == "replace"]
+        assert sorted(written) == sorted(
+            ["a.jsonl", "b.jsonl", "summaries.json", "forensics.json",
+             "querystats.json", "manifest.json"]
+        )
+        assert written[-1] == "manifest.json"
+        flip = events.index(("replace", "manifest.json"))
+        synced_before = [e[1] for e in events[:flip] if e[0] == "fsync" and not e[2]]
+        for name in written:
+            # the inode survives the rename, so it names the synced file
+            assert (tmp_path / name).stat().st_ino in synced_before, name
+        after = events[flip + 1:]
+        assert after == [("fsync", tmp_path.stat().st_ino, True)]
 
 
 class TestEdgeCases:

@@ -38,7 +38,7 @@ class TestInsert:
 
     def test_age(self, clock, decaying):
         clock.advance(7)
-        assert decaying.age(0) == 7.0
+        assert decaying.ages_of([0]).tolist() == [7.0]
 
     def test_insert_publishes_event(self, decaying):
         seen = []

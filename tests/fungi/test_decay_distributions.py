@@ -11,6 +11,7 @@ deterministic curves get closed-form checks over several seeded runs
 
 import math
 import random
+from math import comb
 
 import pytest
 
@@ -27,13 +28,32 @@ from repro.storage import Schema
 # chi-square critical values at alpha = 0.001 — generous enough that a
 # correct implementation fails roughly one run in a thousand, while the
 # biases we guard against overshoot these by orders of magnitude.
-CHI2_CRIT_001 = {1: 10.83, 2: 13.82, 3: 16.27, 4: 18.47, 5: 20.52, 9: 27.88}
+CHI2_CRIT_001 = {1: 10.83, 2: 13.82, 3: 16.27, 4: 18.47, 5: 20.52, 9: 27.88, 24: 51.18}
 
 
 def chi_square(observed, expected):
     """Pearson's goodness-of-fit statistic."""
     assert len(observed) == len(expected)
     return sum((o - e) ** 2 / e for o, e in zip(observed, expected))
+
+
+def pool_small_bins(observed, expected, minimum=5.0):
+    """Merge adjacent bins until each expects at least ``minimum``
+    (the chi-square approximation's rule of thumb); a short tail joins
+    the last full bin."""
+    pooled_o, pooled_e = [], []
+    o = e = 0.0
+    for count, want in zip(observed, expected):
+        o += count
+        e += want
+        if e >= minimum:
+            pooled_o.append(o)
+            pooled_e.append(e)
+            o = e = 0.0
+    if e > 0.0:
+        pooled_o[-1] += o
+        pooled_e[-1] += e
+    return pooled_o, pooled_e
 
 
 def make_aged_table(ages, clock=None):
@@ -54,35 +74,26 @@ class TestEGISeedIsAgeBiased:
     """"select an element from R inversely randomly correlated with its
     age" — seed frequency must rise with tuple age."""
 
-    def test_exact_weighting_matches_age_proportional_law(self):
-        ages = [9.0, 7.0, 5.0, 3.0, 1.0]
-        table = make_aged_table(ages)
-        fungus = EGIFungus(exact_age_weighting=True)
-        rng = random.Random(42)
-        draws = 5000
-        counts = [0] * len(ages)
+    def test_tournament_matches_exact_rank_law(self):
+        """The oldest of ``k`` distinct uniform draws from ``n`` rows is
+        the ``i``-th oldest (from 0) with probability
+        ``C(n-1-i, k-1) / C(n, k)`` — the law the EGI docstring states."""
+        n, k, draws = 50, 8, 4000
+        table = make_aged_table([float(n - i) for i in range(n)])
+        fungus = EGIFungus(age_bias=k)
+        rng = random.Random(7)
+        counts = [0] * n
         for _ in range(draws):
             counts[fungus._select_seed(table, rng)] += 1
-        weights = [age + 1.0 for age in ages]
-        total = sum(weights)
-        expected = [draws * w / total for w in weights]
-        stat = chi_square(counts, expected)
-        assert stat < CHI2_CRIT_001[len(ages) - 1], (
-            f"chi2={stat:.1f}, observed={counts}, expected={expected}"
+        law = [comb(n - 1 - i, k - 1) / comb(n, k) for i in range(n)]
+        assert math.isclose(sum(law), 1.0)
+        observed, expected = pool_small_bins(counts, [draws * p for p in law])
+        df = len(observed) - 1
+        assert df == 24  # pins the pooling the critical value is for
+        stat = chi_square(observed, expected)
+        assert stat < CHI2_CRIT_001[df], (
+            f"chi2={stat:.1f}, observed={observed}, expected={expected}"
         )
-
-    def test_exact_weighting_is_not_uniform(self):
-        """The same draws must *reject* the uniform null hypothesis."""
-        ages = [9.0, 7.0, 5.0, 3.0, 1.0]
-        table = make_aged_table(ages)
-        fungus = EGIFungus(exact_age_weighting=True)
-        rng = random.Random(42)
-        draws = 5000
-        counts = [0] * len(ages)
-        for _ in range(draws):
-            counts[fungus._select_seed(table, rng)] += 1
-        uniform = [draws / len(ages)] * len(ages)
-        assert chi_square(counts, uniform) > CHI2_CRIT_001[len(ages) - 1]
 
     def test_tournament_default_prefers_old_tuples(self):
         """Tournament selection (min rid of ``age_bias`` uniform
@@ -121,8 +132,10 @@ class TestEGISeedIsAgeBiased:
         assert max_gap > 10 * ks_crit
 
     def test_infected_rows_excluded_from_seeding(self):
+        # three rows, age_bias 8: every tournament samples all of them,
+        # so the oldest *uninfected* row must win every time
         table = make_aged_table([3.0, 2.0, 1.0])
-        fungus = EGIFungus(exact_age_weighting=True)
+        fungus = EGIFungus()
         fungus._spots.add_span(0, 1)
         rng = random.Random(1)
         assert all(fungus._select_seed(table, rng) == 2 for _ in range(50))

@@ -75,22 +75,6 @@ class TestSeeding:
                 old_hits += 1
         assert old_hits >= 40
 
-    def test_exact_age_weighting_mode(self, clock, rng):
-        table = DecayingTable("r", Schema.of(v="int"), clock)
-        table.insert({"v": 0})
-        clock.advance(1000)
-        table.insert({"v": 1})
-        clock.advance(1)
-        hits = 0
-        for trial in range(50):
-            fungus = EGIFungus(
-                seeds_per_cycle=1, decay_rate=0.01, spread=False, exact_age_weighting=True
-            )
-            fungus.cycle(table, random.Random(trial))
-            if 0 in fungus.infected:
-                hits += 1
-        assert hits >= 45  # 1000:1 age weighting
-
     def test_empty_table(self, clock, rng):
         table = DecayingTable("r", Schema.of(v="int"), clock)
         report = EGIFungus().cycle(table, rng)

@@ -1,26 +1,26 @@
 """Known-bad fixture for RS009: spans opened outside ``with``.
 
-Every opener call (``span`` / ``root_span`` / ``stage_span`` /
-``anchor_span``) that is not the context expression of a ``with``
+Every opener call (``span`` / ``detached_span``, with or without an
+explicit parent) that is not the context expression of a ``with``
 must fire; the ``with``-wrapped and ``record_span`` uses must not.
 """
 
 
 def leaky_root(tracer):
-    span = tracer.root_span("server.request")  # RS009: never closed on raise
+    span = tracer.detached_span("server.request")  # RS009: never closed on raise
     span.__enter__()
     return span
 
 
 def leaky_stage(tracer, parent):
-    child = tracer.stage_span("reply", parent)  # RS009: manual enter/exit
+    child = tracer.detached_span("reply", parent)  # RS009: manual enter/exit
     child.__enter__()
     child.__exit__(None, None, None)
     return child
 
 
 def leaky_anchor(tracer, parent):
-    opened = tracer.anchor_span("worker.exec", parent)  # RS009
+    opened = tracer.span("worker.exec", parent)  # RS009
     opened.__enter__()
     return opened
 
@@ -35,10 +35,10 @@ def fine_with_block(tracer):
 
 
 def fine_explicit_parents(tracer, parent):
-    with tracer.root_span("server.request") as root:
-        with tracer.stage_span("frame.decode", root):
+    with tracer.detached_span("server.request") as root:
+        with tracer.detached_span("frame.decode", root):
             pass
-        with tracer.anchor_span("worker.exec", root):
+        with tracer.span("worker.exec", root):
             pass
 
 

@@ -53,7 +53,7 @@ EXPECTED_COUNTS = {
     "RS006": 2,  # dropped expression and never-published assignment
     "RS007": 2,  # for-loop set_freshness and comprehension decay
     "RS008": 4,  # sleep, sync socket, open(), pathlib read; helpers pass
-    "RS009": 4,  # root/stage/anchor/span sans with; with + record_span pass
+    "RS009": 4,  # detached/span, parented or not, sans with; with + record_span pass
     "RS010": 3,  # undocumented name, concatenation, f-string; suffix passes
     "RS014": 2,  # for-loop row_dict and comprehension row; gather passes
 }
@@ -245,18 +245,19 @@ class TestRS008Scope:
 
 
 class TestRS009Scope:
-    def test_bites_under_server_and_obs_only(self):
+    def test_bites_everywhere_under_repro(self):
         rule = SpanContextManagerRule()
         assert rule.applies_to(Path("src/repro/server/server.py"))
         assert rule.applies_to(Path("src/repro/obs/tracing.py"))
-        assert not rule.applies_to(Path("src/repro/core/db.py"))
-        assert not rule.applies_to(Path("src/repro/sim/driver.py"))
+        assert rule.applies_to(Path("src/repro/core/db.py"))
+        assert rule.applies_to(Path("src/repro/sim/driver.py"))
+        assert not rule.applies_to(Path("bench_e2e/trace.py"))
 
     def test_with_wrapped_and_record_span_pass(self):
         source = (
             "def f(tracer, parent):\n"
-            "    with tracer.root_span('server.request') as root:\n"
-            "        with tracer.stage_span('reply', root):\n"
+            "    with tracer.detached_span('server.request') as root:\n"
+            "        with tracer.detached_span('reply', root):\n"
             "            pass\n"
             "    tracer.record_span('admission.wait', parent, 0.0, 0.1)\n"
         )

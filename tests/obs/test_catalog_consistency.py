@@ -14,18 +14,9 @@ from repro.core.db import FungusDB
 from repro.fungi import LinearDecayFungus
 from repro.obs.collector import BusCollector
 from repro.obs.export import parse_prometheus
-from repro.obs.profile import PROFILER
 from repro.storage.schema import Schema
 
 REPO = Path(__file__).resolve().parents[2]
-
-#: The profiler folds these in at exposition time; they never live in
-#: the registry itself.
-HOTPATH_SERIES = {
-    "repro_hotpath_calls": ("site",),
-    "repro_hotpath_rows": ("site",),
-    "repro_hotpath_seconds": ("site",),
-}
 
 #: DESIGN.md documents EWMA families as "ewma→gauge" (Prometheus has
 #: no rate type); the registry kind is "ewma".
@@ -46,7 +37,7 @@ def design_catalogue() -> dict[str, tuple[str, tuple[str, ...]]]:
     text = (REPO / "DESIGN.md").read_text()
     section = text.split("### Metric catalogue", 1)[1].split("Design points:", 1)[0]
     rows = re.findall(
-        r"^\|\s*`(repro_[a-z_/]+)`\s*\|\s*([^|]+?)\s*\|\s*([^|]+?)\s*\|",
+        r"^\|\s*`(repro_[a-z_]+)`\s*\|\s*([^|]+?)\s*\|\s*([^|]+?)\s*\|",
         section,
         flags=re.M,
     )
@@ -54,15 +45,9 @@ def design_catalogue() -> dict[str, tuple[str, tuple[str, ...]]]:
     catalogue: dict[str, tuple[str, tuple[str, ...]]] = {}
     for name, kind, labels in rows:
         kind = KIND_ALIASES.get(kind, kind)
-        label_tuple = tuple(l.strip() for l in labels.split(",") if l.strip())
-        if "/" in name:
-            # "repro_hotpath_calls/rows/seconds" is three series
-            stem, _, suffixes = name.rpartition("_")
-            first, *rest = suffixes.split("/")
-            for suffix in [first, *rest]:
-                catalogue[f"{stem}_{suffix}"] = (kind, label_tuple)
-        else:
-            catalogue[name] = (kind, label_tuple)
+        catalogue[name] = (
+            kind, tuple(l.strip() for l in labels.split(",") if l.strip())
+        )
     return catalogue
 
 
@@ -95,10 +80,7 @@ def test_every_runtime_series_is_in_design_md():
 
 def test_every_design_md_series_exists_at_runtime():
     series = registry_series()
-    for name, (kind, labels) in design_catalogue().items():
-        if name in HOTPATH_SERIES:
-            assert labels == HOTPATH_SERIES[name]
-            continue  # exposition-time series, checked below
+    for name in design_catalogue():
         assert name in series, f"{name} catalogued in DESIGN.md but never emitted"
 
 
@@ -110,25 +92,6 @@ def test_docstring_catalogue_matches_registry_exactly():
         real_kind, real_labels = series[name]
         assert kind == real_kind, f"{name}: docstring {kind} vs code {real_kind}"
         assert labels == real_labels
-
-
-def test_hotpath_series_appear_in_exposition():
-    PROFILER.disable()
-    PROFILER.reset()
-    try:
-        db = FungusDB(seed=1)
-        tel = db.enable_telemetry(profile=True)
-        db.create_table("r", Schema.of(v="int"), fungus=LinearDecayFungus(rate=0.1))
-        for i in range(5):
-            db.insert("r", {"v": i})
-        db.tick(1)
-        db.query("SELECT count(*) FROM r")
-        names = {name for name, _ in parse_prometheus(tel.exposition())}
-    finally:
-        PROFILER.disable()
-        PROFILER.reset()
-    for name in HOTPATH_SERIES:
-        assert name in names, f"{name} catalogued but absent from exposition"
 
 
 def test_exposition_only_emits_catalogued_series():

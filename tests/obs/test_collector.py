@@ -90,17 +90,6 @@ class TestGauges:
         collector.sample_table("r")
         assert collector.registry.value("repro_tombstone_ratio", table="r") == 0.5
 
-    def test_sample_every_skips_ticks(self):
-        db = FungusDB(seed=5)
-        db.create_table("r", Schema.of(v="int"))
-        collector = BusCollector(sample_every=3).attach(db)
-        db.insert("r", {"v": 1})
-        db.tick(2)
-        # not sampled yet: the extent gauge still holds its zero default
-        assert collector.registry.value("repro_extent", table="r") == 0.0
-        db.tick(1)
-        assert collector.registry.value("repro_extent", table="r") == 1.0
-
 
 class TestRestoreCompensation:
     def test_restore_event_reclassifies_inserts(self, collected):

@@ -1,23 +1,16 @@
-"""Tests for repro.obs.telemetry — the attach/detach facade."""
+"""Tests for repro.obs.telemetry — the attach/detach facade.
 
-import pytest
+Telemetry is metrics only: it never reads or replaces ``db.tracer``,
+which is attached one way — by assignment — and survives any
+enable/disable sequence around it.
+"""
 
 from repro.core.checkpoint import load_checkpoint, save_checkpoint
 from repro.core.db import FungusDB
 from repro.fungi import LinearDecayFungus
 from repro.obs.export import parse_prometheus, sample_value
-from repro.obs.profile import PROFILER
-from repro.obs.tracing import NULL_TRACER, validate_spans
+from repro.obs.tracing import JsonlTraceExporter, Tracer, validate_spans
 from repro.storage.schema import Schema
-
-
-@pytest.fixture(autouse=True)
-def _clean_profiler():
-    PROFILER.disable()
-    PROFILER.reset()
-    yield
-    PROFILER.disable()
-    PROFILER.reset()
 
 
 def _workload(db):
@@ -35,25 +28,56 @@ class TestAttachDetach:
 
     def test_metrics_only_leaves_null_tracer(self):
         db = FungusDB(seed=1)
-        tel = db.enable_telemetry()
-        assert tel.tracer.enabled is False
-        assert db.tracer is NULL_TRACER
+        own = db.tracer
+        db.enable_telemetry()
+        assert db.tracer is own
+        assert own.finished.maxlen == 0 and own.exporter is None
+        _workload(db)
+        assert len(own.finished) == 0  # spans timed, none kept
 
     def test_tracing_wires_one_shared_tracer(self):
         db = FungusDB(seed=1)
-        tel = db.enable_telemetry(tracing=True)
-        assert db.tracer is tel.tracer
-        assert db.clock.tracer is tel.tracer
-        assert db.engine.tracer is tel.tracer
+        db.enable_telemetry()
+        tracer = Tracer()
+        db.tracer = tracer
+        _workload(db)
+        assert db.clock.tracer is tracer
+        assert db.engine.tracer is tracer
+        assert db.table("r").tracer is tracer
+        assert {"tick", "query"} <= {span.name for span in tracer.finished}
 
     def test_disable_restores_null_tracer(self):
         db = FungusDB(seed=1)
-        db.enable_telemetry(tracing=True, profile=True)
+        own = db.tracer
+        db.enable_telemetry()
         db.disable_telemetry()
         assert db.telemetry is None
-        assert db.tracer is NULL_TRACER
-        assert PROFILER.enabled is False
+        assert db.tracer is own  # the database's own tracer, untouched
         db.disable_telemetry()  # no-op when not enabled
+
+    def test_enable_keeps_the_callers_tracer(self):
+        db = FungusDB(seed=1)
+        tracer = Tracer()
+        db.tracer = tracer
+        db.enable_telemetry()
+        assert db.tracer is tracer
+        db.create_table("r", Schema.of(v="int"), fungus=LinearDecayFungus(rate=0.1))
+        db.insert("r", {"v": 1})
+        db.tick(2)
+        db.query("SELECT v FROM r")
+        names = [span.name for span in tracer.finished]
+        assert names.count("tick") == 2 and "query" in names
+
+    def test_disable_keeps_a_tracer_installed_after_enable(self):
+        db = FungusDB(seed=1)
+        db.enable_telemetry()
+        tracer = Tracer()
+        db.tracer = tracer
+        db.disable_telemetry()
+        assert db.tracer is tracer
+        assert db.clock.tracer is tracer and db.engine.tracer is tracer
+        db.tick(1)
+        assert [span.name for span in tracer.finished][-1] == "tick"
 
 
 class TestExposition:
@@ -66,20 +90,13 @@ class TestExposition:
         assert sample_value(samples, "repro_consumed_tuples_total", table="r") == 2.0
         assert sample_value(samples, "repro_extent", table="r") == 6.0
 
-    def test_profiler_sites_folded_into_exposition(self):
-        db = FungusDB(seed=1)
-        tel = db.enable_telemetry(profile=True)
-        _workload(db)
-        samples = parse_prometheus(tel.exposition())
-        assert sample_value(samples, "repro_hotpath_calls", site="query.scan") > 0
-
 
 class TestTraceCapture:
     def test_workload_spans_nest_and_validate(self):
         db = FungusDB(seed=1)
-        tel = db.enable_telemetry(tracing=True)
+        db.tracer = Tracer()
         _workload(db)
-        spans = tel.tracer.to_dicts()
+        spans = db.tracer.to_dicts()
         assert validate_spans(spans) == []
         names = {span["name"] for span in spans}
         assert {"tick", "clock.advance", "policy.cycle", "query", "consume"} <= names
@@ -93,9 +110,9 @@ class TestTraceCapture:
 
         path = tmp_path / "db.jsonl"
         db = FungusDB(seed=1)
-        db.enable_telemetry(trace_path=path)
+        db.tracer = Tracer(JsonlTraceExporter(path))
         _workload(db)
-        db.disable_telemetry()
+        db.tracer.close()
         assert validate_trace(path) == []
 
 
@@ -119,6 +136,6 @@ class TestRestoreAccounting:
         db = FungusDB(seed=1)
         db.create_table("r", Schema.of(v="int"))
         db.insert("r", {"v": 1})
-        tel = db.enable_telemetry(tracing=True)
+        db.tracer = Tracer()
         save_checkpoint(db, tmp_path / "ckpt")
-        assert any(s.name == "checkpoint.save" for s in tel.tracer.finished)
+        assert any(s.name == "checkpoint.save" for s in db.tracer.finished)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import ObsError
 from repro.obs.tracing import (
-    NULL_TRACER,
     JsonlTraceExporter,
     Tracer,
     read_trace,
@@ -68,9 +67,44 @@ class TestTracer:
         assert tracer.current is None
 
     def test_null_tracer_records_nothing(self):
-        with NULL_TRACER.span("tick", x=1) as span:
+        ticks = iter([1.0, 1.25])
+        tracer = Tracer(max_finished=0, time_fn=lambda: next(ticks))
+        with tracer.span("tick", x=1) as span:
+            assert tracer.current is span  # still on the stack while open
             span.set(rows=5)
-        assert NULL_TRACER.enabled is False
+        assert len(tracer.finished) == 0
+        assert tracer.current is None
+        assert span.duration == 0.25  # timed all the same
+
+    def test_duration_is_end_minus_start(self):
+        ticks = iter([2.0, 2.5, 3.0, 4.0])
+        tracer = Tracer(time_fn=lambda: next(ticks))
+        with tracer.span("outer") as outer:
+            assert outer.duration == 0.0  # open: no end yet
+            with tracer.span("inner") as inner:
+                pass
+        assert inner.duration == 0.5
+        assert outer.duration == 2.0
+        assert tracer.to_dicts()[1]["duration"] == outer.duration
+
+    def test_explicit_parents(self):
+        tracer = Tracer()
+        with tracer.detached_span("server.request") as root:
+            assert tracer.current is None  # detached: never on the stack
+            with tracer.detached_span("frame.decode", root) as stage:
+                pass
+            with tracer.span("worker.exec", root) as anchor:
+                assert tracer.current is anchor
+                with tracer.span("query") as query:
+                    pass
+            now = tracer.now()
+            waited = tracer.record_span("admission.wait", root, now, now - 1.0)
+        assert stage.parent_id == anchor.parent_id == root.span_id
+        assert query.parent_id == anchor.span_id
+        assert {root.trace_id, stage.trace_id, query.trace_id} == {root.trace_id}
+        assert root.parent_id is None
+        assert waited.duration == 0.0  # a reversed interval clamps to empty
+        assert validate_spans(tracer.to_dicts()) == []
 
 
 class TestJsonlRoundTrip:

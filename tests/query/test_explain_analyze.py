@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ParseError
+from repro.obs.tracing import Tracer
 from repro.query import QueryEngine, parse
 from repro.query.ast_nodes import ExplainStmt
 from repro.query.planner import plan_delete, plan_select, render_plan
@@ -285,6 +286,23 @@ class TestOnePlanOneExecutor:
         del evaluated[:]
         engine.execute("EXPLAIN ANALYZE SELECT v FROM r LIMIT 1")
         assert len(evaluated) == 10
+
+
+class TestTimingsAreSpans:
+    def test_operator_and_total_seconds_are_span_durations(self, engine):
+        engine.tracer = Tracer()
+        engine.execute(
+            "EXPLAIN ANALYZE SELECT key, count(*) FROM r WHERE v > 3 "
+            "GROUP BY key ORDER BY key"
+        )
+        instr = engine._last_instr
+        spans = {span.name: span for span in engine.tracer.finished}
+        assert [node.kind for node in instr.nodes] == ["scan", "aggregate", "sort"]
+        for node in instr.nodes:
+            assert node.seconds == spans[f"plan.{node.kind}"].duration
+            assert spans[f"plan.{node.kind}"].parent_id == spans["explain.analyze"].span_id
+        assert instr.total_seconds == spans["explain.analyze"].duration
+        assert spans["explain.analyze"].parent_id == spans["query"].span_id
 
 
 class TestPlainExplainStillDescribes:

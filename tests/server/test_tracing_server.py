@@ -1,13 +1,14 @@
 """End-to-end request tracing: the span tree survives the wire.
 
-The tentpole contract, verified from the outside in: a traced client
-mints a W3C-shaped ``trace`` field, the server continues it, and every
-request leaves a single-rooted tree of stage spans — decode, queue
-wait, policy, worker execution, reply — that the structural oracle
-:func:`~repro.obs.tracing.validate_spans` accepts. Malformed trace
-fields must *never* refuse a request (Hypothesis hammers the parser),
-and a mid-run checkpoint restore onto the same tracer must not recycle
-span ids.
+The contract, verified from the outside in: a request carrying a
+W3C-shaped ``trace`` field is annotated with it, and every request
+leaves a single-rooted tree of stage spans — decode, queue wait,
+policy, worker execution, reply — that the structural oracle
+:func:`~repro.obs.tracing.validate_spans` accepts. Every duration the
+server reports is one of those spans' durations, to the bit.
+Malformed trace fields must *never* refuse a request (Hypothesis
+hammers the parser), and a mid-run checkpoint restore onto the same
+tracer must not recycle span ids.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ from tests.server.harness import (
 
 #: every strong op must produce at least these stage spans
 STRONG_STAGES = {"frame.decode", "admission.wait", "policy.analyze", "worker.exec", "reply"}
+
+#: a well-formed client trace context, sent as the payload's ``trace``
+CLIENT_TRACE = TraceContext("ab" * 16, "cd" * 8).to_traceparent()
 
 
 def _traced_db(seed: int = 7) -> tuple:
@@ -98,10 +102,9 @@ class TestEndToEnd:
             db, tracer = _traced_db()
             async with running_server(db) as server:
                 client = await connect(server)
-                client.tracer = tracer  # share the in-process tracer
                 try:
                     await client.insert("r", {"k": 1, "v": 10})
-                    await client.query("SELECT k FROM r")
+                    await client.query("SELECT k FROM r", trace=CLIENT_TRACE)
                 finally:
                     await client.close()
             return tracer
@@ -124,16 +127,15 @@ class TestEndToEnd:
         worker = next(s for s in tree if s["name"] == "worker.exec")
         engine = [s for s in tree if s["parent_id"] == worker["span_id"]]
         assert "query" in {s["name"] for s in engine}
-        # client root annotated onto the server root, not grafted into it
-        assert root["attrs"]["trace"]
-        assert root["attrs"]["remote_parent"]
+        # client context annotated onto the server root, not grafted into it
+        assert root["attrs"]["trace"] == "ab" * 16
+        assert root["attrs"]["remote_parent"] == "cd" * 8
 
     def test_snapshot_read_traces_loop_side_stages(self):
         async def scenario():
             db, tracer = _traced_db()
             async with running_server(db) as server:
                 client = await connect(server)
-                client.tracer = tracer
                 try:
                     await client.insert("r", {"k": 1, "v": 10})
                     await client.tick(1)
@@ -192,11 +194,12 @@ class TestEndToEnd:
             async with running_server(db) as server:
                 client = await connect(server)  # s1
                 actor = await connect(server)   # s2
-                actor.tracer = tracer
                 try:
                     for k in range(3):
                         await client.insert("r", {"k": k, "v": k})
-                    await actor.query("CONSUME SELECT k FROM r WHERE v < 2")
+                    await actor.query(
+                        "CONSUME SELECT k FROM r WHERE v < 2", trace=CLIENT_TRACE
+                    )
                 finally:
                     await client.close()
                     await actor.close()
@@ -217,7 +220,7 @@ class TestEndToEnd:
 class TestTelemetry:
     def test_stage_histograms_fill_even_untraced(self):
         async def scenario():
-            db = seeded_db()  # NULL_TRACER: spans off, timing still on
+            db = seeded_db()  # non-recording tracer: spans time, none kept
             async with running_server(db) as server:
                 client = await connect(server)
                 try:
@@ -244,13 +247,12 @@ class TestTelemetry:
 
     def test_slow_log_distills_over_threshold_requests(self):
         async def scenario():
-            db, tracer = _traced_db()
+            db = seeded_db()
             async with running_server(db, slow_threshold=0.0) as server:
                 client = await connect(server)
-                client.tracer = tracer
                 try:
                     await client.insert("r", {"k": 1, "v": 1})
-                    await client.query("SELECT k FROM r")
+                    await client.query("SELECT k FROM r", trace=CLIENT_TRACE)
                     await client.query("CONSUME SELECT k FROM r WHERE v < 99")
                 finally:
                     await client.close()
@@ -265,7 +267,7 @@ class TestTelemetry:
         assert entry["principal"] == "anonymous"
         assert entry["duration_s"] > 0
         assert "worker.exec" in entry["stages"]
-        assert entry["trace"]  # the request was traced
+        assert entry["trace"] == "ab" * 16  # the request carried a trace
         assert entry["verdict"] is None  # plain SELECT: no Tier-B verdict
         consume = next(
             e for e in slow_log.entries() if (e["sql"] or "").startswith("CONSUME")
@@ -291,6 +293,65 @@ class TestTelemetry:
         slow_log = asyncio.run(scenario())
         assert slow_log.total >= 10
         assert len(slow_log.entries()) == 4
+
+
+class TestReconciliation:
+    """Every duration the server reports is a recorded span's duration."""
+
+    def test_stages_slow_log_and_querystats_are_span_durations(self):
+        observed: list[tuple[str, str, float]] = []
+
+        async def scenario():
+            db, tracer = _traced_db()
+            async with running_server(db, slow_threshold=0.0) as server:
+                record_stage = server.metrics.stage
+
+                def stage(op: str, label: str, seconds: float) -> None:
+                    observed.append((op, label, seconds))
+                    record_stage(op, label, seconds)
+
+                server.metrics.stage = stage
+                client = await connect(server)
+                try:
+                    await client.insert("r", {"k": 1, "v": 1})
+                    await client.query("SELECT k FROM r")
+                    await client.query("SELECT k FROM r", consistency="snapshot")
+                finally:
+                    await client.close()
+                return db, tracer, server.slow_log
+
+        db, tracer, slow_log = asyncio.run(scenario())
+        spans = tracer.to_dicts()
+        roots = [s for s in spans if s["name"] == "server.request"]
+        ops = [root["attrs"]["op"] for root in roots]
+        assert ops == ["hello", "insert", "query", "query", "bye"]
+
+        stage_names = {"frame.decode": "decode"}
+        expected = []
+        for root in roots:
+            for span in spans:
+                if span["trace_id"] == root["trace_id"] and span["name"] in (
+                    STRONG_STAGES | {"snapshot.read"}
+                ):
+                    label = stage_names.get(span["name"], span["name"])
+                    expected.append((root["attrs"]["op"], label, span["duration"]))
+        assert sorted(observed) == sorted(expected)
+        assert ("query", "snapshot.read") in {(op, label) for op, label, _ in observed}
+
+        # the slow log (threshold 0: every request) carries root durations
+        entries = list(reversed(slow_log.entries()))  # oldest first
+        assert [e["op"] for e in entries] == ops
+        for entry, root in zip(entries, roots):
+            assert entry["duration_s"] == round(root["duration"], 6)
+
+        # querystats seconds is the strong read's `query` span, exactly
+        (query_span,) = [
+            s for s in spans
+            if s["name"] == "query" and s["attrs"]["kind"] == "select"
+        ]
+        (entry,) = db.querystats.entries()
+        assert entry.calls == 1
+        assert entry.seconds == query_span["duration"]
 
 
 class TestSessionsOp:
@@ -323,7 +384,6 @@ class TestCheckpointRestore:
         async def serve_once(db, ticks: int):
             async with running_server(db) as server:
                 client = await connect(server)
-                client.tracer = tracer
                 try:
                     await client.insert("r", {"k": ticks, "v": ticks})
                     if ticks:

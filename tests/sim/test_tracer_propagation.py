@@ -12,7 +12,7 @@ time) silently left post-restore tables tracing into the void.
 from repro.core.checkpoint import load_checkpoint, save_checkpoint
 from repro.core.db import FungusDB
 from repro.fungi import LinearDecayFungus
-from repro.obs.tracing import NULL_TRACER, Tracer
+from repro.obs.tracing import Tracer
 from repro.storage.schema import Schema
 
 
@@ -71,6 +71,7 @@ def test_tracer_property_fans_out_and_detaches(tmp_path):
     db.create_table("s", Schema.of(v="int"))
     assert db.table("s").tracer is tracer
 
-    db.tracer = NULL_TRACER
-    assert db.table("r").tracer is NULL_TRACER
-    assert db.table("s").tracer is NULL_TRACER
+    quiet = Tracer(max_finished=0)
+    db.tracer = quiet
+    assert db.table("r").tracer is quiet
+    assert db.table("s").tracer is quiet

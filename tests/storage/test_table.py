@@ -88,11 +88,12 @@ class TestReadsAndUpdate:
             table.column_values("v", RowSet([2]))
 
     def test_scan_with_predicate(self, table):
-        rows = table.scan(lambda r: r["v"] > 50)
-        assert rows == RowSet([8, 9])
+        v = table.schema.names.index("v")
+        rows = [rid for rid, values in table.iter_rows() if values[v] > 50]
+        assert rows == [8, 9]
 
     def test_scan_without_predicate(self, table):
-        assert table.scan() == RowSet(range(10))
+        assert table.live_rowset() == RowSet(range(10))
 
     def test_to_rows(self, table):
         rows = table.to_rows()
