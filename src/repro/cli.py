@@ -29,7 +29,6 @@ from repro.core.db import FungusDB
 from repro.core.fungus import Fungus
 from repro.errors import FungusError
 from repro.obs.forensics import DEFAULT_RULES
-from repro.query.planner import render_plan
 from repro.workload.trace import TraceRecorder, replay_trace
 from repro.fungi import (
     BlueCheeseFungus,
@@ -63,8 +62,9 @@ commands:
   alerts rules | add <rule> | rm <rule>           manage alert rules, e.g.
                                                   alerts add eviction_rate > 2 for 5
   alerts spots <table>                            reconstructed rot spots
-  explain <select>                                show the query plan
-                                                  (explain CONSUME ... runs
+  explain <statement>                             SQL EXPLAIN: the plan with
+                                                  row estimates (explain
+                                                  CONSUME ... runs
                                                   the Law-2 footprint
                                                   analysis without consuming)
   lint                                            rot-safety rule catalogue
@@ -170,8 +170,6 @@ class FungusShell:
         upper = line.upper()
         # "INSERT INTO" is SQL; bare "insert <table> col=val" is the
         # shell's own command, so require the INTO to disambiguate.
-        # "EXPLAIN " (with the space) is SQL; bare "explain <select>"
-        # stays a shell command for backwards compatibility.
         if upper.startswith(
             ("SELECT", "CONSUME", "INSERT INTO", "DELETE FROM", "EXPLAIN ")
         ):
@@ -346,18 +344,8 @@ class FungusShell:
 
     def _cmd_explain(self, args: list[str]) -> str:
         if not args:
-            return "error: usage: explain <select statement>"
-        sql = " ".join(args)
-        try:
-            if sql.lstrip().upper().startswith("CONSUME"):
-                # Tier-B: footprint analysis instead of a plan dump
-                return self.db.explain_consume(sql).describe()
-            plan = self.db.engine.explain(sql)
-        except FungusError as exc:
-            return f"error: {exc}"
-        lines = [f"plan for: {sql}"]
-        lines += [f"  {line}" for line in render_plan(plan)]
-        return "\n".join(lines)
+            return "error: usage: explain <statement>"
+        return self._run_query("EXPLAIN " + " ".join(args))
 
     def _cmd_lint(self, args: list[str]) -> str:
         from repro.lint import CATALOGUE_VERSION, default_rules

@@ -259,11 +259,13 @@ class FungusDB:
     def explain_consume(self, sql: str):
         """Statically analyze a consume statement without executing it.
 
-        Returns the Tier-B :class:`~repro.lint.analyze.ConsumeReport`
-        (verdict ``none``/``partial``/``total``/``invalid`` plus the
-        histogram-estimated footprint). Equivalent to running the SQL
-        ``EXPLAIN CONSUME SELECT ...`` but handing back the structured
-        report instead of text rows. Publishes :class:`ConsumeAnalyzed`.
+        Returns the Tier-B :class:`~repro.query.analyze.ConsumeReport`:
+        verdict ``none``/``partial``/``total``/``invalid`` plus the
+        plan's estimated footprint, the same ``consume`` row estimate
+        ``EXPLAIN ANALYZE`` prints for the statement. Equivalent to
+        running the SQL ``EXPLAIN CONSUME SELECT ...`` but handing back
+        the structured report instead of text rows. Publishes
+        :class:`ConsumeAnalyzed`.
         """
         return self.engine.analyze_consume(sql)
 

@@ -8,20 +8,18 @@ Two tiers:
   seeded-RNG-only randomness, chained raises, catalogued metric
   names, sanctioned freshness mutation, published events. Run it with
   ``python -m repro.lint [paths]``.
-* **Tier B** (:mod:`repro.lint.analyze`) — static analysis of
-  ``CONSUME SELECT`` statements before execution: contradiction and
-  tautology detection, column/type checks against the catalog, and a
-  histogram-estimated consumption footprint (``EXPLAIN CONSUME``).
+* **Tier B** — static analysis of ``CONSUME SELECT`` statements
+  before execution — is part of the query engine
+  (:mod:`repro.query.analyze`, behind ``EXPLAIN CONSUME``). This
+  package only runs it over SQL embedded in python sources
+  (``python -m repro.lint sql``, :mod:`repro.lint.sqlscan`).
 """
 
-from repro.lint.analyze import ConsumeAnalyzer, ConsumeReport
 from repro.lint.engine import Finding, LintEngine, LintReport, ModuleSource, Rule
 from repro.lint.rules import CATALOGUE_VERSION, default_rules
 
 __all__ = [
     "CATALOGUE_VERSION",
-    "ConsumeAnalyzer",
-    "ConsumeReport",
     "Finding",
     "LintEngine",
     "LintReport",

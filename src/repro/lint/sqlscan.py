@@ -28,14 +28,21 @@ import ast
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from repro.errors import ParseError
-from repro.lint.analyze import ConsumeAnalyzer, ConsumeReport
-
-if TYPE_CHECKING:  # runtime imports stay lazy: repro.query imports us back
-    from repro.query.ast_nodes import DeleteStmt, SelectStmt
-    from repro.storage import Catalog
+from repro.query import QueryEngine, parse
+from repro.query.analyze import ConsumeAnalyzer, ConsumeReport
+from repro.query.ast_nodes import (
+    ColumnRef,
+    DeleteStmt,
+    ExplainStmt,
+    InsertStmt,
+    Literal,
+    SelectStmt,
+    walk,
+)
+from repro.storage import Catalog, Schema, Table
 
 _CONSUME_RE = re.compile(r"\s*(EXPLAIN\s+)?CONSUME\s+SELECT\b", re.IGNORECASE)
 
@@ -220,9 +227,6 @@ def _inferred_catalog(stmt: SelectStmt | DeleteStmt) -> Catalog:
     empty: the check is parse → plan → instrument → render, not
     row-level evaluation.
     """
-    from repro.query.ast_nodes import ColumnRef, Literal, SelectStmt, walk
-    from repro.storage import Catalog, Schema, Table
-
     # binding (alias or name) -> real table name, in FROM-first order
     bindings = {stmt.target: stmt.target}
     if isinstance(stmt, SelectStmt):
@@ -266,9 +270,6 @@ def _inferred_catalog(stmt: SelectStmt | DeleteStmt) -> Catalog:
 
 def explain_check(paths: Iterable[str | Path]) -> list[ExplainOutcome]:
     """EXPLAIN ANALYZE every embedded statement against empty tables."""
-    from repro.query import QueryEngine, parse
-    from repro.query.ast_nodes import ExplainStmt, InsertStmt
-
     outcomes: list[ExplainOutcome] = []
     for found in iter_sql(paths):
         if found.sql is None:

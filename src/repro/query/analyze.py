@@ -10,9 +10,9 @@ statement *before* execution and reports:
 * a footprint verdict — ``none`` (the predicate provably matches no
   row), ``total`` (provably matches every live row), ``partial``
   (anything in between), or ``invalid`` (static errors present);
-* an estimated row footprint from the equi-width histograms of the
-  planner's lazy, cached :func:`~repro.storage.stats.planner_stats`
-  view — only the columns the predicate names are ever read.
+* an estimated row footprint: the ``consume`` node of the planner's
+  own :func:`~repro.query.planner.estimate` for the statement's plan,
+  so ``EXPLAIN CONSUME`` and ``EXPLAIN ANALYZE`` print one number.
 
 Verdicts are exact claims, checked by the sim driver's ``--analyze``
 mode: an executed consume classified ``none`` must consume zero rows
@@ -22,8 +22,8 @@ extent. ``partial`` makes no promise beyond "not provably either".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, Optional, Tuple, Union
 
 from repro.errors import CatalogError, ConsumeError, QueryError
 from repro.query.ast_nodes import (
@@ -33,31 +33,15 @@ from repro.query.ast_nodes import (
     ExplainStmt,
     Expression,
     InList,
-    IsNull,
     Literal,
     SelectStmt,
-    UnaryOp,
     walk,
 )
-from repro.query.normalize import (
-    Domains,
-    IntervalSet,
-    Truth,
-    classify,
-    conjuncts,
-    disjuncts,
-    normalize,
-    numeric_atom,
-)
+from repro.query.normalize import Domains, Truth, classify, normalize
 from repro.query.parser import parse
-from repro.query.planner import plan_select
+from repro.query.planner import SelectPlan, estimate, plan_select
 from repro.storage.catalog import Catalog
 from repro.storage.schema import ColumnDef, DataType, Schema
-from repro.storage.stats import ColumnStats, PlannerStats, planner_stats
-
-#: Selectivity guess for atoms the estimator cannot reason about
-#: (function calls, column-to-column comparisons, ...).
-DEFAULT_SELECTIVITY = 1.0 / 3.0
 
 #: Maps a table name to the closed numeric domains of its columns —
 #: FungusDB supplies ``{freshness_column: (0.0, 1.0)}``.
@@ -115,7 +99,7 @@ class ConsumeAnalyzer:
     Without a catalog only predicate-level reasoning runs (parsing,
     normalization, contradiction detection); with one, column/type
     checking, nullability-aware tautology claims, domain invariants
-    and histogram-based footprint estimation come in.
+    and the plan's footprint estimate come in.
     """
 
     def __init__(
@@ -139,7 +123,7 @@ class ConsumeAnalyzer:
         errors: list[str] = []
         warnings: list[str] = []
         schema: Optional[Schema] = None
-        stats: Optional[PlannerStats] = None
+        plan: Optional[SelectPlan] = None
         extent: Optional[int] = None
 
         if self.catalog is not None:
@@ -150,27 +134,20 @@ class ConsumeAnalyzer:
             except (CatalogError, QueryError) as exc:
                 errors.append(str(exc))
             try:
-                plan_select(stmt, self.catalog)
+                plan = plan_select(stmt, self.catalog)
             except (CatalogError, QueryError) as exc:
                 message = str(exc)
                 if message not in errors:
                     errors.append(message)
             if schema is not None:
                 errors.extend(_type_errors(stmt.where, schema))
-                if not errors:
-                    stats = planner_stats(table)
 
         normalized = normalize(stmt.where) if stmt.where is not None else None
         domains = self._domains(stmt.table.name)
         if errors:
             verdict = "invalid"
         else:
-            truth = classify(normalized, schema=schema, domains=domains)
-            verdict = {
-                Truth.ALWAYS_FALSE: "none",
-                Truth.ALWAYS_TRUE: "total",
-                Truth.CONTINGENT: "partial",
-            }[truth]
+            verdict = footprint_verdict(normalized, schema, domains)
 
         if verdict == "none":
             warnings.append("predicate can never match: this consume is a no-op")
@@ -190,9 +167,10 @@ class ConsumeAnalyzer:
             estimated, selectivity = 0, 0.0
         elif verdict == "total":
             estimated, selectivity = extent, 1.0
-        elif verdict == "partial" and stats is not None and extent is not None:
-            selectivity = _selectivity(normalized, stats)
-            estimated = max(0, min(extent, round(selectivity * extent)))
+        elif verdict == "partial" and plan is not None and extent is not None:
+            assert self.catalog is not None
+            estimated = estimate(plan, self.catalog)["consume"]
+            selectivity = estimated / extent if extent else 0.0
 
         return ConsumeReport(
             sql=stmt.to_sql(),
@@ -211,6 +189,20 @@ class ConsumeAnalyzer:
         if self.domains_provider is None:
             return None
         return self.domains_provider(table_name)
+
+
+def footprint_verdict(
+    where: Optional[Expression],
+    schema: Optional[Schema],
+    domains: Optional[Domains],
+) -> str:
+    """``none`` when ``where`` provably matches no row, ``total`` when
+    it provably matches every live row, ``partial`` otherwise — the
+    verdict a CONSUME or DELETE predicate is gated on."""
+    truth = classify(where, schema=schema, domains=domains)
+    if truth is Truth.ALWAYS_FALSE:
+        return "none"
+    return "total" if truth is Truth.ALWAYS_TRUE else "partial"
 
 
 # ---------------------------------------------------------------------------
@@ -287,134 +279,3 @@ def _check_node(expr: Expression, schema: Schema, errors: list[str]) -> None:
         for other in expr.children()[1:]:
             if operand_def is not None and isinstance(other, Literal):
                 _check_pair(operand_def, other, expr.to_sql(), errors)
-
-
-# ---------------------------------------------------------------------------
-# selectivity estimation
-# ---------------------------------------------------------------------------
-
-
-def predicate_selectivity(expr: Optional[Expression], stats: PlannerStats) -> float:
-    """Estimated matching fraction of the live rows, in ``[0, 1]``.
-
-    The public face of the Tier-B estimator: ``EXPLAIN ANALYZE`` uses
-    the exact same arithmetic for its per-operator row estimates, so
-    the misestimation factors it prints grade this function — the one
-    the strict-consume gate and the consume reports already trust.
-    """
-    return _selectivity(expr, stats)
-
-
-def _selectivity(expr: Optional[Expression], stats: PlannerStats) -> float:
-    """Estimated matching fraction of the live rows, in ``[0, 1]``."""
-    if expr is None:
-        return 1.0
-    if isinstance(expr, BinaryOp) and expr.op == "AND":
-        out = 1.0
-        for part in conjuncts(expr):
-            out *= _selectivity(part, stats)
-        return out
-    if isinstance(expr, BinaryOp) and expr.op == "OR":
-        out = 0.0
-        for part in disjuncts(expr):
-            s = _selectivity(part, stats)
-            out = out + s - out * s
-        return out
-    if isinstance(expr, UnaryOp) and expr.op == "NOT":
-        return max(0.0, 1.0 - _selectivity(expr.operand, stats))
-    if isinstance(expr, Literal):
-        return 1.0 if expr.value is True else 0.0
-    return _atom_selectivity(expr, stats)
-
-
-def _column_stats(stats: PlannerStats, name: str) -> Optional[ColumnStats]:
-    try:
-        return stats.column(name)
-    except KeyError:
-        return None
-
-
-def _atom_selectivity(expr: Expression, stats: PlannerStats) -> float:
-    atom = numeric_atom(expr)
-    if atom is not None:
-        column, satisfied, _ = atom
-        cs = _column_stats(stats, column)
-        if cs is None or cs.count == 0:
-            return DEFAULT_SELECTIVITY
-        non_null_share = (cs.count - cs.nulls) / cs.count
-        return min(1.0, _interval_fraction(satisfied, cs) * non_null_share)
-    if isinstance(expr, IsNull):
-        column = expr.operand.name if isinstance(expr.operand, ColumnRef) else None
-        if column is None:
-            return DEFAULT_SELECTIVITY
-        cs = _column_stats(stats, column)
-        if cs is None or cs.count == 0:
-            return DEFAULT_SELECTIVITY
-        null_share = cs.nulls / cs.count
-        return (1.0 - null_share) if expr.negated else null_share
-    if isinstance(expr, BinaryOp) and expr.op in ("=", "!="):
-        sel = _equality_selectivity(expr, stats)
-        if sel is not None:
-            return sel if expr.op == "=" else max(0.0, 1.0 - sel)
-    if isinstance(expr, InList) and isinstance(expr.operand, ColumnRef):
-        cs = _column_stats(stats, expr.operand.name)
-        if cs is not None and cs.distinct > 0:
-            sel = min(1.0, len(expr.items) / cs.distinct)
-            return max(0.0, 1.0 - sel) if expr.negated else sel
-    if isinstance(expr, ColumnRef):
-        cs = _column_stats(stats, expr.name)
-        if cs is not None and cs.distinct > 0:
-            return 1.0 / cs.distinct  # a bare boolean column
-    return DEFAULT_SELECTIVITY
-
-
-def _equality_selectivity(expr: BinaryOp, stats: PlannerStats) -> Optional[float]:
-    """``1/distinct`` for ``col = const`` when the constant is in range."""
-    column: Optional[ColumnRef] = None
-    literal: Optional[Literal] = None
-    if isinstance(expr.left, ColumnRef) and isinstance(expr.right, Literal):
-        column, literal = expr.left, expr.right
-    elif isinstance(expr.right, ColumnRef) and isinstance(expr.left, Literal):
-        column, literal = expr.right, expr.left
-    if column is None or literal is None or literal.value is None:
-        return None
-    cs = _column_stats(stats, column.name)
-    if cs is None or cs.count == 0:
-        return None
-    if cs.distinct == 0:
-        return 0.0
-    value = literal.value
-    try:
-        if cs.min_value is not None and value < cs.min_value:
-            return 0.0
-        if cs.max_value is not None and value > cs.max_value:
-            return 0.0
-    except TypeError:
-        return None
-    return 1.0 / cs.distinct
-
-
-def _interval_fraction(satisfied: IntervalSet, cs: ColumnStats) -> float:
-    """Histogram mass of an interval set, with ``1/distinct`` for points."""
-    hist = cs.histogram
-    total = 0.0
-    for interval in satisfied.intervals:
-        if interval.low == interval.high:
-            if cs.distinct > 0 and _in_range(interval.low, cs):
-                total += 1.0 / cs.distinct
-        elif hist is not None:
-            total += hist.fraction_between(interval.low, interval.high)
-        else:
-            total += DEFAULT_SELECTIVITY
-    return min(1.0, total)
-
-
-def _in_range(value: float, cs: ColumnStats) -> bool:
-    try:
-        if cs.min_value is not None and value < cs.min_value:
-            return False
-        if cs.max_value is not None and value > cs.max_value:
-            return False
-    except TypeError:
-        return False
-    return True

@@ -396,7 +396,8 @@ class ExplainStmt:
     Plain ``EXPLAIN`` describes and never executes: wrapping a
     consuming select asks the Tier-B analyzer for the statement's
     statically-estimated Law-2 footprint, wrapping a plain select or a
-    delete renders the physical plan. No row is touched.
+    delete renders the physical plan with each node's estimated rows.
+    No row is touched.
 
     ``EXPLAIN ANALYZE`` follows Postgres: the wrapped statement *is*
     executed — CONSUME and DELETE really remove rows — with every plan

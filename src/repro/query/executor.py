@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence, Sized
+from typing import Any, Callable, Mapping, Sequence, Sized
 
 from repro.errors import ConsumeError
+from repro.query.analyze import ConsumeAnalyzer, ConsumeReport, DomainsProvider
 from repro.query.ast_nodes import (
     DeleteStmt,
     ExplainStmt,
@@ -28,26 +29,18 @@ from repro.query.ast_nodes import (
     Statement,
 )
 from repro.query.expressions import evaluate
-from repro.query.opstats import (
-    OperatorStats,
-    PlanInstrumentation,
-    instrument_delete,
-    instrument_select,
-    render_analyzed,
-)
+from repro.query.opstats import OperatorStats, PlanInstrumentation, render_analyzed
 from repro.query.parser import parse
 from repro.query.planner import (
     JoinPlan,
     ScanPlan,
     SelectPlan,
+    estimate,
     plan_delete,
     plan_insert,
     plan_select,
     render_plan,
 )
-
-if TYPE_CHECKING:
-    from repro.lint.analyze import ConsumeAnalyzer, ConsumeReport, DomainsProvider
 from repro.obs.tracing import Tracer
 from repro.query import operators as ops
 from repro.query.result import ExecutionStats, ResultSet
@@ -103,11 +96,10 @@ class QueryEngine:
         self.strict_consume = False
         #: table-name -> column-domain mapping fed to the analyzer
         #: (FungusDB supplies the freshness invariant f in [0, 1])
-        self.consume_domains: "DomainsProvider | None" = None
-        self._analyzer: "ConsumeAnalyzer | None" = None
+        self.consume_domains: DomainsProvider | None = None
         self._consume_hooks: list[ConsumeHook] = []
         self._access_hooks: list[ConsumeHook] = []
-        self._explain_hooks: list[Callable[["ConsumeReport"], None]] = []
+        self._explain_hooks: list[Callable[[ConsumeReport], None]] = []
         self._stats_hooks: list[StatsHook] = []
         self._insert_delegates: dict[str, InsertDelegate] = {}
         self._insert_default_columns: dict[str, tuple[str, ...]] = {}
@@ -143,7 +135,7 @@ class QueryEngine:
         if columns is not None:
             self._insert_default_columns[table_name] = tuple(columns)
 
-    def add_explain_hook(self, hook: "Callable[[ConsumeReport], None]") -> None:
+    def add_explain_hook(self, hook: Callable[[ConsumeReport], None]) -> None:
         """Run ``hook(report)`` after every Tier-B consume analysis
         (both ``EXPLAIN CONSUME`` and the strict-consume gate) — the
         decay core publishes a ``ConsumeAnalyzed`` event from here."""
@@ -157,20 +149,10 @@ class QueryEngine:
         record's ``seconds`` is the statement's ``query`` span."""
         self._stats_hooks.append(hook)
 
-    @property
-    def analyzer(self) -> "ConsumeAnalyzer":
-        """The Tier-B consume analyzer bound to this engine's catalog."""
-        if self._analyzer is None:
-            from repro.lint.analyze import ConsumeAnalyzer
-
-            self._analyzer = ConsumeAnalyzer(
-                self.catalog, domains_provider=self.consume_domains
-            )
-        return self._analyzer
-
-    def analyze_consume(self, statement: "str | SelectStmt") -> "ConsumeReport":
+    def analyze_consume(self, statement: str | SelectStmt) -> ConsumeReport:
         """Statically analyze a consume statement; nothing is executed."""
-        report = self.analyzer.analyze(statement)
+        analyzer = ConsumeAnalyzer(self.catalog, self.consume_domains)
+        report = analyzer.analyze(statement)
         for hook in self._explain_hooks:
             hook(report)
         return report
@@ -231,38 +213,35 @@ class QueryEngine:
         for hook in self._stats_hooks:
             hook(record)
 
-    def explain(self, query: str | SelectStmt) -> SelectPlan:
-        """Return the SELECT plan without executing (tests, curiosity)."""
-        stmt = parse(query) if isinstance(query, str) else query
-        assert isinstance(stmt, SelectStmt), "explain() covers SELECT only"
-        return plan_select(stmt, self.catalog)
-
     # ------------------------------------------------------------------
 
     def _run_explain(self, stmt: ExplainStmt) -> ResultSet:
-        """Plain EXPLAIN never executes; EXPLAIN ANALYZE runs the
-        statement with every operator instrumented."""
+        """Plain EXPLAIN never executes: it prints the plan with each
+        node's estimate, or the Tier-B report of a consume. EXPLAIN
+        ANALYZE runs the statement with every operator instrumented."""
         if stmt.analyze:
             return self._run_explain_analyze(stmt)
         inner = stmt.inner
-        if isinstance(inner, DeleteStmt):
-            lines = render_plan(plan_delete(inner, self.catalog))
-        elif inner.consume:
-            report = self.analyze_consume(inner)
-            lines = report.describe().splitlines()
+        if isinstance(inner, SelectStmt) and inner.consume:
+            lines = self.analyze_consume(inner).describe().splitlines()
         else:
-            lines = render_plan(plan_select(inner, self.catalog))
+            plan = (
+                plan_delete(inner, self.catalog)
+                if isinstance(inner, DeleteStmt)
+                else plan_select(inner, self.catalog)
+            )
+            lines = render_plan(plan, estimate(plan, self.catalog))
         return ResultSet(columns=("explain",), rows=[(line,) for line in lines])
 
     def _run_explain_analyze(self, stmt: ExplainStmt) -> ResultSet:
         """Execute the wrapped statement — CONSUME/DELETE really remove
         rows — and return the annotated plan instead of its rows."""
         inner = stmt.inner
-        report: "ConsumeReport | None" = None
+        report: ConsumeReport | None = None
         with self.tracer.span("explain.analyze") as span:
             if isinstance(inner, DeleteStmt):
                 plan = plan_delete(inner, self.catalog)
-                instr = instrument_delete(plan, self.catalog)
+                instr = PlanInstrumentation(plan, estimate(plan, self.catalog))
                 result = self._delete_by_plan(inner, plan, instr)
             else:
                 if inner.consume:
@@ -271,12 +250,12 @@ class QueryEngine:
                     if self.strict_consume:
                         self._enforce_strict_consume(inner, report)
                 select_plan = plan_select(inner, self.catalog)
-                instr = instrument_select(select_plan, self.catalog)
+                instr = PlanInstrumentation(
+                    select_plan, estimate(select_plan, self.catalog)
+                )
                 result = self._run(select_plan, instr)
         instr.total_seconds = span.duration
         instr.result_rows = len(result)
-        if report is not None:
-            instr.consume_verdict = report.verdict
         self._last_instr = instr
         lines = render_analyzed(instr)
         if report is not None:
@@ -291,7 +270,7 @@ class QueryEngine:
         )
 
     def _enforce_strict_consume(
-        self, stmt: SelectStmt, report: "ConsumeReport | None" = None
+        self, stmt: SelectStmt, report: ConsumeReport | None = None
     ) -> None:
         """Refuse a consume the analyzer proves eats the whole extent."""
         if report is None:

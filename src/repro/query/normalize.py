@@ -379,7 +379,7 @@ def _truth_or(parts: list[Expression], ctx: ClassifyContext) -> Truth:
 
 
 def _truth_atom(expr: Expression, ctx: ClassifyContext) -> Truth:
-    atom = _numeric_atom(expr)
+    atom = numeric_atom(expr)
     if atom is not None:
         column, satisfied, null_safe_true = atom
         if satisfied.is_empty():
@@ -435,7 +435,7 @@ def _numeric_literal(expr: Expression) -> Optional[float]:
     return None
 
 
-def _numeric_atom(
+def numeric_atom(
     expr: Expression,
 ) -> Optional[Tuple[str, IntervalSet, bool]]:
     """``(column, satisfied-interval-set, null_safe_true)`` for numeric atoms.
@@ -475,18 +475,11 @@ def _numeric_atom(
     return None
 
 
-#: Public name for the atom decomposition — the footprint estimator in
-#: :mod:`repro.lint.analyze` shares it.
-def numeric_atom(expr: Expression) -> Optional[Tuple[str, IntervalSet, bool]]:
-    """See :func:`_numeric_atom`."""
-    return _numeric_atom(expr)
-
-
 def _numeric_contradiction(parts: list[Expression], ctx: ClassifyContext) -> bool:
     """Do the numeric atoms on some column intersect to the empty set?"""
     by_column: dict[str, IntervalSet] = {}
     for part in parts:
-        atom = _numeric_atom(part)
+        atom = numeric_atom(part)
         if atom is None:
             continue
         column, satisfied, _ = atom
@@ -504,7 +497,7 @@ def _numeric_tautology(parts: list[Expression], ctx: ClassifyContext) -> bool:
     non-nullable column; covering the full real line (or the declared
     domain) then makes the OR a tautology.
     """
-    atoms = [_numeric_atom(part) for part in parts]
+    atoms = [numeric_atom(part) for part in parts]
     if any(a is None for a in atoms):
         return False
     columns = {a[0] for a in atoms if a is not None}

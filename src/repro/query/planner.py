@@ -14,12 +14,21 @@ Each scan plan carries the ``mode:`` line EXPLAIN prints: its filters
 all run as boolean masks (``vectorized``), some do (``hybrid``), or
 none compiles (``row-fallback``). There is one storage backend, so the
 mode depends on the predicates and the schema, never on the table.
+
+The cost model lives here too: :func:`selectivity` turns a predicate
+into a matching fraction from the equi-width histograms of the lazy,
+cached :func:`~repro.storage.stats.planner_stats` view, and
+:func:`estimate` turns a plan into per-node row counts. The planner
+orders filters by the first; ``EXPLAIN`` prints the second,
+``EXPLAIN ANALYZE`` grades it, and ``EXPLAIN CONSUME`` reports its
+``consume`` figure. Neither is computed unless asked for: a scan with
+one conjunct plans without reading a statistic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Mapping
 
 from repro.errors import PlanError
 from repro.query.ast_nodes import (
@@ -29,7 +38,9 @@ from repro.query.ast_nodes import (
     DeleteStmt,
     Expression,
     FuncCall,
+    InList,
     InsertStmt,
+    IsNull,
     JoinClause,
     Literal,
     OrderItem,
@@ -37,22 +48,32 @@ from repro.query.ast_nodes import (
     SelectStmt,
     Star,
     TableRef,
+    UnaryOp,
     rewrite_leaves,
 )
 from repro.query.functions import aggregate_arity, is_aggregate
 from repro.query.masks import mask_compilable
-from repro.query.normalize import IntervalSet, conjuncts, numeric_atom
+from repro.query.normalize import IntervalSet, conjuncts, disjuncts, numeric_atom
 from repro.storage.catalog import Catalog
 from repro.storage.schema import Schema
-from repro.storage.stats import planner_stats
+from repro.storage.stats import ColumnStats, PlannerStats, planner_stats
+
+#: Selectivity guess for atoms the estimator cannot reason about
+#: (function calls, column-to-column comparisons, ...).
+DEFAULT_SELECTIVITY = 1.0 / 3.0
 
 
 @dataclass(frozen=True)
 class IndexAccess:
-    """How the scan will use an index instead of a full pass."""
+    """How the scan will use an index instead of a full pass.
+
+    ``conjunct`` is the WHERE conjunct the access stands in for; the
+    estimator reads it as written (a BETWEEN stays one interval).
+    """
 
     kind: str  # "hash-eq" | "sorted-range"
     column: str
+    conjunct: Expression
     eq_value: Any = None
     low: Any = None
     high: Any = None
@@ -215,7 +236,7 @@ def _choose_index(
             column, op, value = simple
             if op == "=" and catalog.hash_index(table_name, column) is not None:
                 residual = _rebuild_and(conjs[:i] + conjs[i + 1:])
-                return IndexAccess("hash-eq", column, eq_value=value), residual
+                return IndexAccess("hash-eq", column, conj, eq_value=value), residual
             if op != "=" and catalog.sorted_index(table_name, column) is not None:
                 low = high = None
                 include_low = include_high = True
@@ -228,6 +249,7 @@ def _choose_index(
                     IndexAccess(
                         "sorted-range",
                         column,
+                        conj,
                         low=low,
                         high=high,
                         include_low=include_low,
@@ -249,6 +271,7 @@ def _choose_index(
                 IndexAccess(
                     "sorted-range",
                     conj.operand.name,
+                    conj,
                     low=conj.low.value,
                     high=conj.high.value,
                 ),
@@ -288,12 +311,10 @@ def _build_scan(
     if len(conjs) >= 2:
         # selectivity is only *needed* to order; a single conjunct runs
         # as-is and skips the histogram work entirely
-        from repro.lint.analyze import predicate_selectivity
-
         stats = planner_stats(table)
         scored = sorted(
             (
-                (predicate_selectivity(dequalify(conj, binding), stats), i, conj)
+                (selectivity(dequalify(conj, binding), stats), i, conj)
                 for i, conj in enumerate(conjs)
             ),
             key=lambda item: (item[0], item[1]),
@@ -338,6 +359,232 @@ def _build_scan(
         prune=prune,
         mode=mode,
     )
+
+
+# ----------------------------------------------------------------------
+# cost model: predicate selectivity and per-node row estimates
+# ----------------------------------------------------------------------
+
+def selectivity(expr: Expression | None, stats: PlannerStats) -> float:
+    """Estimated matching fraction of the live rows, in ``[0, 1]``."""
+    if expr is None:
+        return 1.0
+    if isinstance(expr, BinaryOp) and expr.op == "AND":
+        out = 1.0
+        for part in conjuncts(expr):
+            out *= selectivity(part, stats)
+        return out
+    if isinstance(expr, BinaryOp) and expr.op == "OR":
+        out = 0.0
+        for part in disjuncts(expr):
+            s = selectivity(part, stats)
+            out = out + s - out * s
+        return out
+    if isinstance(expr, UnaryOp) and expr.op == "NOT":
+        return max(0.0, 1.0 - selectivity(expr.operand, stats))
+    if isinstance(expr, Literal):
+        return 1.0 if expr.value is True else 0.0
+    return _atom_selectivity(expr, stats)
+
+
+def _column_stats(stats: PlannerStats, name: str) -> ColumnStats | None:
+    try:
+        return stats.column(name)
+    except KeyError:
+        return None
+
+
+def _atom_selectivity(expr: Expression, stats: PlannerStats) -> float:
+    atom = numeric_atom(expr)
+    if atom is not None:
+        column, satisfied, _ = atom
+        cs = _column_stats(stats, column)
+        if cs is None or cs.count == 0:
+            return DEFAULT_SELECTIVITY
+        non_null_share = (cs.count - cs.nulls) / cs.count
+        return min(1.0, _interval_fraction(satisfied, cs) * non_null_share)
+    if isinstance(expr, IsNull):
+        column = expr.operand.name if isinstance(expr.operand, ColumnRef) else None
+        if column is None:
+            return DEFAULT_SELECTIVITY
+        cs = _column_stats(stats, column)
+        if cs is None or cs.count == 0:
+            return DEFAULT_SELECTIVITY
+        null_share = cs.nulls / cs.count
+        return (1.0 - null_share) if expr.negated else null_share
+    if isinstance(expr, BinaryOp) and expr.op in ("=", "!="):
+        sel = _equality_selectivity(expr, stats)
+        if sel is not None:
+            return sel if expr.op == "=" else max(0.0, 1.0 - sel)
+    if isinstance(expr, InList) and isinstance(expr.operand, ColumnRef):
+        cs = _column_stats(stats, expr.operand.name)
+        if cs is not None and cs.distinct > 0:
+            sel = min(1.0, len(expr.items) / cs.distinct)
+            return max(0.0, 1.0 - sel) if expr.negated else sel
+    if isinstance(expr, ColumnRef):
+        cs = _column_stats(stats, expr.name)
+        if cs is not None and cs.distinct > 0:
+            return 1.0 / cs.distinct  # a bare boolean column
+    return DEFAULT_SELECTIVITY
+
+
+def _equality_selectivity(expr: BinaryOp, stats: PlannerStats) -> float | None:
+    """``1/distinct`` for ``col = const`` when the constant is in range."""
+    column: ColumnRef | None = None
+    literal: Literal | None = None
+    if isinstance(expr.left, ColumnRef) and isinstance(expr.right, Literal):
+        column, literal = expr.left, expr.right
+    elif isinstance(expr.right, ColumnRef) and isinstance(expr.left, Literal):
+        column, literal = expr.right, expr.left
+    if column is None or literal is None or literal.value is None:
+        return None
+    cs = _column_stats(stats, column.name)
+    if cs is None or cs.count == 0:
+        return None
+    if cs.distinct == 0:
+        return 0.0
+    inside = _in_range(literal.value, cs)
+    if inside is None:
+        return None
+    return 1.0 / cs.distinct if inside else 0.0
+
+
+def _interval_fraction(satisfied: IntervalSet, cs: ColumnStats) -> float:
+    """Histogram mass of an interval set, with ``1/distinct`` for points."""
+    hist = cs.histogram
+    total = 0.0
+    for interval in satisfied.intervals:
+        if interval.low == interval.high:
+            if cs.distinct > 0 and _in_range(interval.low, cs):
+                total += 1.0 / cs.distinct
+        elif hist is not None:
+            total += hist.fraction_between(interval.low, interval.high)
+        else:
+            total += DEFAULT_SELECTIVITY
+    return min(1.0, total)
+
+
+def _in_range(value: Any, cs: ColumnStats) -> bool | None:
+    """Is ``value`` inside the column's ``[min, max]``? ``None`` when
+    the two do not compare."""
+    try:
+        if cs.min_value is not None and value < cs.min_value:
+            return False
+        if cs.max_value is not None and value > cs.max_value:
+            return False
+    except TypeError:
+        return None
+    return True
+
+
+def _clamp(value: float, extent: int) -> int:
+    return max(0, min(extent, round(value)))
+
+
+def _scan_rows(scan: ScanPlan, stats: PlannerStats, catalog: Catalog) -> int:
+    """Estimated rows a scan emits: its index conjunct and residual
+    together, capped by the rot-spot footprint when it prunes spans."""
+    where = scan.residual
+    if scan.index is not None:
+        where = (
+            scan.index.conjunct
+            if where is None
+            else BinaryOp("AND", scan.index.conjunct, where)
+        )
+    extent = stats.live_rows
+    rows = _clamp(extent * selectivity(where, stats), extent)
+    if scan.prune is not None:
+        rows = min(rows, catalog.table(scan.table_name).rot_live_count())
+    return rows
+
+
+def _residual_selectivity(
+    residual: Expression | None,
+    left: tuple[str, PlannerStats],
+    right: tuple[str, PlannerStats],
+) -> float:
+    """Join-residual selectivity: per-side conjuncts use that side's
+    histograms, cross-table conjuncts fall back to the default guess."""
+    if residual is None:
+        return 1.0
+    out = 1.0
+    for conj in conjuncts(residual):
+        sel = DEFAULT_SELECTIVITY
+        for binding, stats in (left, right):
+            local = dequalify(conj, binding)
+            if local is not None and all(
+                ref.name in stats.schema for ref in local.column_refs()
+            ):
+                sel = selectivity(local, stats)
+                break
+        out *= sel
+    return out
+
+
+def _key_distinct(key: str, stats: PlannerStats) -> int:
+    cs = _column_stats(stats, key.split(".")[-1])
+    return 1 if cs is None else max(1, cs.distinct)
+
+
+def _group_estimate(
+    keys: tuple[str, ...], est_in: int, stats_by_binding: dict[str, PlannerStats]
+) -> int:
+    """Estimated group count: product of per-key distincts, capped."""
+    if not keys:
+        return 1
+    if est_in <= 0:
+        return 0
+    groups = 1
+    for key in keys:
+        binding = key.split(".")[0] if "." in key else next(iter(stats_by_binding))
+        stats = stats_by_binding.get(binding)
+        if stats is None:
+            stats = next(iter(stats_by_binding.values()))
+        groups *= _key_distinct(key, stats)
+    return max(1, min(est_in, groups))
+
+
+def estimate(plan: SelectPlan | ScanPlan, catalog: Catalog) -> dict[str, int]:
+    """Estimated output rows of every :func:`plan_nodes` kind of ``plan``.
+
+    Computed on request, never at plan time: only EXPLAIN, EXPLAIN
+    ANALYZE and the Tier-B consume analysis pay for the statistics.
+    """
+    if isinstance(plan, ScanPlan):
+        stats = planner_stats(catalog.table(plan.table_name))
+        return {"delete": _scan_rows(plan, stats, catalog)}
+    est: dict[str, int] = {}
+    source = plan.source
+    stats_by_binding: dict[str, PlannerStats] = {}
+    if isinstance(source, ScanPlan):
+        stats = planner_stats(catalog.table(source.table_name))
+        stats_by_binding[source.binding] = stats
+        est["scan"] = est["consume"] = rows = _scan_rows(source, stats, catalog)
+    else:
+        left_stats = planner_stats(catalog.table(source.left.table_name))
+        right_stats = planner_stats(catalog.table(source.right.table_name))
+        stats_by_binding[source.left.binding] = left_stats
+        stats_by_binding[source.right.binding] = right_stats
+        distinct_keys = max(
+            _key_distinct(source.left_key, left_stats),
+            _key_distinct(source.right_key, right_stats),
+        )
+        cross = left_stats.live_rows * right_stats.live_rows
+        est_match = cross / distinct_keys * _residual_selectivity(
+            source.residual,
+            (source.left.binding, left_stats),
+            (source.right.binding, right_stats),
+        )
+        est["join"] = rows = _clamp(est_match, max(cross, 1))
+
+    if plan.aggregate is not None:
+        rows = _group_estimate(plan.aggregate.group_keys, rows, stats_by_binding)
+        if plan.aggregate.having is not None:
+            rows = max(1, _clamp(rows * DEFAULT_SELECTIVITY, rows))
+        est["aggregate"] = rows
+    est["sort"] = est["distinct"] = rows
+    est["limit"] = rows if plan.limit is None else min(plan.limit, rows)
+    return est
 
 
 # ----------------------------------------------------------------------
@@ -644,8 +891,14 @@ def plan_nodes(plan: SelectPlan | ScanPlan) -> list[tuple[str, str]]:
     return nodes
 
 
-def render_plan(plan: SelectPlan | ScanPlan) -> list[str]:
-    """Human-readable plan lines (``EXPLAIN`` and the shell)."""
-    return [
-        line for _, label in plan_nodes(plan) for line in label.splitlines()
-    ]
+def render_plan(
+    plan: SelectPlan | ScanPlan, estimates: Mapping[str, int] | None = None
+) -> list[str]:
+    """Human-readable plan lines; with ``estimates`` (what ``EXPLAIN``
+    prints) each node's label is followed by its ``est`` line."""
+    lines: list[str] = []
+    for kind, label in plan_nodes(plan):
+        lines.extend(label.splitlines())
+        if estimates is not None:
+            lines.append(f"  rows: est {estimates[kind]}")
+    return lines

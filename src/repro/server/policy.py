@@ -28,13 +28,13 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.errors import FungusError
+from repro.query.analyze import footprint_verdict
 from repro.query.ast_nodes import (
     DeleteStmt,
     ExplainStmt,
     SelectStmt,
     Statement,
 )
-from repro.query.normalize import Truth, classify
 from repro.query.parser import parse
 from repro.query.planner import JoinPlan, ScanPlan, plan_select
 from repro.server.auth import Grant
@@ -172,12 +172,7 @@ class Gatekeeper:
         domains = None
         if self.engine.consume_domains is not None:
             domains = self.engine.consume_domains(stmt.table)
-        truth = classify(stmt.where, schema=table.schema, domains=domains)
-        verdict = {
-            Truth.ALWAYS_FALSE: "none",
-            Truth.ALWAYS_TRUE: "total",
-            Truth.CONTINGENT: "partial",
-        }[truth]
+        verdict = footprint_verdict(stmt.where, table.schema, domains)
         if verdict == "total" and not grant.admin:
             raise AccessDenied(
                 Code.DENIED,

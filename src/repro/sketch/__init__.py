@@ -10,8 +10,7 @@ the summary containers:
 * :class:`~repro.sketch.hyperloglog.HyperLogLog` — distinct counting.
 * :class:`~repro.sketch.bloom.BloomFilter` — membership.
 * :class:`~repro.sketch.histogram.StreamingHistogram` — distribution shape.
-* :class:`~repro.sketch.quantiles.P2Quantile` — streaming quantiles.
-* :class:`~repro.sketch.moments.RunningMoments` / ``Ewma`` — moments.
+* :class:`~repro.sketch.moments.RunningMoments` — moments.
 * :class:`~repro.sketch.summary.TableSummary` — a per-column bundle of
   the above, the object the distiller actually emits.
 
@@ -33,17 +32,14 @@ from repro.sketch.countmin import CountMinSketch
 from repro.sketch.hyperloglog import HyperLogLog
 from repro.sketch.bloom import BloomFilter
 from repro.sketch.histogram import StreamingHistogram
-from repro.sketch.quantiles import P2Quantile
-from repro.sketch.moments import Ewma, RunningMoments
+from repro.sketch.moments import RunningMoments
 from repro.sketch.summary import ColumnSummary, TableSummary
 
 __all__ = [
     "BloomFilter",
     "ColumnSummary",
     "CountMinSketch",
-    "Ewma",
     "HyperLogLog",
-    "P2Quantile",
     "ReservoirSample",
     "RunningMoments",
     "StreamingHistogram",

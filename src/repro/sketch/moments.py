@@ -1,9 +1,8 @@
-"""Running moments and exponentially-weighted averages.
+"""Running moments.
 
 :class:`RunningMoments` keeps count/mean/variance/min/max via Welford's
 online algorithm (numerically stable, mergeable with the Chan et al.
-parallel formula). :class:`Ewma` is the freshness-weighted cousin —
-newer values matter more, matching the paper's freshness worldview.
+parallel formula).
 """
 
 from __future__ import annotations
@@ -78,24 +77,3 @@ class RunningMoments:
         merged.max_value = max(maxs) if maxs else None
         return merged
 
-
-class Ewma:
-    """Exponentially-weighted moving average with configurable alpha."""
-
-    def __init__(self, alpha: float = 0.1) -> None:
-        if not (0.0 < alpha <= 1.0):
-            raise SketchError(f"alpha must be in (0,1], got {alpha}")
-        self.alpha = alpha
-        self.value: float | None = None
-        self.count = 0
-
-    def add(self, value: float) -> None:
-        """Observe one value; the first value seeds the average."""
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SketchError(f"Ewma takes numbers, got {value!r}")
-        value = float(value)
-        self.count += 1
-        if self.value is None:
-            self.value = value
-        else:
-            self.value = self.alpha * value + (1.0 - self.alpha) * self.value

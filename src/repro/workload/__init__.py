@@ -3,10 +3,10 @@
 All generators are deterministic under a seed, so every experiment is
 reproducible run-to-run. The package covers:
 
-* :mod:`~repro.workload.distributions` — seeded Zipf/uniform/Gaussian
+* :mod:`~repro.workload.distributions` — seeded Zipf/Gaussian/categorical
   value pickers.
 * :mod:`~repro.workload.arrival` — arrival processes per decay-clock
-  tick: constant, Poisson, bursty, and the exponential-doubling
+  tick: constant, Poisson, and the exponential-doubling
   "chessboard" process from the paper's fable.
 * :mod:`~repro.workload.generators` — domain record generators
   (sensor readings, web log entries, market ticks).
@@ -16,10 +16,9 @@ reproducible run-to-run. The package covers:
   an arrival process + record generator.
 """
 
-from repro.workload.distributions import UniformInts, ZipfInts, GaussianFloats, Categorical
+from repro.workload.distributions import ZipfInts, GaussianFloats, Categorical
 from repro.workload.arrival import (
     ArrivalProcess,
-    BurstyArrivals,
     ChessboardArrivals,
     ConstantArrivals,
     PoissonArrivals,
@@ -36,7 +35,6 @@ from repro.workload.trace import RecordingDB, TraceRecorder, replay_trace
 
 __all__ = [
     "ArrivalProcess",
-    "BurstyArrivals",
     "Categorical",
     "ChessboardArrivals",
     "ConstantArrivals",
@@ -50,7 +48,6 @@ __all__ = [
     "ReplayStats",
     "SensorGenerator",
     "TraceRecorder",
-    "UniformInts",
     "WebLogGenerator",
     "ZipfInts",
     "replay_trace",

@@ -55,33 +55,6 @@ class PoissonArrivals:
         return count
 
 
-class BurstyArrivals:
-    """Baseline rate with periodic multiplicative bursts.
-
-    Every ``period`` ticks, ``burst_length`` consecutive ticks carry
-    ``burst_factor`` times the base rate — the "flash crowd" shape that
-    makes cliff-retention baselines look good or bad depending on phase.
-    """
-
-    def __init__(
-        self, base_rate: int, period: int, burst_factor: float = 10.0, burst_length: int = 1
-    ) -> None:
-        if base_rate < 0 or period <= 0 or burst_factor < 1 or burst_length < 0:
-            raise WorkloadError(
-                f"bad burst parameters: base={base_rate} period={period} "
-                f"factor={burst_factor} length={burst_length}"
-            )
-        self.base_rate = base_rate
-        self.period = period
-        self.burst_factor = burst_factor
-        self.burst_length = burst_length
-
-    def count_at(self, tick: int) -> int:
-        if tick % self.period < self.burst_length:
-            return int(self.base_rate * self.burst_factor)
-        return self.base_rate
-
-
 class ChessboardArrivals:
     """The fable: arrivals double every ``doubling_period`` ticks.
 

@@ -12,21 +12,6 @@ from repro.errors import WorkloadError
 T = TypeVar("T")
 
 
-class UniformInts:
-    """Uniform integers in ``[low, high]``."""
-
-    def __init__(self, low: int, high: int, seed: int = 0) -> None:
-        if high < low:
-            raise WorkloadError(f"empty range [{low}, {high}]")
-        self.low = low
-        self.high = high
-        self._rng = random.Random(seed)
-
-    def sample(self) -> int:
-        """One draw."""
-        return self._rng.randint(self.low, self.high)
-
-
 class ZipfInts:
     """Zipf-distributed ranks ``1..n`` with exponent ``s``.
 

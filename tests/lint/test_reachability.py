@@ -4,10 +4,13 @@ Roots: everything outside ``src/`` (bench_e2e, examples, benchmarks), the
 ``__main__``s, ``cli.py``/``serve.py``, dunders, the Fungus and
 TableObserver protocols, and module-level code (decorators such as the
 experiment registry, defaults, ``repro.__all__``; sub-package ``__all__``
-lists do not count). A reached function reaches every function whose name
-it references or calls, whether or not the graph resolved the edge, and
-``getattr(x, f"_op_{...}")`` reaches every ``_op_*`` — conservative, so the
-unreached set is a list of dead code, not of guesses.
+lists do not count). A reached function reaches every function and class
+whose name it references or calls, whether or not the graph resolved the
+edge, and ``getattr(x, f"_op_{...}")`` reaches every ``_op_*``. A ``src/``
+method counts only once its class is live — named from a reached scope or
+module-level code, or a base of a live class — so a class nobody builds
+cannot live on through common method names. Conservative: the unreached
+set is a list of dead code, not of guesses.
 """
 
 import ast
@@ -40,11 +43,13 @@ GRAPH = build_callgraph([REPO / d for d in ("src", "bench_e2e", "examples", "ben
 BY_NAME = defaultdict(set)
 for _key, _node in GRAPH.nodes.items():
     BY_NAME[_node.name].add(_key)
+CLASSES = defaultdict(set)  # bare class name -> dotted class names
+for _dotted in GRAPH.classes:
+    CLASSES[_dotted.rsplit(".", 1)[-1]].add(_dotted)
 
 
-def _referenced(nodes) -> set:
-    """Every function a body may reach: names, attributes, strings, getattr."""
-    out = set()
+def _names(nodes):
+    """Every name a body may reach code by: names, attributes, strings, getattr."""
     for sub in nodes:
         name = getattr(sub, "id", None) or getattr(sub, "attr", None)
         if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
@@ -52,9 +57,9 @@ def _referenced(nodes) -> set:
         if isinstance(sub, ast.Call) and getattr(sub.func, "id", "") == "getattr":
             if isinstance(sub.args[1], ast.JoinedStr):
                 prefix = sub.args[1].values[0].value
-                out.update(k for n, keys in BY_NAME.items() if n.startswith(prefix) for k in keys)
-        out.update(BY_NAME.get(name, ()))
-    return out
+                yield from (n for n in BY_NAME if n.startswith(prefix))
+        if isinstance(name, str):
+            yield name
 
 
 def _module_level(module):
@@ -84,14 +89,32 @@ def test_every_src_function_is_reached_or_allowed():
         key for node in GRAPH.nodes.values() if node.class_name in PROTOCOLS
         for key in BY_NAME[node.name]
     )
+    reached, live, parked = set(), set(), defaultdict(set)
+
+    def revive(classes):
+        for cls in set(classes) - live:
+            live.add(cls)
+            todo.extend(parked.pop(cls, ()))
+            revive(GRAPH.classes[cls].resolved_bases if cls in GRAPH.classes else ())
+
+    def visit(names):
+        for name in names:
+            todo.extend(BY_NAME.get(name, ()))
+            revive(CLASSES.get(name, ()))
+
     for module in GRAPH.modules.values():
-        todo.extend(_referenced(_module_level(module)))
-    reached = set()
+        visit(_names(_module_level(module)))
     while todo:
         key = todo.pop()
-        if key not in reached:
-            reached.add(key)
-            todo.extend(_referenced(_scope_nodes(GRAPH.body[key])))
+        node = GRAPH.nodes[key]
+        if key in reached:
+            continue
+        cls = node.class_name
+        if cls is not None and cls not in live and Path(node.path).is_relative_to(src):
+            parked[cls].add(key)  # until something names its class
+            continue
+        reached.add(key)
+        visit(_names(_scope_nodes(GRAPH.body[key])))
     unreached = {
         GRAPH.nodes[key].dotted for key in GRAPH.nodes.keys() - reached
         if Path(GRAPH.nodes[key].path).is_relative_to(src)

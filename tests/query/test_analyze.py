@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.db import FungusDB
 from repro.errors import ConsumeError
-from repro.lint.analyze import ConsumeAnalyzer
+from repro.query.analyze import ConsumeAnalyzer
 from repro.query.ast_nodes import BinaryOp, Literal, UnaryOp
 from repro.query.normalize import (
     Truth,
@@ -196,14 +196,14 @@ class TestVerdicts:
     @pytest.mark.parametrize(
         "where, verdict, estimated, selectivity",
         [
-            ("v > 50", "partial", 24, 0.48693877551020404),
+            ("v > 50", "partial", 24, 0.48),
             ("v > 50 AND v < 10", "none", 0, 0.0),
             ("f >= 0.0", "total", 50, 1.0),
             (
                 "k IN (1, 2, 3) OR NOT (v BETWEEN 10 AND 60)",
                 "partial",
                 26,
-                0.5288489795918367,
+                0.52,
             ),
             ("k = 7 AND f IS NOT NULL", "partial", 1, 0.02),
         ],
@@ -211,8 +211,9 @@ class TestVerdicts:
     def test_estimates_pinned_across_the_stats_source(
         self, db, where, verdict, estimated, selectivity
     ):
-        """Values recorded with ``collect_stats`` feeding the analyzer;
-        the lazy ``planner_stats`` view must reproduce them exactly."""
+        """Rows recorded with ``collect_stats`` feeding the analyzer;
+        the lazy ``planner_stats`` view must reproduce them exactly.
+        The selectivity is that estimate's share of the 50-row extent."""
         report = db.explain_consume(f"CONSUME SELECT k FROM r WHERE {where}")
         assert report.verdict == verdict
         assert report.estimated_rows == estimated

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ExecutionError
-from repro.query import QueryEngine
+from repro.query import QueryEngine, parse, plan_select
 from repro.storage import RowSet, Schema
 
 
@@ -228,8 +228,8 @@ class TestAccessHooks:
 
 
 class TestExplain:
-    def test_explain_does_not_execute(self, engine, catalog):
-        plan = engine.explain("CONSUME SELECT v FROM r WHERE v > 50")
+    def test_explain_does_not_execute(self, catalog):
+        plan = plan_select(parse("CONSUME SELECT v FROM r WHERE v > 50"), catalog)
         assert plan.consume
         assert len(catalog.table("r")) == 10
 

@@ -202,6 +202,7 @@ class TestVectorizedPlanGoldens:
             "  mode: vectorized",
             "  filters: (f < 0.9) [sel 0.20] -> (v > 50) [sel 0.22]",
             "  prune: rot spans of f only ((f < 0.9) rules out f = 1.0)",
+            "  rows: est 0",
         ]
 
     def test_span_pruning_in_analyze(self):
@@ -232,6 +233,7 @@ class TestVectorizedPlanGoldens:
             "scan r via full scan; residual ((v > 50) AND (key = 'a'))",
             "  mode: hybrid",
             "  filters: (v > 50) [sel 0.22] -> (key = 'a') [sel 0.50]",
+            "  rows: est 1",
         ]
 
 

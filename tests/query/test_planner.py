@@ -90,8 +90,11 @@ class TestIndexSelection:
 
     def test_hash_index_chosen(self, catalog):
         catalog.create_hash_index("r", "key")
-        p = plan(catalog, "SELECT v FROM r WHERE key = 'a'")
-        assert p.source.index == IndexAccess("hash-eq", "key", eq_value="a")
+        stmt = parse("SELECT v FROM r WHERE key = 'a'")
+        p = plan_select(stmt, catalog)
+        assert p.source.index == IndexAccess(
+            "hash-eq", "key", stmt.where, eq_value="a"
+        )
         assert p.source.residual is None
 
     def test_hash_index_with_residual(self, catalog):
@@ -123,6 +126,8 @@ class TestIndexSelection:
         p = plan(catalog, "SELECT v FROM r WHERE t BETWEEN 2 AND 4")
         idx = p.source.index
         assert (idx.low, idx.high) == (2, 4)
+        # the access keeps the conjunct whole, so it estimates as one interval
+        assert idx.conjunct.to_sql() == "(t BETWEEN 2 AND 4)"
 
     def test_or_disables_index(self, catalog):
         catalog.create_hash_index("r", "key")
@@ -130,8 +135,12 @@ class TestIndexSelection:
         assert p.source.index is None
 
     def test_describe(self):
-        assert "hash" in IndexAccess("hash-eq", "key", eq_value="a").describe()
-        assert "range" in IndexAccess("sorted-range", "t", low=1, high=2).describe()
+        key_eq = parse("SELECT v FROM r WHERE key = 'a'").where
+        t_range = parse("SELECT v FROM r WHERE t BETWEEN 1 AND 2").where
+        assert "hash" in IndexAccess("hash-eq", "key", key_eq, eq_value="a").describe()
+        assert "range" in IndexAccess(
+            "sorted-range", "t", t_range, low=1, high=2
+        ).describe()
 
 
 class TestJoinPlanning:

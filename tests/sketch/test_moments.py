@@ -6,7 +6,7 @@ import statistics
 import pytest
 
 from repro.errors import SketchError
-from repro.sketch import Ewma, RunningMoments
+from repro.sketch import RunningMoments
 
 
 class TestRunningMoments:
@@ -65,33 +65,3 @@ class TestRunningMoments:
         merged = RunningMoments().merge(RunningMoments())
         assert merged.count == 0
         assert merged.min_value is None
-
-
-class TestEwma:
-    def test_alpha_validation(self):
-        with pytest.raises(SketchError):
-            Ewma(0.0)
-        with pytest.raises(SketchError):
-            Ewma(1.5)
-
-    def test_first_value_seeds(self):
-        e = Ewma(0.5)
-        e.add(10.0)
-        assert e.value == 10.0
-
-    def test_weighted_update(self):
-        e = Ewma(0.5)
-        e.add(10.0)
-        e.add(20.0)
-        assert e.value == pytest.approx(15.0)
-
-    def test_converges_to_constant(self):
-        e = Ewma(0.2)
-        e.add(0.0)
-        for _ in range(100):
-            e.add(7.0)
-        assert e.value == pytest.approx(7.0, abs=1e-6)
-
-    def test_rejects_non_numeric(self):
-        with pytest.raises(SketchError):
-            Ewma().add(None)

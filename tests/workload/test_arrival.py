@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.workload.arrival import (
-    BurstyArrivals,
     ChessboardArrivals,
     ConstantArrivals,
     PoissonArrivals,
@@ -38,19 +37,6 @@ class TestPoisson:
     def test_zero_rate(self):
         arr = PoissonArrivals(0.0)
         assert arr.count_at(3) == 0
-
-
-class TestBursty:
-    def test_validation(self):
-        with pytest.raises(WorkloadError):
-            BurstyArrivals(10, 0)
-        with pytest.raises(WorkloadError):
-            BurstyArrivals(10, 5, burst_factor=0.5)
-
-    def test_burst_shape(self):
-        arr = BurstyArrivals(10, period=5, burst_factor=3.0, burst_length=2)
-        counts = [arr.count_at(t) for t in range(10)]
-        assert counts == [30, 30, 10, 10, 10, 30, 30, 10, 10, 10]
 
 
 class TestChessboard:

@@ -3,24 +3,7 @@
 import pytest
 
 from repro.errors import WorkloadError
-from repro.workload import Categorical, GaussianFloats, UniformInts, ZipfInts
-
-
-class TestUniformInts:
-    def test_empty_range_rejected(self):
-        with pytest.raises(WorkloadError):
-            UniformInts(5, 4)
-
-    def test_in_range(self):
-        dist = UniformInts(1, 6, seed=1)
-        samples = [dist.sample() for _ in range(500)]
-        assert all(1 <= s <= 6 for s in samples)
-        assert set(samples) == {1, 2, 3, 4, 5, 6}
-
-    def test_deterministic(self):
-        a = [UniformInts(0, 100, seed=5).sample() for _ in range(1)]
-        b = [UniformInts(0, 100, seed=5).sample() for _ in range(1)]
-        assert a == b
+from repro.workload import Categorical, GaussianFloats, ZipfInts
 
 
 class TestZipfInts:
