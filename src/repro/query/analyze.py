@@ -60,8 +60,8 @@ class ConsumeReport:
     where_sql: Optional[str]
     normalized_sql: Optional[str]
     extent: Optional[int]
-    estimated_rows: Optional[int]
-    selectivity: Optional[float]
+    estimated_rows: Optional[int]  # the plan's consume estimate
+    selectivity: Optional[float]  # estimated_rows as a share of extent
     errors: Tuple[str, ...] = ()
     warnings: Tuple[str, ...] = ()
 
