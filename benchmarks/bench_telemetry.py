@@ -16,7 +16,7 @@ import pytest
 
 from repro.bench.measure import time_callable
 from repro.core.db import FungusDB
-from repro.core.events import TupleDecayedBatch
+from repro.core.events import TupleDecayed, TupleDecayedBatch
 from repro.core.freshness import FreshnessBand, band_of
 from repro.obs.collector import BusCollector
 from repro.storage import Schema
@@ -29,6 +29,14 @@ class ExpandingCollector(BusCollector):
     def _on_decayed_batch(self, event):
         for sub in event.expand():
             self._on_decayed(sub)
+
+    def _on_decayed(self, event: TupleDecayed) -> None:
+        delta = event.old_freshness - event.new_freshness
+        if delta >= 0:
+            self.decay_events.labels(table=event.table, fungus=event.fungus).inc()
+            self.freshness_removed.labels(table=event.table, fungus=event.fungus).inc(delta)
+        else:
+            self.freshness_restored.labels(table=event.table, fungus=event.fungus).inc(-delta)
 
 
 def _report(capsys, what, count, slow_s, fast_s):

@@ -57,7 +57,6 @@ class FungusDB:
         self,
         seed: int = 0,
         summary_config: SummaryConfig | None = None,
-        max_summaries_per_table: int = 0,
         store: SummaryStore | None = None,
         strict_consume: bool = False,
     ) -> None:
@@ -66,11 +65,8 @@ class FungusDB:
         self.bus = EventBus()
         self.catalog = Catalog()
         self.engine = QueryEngine(self.catalog)
-        # a custom store (e.g. a SummaryVault whose summaries themselves
-        # rot) wins over the max_summaries_per_table convenience knob
-        self.store = store if store is not None else SummaryStore(
-            max_per_table=max_summaries_per_table
-        )
+        # a custom store, e.g. a SummaryVault whose summaries themselves rot
+        self.store = store if store is not None else SummaryStore()
         self.distiller = Distiller(self.store, summary_config)
         self.tables: dict[str, DecayingTable] = {}
         self.policies: dict[str, DecayPolicy] = {}
@@ -184,7 +180,7 @@ class FungusDB:
         table = self._table(name)  # raise early on unknown names
         live = table.rowset()
         if live:
-            table.evict(live, reason="truncate", collect_values=False)
+            table.evict(live, reason="truncate")
         del self.tables[name]
         del self.policies[name]
         self.catalog.drop_table(name)

@@ -5,15 +5,15 @@ infection, freshness decay, eviction, consumption, summarisation, tick
 completion. Health metrics, the distiller, experiment probes and tests
 all subscribe here instead of poking at internals.
 
-Insertions are published once per batch (:class:`TupleInsertedBatch`, a
-rid range), yet the lifecycle ledger counts tuples, not deliveries: a
-batch of *n* advances ``counts["TupleInserted"]`` by *n*, its own
-subscribers get the one event, and subscribers of the per-tuple
-:class:`TupleInserted` still get one event per row in ascending rid
-order — built by the bus, and only when such a subscriber exists. By
-then the whole batch is in the table: a handler looking at row *i* may
-already see rows *i+1…*. :class:`TupleDecayedBatch` predates this rule
-and keeps its per-pass count.
+Insertions and freshness writes are published once per batch
+(:class:`TupleInsertedBatch`, a rid range; :class:`TupleDecayedBatch`,
+the changed rows of one write), yet the lifecycle ledger counts tuples,
+not deliveries: a batch of *n* advances ``counts["TupleInserted"]`` or
+``counts["TupleDecayed"]`` by *n*, its own subscribers get the one
+event, and subscribers of the per-tuple type still get one event per
+row in ascending rid order — built by the bus, and only when such a
+subscriber exists. By then the whole batch is in the table: a handler
+looking at row *i* may already see rows *i+1…*.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ class TupleInfected(Event):
 
 @dataclass(frozen=True)
 class TupleDecayed(Event):
-    """A tuple's freshness dropped."""
+    """A tuple's freshness changed (dropped, or rose on a refresh)."""
 
     rid: int
     old_freshness: float
@@ -97,15 +97,14 @@ class TupleDecayed(Event):
 
 @dataclass(frozen=True)
 class TupleDecayedBatch(Event):
-    """One batch mutator pass changed many tuples' freshness at once.
+    """One freshness write changed these tuples' freshness (``len > 0``).
 
-    The coalesced form of :class:`TupleDecayed`: ``rids`` is ascending,
+    The one decay event: the batch mutators and the scalar ones (a
+    batch of one row) all publish it. ``rids`` is ascending,
     ``old_freshness``/``new_freshness`` align with it, and only rows
-    whose freshness actually changed are included. Subscribers that
-    need per-tuple provenance (metrics, forensics trajectories) call
-    :meth:`expand` and handle each row exactly as they would a scalar
-    :class:`TupleDecayed` — the expansion order (ascending rid) matches
-    the order the scalar path would have published in.
+    whose freshness actually changed are included. The bus counts it as
+    ``len(event)`` :class:`TupleDecayed` events and delivers its
+    :meth:`expand` to subscribers of that type.
     """
 
     rids: tuple
@@ -113,7 +112,12 @@ class TupleDecayedBatch(Event):
     new_freshness: tuple
     fungus: str
 
-    def expand(self) -> Iterator["TupleDecayed"]:
+    per_tuple = TupleDecayed
+
+    def __len__(self) -> int:
+        return len(self.rids)
+
+    def expand(self) -> Iterator[TupleDecayed]:
         """Per-tuple :class:`TupleDecayed` events, ascending rid order."""
         for rid, old, new in zip(self.rids, self.old_freshness, self.new_freshness):
             yield TupleDecayed(self.table, self.tick, rid, old, new, self.fungus)
@@ -237,10 +241,11 @@ class AlertResolved(Event):
 class RestoreCompleted(Event):
     """A checkpoint restore finished re-inserting one table's rows.
 
-    Restoring replays one :class:`TupleInserted` per surviving row;
-    those rows are not *new*, so metrics consumers subtract ``rows``
-    from their insert totals when this event arrives (otherwise every
-    checkpoint/restore cycle would double-count the whole extent).
+    Restoring re-inserts the surviving rows as one
+    :class:`TupleInsertedBatch`; those rows are not *new*, so metrics
+    consumers subtract ``rows`` from their insert totals when this event
+    arrives (otherwise every checkpoint/restore cycle would double-count
+    the whole extent).
     """
 
     rows: int
@@ -268,28 +273,26 @@ class EventBus:
         except ValueError:
             pass
 
-    def has_subscribers(self, event_type: Type[E]) -> bool:
-        """True when at least one handler listens for ``event_type``.
-
-        Publishers use this to skip building expensive event payloads
-        (eviction value dicts) nobody would see.
-        """
-        return bool(self._handlers.get(event_type))
-
-    def publish_lazy(self, event_type: Type[E], factory: Callable[[], E]) -> None:
+    def publish_lazy(
+        self, event_type: Type[E], factory: Callable[[], E], count: int = 1
+    ) -> None:
         """Publish ``factory()`` only if someone listens for ``event_type``.
 
-        The event still lands in :attr:`counts` either way, so the
-        ledger is identical whether or not the (possibly expensive)
-        payload was ever built — batch mutators use this to skip
-        assembling per-row tuples nobody would see. Not for an event
-        with a :attr:`~Event.per_tuple` type: its length is its ledger
-        entry, so build it and :meth:`publish`.
+        The event lands in :attr:`counts` either way, so the ledger is
+        identical whether or not the (possibly expensive) payload was
+        ever built — the decay core uses this to skip assembling per-row
+        tuples nobody would see. For an event with a
+        :attr:`~Event.per_tuple` type, ``count`` is its length: a
+        subscriber of either type gets the event built, and with none
+        the pass costs one counter add.
         """
-        if self._handlers.get(event_type):
+        per_tuple = event_type.per_tuple
+        if self._handlers.get(event_type) or (
+            per_tuple is not None and self._handlers.get(per_tuple)
+        ):
             self.publish(factory())
             return
-        self.counts[event_type.__name__] += 1
+        self.counts[(per_tuple or event_type).__name__] += count
 
     def publish(self, event: Event) -> None:
         """Deliver ``event`` to its type's handlers; count it either way.

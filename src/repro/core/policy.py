@@ -135,8 +135,7 @@ class DecayPolicy:
         if self.distiller is not None:
             self.distiller.distill_rowset(self.table, rows, reason="decay")
             self.stats.tuples_distilled += len(rows)
-        # the return dicts are never read here — skip materialising them
-        self.table.evict(rows, reason="decay", collect_values=False)
+        self.table.evict(rows, reason="decay")
         self.stats.tuples_evicted += len(rows)
         return len(rows)
 

@@ -14,15 +14,16 @@ when exhausted rows actually leave (eager vs lazy ablation, F6).
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from numbers import Real
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.clock import DecayClock
 from repro.core.events import (
     EventBus,
     TableCompacted,
-    TupleDecayed,
     TupleDecayedBatch,
     TupleEvicted,
     TupleInfected,
@@ -32,7 +33,6 @@ from repro.core.freshness import (
     FRESH_THRESHOLD,
     ROTTEN_THRESHOLD,
     FreshnessBand,
-    clamp_freshness,
 )
 from repro.errors import DecayError
 from repro.obs.tracing import Tracer
@@ -44,13 +44,13 @@ from repro.storage.vector import numpy
 
 @dataclass(frozen=True)
 class BatchOutcome:
-    """Accounting totals of one batch freshness pass.
+    """Accounting totals of one freshness write.
 
-    ``processed`` counts every row the pass touched (pinned no-ops
-    included — matching what a scalar loop of ``_decay`` calls would
-    report), ``changed`` the rows whose freshness actually moved,
-    ``removed`` the total freshness delta (negative when a pass raised
-    freshness), ``newly_exhausted`` the rows that crossed f>0 → f==0.
+    ``processed`` counts every row the write touched (pinned no-ops
+    included), ``changed`` the rows whose freshness actually moved,
+    ``removed`` the total freshness delta (negative when the write
+    raised freshness), ``newly_exhausted`` the rows that crossed
+    f>0 → f==0. A scalar mutator is the write of one row.
     """
 
     processed: int = 0
@@ -67,6 +67,24 @@ _EMPTY_OUTCOME = BatchOutcome()
 #: a latency heuristic (tests pin it to 0 to force the vector kernel, or
 #: above the batch size to force the scalar reference).
 _SMALL_BATCH = 32
+
+
+def _check_number(value: Any, what: str) -> None:
+    """Raise :class:`DecayError` unless ``value`` is a real, non-NaN
+    number. A bool is not one; ``±inf`` is, and clamps."""
+    if isinstance(value, bool) or not isinstance(value, Real) or value != value:
+        raise DecayError(f"{what} must be a number, got {value!r}")
+
+
+def _check_values(values: Any) -> None:
+    """The input check of a freshness write: :func:`_check_number` on
+    every value, one NaN test for a numeric array."""
+    if isinstance(values, numpy.ndarray) and values.dtype.kind in "iuf":
+        if values.dtype.kind != "f" or not numpy.isnan(values).any():
+            return
+    for value in values:
+        if type(value) is not float or value != value:
+            _check_number(value, "freshness")
 
 
 class DecayingTable:
@@ -267,36 +285,19 @@ class DecayingTable:
         return len(self._pinned)
 
     def set_freshness(self, rid: int, value: float, fungus: str = "manual") -> float:
-        """Set a row's freshness (clamped); returns the new value.
-
-        Raising freshness is allowed — the access-refresh extension
-        uses it — and removes the row from the exhausted set. Lowering
-        the freshness of a *pinned* row is silently ignored.
-        """
-        old = self.freshness(rid)
-        new = clamp_freshness(value)
-        if rid in self._pinned and new < old:
-            return old
-        if new != old:
-            self.storage.update(rid, self.freshness_column, new)
-            self.bus.publish(TupleDecayed(self.name, self.clock.now, rid, old, new, fungus))
-        if new <= 0.0:
-            self._exhausted.add(rid)
-        else:
-            self._exhausted.discard(rid)
-        return new
+        """:meth:`set_freshness_many` of one row; returns its new freshness."""
+        self.set_freshness_many((rid,), (value,), fungus)
+        return self.freshness(rid)
 
     def decay(self, rid: int, amount: float, fungus: str) -> float:
-        """Lower a row's freshness by ``amount``; returns the new value."""
-        if amount < 0:
-            raise DecayError(f"decay amount must be non-negative, got {amount}")
-        return self.set_freshness(rid, self.freshness(rid) - amount, fungus)
+        """:meth:`decay_many` of one row; returns its new freshness."""
+        self.decay_many((rid,), amount, fungus)
+        return self.freshness(rid)
 
     def scale_freshness(self, rid: int, factor: float, fungus: str) -> float:
-        """Multiply a row's freshness by ``factor`` in [0, 1]."""
-        if not (0.0 <= factor <= 1.0):
-            raise DecayError(f"scale factor must be in [0,1], got {factor}")
-        return self.set_freshness(rid, self.freshness(rid) * factor, fungus)
+        """:meth:`scale_many` of one row; returns its new freshness."""
+        self.scale_many((rid,), factor, fungus)
+        return self.freshness(rid)
 
     def freshness_values(self) -> list[float]:
         """Freshness of every live row, in insertion order."""
@@ -362,82 +363,79 @@ class DecayingTable:
     def set_freshness_many(
         self, rids: Sequence[int], values: Sequence[float], fungus: str = "manual"
     ) -> BatchOutcome:
-        """Batch :meth:`set_freshness`: clamp, honour pins, maintain the
-        exhausted set and publish one coalesced event in a single pass.
+        """Set the freshness of ``rids`` (live, ascending) to ``values``.
 
-        ``rids`` must be live rows in ascending order; ``values`` aligns
-        with it. Publishes at most one :class:`TupleDecayedBatch`
-        carrying only the rows whose freshness actually changed, in rid
-        order — collectors expand it back into per-tuple provenance.
-        The vector kernel and the small-batch scalar kernel perform the
-        same IEEE-754 operations, so the resulting freshness values are
-        bit-identical.
+        The one freshness write, which :meth:`decay_many`,
+        :meth:`scale_many` and the scalar mutators are forms of. Every
+        value must be a number (:func:`_check_number`); it is clamped
+        into [0, 1]. Raising freshness is allowed — the access-refresh
+        extension uses it — and takes a row out of the exhausted set;
+        lowering a *pinned* row's freshness is silently skipped. A bad
+        value or a dead rid raises before anything is written. Publishes
+        at most one :class:`TupleDecayedBatch`, carrying only the rows
+        whose freshness changed.
         """
-        count = len(rids)
-        if count == 0:
-            return _EMPTY_OUTCOME
-        if count >= _SMALL_BATCH:
-            rid_arr = numpy.asarray(rids, dtype=numpy.intp)
-            self.storage.check_live_many(rid_arr)
-            old = self.storage.freshness_array()[rid_arr]
-            target = numpy.asarray(values, dtype=numpy.float64)
-            return self._apply_batch_vec(rid_arr, old, target, fungus)
-        old = self._freshness_list(rids)
-        return self._apply_batch_py(
-            [int(r) for r in rids], old, [float(v) for v in values], fungus
-        )
+        _check_values(values)
+        return self._write(rids, None, values, fungus)
 
     def decay_many(self, rids: Sequence[int], amount: float, fungus: str) -> BatchOutcome:
-        """Batch :meth:`decay`: lower every row's freshness by ``amount``."""
+        """Lower every row's freshness by ``amount`` (a write of ``f - amount``)."""
+        _check_number(amount, "decay amount")
         if amount < 0:
             raise DecayError(f"decay amount must be non-negative, got {amount}")
-        count = len(rids)
-        if count == 0:
-            return _EMPTY_OUTCOME
-        if count >= _SMALL_BATCH:
-            rid_arr = numpy.asarray(rids, dtype=numpy.intp)
-            self.storage.check_live_many(rid_arr)
-            old = self.storage.freshness_array()[rid_arr]
-            return self._apply_batch_vec(rid_arr, old, old - amount, fungus)
-        old = self._freshness_list(rids)
-        return self._apply_batch_py(
-            [int(r) for r in rids], old, [o - amount for o in old], fungus
-        )
+        return self._write(rids, operator.sub, amount, fungus)
 
     def scale_many(self, rids: Sequence[int], factor: float, fungus: str) -> BatchOutcome:
-        """Batch :meth:`scale_freshness`: multiply freshness by ``factor``."""
+        """Multiply every row's freshness by ``factor`` in [0, 1]."""
+        _check_number(factor, "scale factor")
         if not (0.0 <= factor <= 1.0):
             raise DecayError(f"scale factor must be in [0,1], got {factor}")
+        return self._write(rids, operator.mul, factor, fungus)
+
+    def _write(
+        self,
+        rids: Sequence[int],
+        combine: Callable[[Any, Any], Any] | None,
+        operand: Any,
+        fungus: str,
+    ) -> BatchOutcome:
+        """Route a checked write to a kernel by batch size.
+
+        The target of a row is ``combine(old, operand)``, or ``operand``
+        itself (one value per row) when ``combine`` is None. The vector
+        kernel and the small-batch scalar kernel perform the same
+        IEEE-754 operations, so the written freshness is bit-identical.
+        """
         count = len(rids)
         if count == 0:
             return _EMPTY_OUTCOME
         if count >= _SMALL_BATCH:
             rid_arr = numpy.asarray(rids, dtype=numpy.intp)
-            self.storage.check_live_many(rid_arr)
-            old = self.storage.freshness_array()[rid_arr]
-            return self._apply_batch_vec(rid_arr, old, old * factor, fungus)
-        old = self._freshness_list(rids)
-        return self._apply_batch_py(
-            [int(r) for r in rids], old, [o * factor for o in old], fungus
-        )
-
-    def _freshness_list(self, rids: Sequence[int]) -> list[float]:
-        """Current freshness of ``rids`` as plain python floats.
-
-        Feeds the scalar batch kernel; ``tolist`` round-trips float64
-        bits exactly, so the arithmetic downstream is unchanged.
-        """
-        return self.storage.read_rows(self.freshness_column, rids).tolist()
+            old = self.storage.read_rows(self.freshness_column, rid_arr)
+            if combine is None:
+                target = numpy.asarray(operand, dtype=numpy.float64)
+            else:
+                target = combine(old, operand)
+            return self._apply_batch_vec(rid_arr, old, target, fungus)
+        rid_list = [int(r) for r in rids]
+        # tolist round-trips float64 bits exactly: the python arithmetic
+        # below matches the vector kernel's
+        old_list = self.storage.read_rows(self.freshness_column, rid_list).tolist()
+        if combine is None:
+            targets = [float(v) for v in operand]
+        else:
+            targets = [combine(o, operand) for o in old_list]
+        return self._apply_batch_py(rid_list, old_list, targets, fungus)
 
     def _apply_batch_vec(
         self, rid_arr: Any, old: Any, target: Any, fungus: str
     ) -> BatchOutcome:
-        """Vector kernel shared by the batch mutators.
+        """Vector kernel of :meth:`_write`.
 
-        Mirrors the scalar :meth:`set_freshness` semantics exactly:
-        clamp into [0, 1]; a pinned row whose freshness would drop is
-        left untouched (no exhausted-set update either); the exhausted
-        set tracks the post-write value; only changed rows are evented.
+        Clamps into [0, 1]; a pinned row whose freshness would drop
+        keeps its value; stores through ``Table.write_rows``; the
+        exhausted set tracks the stored value; only changed rows are
+        evented.
         """
         new = numpy.minimum(numpy.maximum(target, 0.0), 1.0)
         if self._pinned:
@@ -447,10 +445,7 @@ class DecayingTable:
             skip = pinned & (new < old)
             if skip.any():
                 new = numpy.where(skip, old, new)
-        self.storage.freshness_array()[rid_arr] = new
-        # the raw-array write bypasses write_rows, so the rot dirty-map
-        # (span pruning's soundness superset) must be told directly
-        self.storage.mark_rot(rid_arr)
+        self.storage.write_rows(self.freshness_column, rid_arr, new)
         dead = new <= 0.0
         if dead.any():
             self._exhausted.update(rid_arr[dead].tolist())
@@ -469,6 +464,7 @@ class DecayingTable:
                     tuple(new[changed].tolist()),
                     fungus,
                 ),
+                changed_count,
             )
         return BatchOutcome(
             processed=int(rid_arr.size),
@@ -489,7 +485,6 @@ class DecayingTable:
         bit-for-bit.
         """
         pinned = self._pinned
-        exhausted = self._exhausted
         written: list[float] = []
         changed_rids: list[int] = []
         changed_old: list[float] = []
@@ -501,10 +496,6 @@ class DecayingTable:
             if n < o and rid in pinned:
                 n = o
             written.append(n)
-            if n <= 0.0:
-                exhausted.add(rid)
-            else:
-                exhausted.discard(rid)
             if n != o:
                 changed_rids.append(rid)
                 changed_old.append(o)
@@ -513,6 +504,12 @@ class DecayingTable:
             if o > 0.0 and n <= 0.0:
                 newly_exhausted += 1
         self.storage.write_rows(self.freshness_column, rids, written)
+        exhausted = self._exhausted
+        for rid, n in zip(rids, written):
+            if n <= 0.0:
+                exhausted.add(rid)
+            else:
+                exhausted.discard(rid)
         if changed_rids:
             self.bus.publish_lazy(
                 TupleDecayedBatch,
@@ -524,6 +521,7 @@ class DecayingTable:
                     tuple(changed_new),
                     fungus,
                 ),
+                len(changed_rids),
             )
         return BatchOutcome(
             processed=len(rids),
@@ -570,35 +568,17 @@ class DecayingTable:
     # eviction (policies and Law 2)
     # ------------------------------------------------------------------
 
-    def evict(
-        self,
-        rows: RowSet,
-        reason: str,
-        collect_values: bool | None = None,
-    ) -> list[dict[str, Any]]:
-        """Remove ``rows`` from R; returns their last values as dicts.
+    def evict(self, rows: RowSet, reason: str) -> None:
+        """Remove ``rows`` from R.
 
-        Publishes one :class:`TupleEvicted` per row (with values, so
-        distillers can cook them without a second read). The *returned*
-        dicts are built lazily: ``collect_values=None`` materialises
-        them only when the bus has :class:`TupleEvicted` subscribers
-        (someone is watching evictions at all); hot paths that ignore
-        the return value pass ``False`` explicitly, callers that need
-        the dicts pass ``True``.
+        Publishes one :class:`TupleEvicted` per row, carrying the row's
+        last values so distillers can cook them without a second read.
         """
-        rids = list(rows)
-        if collect_values is None:
-            collect_values = self.bus.has_subscribers(TupleEvicted)
-        evicted: list[dict[str, Any]] = []
-        if collect_values:
-            names = self.storage.schema.names
-            evicted = [dict(zip(names, self.storage.row(rid))) for rid in rids]
         self._pending_reason = reason
         try:
-            self.storage.delete_many(rids)
+            self.storage.delete_many(rows)
         finally:
             self._pending_reason = "external"
-        return evicted
 
     def set_eviction_reason(self, reason: str) -> None:
         """Label upcoming storage-level deletions (Law 2 consume path).

@@ -183,8 +183,17 @@ class LintEngine:
         self.rules: list[Rule] = list(rules)
         #: when set, a ``# repro: noqa[RS0xx]`` comment that suppressed
         #: nothing is reported as an RS900 finding (the CLI turns this
-        #: on; library callers opt in).
+        #: on; library callers opt in). Only ids this engine runs, and
+        #: ids no tier defines (a typo), are audited: a Tier-C id is
+        #: the flow engine's to judge.
         self.audit_noqa = audit_noqa
+        self._unaudited: frozenset[str] = frozenset()
+        if audit_noqa:
+            from repro.lint.flow import default_checkers
+            from repro.lint.rules import default_rules
+
+            defined = {r.id for r in (*default_rules(), *default_checkers())}
+            self._unaudited = frozenset(defined - {rule.id for rule in self.rules})
 
     def lint_source(self, path: Path, text: str) -> tuple[list[Finding], int]:
         """Lint one in-memory module; returns (findings, suppressed)."""
@@ -216,13 +225,12 @@ class LintEngine:
         findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
         return findings, suppressed
 
-    @staticmethod
     def _stale_noqa(
-        module: ModuleSource, used: dict[int, set[str]]
+        self, module: ModuleSource, used: dict[int, set[str]]
     ) -> Iterator[Finding]:
-        """RS900 findings for suppression ids that suppressed nothing."""
+        """RS900 findings for audited suppression ids that suppressed nothing."""
         for line, declared in sorted(module.noqa_comments().items()):
-            for rule_id in sorted(declared - used.get(line, set())):
+            for rule_id in sorted(declared - used.get(line, set()) - self._unaudited):
                 yield Finding(
                     rule=STALE_NOQA_RULE_ID,
                     path=str(module.path),

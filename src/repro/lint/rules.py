@@ -16,7 +16,7 @@ from typing import ClassVar, Iterator, Sequence
 from repro.lint.catalogue import load_metric_catalogue
 from repro.lint.engine import Finding, ModuleSource, Rule
 
-CATALOGUE_VERSION = "1.9"
+CATALOGUE_VERSION = "1.10"
 
 #: packages where simulated time and injected randomness are mandatory
 RESTRICTED_PACKAGES = ("core", "fungi", "query", "sim", "storage")
@@ -330,7 +330,10 @@ class SanctionedFreshnessRule(Rule):
     rationale: ClassVar[str] = (
         "The sanctioned mutators clamp f into [0, 1] and publish decay "
         "events; a raw storage write skips both, corrupting the domain "
-        "invariant Tier-B analysis and the metrics rely on."
+        "invariant Tier-B analysis and the metrics rely on. Three raw "
+        "forms are caught: storage.update(rid, f, v), "
+        "storage.write_rows(f, rids, values), and a subscript store into "
+        "freshness_array() or column_array(f)."
     )
 
     SANCTIONED_FILE = "core/table.py"
@@ -339,23 +342,46 @@ class SanctionedFreshnessRule(Rule):
         if module.path.as_posix().endswith(self.SANCTIONED_FILE):
             return
         for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+                if self._is_freshness_view(node.value):
+                    yield self.finding(
+                        module,
+                        node,
+                        "direct freshness write into the storage array; go "
+                        "through the table's sanctioned mutators",
+                    )
                 continue
-            func = node.func
-            if (
-                not isinstance(func, ast.Attribute)
-                or func.attr != "update"
-                or len(node.args) != 3
+            if not isinstance(node, ast.Call) or not isinstance(
+                node.func, ast.Attribute
             ):
                 continue
-            column = node.args[1]
+            method = node.func.attr
+            if method == "update" and len(node.args) == 3:
+                column = node.args[1]
+            elif method == "write_rows" and node.args:
+                column = node.args[0]
+            else:
+                continue
             if self._is_freshness_column(column):
                 yield self.finding(
                     module,
                     node,
-                    "direct freshness write via storage.update(); go "
+                    f"direct freshness write via storage.{method}(); go "
                     "through the table's sanctioned mutators",
                 )
+
+    @classmethod
+    def _is_freshness_view(cls, node: ast.expr) -> bool:
+        """``freshness_array()`` or ``column_array(<freshness column>)``."""
+        if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
+            return False
+        if node.func.attr == "freshness_array":
+            return True
+        return (
+            node.func.attr == "column_array"
+            and bool(node.args)
+            and cls._is_freshness_column(node.args[0])
+        )
 
     @staticmethod
     def _is_freshness_column(node: ast.expr) -> bool:
@@ -506,10 +532,10 @@ class BatchMutatorRule(Rule):
         "standard: expanding a TupleDecayedBatch or walking "
         "freshness_values/column_values through band_of per row costs "
         "more than the decay it measures. Two places are outside this "
-        "rule's scope: the forensics collector, which expands each "
-        "decay batch per row by contract because the LineageStore keeps "
-        "one biography per tuple, and repro/sketch/, whose per-value "
-        "loops are the sketches' own arithmetic (the streaming "
+        "rule's scope: the forensics collector, which takes each decay "
+        "batch per row (the bus expands it) by contract because the "
+        "LineageStore keeps one biography per tuple, and repro/sketch/, "
+        "whose per-value loops are the sketches' own arithmetic (the streaming "
         "histogram merges one value at a time). The row going in is "
         "held to it "
         "too: a table append/insert/restore or an event publish per "

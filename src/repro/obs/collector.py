@@ -9,17 +9,18 @@ clock (evictions and consumed tuples per tick), and gauges sampled on
 every ``TickCompleted`` (extent, exhausted, pinned, tombstone ratio,
 freshness-band occupancy).
 
-Observers of a vectorized mutation read what it left in the arrays: a
-``TupleDecayedBatch`` is folded as ``old - new`` in one pass, never
-expanded into per-row ``TupleDecayed`` objects, and the band gauges come
-from :meth:`DecayingTable.band_counts`. Either way the registry ends up
-exactly where the per-row handlers would have left it — same children,
+Observers of a vectorized mutation read what it left in the arrays:
+every freshness write arrives as one ``TupleDecayedBatch`` (a scalar
+mutator's is a batch of one row), which the collector subscribes to
+*instead of* the per-tuple ``TupleDecayed`` and folds as ``old - new``
+in one pass, and the band gauges come from
+:meth:`DecayingTable.band_counts`. Either way the registry ends up
+exactly where per-row handlers would have left it — same children,
 same float additions in the same order, byte-equal exposition
 (``tests/obs/test_collector_arrays.py`` keeps the per-row forms as
-references). Inserts arrive one ``TupleInsertedBatch`` per batch — the
-collector subscribes to it *instead of* the per-tuple ``TupleInserted``,
-one ``labels().inc(n)`` per batch; evictions and consumes still arrive
-one event per tuple.
+references). Inserts arrive one ``TupleInsertedBatch`` per batch, folded
+the same way with one ``labels().inc(n)``; evictions and consumes still
+arrive one event per tuple.
 
 Checkpoint restores replay the surviving rows as an insert batch; the
 ``RestoreCompleted`` event that follows tells the collector how
@@ -88,7 +89,6 @@ from repro.core.events import (
     SummaryCreated,
     TickCompleted,
     TupleConsumed,
-    TupleDecayed,
     TupleDecayedBatch,
     TupleEvicted,
     TupleInfected,
@@ -260,7 +260,6 @@ class BusCollector:
         pairs = [
             (TupleInsertedBatch, self._on_inserted_batch),
             (TupleInfected, self._on_infected),
-            (TupleDecayed, self._on_decayed),
             (TupleDecayedBatch, self._on_decayed_batch),
             (TupleEvicted, self._on_evicted),
             (TupleConsumed, self._on_consumed),
@@ -297,17 +296,10 @@ class BusCollector:
     def _on_infected(self, event: TupleInfected) -> None:
         self.infections.labels(table=event.table, fungus=event.fungus).inc()
 
-    def _on_decayed(self, event: TupleDecayed) -> None:
-        delta = event.old_freshness - event.new_freshness
-        if delta >= 0:
-            self.decay_events.labels(table=event.table, fungus=event.fungus).inc()
-            self.freshness_removed.labels(table=event.table, fungus=event.fungus).inc(delta)
-        else:
-            self.freshness_restored.labels(table=event.table, fungus=event.fungus).inc(-delta)
-
     def _on_decayed_batch(self, event: TupleDecayedBatch) -> None:
-        # a coalesced batch counts exactly as its expansion through
-        # _on_decayed would have, row by row: same children created,
+        # counts exactly as a per-row handler over the expansion would:
+        # a lowered row is one decay event plus its removed freshness, a
+        # raised row adds to the restored total — same children created,
         # same float additions in the same order
         delta = numpy.asarray(event.old_freshness, dtype=numpy.float64) - numpy.asarray(
             event.new_freshness, dtype=numpy.float64

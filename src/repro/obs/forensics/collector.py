@@ -3,14 +3,16 @@
 :class:`ForensicsCollector` subscribes to the decay-core events and
 keeps a :class:`~repro.obs.forensics.store.LineageStore` current:
 births on ``TupleInserted``, infection edges on ``TupleInfected``,
-trajectory points on ``TupleDecayed``, consuming-query capture on
+trajectory points on ``TupleDecayed`` (the bus expands each decay batch
+into them, one per changed row), consuming-query capture on
 ``TupleConsumed``, and biography closure on ``TupleEvicted`` — after
 which it publishes a :class:`~repro.core.events.DeathRecorded` event
 so metrics and dashboards see the resolved forensic cause without
 knowing the store exists.
 
-Checkpoint restores replay one ``TupleInserted`` per surviving row,
-which would open fresh (wrong) biographies and burn forensic ids for
+Checkpoint restores re-insert the surviving rows as one batch, which
+the bus expands into one ``TupleInserted`` per row; those would open
+fresh (wrong) biographies and burn forensic ids for
 rows that are not new. :meth:`stage_restore` arms the collector with
 the checkpoint's persisted biographies; when ``RestoreCompleted``
 announces how many rows were replayed, the collector rebinds those
@@ -28,7 +30,6 @@ from repro.core.events import (
     TableCompacted,
     TupleConsumed,
     TupleDecayed,
-    TupleDecayedBatch,
     TupleEvicted,
     TupleInfected,
     TupleInserted,
@@ -58,7 +59,6 @@ class ForensicsCollector:
             (TupleInserted, self._on_inserted),
             (TupleInfected, self._on_infected),
             (TupleDecayed, self._on_decayed),
-            (TupleDecayedBatch, self._on_decayed_batch),
             (TupleConsumed, self._on_consumed),
             (TupleEvicted, self._on_evicted),
             (TableCompacted, self._on_compacted),
@@ -101,12 +101,6 @@ class ForensicsCollector:
 
     def _on_decayed(self, event: TupleDecayed) -> None:
         self.store.decayed(event.table, event.rid, event.tick, event.new_freshness)
-
-    def _on_decayed_batch(self, event: TupleDecayedBatch) -> None:
-        # expansion keeps biographies bit-identical to the scalar path:
-        # same per-row trajectory points, same ascending-rid order
-        for sub in event.expand():
-            self._on_decayed(sub)
 
     def _on_consumed(self, event: TupleConsumed) -> None:
         self.store.note_consume(event.table, event.rid, event.query)

@@ -12,7 +12,12 @@ Rows go in a batch at a time, and there is one way in:
 (:meth:`Schema.coerce_columns` output), extends every column once and
 tells each observer once. :meth:`Table.append_many` coerces first, so a
 batch with a bad row writes nothing; :meth:`Table.append` is the batch
-of one.
+of one. Likewise there is one way out, :meth:`Table.delete_many`
+(:meth:`Table.delete` is its batch of one), and one writer of stored
+cells: :meth:`Table.write_rows` notes the race probe, checks liveness,
+bumps the column's data version and marks the rot dirty-map, so every
+freshness write — vector or scalar kernel — keeps the caches and the
+span-pruning invariant current.
 
 Observers (secondary indexes, decay bookkeeping) register through
 :meth:`Table.add_observer` and are told about every append, delete and
@@ -328,16 +333,8 @@ class Table:
         return rids
 
     def delete(self, rid: int) -> None:
-        """Tombstone one live row."""
-        if self.probe is not None:
-            self.probe.note(self.name, "delete")
-        self._check_live(rid)
-        values = tuple(col[rid] for col in self._columns)
-        self._live[rid] = False
-        self._live_count -= 1
-        self._version += 1
-        for obs in self._observers:
-            obs.on_delete(rid, values)
+        """Tombstone one live row (a batch of one)."""
+        self.delete_many((rid,))
 
     def delete_many(self, rids: Sequence[int]) -> None:
         """Tombstone many live rows in one pass.
@@ -369,22 +366,6 @@ class Table:
     def delete_rows(self, rows: RowSet) -> None:
         """Tombstone every row in ``rows`` (all must be live)."""
         self.delete_many(list(rows))
-
-    def update(self, rid: int, column: str, value: Any) -> None:
-        """Overwrite one cell of a live row (used for freshness decay)."""
-        if self.probe is not None:
-            self.probe.note(self.name, "update")
-        self._check_live(rid)
-        col_def = self.schema.column(column)
-        pos = self.schema.index_of(column)
-        old = self._columns[pos][rid]
-        new = col_def.coerce(value)
-        if old == new:
-            return
-        self._columns[pos][rid] = new
-        self._data_versions[pos] += 1
-        if pos == self._freshness_pos and new != 1.0:
-            self._rot.add(rid)
 
     # ------------------------------------------------------------------
     # reads
@@ -448,9 +429,8 @@ class Table:
         """The raw float64 view of a vector-backed column.
 
         The view covers the whole allocated row space (tombstoned slots
-        hold stale values — mask with :meth:`live_mask`). Writes through
-        the view bypass event publication, so only the sanctioned
-        freshness mutators in ``core/table.py`` may mutate it.
+        hold stale values — mask with :meth:`live_mask`). Read only:
+        cells are written through :meth:`write_rows`.
         """
         pos = self.schema.index_of(column)
         if pos not in self._vector_positions:
@@ -460,8 +440,8 @@ class Table:
         return self._columns[pos].array()
 
     def freshness_array(self) -> Any:
-        """The mutable float64 view of the freshness column (length
-        :attr:`allocated`)."""
+        """The float64 view of the freshness column (length
+        :attr:`allocated`; read only, like :meth:`column_array`)."""
         if self.freshness_column is None:
             raise StorageError(f"table {self.name!r} has no freshness column")
         return self.column_array(self.freshness_column)
@@ -479,8 +459,8 @@ class Table:
     def write_rows(self, column: str, rids: Sequence[int], values: Any) -> None:
         """Overwrite vector-backed ``column`` for live ``rids`` with ``values``.
 
-        The bulk counterpart of :meth:`update`; values must already be
-        floats (no per-cell coercion).
+        The one cell writer; values must already be floats (no per-cell
+        coercion). A dead rid raises before anything is written.
         """
         if self.probe is not None:
             self.probe.note(self.name, "write_rows")

@@ -5,9 +5,11 @@ in a :class:`BoolColumn` and its freshness column (plus any other
 requested float/timestamp column — ``t`` on a decaying table) in a
 growable ``float64`` :class:`FloatColumn`; the remaining columns are
 plain Python lists. Both classes expose just enough of the list
-protocol (``extend``/``__getitem__``/``__setitem__``/``__len__``/
-``__iter__``) that per-cell code reads them like lists, while the batch
-kernels reach the raw array through ``array()``.
+protocol (``extend``/``__getitem__``/``__len__``/``__iter__``) that
+per-cell code reads them like lists, while the batch kernels reach the
+raw array through ``array()``. There is one writer: a stored cell
+changes only through ``Table.write_rows`` (values) or the table's
+liveness flips (the mask), never through a column's own interface.
 
 numpy is a hard dependency (``pyproject.toml``).
 
@@ -65,10 +67,6 @@ class FloatColumn:
         self._check(index)
         return float(self._data[index])
 
-    def __setitem__(self, index: int, value: float) -> None:
-        self._check(index)
-        self._data[index] = value
-
     def __iter__(self) -> Iterator[float]:
         return iter(self._data[: self._size].tolist())
 
@@ -82,8 +80,8 @@ class FloatColumn:
     def array(self) -> Any:
         """The live ``float64`` view (length == rows ever appended).
 
-        Mutating the view mutates the column; only the sanctioned
-        batch mutators in ``core/table.py`` may write through it.
+        Read only outside ``Table``: cells are written through
+        ``Table.write_rows``.
         """
         return self._data[: self._size]
 
@@ -117,10 +115,6 @@ class BoolColumn:
     def __getitem__(self, index: int) -> bool:
         self._check(index)
         return bool(self._data[index])
-
-    def __setitem__(self, index: int, value: bool) -> None:
-        self._check(index)
-        self._data[index] = value
 
     def __iter__(self) -> Iterator[bool]:
         return iter(self._data[: self._size].tolist())

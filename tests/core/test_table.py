@@ -143,21 +143,12 @@ class TestPinning:
 
 
 class TestEviction:
-    def test_evict_returns_rows(self, decaying):
-        rows = decaying.evict(RowSet([1, 2]), "decay", collect_values=True)
-        assert [r["v"] for r in rows] == [1, 2]
-        assert len(decaying) == 8
-
-    def test_evict_return_dicts_are_lazy(self, decaying):
-        # nobody subscribes to TupleEvicted here, so the default skips
-        # materialising the value dicts entirely
-        assert decaying.evict(RowSet([1]), "decay") == []
-        assert len(decaying) == 9
+    def test_evict_publishes_row_values(self, decaying):
         seen = []
         decaying.bus.subscribe(TupleEvicted, seen.append)
-        rows = decaying.evict(RowSet([2]), "decay")
-        assert [r["v"] for r in rows] == [2]
-        assert len(seen) == 1
+        decaying.evict(RowSet([1, 2]), "decay")
+        assert [e.values[2] for e in seen] == [1, 2]  # v column
+        assert len(decaying) == 8
 
     def test_evict_publishes_reason(self, decaying):
         seen = []

@@ -67,3 +67,18 @@ class TestRuleCounts:
         report = LintEngine().lint_paths([])
         assert report.rule_counts() == {}
         assert "no findings" in report.stats()
+
+
+class TestAuditScope:
+    """Tier A audits its own ids and unknown ones, not another tier's."""
+
+    def test_tier_c_suppression_is_not_stale_to_tier_a(self):
+        source = "def f():\n    return 1  # repro: noqa[RS011]\n"
+        findings, _ = LintEngine(audit_noqa=True).lint_source(PATH, source)
+        assert findings == []
+
+    def test_unknown_id_is_still_stale(self):
+        source = "def f():\n    return 1  # repro: noqa[RS999, RS013]\n"
+        findings, _ = LintEngine(audit_noqa=True).lint_source(PATH, source)
+        assert [f.rule for f in findings] == [STALE_NOQA_RULE_ID]
+        assert "RS999" in findings[0].message

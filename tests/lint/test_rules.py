@@ -49,7 +49,7 @@ EXPECTED_COUNTS = {
     "RS002": 3,  # two module-level calls and the import
     "RS003": 1,  # only the unchained raise; chained/re-raise pass
     "RS004": 3,  # dynamic, wrong namespace, undocumented
-    "RS005": 2,  # literal "f" and table.freshness_column
+    "RS005": 7,  # update/write_rows of "f" or freshness_column, 3 array stores
     "RS006": 2,  # dropped expression and never-published assignment
     "RS007": 2,  # for-loop set_freshness and comprehension decay
     "RS008": 4,  # sleep, sync socket, open(), pathlib read; helpers pass
@@ -132,7 +132,7 @@ class TestSuppressions:
             Path("rs005_patched.py"), patched
         )
         assert suppressed == 1
-        assert len([f for f in findings if f.rule == "RS005"]) == 1
+        assert len([f for f in findings if f.rule == "RS005"]) == 6
 
     def test_noqa_is_rule_specific(self):
         source = 'import random\nx = random.random()  # repro: noqa[RS001]\n'

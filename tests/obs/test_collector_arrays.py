@@ -28,6 +28,14 @@ class ExpandingCollector(BusCollector):
         for sub in event.expand():
             self._on_decayed(sub)
 
+    def _on_decayed(self, event: TupleDecayed) -> None:
+        delta = event.old_freshness - event.new_freshness
+        if delta >= 0:
+            self.decay_events.labels(table=event.table, fungus=event.fungus).inc()
+            self.freshness_removed.labels(table=event.table, fungus=event.fungus).inc(delta)
+        else:
+            self.freshness_restored.labels(table=event.table, fungus=event.fungus).inc(-delta)
+
 
 ROWS = 80  # batches of 1..80 rids fall on both sides of _SMALL_BATCH (32)
 
@@ -154,9 +162,9 @@ def test_one_tick_over_25k_rows_builds_no_per_row_object(monkeypatch):
         "freshness_values",
         counted("freshness_values", DecayingTable.freshness_values),
     )
-    before = db.bus.counts["TupleDecayedBatch"]
+    before = db.bus.counts["TupleDecayed"]
     db.tick(1)
-    assert db.bus.counts["TupleDecayedBatch"] == before + 1
+    assert db.bus.counts["TupleDecayed"] == before + 25_000
     registry = db.telemetry.registry
     assert registry.value("repro_decay_events_total", table="r", fungus="linear") == 25_000
     assert registry.value("repro_band_occupancy", table="r", band="fresh") == 25_000

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 import repro.core.table as core_table
 from repro.core.clock import DecayClock
-from repro.core.events import TupleDecayed, TupleDecayedBatch
+from repro.core.events import TupleDecayed
 from repro.core.table import DecayingTable
 from repro.fungi import BlueCheeseFungus, EGIFungus
 from repro.storage import RowSet, Schema, Table
@@ -54,7 +54,6 @@ def _build(n_rows: int) -> tuple[DecayingTable, list]:
     table = DecayingTable("r", Schema.of(v="int"), clock)
     events: list = []
     table.bus.subscribe(TupleDecayed, events.append)
-    table.bus.subscribe(TupleDecayedBatch, lambda e: events.extend(e.expand()))
     for i in range(n_rows):
         table.insert({"v": i})
         clock.advance(1)
@@ -72,7 +71,7 @@ def _freshness_state(table: DecayingTable) -> list[tuple[int, float]]:
 def _drain_exhausted(table: DecayingTable, fungus) -> None:
     dead = sorted(table.exhausted)
     if dead:
-        table.evict(table.exhausted, "decay", collect_values=False)
+        table.evict(table.exhausted, "decay")
         for rid in dead:
             fungus.on_evicted(rid)
 

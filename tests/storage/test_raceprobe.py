@@ -48,7 +48,7 @@ class TestOwnership:
         table = _table()
         table.probe = RaceProbe()
         rid = table.append({"k": 1, "v": 0.5})
-        table.update(rid, "v", 0.25)
+        table.write_rows("v", [rid], [0.25])
         table.delete(rid)
         table.compact()
         assert table.probe.violations == []
@@ -69,10 +69,10 @@ class TestViolations:
         probe = RaceProbe()
         table.probe = probe
         table.append({"k": 1, "v": 0.5})
-        with pytest.raises(RaceProbeError, match=r"'t'.*delete"):
+        with pytest.raises(RaceProbeError, match=r"'t'.*delete_many"):
             _in_thread(lambda: table.delete(0))
         assert len(probe.violations) == 1
-        assert probe.violations[0].op == "delete"
+        assert probe.violations[0].op == "delete_many"
 
     def test_record_mode_collects_instead_of_raising(self):
         table = _table()

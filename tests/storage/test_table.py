@@ -66,13 +66,25 @@ class TestReadsAndUpdate:
     def test_row_dict(self, table):
         assert table.row_dict(2) == {"t": 2.0, "f": 1.0, "v": 4, "key": "b"}
 
-    def test_update(self, table):
-        table.update(2, "f", 0.5)
-        assert table.value(2, "f") == 0.5
+    def test_write_rows_is_the_one_cell_writer(self, schema):
+        table = Table(schema, name="r", freshness_column="f")
+        table.append_many([(float(i), 1.0, i, "k") for i in range(6)])
+        token = table.data_token("f")
+        table.write_rows("f", [1, 4], [0.5, 0.25])
+        assert table.column_values("f") == [1.0, 0.5, 1.0, 1.0, 0.25, 1.0]
+        assert table.data_token("f") != token
+        assert table.rot_live_rows() == [1, 4]
 
-    def test_update_coerces_type(self, table):
-        with pytest.raises(SchemaError):
-            table.update(2, "v", "oops")
+    def test_write_rows_with_a_dead_rid_writes_nothing(self, schema):
+        table = Table(schema, name="r", freshness_column="f")
+        table.append_many([(float(i), 1.0, i, "k") for i in range(6)])
+        table.delete(3)
+        token = table.data_token("f")
+        with pytest.raises(StorageError):
+            table.write_rows("f", [2, 3], [0.5, 0.5])
+        assert table.column_values("f") == [1.0] * 5
+        assert table.data_token("f") == token
+        assert table.rot_spans() == []
 
     def test_column_values_live_only(self, table):
         table.delete(0)
