@@ -5,15 +5,18 @@ infection, freshness decay, eviction, consumption, summarisation, tick
 completion. Health metrics, the distiller, experiment probes and tests
 all subscribe here instead of poking at internals.
 
-Insertions and freshness writes are published once per batch
-(:class:`TupleInsertedBatch`, a rid range; :class:`TupleDecayedBatch`,
-the changed rows of one write), yet the lifecycle ledger counts tuples,
-not deliveries: a batch of *n* advances ``counts["TupleInserted"]`` or
+Insertions, infections and freshness writes are published once per
+batch (:class:`TupleInsertedBatch`, a rid range;
+:class:`TupleInfectedBatch`, one fungus cycle's infections;
+:class:`TupleDecayedBatch`, the changed rows of one write), yet the
+lifecycle ledger counts tuples, not deliveries: a batch of *n* advances
+``counts["TupleInserted"]``, ``counts["TupleInfected"]`` or
 ``counts["TupleDecayed"]`` by *n*, its own subscribers get the one
 event, and subscribers of the per-tuple type still get one event per
-row in ascending rid order — built by the bus, and only when such a
-subscriber exists. By then the whole batch is in the table: a handler
-looking at row *i* may already see rows *i+1…*.
+row in the batch's order (ascending rids; infection order for an
+infection batch) — built by the bus, and only when such a subscriber
+exists. By then the whole batch is in the table: a handler looking at
+row *i* may already see rows *i+1…*.
 """
 
 from __future__ import annotations
@@ -83,6 +86,34 @@ class TupleInfected(Event):
     fungus: str
     origin: str = "seed"
     source: int | None = None
+
+
+@dataclass(frozen=True)
+class TupleInfectedBatch(Event):
+    """One fungus cycle's infections, in infection order (``len > 0``).
+
+    ``rids``, ``origins`` and ``sources`` align: EGI publishes its seeds
+    in draw order, then its spread frontier (span by span, the row
+    before a spot ahead of the row after it); a single infection
+    (``DecayingTable.mark_infected``) is a batch of one. The bus counts
+    it as ``len(event)`` :class:`TupleInfected` events and delivers its
+    :meth:`expand` to subscribers of that type.
+    """
+
+    rids: tuple
+    origins: tuple
+    sources: tuple
+    fungus: str
+
+    per_tuple = TupleInfected
+
+    def __len__(self) -> int:
+        return len(self.rids)
+
+    def expand(self) -> Iterator[TupleInfected]:
+        """Per-tuple :class:`TupleInfected` events, in infection order."""
+        for rid, origin, source in zip(self.rids, self.origins, self.sources):
+            yield TupleInfected(self.table, self.tick, rid, self.fungus, origin, source)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from repro.core.events import (
     TableCompacted,
     TupleDecayedBatch,
     TupleEvicted,
-    TupleInfected,
+    TupleInfectedBatch,
     TupleInsertedBatch,
 )
 from repro.core.freshness import (
@@ -239,6 +239,36 @@ class DecayingTable:
         """Full row (t, f, attributes) of a live row."""
         return self.storage.row_dict(rid)
 
+    def mark_infected_many(
+        self,
+        rids: Sequence[int],
+        fungus: str,
+        origins: Sequence[str],
+        sources: Sequence[int | None],
+    ) -> None:
+        """Publish one infection event for ``rids`` (fungi call this
+        once per cycle with everything they seeded or spread onto).
+
+        ``origins[i]`` and ``sources[i]`` attribute ``rids[i]``: a
+        ``"seed"`` landed there directly, a ``"spread"`` grew in from
+        neighbour row ``sources[i]`` — the edges death provenance
+        chains back to a seed. The batch keeps the given order.
+        """
+        count = len(rids)
+        if count:
+            self.bus.publish_lazy(
+                TupleInfectedBatch,
+                lambda: TupleInfectedBatch(
+                    self.name,
+                    self.clock.now,
+                    tuple(rids),
+                    tuple(origins),
+                    tuple(sources),
+                    fungus,
+                ),
+                count,
+            )
+
     def mark_infected(
         self,
         rid: int,
@@ -246,16 +276,8 @@ class DecayingTable:
         origin: str = "seed",
         source: int | None = None,
     ) -> None:
-        """Publish an infection event (fungi call this when seeding/spreading).
-
-        ``origin`` and ``source`` attribute the infection: a ``"seed"``
-        landed here directly, a ``"spread"`` grew in from neighbour row
-        ``source`` — the edges death provenance chains back to a seed.
-        """
-        self.bus.publish_lazy(
-            TupleInfected,
-            lambda: TupleInfected(self.name, self.clock.now, rid, fungus, origin, source),
-        )
+        """:meth:`mark_infected_many` of one row."""
+        self.mark_infected_many((rid,), fungus, (origin,), (source,))
 
     def pin(self, rid: int) -> None:
         """Make a row immune to decay (it can still be consumed/evicted).
@@ -338,27 +360,6 @@ class DecayingTable:
         emptiness with ``len``, not truthiness)."""
         mask = self.storage.live_mask() & (self.storage.freshness_array() > 0.0)
         return numpy.flatnonzero(mask)
-
-    def positive_rows_in(self, lo: int, hi: int) -> Any:
-        """Live rows with freshness > 0 inside ``[lo, hi]``, ascending.
-
-        Returns an array for wide spans and a plain list for tiny ones —
-        test emptiness with ``len``, not truthiness, and don't rely on
-        the container type."""
-        hi = min(hi, self.storage.allocated - 1)
-        lo = max(lo, 0)
-        if lo > hi:
-            return []
-        live = self.storage.live_mask()
-        freshness = self.storage.freshness_array()
-        if hi - lo < _SMALL_BATCH:
-            # a handful of ufunc dispatches costs more than scanning
-            # a tiny span by direct element access
-            return [
-                rid for rid in range(lo, hi + 1) if live[rid] and freshness[rid] > 0.0
-            ]
-        segment = live[lo : hi + 1] & (freshness[lo : hi + 1] > 0.0)
-        return numpy.flatnonzero(segment) + lo
 
     def set_freshness_many(
         self, rids: Sequence[int], values: Sequence[float], fungus: str = "manual"
@@ -546,13 +547,14 @@ class DecayingTable:
             return []
         k = min(k, live)
         if self.storage.tombstones * 2 < n:
+            alive = self.storage.live_mask()
             picked: set[int] = set()
             attempts = 0
             limit = 20 * k + 100
             while len(picked) < k and attempts < limit:
                 rid = rng.randrange(n)
                 attempts += 1
-                if self.storage.is_live(rid):
+                if alive[rid]:
                     picked.add(rid)
             if len(picked) == k:
                 return sorted(picked)

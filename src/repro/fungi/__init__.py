@@ -19,8 +19,10 @@ how to decay":
 * :class:`~repro.fungi.wrappers.CompositeFungus` — several at once.
 * :class:`~repro.fungi.wrappers.NullFungus` — the no-decay control.
 
-:class:`~repro.fungi.spotset.SpotSet` is the shared rot-spot interval
-structure EGI and Blue Cheese keep their membership in.
+:class:`~repro.fungi.spotset.SpotSet` is the one interval class, on
+arrays: EGI and Blue Cheese keep their spots in it, and the storage
+table its rot dirty-map and tombstone-run index, so a spread cycle is a
+fixed number of array operations over spans.
 """
 
 from repro.fungi.spotset import SpotSet

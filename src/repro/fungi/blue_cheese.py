@@ -16,8 +16,11 @@ explores a different corner of the design space than EGI:
 
 Each vein keeps its membership in its own
 :class:`~repro.fungi.spotset.SpotSet` (a vein can fragment around
-evicted interiors), so growth touches only span endpoints and the
-accelerating decay is one batch mutator call per span.
+evicted interiors). A cycle walks the same frontier as EGI — one
+:meth:`~repro.storage.table.Table.neighbours` call over every vein's
+outer edges — and the accelerating decay is one batch mutator call per
+vein over its members' positive rows. Evictions are buffered and leave
+the veins at the top of the next cycle.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from repro.core.fungus import DecayReport, Fungus
 from repro.core.table import DecayingTable
 from repro.errors import DecayError
 from repro.fungi.spotset import SpotSet
+from repro.storage.vector import numpy
 
 
 @dataclass
@@ -65,40 +69,57 @@ class BlueCheeseFungus(Fungus):
         self.acceleration = acceleration
         self.age_bias = age_bias
         self._spots: list[_Spot] = []
+        #: rids evicted since the veins last dropped them
+        self._evicted: list[int] = []
 
     @property
     def spots(self) -> list[frozenset[int]]:
         """Member sets of the active spots."""
-        return [frozenset(s.members.members()) for s in self._spots]
+        self._drop_evicted()
+        return [frozenset(s.members.members().tolist()) for s in self._spots]
 
     def reset(self) -> None:
         self._spots.clear()
+        self._evicted.clear()
 
     def on_evicted(self, rid: int) -> None:
-        for spot in self._spots:
-            spot.members.remove(rid)
+        self._evicted.append(rid)
 
     def on_compacted(self, remap: Mapping[int, int]) -> None:
+        self._drop_evicted()
         for spot in self._spots:
             spot.members.remap(remap)
 
-    def _covered_anywhere(self, rid: int) -> bool:
-        return any(spot.members.covers(rid) for spot in self._spots)
+    def _drop_evicted(self) -> None:
+        """Apply the buffered evictions, one ``discard_many`` per vein."""
+        if self._evicted:
+            for spot in self._spots:
+                spot.members.discard_many(self._evicted)
+            self._evicted.clear()
+
+    def _covered_anywhere(self, rids: list[int]) -> list[bool]:
+        covered = numpy.zeros(len(rids), dtype=bool)
+        for spot in self._spots:
+            covered |= spot.members.covers_many(rids)
+        return covered.tolist()
 
     # ------------------------------------------------------------------
 
     def cycle(self, table: DecayingTable, rng: random.Random) -> DecayReport:
         report = DecayReport(self.name, table.clock.now)
+        storage = table.storage
+        self._drop_evicted()
 
         # spots whose members all rotted away are finished veins (with
-        # no tombstones anywhere there is nothing stale to trim)
-        if table.storage.tombstones:
+        # no tombstones anywhere there is nothing stale to trim); a row
+        # deleted behind the fungus's back leaves a dead member
+        if storage.tombstones:
+            live = storage.live_mask()
             for spot in self._spots:
-                spot.members.replace(
-                    run
-                    for lo, hi in spot.members.spans()
-                    for run in table.storage.live_runs(lo, hi)
-                )
+                members = spot.members.members()
+                alive = live[members]
+                if not alive.all():
+                    spot.members.discard_many(members[~alive])
             self._spots = [s for s in self._spots if s.members or s.age == 0]
 
         # seed a new vein if below budget (age-biased, like EGI)
@@ -109,37 +130,48 @@ class BlueCheeseFungus(Fungus):
                 table.mark_infected(seed, self.name)
                 report.seeded += 1
 
-        for spot in self._spots:
-            if not spot.members:
-                continue
-            # grow one tuple outward on each side of the vein
-            spans = spot.members.spans()
-            left_edge = spans[0][0]
-            right_edge = spans[-1][1]
-            prev_rid = table.storage.prev_live(left_edge)
-            next_rid = table.storage.next_live(right_edge)
-            for frontier, edge in ((prev_rid, left_edge), (next_rid, right_edge)):
-                if frontier is not None and not self._covered_anywhere(frontier):
-                    spot.members.add(frontier)
-                    table.mark_infected(
-                        frontier, self.name, origin="spread", source=edge
-                    )
+        # grow one tuple outward on each side of every vein: the
+        # frontier of all veins in one neighbours call, taken in vein
+        # order, skipping rows a vein already holds or took this cycle
+        active = [spot for spot in self._spots if spot.members]
+        if not active:
+            return report
+        lefts, rights = zip(*(_outer_edges(spot.members) for spot in active))
+        before, after = (side.tolist() for side in storage.neighbours(lefts, rights))
+        candidates = before + after
+        taken = {
+            rid for rid, hit in zip(candidates, self._covered_anywhere(candidates)) if hit
+        }
+        freshness = storage.freshness_array()
+        # per vein: (row before it, its first member), (row after, last)
+        sides = zip(zip(before, lefts), zip(after, rights))
+        for spot, frontier in zip(active, sides):
+            for rid, edge in frontier:
+                if rid >= 0 and rid not in taken:
+                    taken.add(rid)
+                    spot.members.add(rid)
+                    table.mark_infected(rid, self.name, origin="spread", source=edge)
                     report.spread += 1
-            # accelerating decay of all members — one kernel call per span
+            # accelerating decay of all members — one kernel call per vein
             rate = min(1.0, self.base_rate * (1.0 + self.acceleration * spot.age))
-            for lo, hi in spot.members.spans():
-                rids = table.positive_rows_in(lo, hi)
-                if len(rids):
-                    self._account(table.decay_many(rids, rate, self.name), report)
+            members = spot.members.members()
+            rids = members[freshness[members] > 0.0]
+            if rids.size:
+                self._account(table.decay_many(rids, rate, self.name), report)
             spot.age += 1
         return report
 
     def _select_seed(self, table: DecayingTable, rng: random.Random) -> int | None:
+        sample = table.sample_live(rng, self.age_bias)
         sample = [
-            rid
-            for rid in table.sample_live(rng, self.age_bias)
-            if not self._covered_anywhere(rid)
+            rid for rid, hit in zip(sample, self._covered_anywhere(sample)) if not hit
         ]
         if not sample:
             return None
         return min(sample)
+
+
+def _outer_edges(members: SpotSet) -> tuple[int, int]:
+    """A vein's first and last member."""
+    starts, ends = members.bounds()
+    return int(starts[0]), int(ends[-1])

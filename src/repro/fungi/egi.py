@@ -25,17 +25,21 @@ draw per cycle. Exactly: on a table of ``n`` uninfected live rows, the
 ``i``-th oldest (counting from 0) is seeded with probability
 ``C(n-1-i, k-1) / C(n, k)``.
 
-Membership lives in a :class:`~repro.fungi.spotset.SpotSet`, making
-the infection structure explicit: spread is O(#spots) endpoint
-extension (only spot edges can grow — interior members' neighbours
-are already infected), and the decay step is one batch mutator call
-per spot instead of a per-member ``set_freshness`` loop.
+Membership lives in a :class:`~repro.fungi.spotset.SpotSet`, and one
+cycle is a fixed number of array operations over it, whatever the
+table size: the spread frontier is one
+:meth:`~repro.storage.table.Table.neighbours` call over the span
+edges (a dead neighbour jumps across its tombstone run by one
+``searchsorted``), the infections of the cycle go out as one
+:class:`~repro.core.events.TupleInfectedBatch`, and the decay step is
+one batch mutator call over the members' positive rows. Evictions are
+buffered and leave the spots in one ``discard_many``.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from repro.core.fungus import DecayReport, Fungus
 from repro.core.table import DecayingTable
@@ -67,86 +71,121 @@ class EGIFungus(Fungus):
         self.spread = spread
         self.age_bias = age_bias
         self._spots = SpotSet()
+        #: rids evicted since the spots last dropped them
+        self._evicted: list[int] = []
 
     @property
     def infected(self) -> frozenset[int]:
         """Currently infected row ids (live rows only)."""
-        return frozenset(self._spots.members())
+        self._drop_evicted()
+        return frozenset(self._spots.members().tolist())
 
     def reset(self) -> None:
         self._spots.clear()
+        self._evicted.clear()
 
     def on_evicted(self, rid: int) -> None:
-        self._spots.remove(rid)
+        self._evicted.append(rid)
 
     def on_compacted(self, remap: Mapping[int, int]) -> None:
+        self._drop_evicted()
         self._spots.remap(remap)
+
+    def _drop_evicted(self) -> None:
+        """Apply the buffered evictions in one ``discard_many``."""
+        if self._evicted:
+            self._spots.discard_many(self._evicted)
+            self._evicted.clear()
 
     # ------------------------------------------------------------------
 
     def cycle(self, table: DecayingTable, rng: random.Random) -> DecayReport:
         report = DecayReport(self.name, table.clock.now)
-        # drop dead members: intersect every spot with the live runs it
-        # still covers (splits spots around evicted interiors). With no
-        # tombstones anywhere there is nothing stale to drop.
-        if table.storage.tombstones:
-            self._spots.replace(
-                run
-                for lo, hi in self._spots.spans()
-                for run in table.storage.live_runs(lo, hi)
-            )
+        storage = table.storage
+        spots = self._spots
+        self._drop_evicted()
+        # a row deleted behind the fungus's back leaves a dead member:
+        # with every member live (the rule) this is one gather
+        if spots and storage.tombstones:
+            members = spots.members()
+            live = storage.live_mask()[members]
+            if not live.all():
+                spots.discard_many(members[~live])
 
         # 1. seed: age-biased selection of new infection sites
+        seeds: list[int] = []
         for _ in range(self.seeds_per_cycle):
-            seed = self._select_seed(table, rng)
+            seed = self._select_seed(table, rng, seeds)
             if seed is None:
                 break
-            if self._spots.add(seed):
-                table.mark_infected(seed, self.name)
-                report.seeded += 1
-
-        if not self._spots:
+            seeds.append(seed)
+        report.seeded = len(seeds)
+        starts, ends = spots.bounds()
+        if seeds:
+            # the spots after seeding, as sorted runs: a seed is a run
+            # of its own, even beside a span it will merge with
+            seed_arr = numpy.asarray(seeds, dtype=numpy.int64)
+            starts = numpy.concatenate((starts, seed_arr))
+            order = starts.argsort(kind="stable")
+            starts = starts[order]
+            ends = numpy.concatenate((ends, seed_arr))[order]
+        if not starts.size:
             return report
 
-        # 2. spread: "bi-directional growth" — only the spot edges have
-        #    uninfected live neighbours, so extending each span's
-        #    endpoints infects exactly the scalar frontier. The edge row
-        #    is recorded as the infection source — the provenance edge
-        #    forensics lineage chains on.
+        # 2. spread: "bi-directional growth" — only the run edges have
+        #    uninfected live neighbours. Candidates go in run order, the
+        #    row before each run ahead of the row after it, each with
+        #    the edge row it grows from as its source (the provenance
+        #    edge forensics lineage chains on). Every member is live, so
+        #    a candidate is covered exactly when it is the edge row of
+        #    the run across from it; and a row that is both the next of
+        #    one run and the prev of the following one is infected once,
+        #    from the first.
+        infected = seeds
+        sources: list[int | None] = [None] * len(seeds)
         if self.spread:
-            grown = 0
-            for lo, hi in self._spots.spans():
-                prev_rid = table.storage.prev_live(lo)
-                if prev_rid is not None and not self._spots.covers(prev_rid):
-                    self._spots.add(prev_rid)
-                    table.mark_infected(prev_rid, self.name, origin="spread", source=lo)
-                    grown += 1
-                next_rid = table.storage.next_live(hi)
-                if next_rid is not None and not self._spots.covers(next_rid):
-                    self._spots.add(next_rid)
-                    table.mark_infected(next_rid, self.name, origin="spread", source=hi)
-                    grown += 1
-            report.spread += grown
+            edges = numpy.empty(2 * starts.size, dtype=numpy.int64)
+            edges[0::2] = starts
+            edges[1::2] = ends
+            candidates = numpy.empty_like(edges)
+            candidates[0::2], candidates[1::2] = storage.neighbours(starts, ends)
+            across = numpy.empty_like(edges)
+            # no run before the first or after the last: -1 matches the
+            # missing neighbour there
+            across[0] = across[-1] = -1
+            across[2::2] = ends[:-1]
+            across[1:-1:2] = starts[1:]
+            keep = candidates != across
+            keep[2::2] &= candidates[2::2] != candidates[1:-1:2]
+            frontier = candidates[keep].tolist()
+            report.spread = len(frontier)
+            infected = seeds + frontier
+            sources += edges[keep].tolist()
+        grown = numpy.asarray(infected, dtype=numpy.int64)
+        spots.add_runs(grown, grown)
+        table.mark_infected_many(
+            infected,
+            self.name,
+            ["seed"] * len(seeds) + ["spread"] * report.spread,
+            sources,
+        )
 
         # 3. decay: every infected element loses freshness at equal
-        #    rate — one batch kernel call across all spots; spans are
-        #    disjoint and ascending, so the concatenation is the same
-        #    ascending rid order the scalar member loop used
-        parts = [table.positive_rows_in(lo, hi) for lo, hi in self._spots.spans()]
-        if len(parts) > 1:
-            rids = numpy.concatenate(
-                [numpy.asarray(part, dtype=numpy.intp) for part in parts]
-            )
-        else:
-            rids = parts[0]
-        if len(rids):
+        #    rate — one batch kernel call over the members (all live,
+        #    ascending) whose freshness is still positive
+        members = spots.members()
+        rids = members[storage.freshness_array()[members] > 0.0]
+        if rids.size:
             self._account(table.decay_many(rids, self.decay_rate, self.name), report)
         return report
 
-    def _select_seed(self, table: DecayingTable, rng: random.Random) -> int | None:
-        sample = table.sample_live(rng, self.age_bias)
-        sample = [rid for rid in sample if not self._spots.covers(rid)]
-        if not sample:
-            return None
-        # the lowest rid is the oldest (insertion order = time order)
-        return min(sample)
+    def _select_seed(
+        self, table: DecayingTable, rng: random.Random, taken: Sequence[int] = ()
+    ) -> int | None:
+        # the sample is ascending and the lowest rid is the oldest
+        # (insertion order = time order): the seed is the first one
+        # not yet infected
+        for rid in table.sample_live(rng, self.age_bias):
+            if rid not in taken and not self._spots.covers(rid):
+                return rid
+        return None

@@ -18,9 +18,10 @@ in one pass, and the band gauges come from
 exactly where per-row handlers would have left it — same children,
 same float additions in the same order, byte-equal exposition
 (``tests/obs/test_collector_arrays.py`` keeps the per-row forms as
-references). Inserts arrive one ``TupleInsertedBatch`` per batch, folded
-the same way with one ``labels().inc(n)``; evictions and consumes still
-arrive one event per tuple.
+references). Inserts arrive one ``TupleInsertedBatch`` per batch and
+infections one ``TupleInfectedBatch`` per fungus cycle, each folded
+with one ``labels().inc(n)``; evictions and consumes still arrive one
+event per tuple.
 
 Checkpoint restores replay the surviving rows as an insert batch; the
 ``RestoreCompleted`` event that follows tells the collector how
@@ -91,7 +92,7 @@ from repro.core.events import (
     TupleConsumed,
     TupleDecayedBatch,
     TupleEvicted,
-    TupleInfected,
+    TupleInfectedBatch,
     TupleInsertedBatch,
 )
 from repro.obs.metrics import Counter, MetricsRegistry
@@ -259,7 +260,7 @@ class BusCollector:
         self._db = db
         pairs = [
             (TupleInsertedBatch, self._on_inserted_batch),
-            (TupleInfected, self._on_infected),
+            (TupleInfectedBatch, self._on_infected_batch),
             (TupleDecayedBatch, self._on_decayed_batch),
             (TupleEvicted, self._on_evicted),
             (TupleConsumed, self._on_consumed),
@@ -293,8 +294,8 @@ class BusCollector:
     def _on_inserted_batch(self, event: TupleInsertedBatch) -> None:
         self.inserts.labels(table=event.table).inc(len(event))
 
-    def _on_infected(self, event: TupleInfected) -> None:
-        self.infections.labels(table=event.table, fungus=event.fungus).inc()
+    def _on_infected_batch(self, event: TupleInfectedBatch) -> None:
+        self.infections.labels(table=event.table, fungus=event.fungus).inc(len(event))
 
     def _on_decayed_batch(self, event: TupleDecayedBatch) -> None:
         # counts exactly as a per-row handler over the expansion would:

@@ -4,8 +4,18 @@ Rows receive monotonically increasing row ids in insertion order; a
 deletion only sets a tombstone, so row ids stay stable until an
 explicit :meth:`Table.compact`. Insertion order doubles as the *time
 axis* the paper's EGI fungus spreads along, which is why the table
-exposes :meth:`Table.prev_live` / :meth:`Table.next_live` neighbour
-navigation.
+exposes neighbour navigation: :meth:`Table.neighbours` gives the
+nearest live row before and after each of a batch of spans.
+
+The tombstones themselves are kept as intervals, a
+:class:`~repro.fungi.spotset.SpotSet` of dead-rid runs. Only two
+places flip liveness — :meth:`Table.delete_many` adds its batch's runs
+in one merge, and :meth:`Table._adopt_live_rows` (compaction, dense
+copies) empties the index — so it is exact. A dead neighbour jumps to
+the edge of its tombstone run by one ``searchsorted``, and
+:meth:`Table.live_runs`, :meth:`Table.rot_live_rows` and
+:meth:`Table.rot_live_count` are interval subtractions, never a scan of
+the live mask.
 
 Rows go in a batch at a time, and there is one way in:
 :meth:`Table.append_columns` takes one coerced value list per column
@@ -38,7 +48,6 @@ rids is cheaper to check one by one than to hand to numpy.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -117,23 +126,6 @@ class ColumnMaskData:
         self.is_int = is_int
 
 
-def _runs_of_sorted(rids: Sequence[int]) -> list[tuple[int, int]]:
-    """Collapse ascending rids into inclusive contiguous runs."""
-    runs: list[tuple[int, int]] = []
-    start = prev = None
-    for rid in rids:
-        if start is None:
-            start = prev = rid
-        elif rid == prev + 1:
-            prev = rid
-        else:
-            runs.append((start, prev))
-            start = prev = rid
-    if start is not None:
-        runs.append((start, prev))
-    return runs
-
-
 class Table:
     """Columnar table with tombstone deletes and stable row ids.
 
@@ -191,15 +183,14 @@ class Table:
         # soundness condition): every *live* row outside these spans has
         # f == 1.0 exactly. Spans are never un-marked (rows re-pinned to
         # 1.0 stay covered) — conservative, so pruning stays sound.
-        if freshness_column is not None:
-            # deferred import: repro.fungi.__init__ pulls in modules
-            # that import this one; by the time a table is constructed
-            # the cycle has resolved
-            from repro.fungi.spotset import SpotSet
+        # deferred import: repro.fungi.__init__ pulls in modules that
+        # import this one; by the time a table is constructed the cycle
+        # has resolved
+        from repro.fungi.spotset import SpotSet
 
-            self._rot: Any = SpotSet()
-        else:
-            self._rot = None
+        self._rot: Any = SpotSet() if freshness_column is not None else None
+        # tombstone-run index: exactly the dead rids in [0, allocated)
+        self._tombs = SpotSet()
 
     # ------------------------------------------------------------------
     # introspection
@@ -340,7 +331,8 @@ class Table:
         """Tombstone many live rows in one pass.
 
         Validates every rid up front (so a bad batch deletes nothing),
-        flips the whole live mask in one vectorized write, then
+        flips the whole live mask in one vectorized write, adds the
+        batch's runs to the tombstone index in one merge, then
         notifies observers once per row in the order given — per-row
         eviction provenance is preserved while the mask work is O(1)
         Python calls.
@@ -356,7 +348,9 @@ class Table:
         captured = [
             (rid, tuple(col[rid] for col in self._columns)) for rid in ordered
         ]
-        self._live.array()[numpy.asarray(ordered, dtype=numpy.intp)] = False
+        dead = numpy.asarray(ordered, dtype=numpy.intp)
+        self._live.array()[dead] = False
+        self._tombs.add_many(dead)
         self._live_count -= len(ordered)
         self._version += 1
         for rid, values in captured:
@@ -476,27 +470,14 @@ class Table:
         """Maximal contiguous runs of live rids within ``[lo, hi]``.
 
         Returned as inclusive ``(start, end)`` pairs in ascending
-        order — the shape rot spots keep their membership in.
+        order — the shape rot spots keep their membership in: the
+        clamped range minus the tombstone runs.
         """
         lo = max(lo, 0)
         hi = min(hi, self._next_rid - 1)
         if lo > hi:
             return []
-        segment = self._live.array()[lo : hi + 1]
-        # fast path for the common sync case: the whole range is
-        # still alive (spot interiors between eviction batches)
-        if segment.all():
-            return [(lo, hi)]
-        idx = numpy.flatnonzero(segment)
-        if idx.size == 0:
-            return []
-        gaps = numpy.flatnonzero(numpy.diff(idx) > 1)
-        starts = numpy.concatenate(([0], gaps + 1))
-        ends = numpy.concatenate((gaps, [idx.size - 1]))
-        return [
-            (int(idx[s]) + lo, int(idx[e]) + lo)
-            for s, e in zip(starts.tolist(), ends.tolist())
-        ]
+        return self._tombs.gaps(lo, hi)
 
     # ------------------------------------------------------------------
     # rot dirty-map (freshness-aware span pruning)
@@ -511,33 +492,8 @@ class Table:
         keeps its span in the map. Soundness only needs the superset
         direction; precision returns at the next :meth:`compact`.
         """
-        if self._rot is None or len(rids) == 0:
-            return
-        if len(rids) > 64:
-            # the decay kernels hit this every cycle with the whole
-            # infected batch, so the common cases must stay cheap:
-            # a batch inside an already-dirty span is a no-op, and run
-            # detection on the rest stays in C. Duplicates need no
-            # dedup pass: a dup's diff is 0, never a gap.
-            arr = numpy.asarray(rids, dtype=numpy.intp)
-            lo = int(arr.min())
-            hi = int(arr.max())
-            if self._rot.covers_span(lo, hi):
-                return
-            diffs = numpy.diff(arr)
-            if numpy.any(diffs < 0):
-                arr = numpy.sort(arr)
-                diffs = numpy.diff(arr)
-            gaps = numpy.flatnonzero(diffs > 1)
-            starts = numpy.concatenate(([0], gaps + 1))
-            ends = numpy.concatenate((gaps, [arr.size - 1]))
-            self._rot.add_runs(
-                (int(arr[s]), int(arr[e]))
-                for s, e in zip(starts.tolist(), ends.tolist())
-            )
-            return
-        ordered = sorted(int(r) for r in rids)
-        self._rot.add_runs(_runs_of_sorted(ordered))
+        if self._rot is not None:
+            self._rot.add_many(rids)
 
     def rot_spans(self) -> list[tuple[int, int]]:
         """The dirty-map spans: inclusive ``(lo, hi)`` rid intervals.
@@ -552,26 +508,18 @@ class Table:
     def rot_live_rows(self) -> list[int]:
         """Live rids inside the dirty spans, ascending.
 
-        The candidate set of a span-pruned scan (``live_runs`` does the
-        liveness intersection).
+        The candidate set of a span-pruned scan: the dirty-map minus
+        the tombstone runs.
         """
-        out: list[int] = []
         if self._rot is None:
-            return out
-        for lo, hi in self._rot.spans():
-            for start, end in self.live_runs(lo, hi):
-                out.extend(range(start, end + 1))
-        return out
+            return []
+        return self._rot.difference(self._tombs).members().tolist()
 
     def rot_live_count(self) -> int:
         """Number of live rows inside the dirty spans (cost-model input)."""
         if self._rot is None:
             return 0
-        total = 0
-        for lo, hi in self._rot.spans():
-            for start, end in self.live_runs(lo, hi):
-                total += end - start + 1
-        return total
+        return len(self._rot.difference(self._tombs))
 
     # ------------------------------------------------------------------
     # predicate-mask views (vectorized query execution)
@@ -650,40 +598,44 @@ class Table:
     # neighbour navigation (EGI's spread axis)
     # ------------------------------------------------------------------
 
-    def prev_live(self, rid: int) -> int | None:
-        """The nearest live row id strictly before ``rid``, or None.
+    def neighbours(self, los: Any, his: Any) -> tuple[Any, Any]:
+        """The nearest live rid before each ``los[i]`` and after each
+        ``his[i]``, as two int64 arrays (``-1`` where there is none).
 
-        ``rid`` itself may be live or tombstoned — EGI asks for the
-        neighbours of rows it has just evicted, so both must work.
+        Every ``lo``/``hi`` must be a rid in ``[0, allocated)``, live or
+        tombstoned — EGI asks for the neighbours of rows that may have
+        just been evicted. A live ``lo - 1``/``hi + 1`` is the answer; a
+        dead one lies in a tombstone run, and the row one past that
+        run's edge is live (or off the table): one ``searchsorted`` per
+        side, whatever the number of tombstones crossed.
         """
-        if not (0 <= rid < self._next_rid):
+        prev = numpy.asarray(los, dtype=numpy.int64) - 1
+        after = numpy.asarray(his, dtype=numpy.int64) + 1
+        starts, ends = self._tombs.bounds()
+        if starts.size:
+            # run -1 reads the last run; the run >= 0 test masks it
+            run = starts.searchsorted(prev, "right") - 1
+            dead = (run >= 0) & (prev <= ends[run])
+            prev = numpy.where(dead, starts[run] - 1, prev)
+            run = starts.searchsorted(after, "right") - 1
+            dead = (run >= 0) & (after <= ends[run])
+            after = numpy.where(dead, ends[run] + 1, after)
+        return prev, numpy.where(after < self._next_rid, after, -1)
+
+    def prev_live(self, rid: int) -> int | None:
+        """The nearest live row id strictly before ``rid``, or None:
+        :meth:`neighbours` of one span."""
+        if not 0 <= rid < self._next_rid:
             raise StorageError(f"row id {rid} out of range in {self.name!r}")
-        if rid == 0:
-            return None
-        live = self._live.array()
-        # adjacency fast path: without a tombstone gap the previous
-        # row id is simply rid - 1 (the overwhelmingly common case)
-        if live[rid - 1]:
-            return rid - 1
-        # reversed view; bool argmax short-circuits at the first hit
-        before = live[rid - 1 :: -1]
-        pos = int(numpy.argmax(before))
-        return rid - 1 - pos if before[pos] else None
+        prev = int(self.neighbours((rid,), (rid,))[0][0])
+        return None if prev < 0 else prev
 
     def next_live(self, rid: int) -> int | None:
         """The nearest live row id strictly after ``rid``, or None."""
-        if not (0 <= rid < self._next_rid):
+        if not 0 <= rid < self._next_rid:
             raise StorageError(f"row id {rid} out of range in {self.name!r}")
-        if rid + 1 >= self._next_rid:
-            return None
-        live = self._live.array()
-        if live[rid + 1]:
-            return rid + 1
-        after = live[rid + 2 :]
-        if after.size == 0:
-            return None
-        pos = int(numpy.argmax(after))
-        return rid + 2 + pos if after[pos] else None
+        after = int(self.neighbours((rid,), (rid,))[1][0])
+        return None if after < 0 else after
 
     # ------------------------------------------------------------------
     # dense copies: compaction and frozen read views
@@ -712,12 +664,15 @@ class Table:
         self._live = BoolColumn(count, fill=True)
         self._next_rid = count
         self._live_count = count
+        self._tombs.clear()
         if source._rot is not None:
-            runs = (
-                (bisect_left(survivors, lo), bisect_right(survivors, hi) - 1)
-                for lo, hi in source._rot.spans()
-            )
-            self._rot.replace([(lo, hi) for lo, hi in runs if lo <= hi])
+            ranks = numpy.asarray(survivors, dtype=numpy.int64)
+            starts, ends = source._rot.bounds()
+            starts = numpy.searchsorted(ranks, starts, "left")
+            ends = numpy.searchsorted(ranks, ends, "right") - 1
+            keep = starts <= ends
+            self._rot.clear()
+            self._rot.add_runs(starts[keep], ends[keep])
         return survivors
 
     def dense_copy(self) -> "Table":

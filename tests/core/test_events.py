@@ -4,8 +4,12 @@ from repro.core.events import (
     EventBus,
     TupleDecayed,
     TupleEvicted,
+    TupleInfected,
+    TupleInfectedBatch,
     TupleInserted,
 )
+from repro.core.table import DecayingTable
+from repro.storage import Schema
 
 
 class TestEventBus:
@@ -116,3 +120,42 @@ class TestCompleteFanout:
         with pytest.raises(RuntimeError):
             bus.publish(TupleInserted("r", 0.0, rid=1))
         assert bus.counts["TupleInserted"] == 1
+
+
+class TestInfectionBatch:
+    """One cycle's infections: counted per tuple, expanded in order."""
+
+    def _batch(self) -> TupleInfectedBatch:
+        origins = ("seed", "seed", "spread", "spread")
+        return TupleInfectedBatch("r", 3.0, (7, 2, 6, 9), origins, (None, None, 7, 7), "egi")
+
+    def test_expand_keeps_infection_order(self):
+        batch = self._batch()
+        assert len(batch) == 4
+        assert list(batch.expand()) == [
+            TupleInfected("r", 3.0, 7, "egi", "seed", None),
+            TupleInfected("r", 3.0, 2, "egi", "seed", None),
+            TupleInfected("r", 3.0, 6, "egi", "spread", 7),
+            TupleInfected("r", 3.0, 9, "egi", "spread", 7),
+        ]
+
+    def test_ledger_counts_tuples_with_or_without_subscribers(self):
+        quiet, loud = EventBus(), EventBus()
+        seen: list = []
+        loud.subscribe(TupleInfected, seen.append)
+        for bus in (quiet, loud):
+            bus.publish_lazy(TupleInfectedBatch, self._batch, 4)
+        assert quiet.counts == loud.counts == {"TupleInfected": 4}
+        assert seen == list(self._batch().expand())
+
+    def test_mark_infected_is_the_batch_of_one(self, clock):
+        table = DecayingTable("r", Schema.of(v="int"), clock)
+        table.insert_many([{"v": 1}, {"v": 2}])
+        batches: list = []
+        table.bus.subscribe(TupleInfectedBatch, batches.append)
+        table.mark_infected(1, "egi", origin="spread", source=0)
+        table.mark_infected_many([], "egi", [], [])
+        assert batches == [
+            TupleInfectedBatch(table.name, clock.now, (1,), ("spread",), (0,), "egi")
+        ]
+        assert table.bus.counts["TupleInfected"] == 1

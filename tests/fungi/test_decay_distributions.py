@@ -136,7 +136,7 @@ class TestEGISeedIsAgeBiased:
         # so the oldest *uninfected* row must win every time
         table = make_aged_table([3.0, 2.0, 1.0])
         fungus = EGIFungus()
-        fungus._spots.add_span(0, 1)
+        fungus._spots.add_runs([0], [1])
         rng = random.Random(1)
         assert all(fungus._select_seed(table, rng) == 2 for _ in range(50))
 

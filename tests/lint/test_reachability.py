@@ -33,6 +33,11 @@ ALLOWED = {
     # compaction generation and per-rule alert state for their unit tests
     "repro.storage.table.Table.rot_spans",
     "repro.storage.table.Table.generation",
+    # the one-rid and one-range forms of neighbours and the tombstone
+    # index, held to a list walk by the navigation equivalence suite
+    "repro.storage.table.Table.prev_live",
+    "repro.storage.table.Table.next_live",
+    "repro.storage.table.Table.live_runs",
     "repro.obs.forensics.alerts.AlertEngine.states",
     # one-call drivers of an experiment and of a simulation run
     "repro.bench.runner.run_experiment",

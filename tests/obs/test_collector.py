@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.db import FungusDB
-from repro.core.events import RestoreCompleted
+from repro.core.events import RestoreCompleted, TupleInfected
 from repro.fungi import EGIFungus, LinearDecayFungus
 from repro.obs.collector import BusCollector
 from repro.storage.schema import Schema
@@ -70,6 +70,22 @@ class TestCounters:
         assert collector.registry.value(
             "repro_infections_total", table="r", fungus="egi"
         ) > 0.0
+
+    def test_infection_batches_fold_to_the_per_tuple_count(self):
+        """One ``TupleInfectedBatch`` per EGI cycle adds its length."""
+        db = FungusDB(seed=5)
+        db.create_table(
+            "r", Schema.of(v="int"), fungus=EGIFungus(seeds_per_cycle=3, decay_rate=0.3)
+        )
+        collector = BusCollector().attach(db)
+        per_tuple: list = []
+        db.bus.subscribe(TupleInfected, per_tuple.append)
+        db.insert_many("r", [{"v": i} for i in range(200)])
+        db.tick(8)
+        infections = collector.registry.value(
+            "repro_infections_total", table="r", fungus="egi"
+        )
+        assert infections == len(per_tuple) == db.bus.counts["TupleInfected"] > 8
 
 
 class TestGauges:

@@ -3,7 +3,7 @@
 Every table keeps ``t``/``f`` and its live mask in arrays; what differs
 is the kernel a batch runs through. ``_SMALL_BATCH`` pinned above any
 batch size routes every batch to the scalar ``_apply_batch_py`` (and
-every ``positive_rows_in`` span to the list walk); the vector side runs
+the fungi's decay gathers are the same arrays either way); the vector side runs
 with it pinned to 0 in half the cases, so even tiny batches exercise the
 vector kernel, and at the product default in the other half. Both must
 be *bit-identical*: same freshness columns, same exhausted sets, same
@@ -11,8 +11,9 @@ per-tuple decay event streams — across random schedules of batch
 mutations, pins, evictions and mid-run compaction.
 
 The storage navigation primitives (``live_runs``, ``prev_live``,
-``next_live``, ``live_list``) are held to a plain list walk over the
-live mask.
+``next_live``, ``live_list``, ``neighbours``), the tombstone-run index
+they read and the rot dirty-map reads (``rot_live_rows``,
+``rot_live_count``) are held to a plain list walk over the live mask.
 """
 
 from __future__ import annotations
@@ -306,3 +307,64 @@ class TestNavigationEquivalence:
             assert table.next_live(rid) == _walk_next_live(live, rid)
         for lo, hi in [(0, len(live) - 1), *spans]:
             assert table.live_runs(lo, hi) == _walk_live_runs(live, lo, hi)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_rows=st.integers(min_value=1, max_value=90),
+        batches=st.lists(
+            st.tuples(st.sets(st.integers(min_value=0, max_value=130)), st.booleans()),
+            max_size=4,
+        ),
+        appended=st.integers(min_value=0, max_value=40),
+        spans=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=130),
+                st.integers(min_value=0, max_value=20),
+            ),
+            max_size=8,
+        ),
+        rot=st.sets(st.integers(min_value=0, max_value=130), max_size=40),
+    )
+    def test_tombstone_runs_and_neighbours_match_a_list_walk(
+        self, n_rows, batches, appended, spans, rot
+    ):
+        """Several delete batches, each maybe followed by compaction, then
+        an append: the run index, ``neighbours`` and the rot reads agree
+        with walks over the live mask."""
+        table = Table(Schema.of(v="int", f="float"), name="r", freshness_column="f")
+        table.append_many([(i, 1.0) for i in range(n_rows)])
+        for dead, compact in batches:
+            live = table.live_list()
+            victims = sorted({live[d % len(live)] for d in dead}) if live else []
+            table.delete_many(victims)
+            if compact:
+                table.compact()
+        table.append_many([(i, 1.0) for i in range(appended)])
+        live = list(table.live_mask())
+        marked = sorted(rid for rid in rot if rid < len(live) and live[rid])
+        table.mark_rot(marked)
+        dead_runs = _walk_live_runs([not alive for alive in live], 0, len(live) - 1)
+        assert table._tombs.spans() == dead_runs
+        assert table.tombstones == sum(hi - lo + 1 for lo, hi in dead_runs)
+        # neighbours takes rids of the row space: none exist once
+        # compaction has emptied the table
+        edges = [
+            (min(lo, len(live) - 1), min(lo + width, len(live) - 1))
+            for lo, width in spans
+            if live
+        ]
+        before, after = table.neighbours([lo for lo, _ in edges], [hi for _, hi in edges])
+        assert before.tolist() == [
+            _or_minus_one(_walk_prev_live(live, lo)) for lo, _ in edges
+        ]
+        assert after.tolist() == [
+            _or_minus_one(_walk_next_live(live, hi)) for _, hi in edges
+        ]
+        dirty = {rid for lo, hi in table.rot_spans() for rid in range(lo, hi + 1)}
+        rot_live = [rid for rid, alive in enumerate(live) if alive and rid in dirty]
+        assert table.rot_live_rows() == rot_live
+        assert table.rot_live_count() == len(rot_live)
+
+
+def _or_minus_one(rid: int | None) -> int:
+    return -1 if rid is None else rid
