@@ -11,10 +11,21 @@ import sys
 
 from repro.bench.reporting import render_result
 from repro.bench.runner import run_all
+from repro.experiments.common import SCALES
 
 
 def main(argv: list[str]) -> int:
-    """Entry point; argv[0] may name a scale (smoke|paper)."""
+    """Entry point; argv[0] may name a scale (smoke|paper).
+
+    Anything else (``--help`` included) prints the usage and returns 2
+    before any experiment starts.
+    """
+    if len(argv) > 1 or (argv and argv[0] not in SCALES):
+        print(
+            f"usage: python -m repro.experiments [{'|'.join(SCALES)}]",
+            file=sys.stderr,
+        )
+        return 2
     scale = argv[0] if argv else "paper"
     results = run_all(scale=scale)
     for result in results:

@@ -21,8 +21,8 @@ how to decay":
 
 :class:`~repro.fungi.spotset.SpotSet` is the one interval class, on
 arrays: EGI and Blue Cheese keep their spots in it, and the storage
-table its rot dirty-map and tombstone-run index, so a spread cycle is a
-fixed number of array operations over spans.
+table its tombstone-run index, so a spread cycle is a fixed number of
+array operations over spans.
 """
 
 from repro.fungi.spotset import SpotSet

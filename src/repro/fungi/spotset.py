@@ -17,9 +17,9 @@ them:
 * :meth:`members` expands the spans into one rid array.
 
 The scalar :meth:`add`, :meth:`remove` and :meth:`covers` are the
-one-element calls of these. The same class holds three things: a
-fungus's rot spots, the storage table's rot dirty-map and its
-tombstone-run index (see :mod:`repro.storage.table`).
+one-element calls of these. The same class holds two things: a
+fungus's rot spots and the storage table's tombstone-run index (see
+:mod:`repro.storage.table`).
 
 Invariants (checked by the test suite, relied on everywhere):
 
@@ -151,8 +151,7 @@ class SpotSet:
     def covers_span(self, lo: int, hi: int) -> bool:
         """True when one existing span contains all of ``[lo, hi]``.
 
-        One ``searchsorted``: the fast path of :meth:`add_many` and the
-        scalar :meth:`covers`.
+        One ``searchsorted``; :meth:`covers` is the one-rid case.
         """
         i = int(self._starts.searchsorted(lo, "right")) - 1
         return i >= 0 and hi <= int(self._ends[i])
@@ -214,18 +213,10 @@ class SpotSet:
         )
 
     def add_many(self, rids: Any) -> None:
-        """Add every rid in ``rids`` (any order, duplicates allowed).
-
-        A batch that one existing span already holds from its first rid
-        to its last changes nothing and is detected before any merging
-        — the steady state of the storage rot dirty-map, which every
-        freshness write marks.
-        """
+        """Add every rid in ``rids`` (any order, duplicates allowed)."""
         if len(rids) == 0:
             return
         arr, steps = _ascending(rids)
-        if self.covers_span(int(arr[0]), int(arr[-1])):
-            return
         runs = _spans_from(arr, arr, steps != 1)
         if self._starts.size:
             self._merge(*runs)

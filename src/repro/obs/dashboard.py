@@ -42,6 +42,7 @@ from repro.core.freshness import FreshnessBand, band_of
 from repro.core.health import measure_health
 from repro.obs.export import parse_prometheus
 from repro.storage.schema import Schema
+from repro.storage.vector import numpy
 
 BAND_CHARS = {
     FreshnessBand.FRESH: "#",
@@ -68,26 +69,27 @@ def _rot_map(table, width: int) -> str:
     """The allocated rid space, one char per bucket of rids.
 
     A bucket renders as a hole only when *every* row in it is gone;
-    otherwise it shows the band of its mean live freshness.
+    otherwise it shows the band of its mean live freshness. The bucket
+    sums and live counts come from one ``reduceat`` each over the
+    freshness array and the live mask. numpy sums pairwise, so a mean
+    can differ from a running sum in its last bits; only a mean that
+    close to a band threshold could render differently.
     """
-    allocated = table.storage.allocated
+    storage = table.storage
+    allocated = storage.allocated
     if allocated == 0:
         return "-" * width
     width = min(width, allocated)
-    chars = []
-    for i in range(width):
-        lo = i * allocated // width
-        hi = max(lo + 1, (i + 1) * allocated // width)
-        values = [
-            table.freshness(rid)
-            for rid in range(lo, hi)
-            if table.storage.is_live(rid)
-        ]
-        if not values:
-            chars.append(HOLE_CHAR)
-        else:
-            chars.append(BAND_CHARS[band_of(sum(values) / len(values))])
-    return "".join(chars)
+    # width <= allocated, so every bucket holds at least one rid
+    starts = numpy.arange(width) * allocated // width
+    live = storage.live_mask()
+    counts = numpy.add.reduceat(live, starts, dtype=numpy.int64).tolist()
+    fresh = numpy.where(live, storage.freshness_array(), 0.0)
+    sums = numpy.add.reduceat(fresh, starts).tolist()
+    return "".join(
+        BAND_CHARS[band_of(total / count)] if count else HOLE_CHAR
+        for total, count in zip(sums, counts)
+    )
 
 
 def render_frame(db: FungusDB, width: int = 60) -> str:

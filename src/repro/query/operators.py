@@ -7,7 +7,7 @@ expression evaluation falls back to suffix matching for unambiguous
 bare references.
 
 Execution is rid-first (late materialization): :func:`scan_rids`
-narrows a candidate rid list conjunct by conjunct — as a boolean mask
+narrows a candidate rid array conjunct by conjunct — as a boolean mask
 over the column arrays when :func:`~repro.query.masks.compile_mask`
 accepts the conjunct, as batched row evaluation when it does not — and
 contexts are only built for survivors via the column-wise
@@ -80,59 +80,48 @@ def scan_rids(
 ) -> list[int]:
     """Row ids of live rows matching the scan plan, in candidate order.
 
-    Candidates come from the index, the rot dirty-map spans (when the
-    planner proved the residual rules out ``f == 1.0``), or the live
-    list; each residual conjunct then narrows the rid list in plan
-    order. Mask-compilable conjuncts run as one numpy expression per
-    batch; the rest fall back to row evaluation over materialized
-    survivor contexts, with identical counting.
+    Candidates come from the index or the live mask, as one ``intp``
+    rid array; each residual conjunct then narrows that array in plan
+    order. Mask-compilable conjuncts index it with one numpy mask; the
+    rest fall back to row evaluation over materialized survivor
+    contexts, with identical counting. Python ints are made only for
+    such a conjunct and for the returned list.
     """
     table = catalog.table(plan.table_name)
-    candidates: list[int]
     if plan.index is not None:
-        candidates = [int(rid) for rid in _index_rids(plan.index, plan.table_name, catalog)]
+        hits = _index_rids(plan.index, plan.table_name, catalog)
+        current = numpy.fromiter(hits, dtype=numpy.intp, count=len(hits))
         stats.used_index = plan.index.describe()
-    elif plan.prune is not None:
-        candidates = table.rot_live_rows()
-        if collect is not None:
-            # live rows outside the rot spans hold f == 1.0 exactly,
-            # which the residual rules out — never touched
-            collect.pruned_skipped += len(table) - len(candidates)
     else:
-        candidates = table.live_list()
+        current = numpy.flatnonzero(table.live_mask())
     if collect is not None:
         # slots the storage iteration (or index maintenance) already
         # skipped because decay rotted them away
         collect.rotted_skipped += table.tombstones
-        collect.rows_in += len(candidates)
+        collect.rows_in += len(current)
         if plan.index is not None:
-            collect.index_hits += len(candidates)
-    stats.rows_scanned += len(candidates)
+            collect.index_hits += len(current)
+    stats.rows_scanned += len(current)
 
     filters = plan.filters or tuple(conjuncts(plan.residual))
-    current = list(candidates)
     for conj in filters:
-        if not current:
+        if not len(current):
             break
         if collect is not None:
             collect.predicate_evals += len(current)
         mask_fn = compile_mask(conj, table, plan.binding)
         if mask_fn is not None:
-            rid_arr = numpy.asarray(current, dtype=numpy.intp)
-            current = rid_arr[mask_fn(rid_arr)].tolist()
+            current = current[mask_fn(current)]
         else:
-            contexts = materialize(table, plan.binding, current)
-            current = [
-                rid
-                for rid, ctx in zip(current, contexts)
-                if matches(conj, ctx)
-            ]
+            contexts = materialize(table, plan.binding, current.tolist())
+            keep = [matches(conj, ctx) for ctx in contexts]
+            current = current[numpy.asarray(keep, dtype=bool)]
     if collect is not None:
         collect.rows_out += len(current)
-    return current
+    return current.tolist()
 
 
-def _index_rids(index: IndexAccess, table_name: str, catalog: Catalog) -> Iterable[int]:
+def _index_rids(index: IndexAccess, table_name: str, catalog: Catalog) -> RowSet:
     if index.kind == "hash-eq":
         hash_index = catalog.hash_index(table_name, index.column)
         if hash_index is None:

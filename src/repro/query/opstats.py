@@ -34,7 +34,6 @@ class OperatorStats:
     rows_in: int = 0
     rows_out: int = 0
     rotted_skipped: int = 0
-    pruned_skipped: int = 0
     predicate_evals: int = 0
     index_hits: int = 0
     seconds: float = 0.0
@@ -55,7 +54,6 @@ class OperatorStats:
             parts.append(
                 f"in {self.rows_in}, index hits {self.index_hits}, "
                 f"rotted skipped {self.rotted_skipped}, "
-                f"span pruned {self.pruned_skipped}, "
                 f"predicate evals {self.predicate_evals}"
             )
         elif self.kind == "join":

@@ -90,20 +90,6 @@ class IndexAccess:
 
 
 @dataclass(frozen=True)
-class PrunePlan:
-    """Freshness-aware span pruning decision for one scan.
-
-    The residual rules out ``f == 1.0``, and the storage invariant says
-    every live row outside the table's rot dirty-map spans holds
-    exactly 1.0 — so the scan only visits live rows *inside* the spans
-    and the cost model charges only that footprint.
-    """
-
-    column: str  # the table's freshness column
-    predicate: str  # SQL of the conjunct that justified pruning
-
-
-@dataclass(frozen=True)
 class ScanPlan:
     """Scan one base table, optionally through an index, with a residual filter.
 
@@ -123,7 +109,6 @@ class ScanPlan:
     filters: tuple[Expression, ...] = ()
     filter_sels: tuple[float, ...] = ()
     filter_vec: tuple[bool, ...] = ()
-    prune: PrunePlan | None = None
     mode: str = "row-fallback"
 
 
@@ -281,7 +266,7 @@ def _choose_index(
 
 
 # ----------------------------------------------------------------------
-# scan finalization: filter order, span pruning, execution mode
+# scan finalization: filter order, execution mode
 # ----------------------------------------------------------------------
 
 def dequalify(expr: Expression, binding: str) -> Expression | None:
@@ -303,8 +288,7 @@ def _build_scan(
     residual: Expression | None,
 ) -> ScanPlan:
     """Finalize one base-table scan: order its residual conjuncts by
-    estimated selectivity, decide freshness span pruning, and stamp the
-    mask-vs-row mode per conjunct."""
+    estimated selectivity and stamp the mask-vs-row mode per conjunct."""
     table = catalog.table(table_name)
     conjs = conjuncts(residual)
     sels: tuple[float, ...] = ()
@@ -322,21 +306,6 @@ def _build_scan(
         conjs = [conj for _, _, conj in scored]
         sels = tuple(sel for sel, _, _ in scored)
     residual = _rebuild_and(conjs)
-
-    prune: PrunePlan | None = None
-    if index is None and table.freshness_column is not None:
-        for conj in conjs:
-            local = dequalify(conj, binding)
-            atom = numeric_atom(local) if local is not None else None
-            if (
-                atom is not None
-                and atom[0] == table.freshness_column
-                and atom[1].intersect(IntervalSet.point(1.0)).is_empty()
-            ):
-                # rows outside the rot dirty-map hold f == 1.0 exactly,
-                # which this conjunct rules out — scan only the spans
-                prune = PrunePlan(table.freshness_column, conj.to_sql())
-                break
 
     vec_flags = tuple(
         mask_compilable(conj, table.schema, binding) for conj in conjs
@@ -356,7 +325,6 @@ def _build_scan(
         filters=tuple(conjs),
         filter_sels=sels,
         filter_vec=vec_flags,
-        prune=prune,
         mode=mode,
     )
 
@@ -481,9 +449,9 @@ def _clamp(value: float, extent: int) -> int:
     return max(0, min(extent, round(value)))
 
 
-def _scan_rows(scan: ScanPlan, stats: PlannerStats, catalog: Catalog) -> int:
+def _scan_rows(scan: ScanPlan, stats: PlannerStats) -> int:
     """Estimated rows a scan emits: its index conjunct and residual
-    together, capped by the rot-spot footprint when it prunes spans."""
+    together."""
     where = scan.residual
     if scan.index is not None:
         where = (
@@ -492,10 +460,7 @@ def _scan_rows(scan: ScanPlan, stats: PlannerStats, catalog: Catalog) -> int:
             else BinaryOp("AND", scan.index.conjunct, where)
         )
     extent = stats.live_rows
-    rows = _clamp(extent * selectivity(where, stats), extent)
-    if scan.prune is not None:
-        rows = min(rows, catalog.table(scan.table_name).rot_live_count())
-    return rows
+    return _clamp(extent * selectivity(where, stats), extent)
 
 
 def _residual_selectivity(
@@ -552,14 +517,14 @@ def estimate(plan: SelectPlan | ScanPlan, catalog: Catalog) -> dict[str, int]:
     """
     if isinstance(plan, ScanPlan):
         stats = planner_stats(catalog.table(plan.table_name))
-        return {"delete": _scan_rows(plan, stats, catalog)}
+        return {"delete": _scan_rows(plan, stats)}
     est: dict[str, int] = {}
     source = plan.source
     stats_by_binding: dict[str, PlannerStats] = {}
     if isinstance(source, ScanPlan):
         stats = planner_stats(catalog.table(source.table_name))
         stats_by_binding[source.binding] = stats
-        est["scan"] = est["consume"] = rows = _scan_rows(source, stats, catalog)
+        est["scan"] = est["consume"] = rows = _scan_rows(source, stats)
     else:
         left_stats = planner_stats(catalog.table(source.left.table_name))
         right_stats = planner_stats(catalog.table(source.right.table_name))
@@ -838,11 +803,6 @@ def render_scan(scan: ScanPlan) -> str:
             for conj, sel in zip(scan.filters, scan.filter_sels)
         )
         lines.append(f"  filters: {ordered}")
-    if scan.prune is not None:
-        lines.append(
-            f"  prune: rot spans of {scan.prune.column} only "
-            f"({scan.prune.predicate} rules out {scan.prune.column} = 1.0)"
-        )
     return "\n".join(lines)
 
 

@@ -6,8 +6,7 @@ relation decayed and half not — a torn read. The server avoids this
 without ever blocking readers: at each tick *boundary* the worker
 thread copies the live rows of every decaying table
 (:meth:`~repro.storage.table.Table.dense_copy` — one gather per
-column, the rot dirty-map carried along so freshness span pruning
-stays sound) into a :class:`TickSnapshot` and publishes it with one
+column) into a :class:`TickSnapshot` and publishes it with one
 atomic attribute swap. Snapshot reads then run against those frozen
 copies on the event loop, while the worker grinds the next tick
 against the live arrays — the two never share mutable state.

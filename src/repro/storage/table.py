@@ -13,9 +13,8 @@ places flip liveness — :meth:`Table.delete_many` adds its batch's runs
 in one merge, and :meth:`Table._adopt_live_rows` (compaction, dense
 copies) empties the index — so it is exact. A dead neighbour jumps to
 the edge of its tombstone run by one ``searchsorted``, and
-:meth:`Table.live_runs`, :meth:`Table.rot_live_rows` and
-:meth:`Table.rot_live_count` are interval subtractions, never a scan of
-the live mask.
+:meth:`Table.live_runs` is an interval subtraction, never a scan of the
+live mask.
 
 Rows go in a batch at a time, and there is one way in:
 :meth:`Table.append_columns` takes one coerced value list per column
@@ -24,10 +23,11 @@ tells each observer once. :meth:`Table.append_many` coerces first, so a
 batch with a bad row writes nothing; :meth:`Table.append` is the batch
 of one. Likewise there is one way out, :meth:`Table.delete_many`
 (:meth:`Table.delete` is its batch of one), and one writer of stored
-cells: :meth:`Table.write_rows` notes the race probe, checks liveness,
-bumps the column's data version and marks the rot dirty-map, so every
-freshness write — vector or scalar kernel — keeps the caches and the
-span-pruning invariant current.
+cells: :meth:`Table.write_rows` notes the race probe, checks liveness
+and bumps the column's data version, so every freshness write — vector
+or scalar kernel — keeps the caches current. Nothing beside the data
+tracks which rows have rotted: a scan for ``f < x`` reads the freshness
+array itself.
 
 Observers (secondary indexes, decay bookkeeping) register through
 :meth:`Table.add_observer` and are told about every append, delete and
@@ -175,20 +175,11 @@ class Table:
         # survive deletes and only rebuild when a cell really moved
         self._data_versions = [0] * len(schema)
         self._mask_cache: dict[int, tuple[tuple, ColumnMaskData | None]] = {}
-        self._freshness_pos = (
-            schema.index_of(freshness_column) if freshness_column is not None else None
-        )
-        # rot dirty-map: a conservative superset of the rids whose
-        # freshness may differ from 1.0. Invariant (the freshness-prune
-        # soundness condition): every *live* row outside these spans has
-        # f == 1.0 exactly. Spans are never un-marked (rows re-pinned to
-        # 1.0 stay covered) — conservative, so pruning stays sound.
         # deferred import: repro.fungi.__init__ pulls in modules that
         # import this one; by the time a table is constructed the cycle
         # has resolved
         from repro.fungi.spotset import SpotSet
 
-        self._rot: Any = SpotSet() if freshness_column is not None else None
         # tombstone-run index: exactly the dead rids in [0, allocated)
         self._tombs = SpotSet()
 
@@ -308,12 +299,6 @@ class Table:
         self._next_rid += count
         self._live_count += count
         self._version += 1
-        if self._freshness_pos is not None:
-            freshness = columns[self._freshness_pos]
-            if freshness.count(1.0) != count:
-                # restore and snapshot-load paths append rows mid-decay; they must
-                # land inside the dirty map or span pruning would skip them
-                self.mark_rot([r for r, f in zip(rids, freshness) if f != 1.0])
         for obs in self._observers:
             notify = getattr(obs, "on_append_many", None)
             if notify is not None:
@@ -389,9 +374,9 @@ class Table:
         return [col[rid] for rid in rows]
 
     def live_rows(self) -> Iterator[int]:
-        """Row ids of live rows, ascending (insertion/time order)."""
-        live = self._live
-        return (rid for rid in range(self._next_rid) if live[rid])
+        """Row ids of live rows, ascending (insertion/time order): an
+        iterator over :meth:`live_list`."""
+        return iter(self.live_list())
 
     def live_rowset(self) -> RowSet:
         """All live row ids as a :class:`RowSet`."""
@@ -462,8 +447,6 @@ class Table:
         array = self.column_array(column)
         pos = self.schema.index_of(column)
         self._data_versions[pos] += 1
-        if pos == self._freshness_pos:
-            self.mark_rot(rids)
         array[numpy.asarray(rids, dtype=numpy.intp)] = values
 
     def live_runs(self, lo: int, hi: int) -> list[tuple[int, int]]:
@@ -478,48 +461,6 @@ class Table:
         if lo > hi:
             return []
         return self._tombs.gaps(lo, hi)
-
-    # ------------------------------------------------------------------
-    # rot dirty-map (freshness-aware span pruning)
-    # ------------------------------------------------------------------
-
-    def mark_rot(self, rids: Sequence[int]) -> None:
-        """Add ``rids`` to the rot dirty-map (no-op without a freshness
-        column).
-
-        Deliberately conservative: the whole batch is marked without
-        inspecting the written values, so a write that restores f = 1.0
-        keeps its span in the map. Soundness only needs the superset
-        direction; precision returns at the next :meth:`compact`.
-        """
-        if self._rot is not None:
-            self._rot.add_many(rids)
-
-    def rot_spans(self) -> list[tuple[int, int]]:
-        """The dirty-map spans: inclusive ``(lo, hi)`` rid intervals.
-
-        Every live row *outside* these spans has freshness exactly 1.0
-        — the invariant the freshness-aware planner prunes against.
-        """
-        if self._rot is None:
-            return []
-        return self._rot.spans()
-
-    def rot_live_rows(self) -> list[int]:
-        """Live rids inside the dirty spans, ascending.
-
-        The candidate set of a span-pruned scan: the dirty-map minus
-        the tombstone runs.
-        """
-        if self._rot is None:
-            return []
-        return self._rot.difference(self._tombs).members().tolist()
-
-    def rot_live_count(self) -> int:
-        """Number of live rows inside the dirty spans (cost-model input)."""
-        if self._rot is None:
-            return 0
-        return len(self._rot.difference(self._tombs))
 
     # ------------------------------------------------------------------
     # predicate-mask views (vectorized query execution)
@@ -645,11 +586,9 @@ class Table:
         """Make this table's row space a dense copy of ``source``'s live rows.
 
         The one survivor gather: every column is copied at the live
-        rids (new arrays and lists, never views), liveness becomes
-        all-true, and the rot dirty-map is carried over by rank — dense
-        renumbering only closes gaps, so the survivors of a span stay
-        contiguous. ``source`` may be ``self`` (compaction). Returns
-        the survivors, ascending; a survivor's new rid is its position.
+        rids (new arrays and lists, never views) and liveness becomes
+        all-true. ``source`` may be ``self`` (compaction). Returns the
+        survivors, ascending; a survivor's new rid is its position.
         """
         survivors = source.live_list()
         count = len(survivors)
@@ -665,14 +604,6 @@ class Table:
         self._next_rid = count
         self._live_count = count
         self._tombs.clear()
-        if source._rot is not None:
-            ranks = numpy.asarray(survivors, dtype=numpy.int64)
-            starts, ends = source._rot.bounds()
-            starts = numpy.searchsorted(ranks, starts, "left")
-            ends = numpy.searchsorted(ranks, ends, "right") - 1
-            keep = starts <= ends
-            self._rot.clear()
-            self._rot.add_runs(starts[keep], ends[keep])
         return survivors
 
     def dense_copy(self) -> "Table":

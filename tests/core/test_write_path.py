@@ -36,7 +36,6 @@ def footprint(db: FungusDB, seen: list) -> tuple:
     return (
         db.extent("r"),
         table.storage.allocated,
-        table.storage.rot_spans(),
         db.catalog.hash_index("r", "v").lookup(1),
         db.catalog.sorted_index("r", "t").ascending(),
         dict(db.bus.counts),
@@ -249,7 +248,6 @@ class TestRestore:
         assert rows == RowSet([0, 1, 2])
         assert table.rows()[0] == {"t": 1.0, "f": 0.5, "v": 1}
         assert table.exhausted == RowSet([1])
-        assert table.storage.rot_spans() == [(0, 1)]
         assert events == [TupleInsertedBatch("r", 5.0, 0, 3)]
 
     def test_a_nan_freshness_does_not_hide_an_exhausted_neighbour(self, clock):
@@ -278,7 +276,6 @@ class TestRestore:
         assert [r["f"] for r in table.rows()] == [0.25, 0.5, 0.0, 1.0]
         assert table.exhausted == RowSet([2])
         assert table.pinned == RowSet([1])
-        assert table.storage.rot_spans() == [(0, 2)]
         assert loaded.bus.counts["TupleInserted"] == 4
         assert loaded.bus.counts["RestoreCompleted"] == 1
         registry = loaded.telemetry.registry
@@ -296,7 +293,6 @@ class TestRestore:
         )
         loaded = load_checkpoint(tmp_path)
         assert loaded.table("r").rows() == db.table("r").rows()
-        assert loaded.table("r").storage.rot_spans() == [(0, 19)]
 
 
 class TestCallers:

@@ -61,3 +61,19 @@ class TestBuilders:
     def test_extent_probe_records_extent(self):
         db, stats = run_arm(None, ConstantArrivals(2), ticks=3, probe=extent_probe())
         assert stats.series["extent"] == [2, 4, 6]
+
+
+class TestSuiteEntryPoint:
+    @pytest.mark.parametrize(
+        "argv", [["--help"], ["-h"], ["galactic"], ["smoke", "paper"]]
+    )
+    def test_anything_but_one_scale_prints_usage_and_runs_nothing(
+        self, argv, monkeypatch, capsys
+    ):
+        import repro.experiments.__main__ as entry
+
+        monkeypatch.setattr(entry, "run_all", lambda scale: pytest.fail("ran"))
+        assert entry.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: python -m repro.experiments [smoke|paper]")

@@ -29,9 +29,8 @@ ALLOWED = {
     "repro.sketch.bloom.BloomFilter.from_capacity",
     "repro.sketch.countmin.CountMinSketch.from_error",
     "repro.sketch.hyperloglog.HyperLogLog.relative_error",
-    # observation hooks: rot spans for the equivalence suites, the
-    # compaction generation and per-rule alert state for their unit tests
-    "repro.storage.table.Table.rot_spans",
+    # observation hooks: the compaction generation and per-rule alert
+    # state for their unit tests
     "repro.storage.table.Table.generation",
     # the one-rid and one-range forms of neighbours and the tombstone
     # index, held to a list walk by the navigation equivalence suite

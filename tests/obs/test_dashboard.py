@@ -2,8 +2,15 @@
 
 import asyncio
 
+import pytest
+
+from repro import EGIFungus
 from repro.core.db import FungusDB
+from repro.core.freshness import band_of
 from repro.obs.dashboard import (
+    BAND_CHARS,
+    HOLE_CHAR,
+    _rot_map,
     build_demo_db,
     fetch_server_stats,
     main,
@@ -60,6 +67,51 @@ class TestRenderFrame:
         db.enable_telemetry()
         frame = render_frame(db)
         assert "rates evict=" in frame
+
+
+def _walked_rot_map(table, width: int) -> str:
+    """The rot map as a per-rid walk: one freshness read per live rid."""
+    allocated = table.storage.allocated
+    if allocated == 0:
+        return "-" * width
+    width = min(width, allocated)
+    chars = []
+    for i in range(width):
+        lo = i * allocated // width
+        hi = max(lo + 1, (i + 1) * allocated // width)
+        values = [
+            table.freshness(rid) for rid in range(lo, hi) if table.storage.is_live(rid)
+        ]
+        chars.append(
+            BAND_CHARS[band_of(sum(values) / len(values))] if values else HOLE_CHAR
+        )
+    return "".join(chars)
+
+
+class TestRotMap:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bucket_means_match_a_per_rid_walk(self, seed):
+        """Seeded EGI rot with consumed holes, at widths that split the
+        rid space into uneven buckets and one wider than the table."""
+        db = FungusDB(seed=seed)
+        db.create_table(
+            "r", Schema.of(v="int"), fungus=EGIFungus(seeds_per_cycle=2, decay_rate=0.2)
+        )
+        db.insert_many("r", [{"v": i} for i in range(100)])
+        table = db.table("r")
+        for step in range(6):
+            db.tick(3)
+            low = 13 * step
+            db.query(f"CONSUME SELECT v FROM r WHERE v >= {low} AND v < {low + 9}")
+            for width in (1, 7, 13, 60, table.storage.allocated + 5):
+                assert _rot_map(table, width) == _walked_rot_map(table, width)
+        assert table.storage.tombstones > 0
+        assert HOLE_CHAR in _rot_map(table, table.storage.allocated)
+
+    def test_empty_table_is_a_dash_line(self):
+        db = FungusDB(seed=1)
+        db.create_table("r", Schema.of(v="int"))
+        assert _rot_map(db.table("r"), 5) == "-----"
 
 
 class TestDemoAndMain:

@@ -11,9 +11,9 @@ per-tuple decay event streams — across random schedules of batch
 mutations, pins, evictions and mid-run compaction.
 
 The storage navigation primitives (``live_runs``, ``prev_live``,
-``next_live``, ``live_list``, ``neighbours``), the tombstone-run index
-they read and the rot dirty-map reads (``rot_live_rows``,
-``rot_live_count``) are held to a plain list walk over the live mask.
+``next_live``, ``live_list``, ``live_rows``, ``neighbours``) and the
+tombstone-run index they read are held to a plain list walk over the
+live mask.
 """
 
 from __future__ import annotations
@@ -301,7 +301,9 @@ class TestNavigationEquivalence:
         if compact:
             table.compact()
         live = list(table.live_mask())
-        assert table.live_list() == [rid for rid, alive in enumerate(live) if alive]
+        walked = [rid for rid, alive in enumerate(live) if alive]
+        assert table.live_list() == walked
+        assert list(table.live_rows()) == walked
         for rid in range(len(live)):
             assert table.prev_live(rid) == _walk_prev_live(live, rid)
             assert table.next_live(rid) == _walk_next_live(live, rid)
@@ -323,13 +325,12 @@ class TestNavigationEquivalence:
             ),
             max_size=8,
         ),
-        rot=st.sets(st.integers(min_value=0, max_value=130), max_size=40),
     )
     def test_tombstone_runs_and_neighbours_match_a_list_walk(
-        self, n_rows, batches, appended, spans, rot
+        self, n_rows, batches, appended, spans
     ):
         """Several delete batches, each maybe followed by compaction, then
-        an append: the run index, ``neighbours`` and the rot reads agree
+        an append: the run index, ``neighbours`` and ``live_rows`` agree
         with walks over the live mask."""
         table = Table(Schema.of(v="int", f="float"), name="r", freshness_column="f")
         table.append_many([(i, 1.0) for i in range(n_rows)])
@@ -341,8 +342,6 @@ class TestNavigationEquivalence:
                 table.compact()
         table.append_many([(i, 1.0) for i in range(appended)])
         live = list(table.live_mask())
-        marked = sorted(rid for rid in rot if rid < len(live) and live[rid])
-        table.mark_rot(marked)
         dead_runs = _walk_live_runs([not alive for alive in live], 0, len(live) - 1)
         assert table._tombs.spans() == dead_runs
         assert table.tombstones == sum(hi - lo + 1 for lo, hi in dead_runs)
@@ -360,10 +359,9 @@ class TestNavigationEquivalence:
         assert after.tolist() == [
             _or_minus_one(_walk_next_live(live, hi)) for _, hi in edges
         ]
-        dirty = {rid for lo, hi in table.rot_spans() for rid in range(lo, hi + 1)}
-        rot_live = [rid for rid, alive in enumerate(live) if alive and rid in dirty]
-        assert table.rot_live_rows() == rot_live
-        assert table.rot_live_count() == len(rot_live)
+        assert list(table.live_rows()) == [
+            rid for rid, alive in enumerate(live) if alive
+        ]
 
 
 def _or_minus_one(rid: int | None) -> int:

@@ -1,7 +1,7 @@
 """A batch write leaves exactly what the per-row path left.
 
 The per-row steps of the old write path — ``coerce_row``, one append per
-column, the rot mark, ``setdefault(...).add`` on the hash index,
+column, ``setdefault(...).add`` on the hash index,
 ``insort`` on the sorted index, one ``TupleInserted`` — live on here as
 the reference model. ``Table.append_many`` and
 ``DecayingTable.insert_many`` must agree with it on both backends, and a
@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from repro.core.clock import DecayClock
 from repro.core.events import TupleInserted, TupleInsertedBatch
 from repro.core.table import DecayingTable
-from repro.fungi.spotset import SpotSet
 from repro.storage import HashIndex, RowSet, SortedIndex, Table
 from repro.storage.schema import ColumnDef, DataType, Schema
 
@@ -33,7 +32,7 @@ SCHEMA = Schema(
         ColumnDef("b", DataType.BOOL, nullable=True),
     ]
 )
-T, F, K = 0, 1, 2
+T, K = 0, 2
 
 
 class PerRowModel:
@@ -42,7 +41,6 @@ class PerRowModel:
     def __init__(self) -> None:
         self.rows: list[tuple] = []
         self.live: list[bool] = []
-        self.rot = SpotSet()
         self.buckets: dict = {}
         self.entries: list[tuple] = []
 
@@ -50,8 +48,6 @@ class PerRowModel:
         rid = len(self.rows)
         self.rows.append(values)
         self.live.append(True)
-        if values[F] != 1.0:
-            self.rot.add(rid)
         self.buckets.setdefault(values[K], set()).add(rid)
         bisect.insort(self.entries, (values[T], rid))
         return rid
@@ -133,7 +129,6 @@ def assert_matches(table, hash_index, sorted_index, model: PerRowModel) -> None:
             got = table.row(rid)
             assert got == values
             assert [type(v) for v in got] == [type(v) for v in values]
-    assert table.rot_spans() == model.rot.spans()
     for key in (None, *range(-3, 4)):
         expected = RowSet(r for r in model.buckets.get(key, ()) if model.live[r])
         assert hash_index.lookup(key) == expected
@@ -203,7 +198,7 @@ def attribute_rows(allow_bad: bool):
 )
 def test_insert_many_matches_a_loop_of_inserts(data, watch_tuples):
     """Batch table vs. one ``insert`` per row: same rows, ``t``/``f``,
-    exhausted set, rot spans, returned rids and ``TupleInserted`` stream."""
+    exhausted set, returned rids and ``TupleInserted`` stream."""
 
     def build():
         clock = DecayClock()
@@ -240,7 +235,6 @@ def test_insert_many_matches_a_loop_of_inserts(data, watch_tuples):
         looped.clock.advance(1)
     assert batched.rows() == looped.rows()
     assert list(batched.storage.live_mask()) == list(looped.storage.live_mask())
-    assert batched.storage.rot_spans() == looped.storage.rot_spans() == []
     assert batched.exhausted == looped.exhausted == RowSet.empty()
     assert b_sorted.ascending() == l_sorted.ascending()
     for key in (None, *range(-3, 4)):

@@ -94,7 +94,7 @@ class TestGoldenOutput:
             "scan r via full scan; residual (v > 50)",
             "  mode: vectorized",
             "  rows: est 2, actual 2 (q=1.00) | in 10, index hits 0, "
-            "rotted skipped 0, span pruned 0, predicate evals 10",
+            "rotted skipped 0, predicate evals 10",
             "total: 2 row(s); worst misestimation q=1.00",
         ]
 
@@ -106,7 +106,7 @@ class TestGoldenOutput:
             "scan r via hash(key='a'); residual none",
             "  mode: vectorized",
             "  rows: est 5, actual 5 (q=1.00) | in 5, index hits 5, "
-            "rotted skipped 0, span pruned 0, predicate evals 0",
+            "rotted skipped 0, predicate evals 0",
             "total: 5 row(s); worst misestimation q=1.00",
         ]
 
@@ -120,7 +120,7 @@ class TestGoldenOutput:
             "scan r via full scan; residual none",
             "  mode: vectorized",
             "  rows: est 10, actual 10 (q=1.00) | in 10, index hits 0, "
-            "rotted skipped 0, span pruned 0, predicate evals 0",
+            "rotted skipped 0, predicate evals 0",
             "aggregate by ['key'] computing ['count(*)']",
             "  rows: est 2, actual 2 (q=1.00) | in 10",
             "sort by ['key ASC']",
@@ -150,7 +150,7 @@ class TestGoldenOutput:
             "scan r via full scan; residual none",
             "  mode: vectorized",
             "  rows: est 10, actual 10 (q=1.00) | in 10, index hits 0, "
-            "rotted skipped 0, span pruned 0, predicate evals 0",
+            "rotted skipped 0, predicate evals 0",
             "distinct over output columns",
             "  rows: est 10, actual 2 (q=5.00) | in 10",
             "limit 1",
@@ -166,7 +166,7 @@ class TestGoldenOutput:
             "scan r via full scan; residual (v > 50)",
             "  mode: vectorized",
             "  rows: est 2, actual 2 (q=1.00) | in 10, index hits 0, "
-            "rotted skipped 0, span pruned 0, predicate evals 10",
+            "rotted skipped 0, predicate evals 10",
             "CONSUME: matching base rows are deleted (Law 2)",
             "  rows consumed: est 2, actual 2 (q=1.00) | in 2",
             "Tier-B consume verdict: partial",
@@ -184,14 +184,14 @@ class TestGoldenOutput:
             "  mode: vectorized",
             "DELETE: matching base rows are removed (no distillation)",
             "  rows consumed: est 5, actual 5 (q=1.00) | in 5, index hits 5, "
-            "rotted skipped 0, span pruned 0, predicate evals 0",
+            "rotted skipped 0, predicate evals 0",
             "total: 1 row(s); worst misestimation q=1.00",
         ]
         assert len(engine.execute("SELECT v FROM r")) == 5
 
 
 class TestVectorizedPlanGoldens:
-    """Filter reordering, span pruning, and mode labels in EXPLAIN."""
+    """Filter reordering and mode labels in EXPLAIN."""
 
     def test_filters_reorder_by_selectivity(self):
         """The selective freshness conjunct is hoisted ahead of v > 50."""
@@ -201,14 +201,12 @@ class TestVectorizedPlanGoldens:
             "scan r via full scan; residual ((f < 0.9) AND (v > 50))",
             "  mode: vectorized",
             "  filters: (f < 0.9) [sel 0.20] -> (v > 50) [sel 0.22]",
-            "  prune: rot spans of f only ((f < 0.9) rules out f = 1.0)",
             "  rows: est 0",
         ]
 
-    def test_span_pruning_in_analyze(self):
-        """Pruning charges only the rot-spot footprint: 8 rows skipped
-        before any column is touched, 2x2 predicate evals, est capped
-        by the surviving span footprint."""
+    def test_freshness_filter_in_analyze(self):
+        """The freshness conjunct runs first over every live row (10
+        evals); the second sees only its 2 survivors."""
         engine = build_rotted_engine()
         assert analyzed(
             engine, "EXPLAIN ANALYZE SELECT v FROM r WHERE f < 0.9 AND v >= 0"
@@ -217,9 +215,8 @@ class TestVectorizedPlanGoldens:
             "scan r via full scan; residual ((f < 0.9) AND (v >= 0))",
             "  mode: vectorized",
             "  filters: (f < 0.9) [sel 0.20] -> (v >= 0) [sel 1.00]",
-            "  prune: rot spans of f only ((f < 0.9) rules out f = 1.0)",
-            "  rows: est 2, actual 2 (q=1.00) | in 2, index hits 0, "
-            "rotted skipped 0, span pruned 8, predicate evals 4",
+            "  rows: est 2, actual 2 (q=1.00) | in 10, index hits 0, "
+            "rotted skipped 0, predicate evals 12",
             "total: 2 row(s); worst misestimation q=1.00",
         ]
 

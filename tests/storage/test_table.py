@@ -73,7 +73,6 @@ class TestReadsAndUpdate:
         table.write_rows("f", [1, 4], [0.5, 0.25])
         assert table.column_values("f") == [1.0, 0.5, 1.0, 1.0, 0.25, 1.0]
         assert table.data_token("f") != token
-        assert table.rot_live_rows() == [1, 4]
 
     def test_write_rows_with_a_dead_rid_writes_nothing(self, schema):
         table = Table(schema, name="r", freshness_column="f")
@@ -84,7 +83,6 @@ class TestReadsAndUpdate:
             table.write_rows("f", [2, 3], [0.5, 0.5])
         assert table.column_values("f") == [1.0] * 5
         assert table.data_token("f") == token
-        assert table.rot_spans() == []
 
     def test_column_values_live_only(self, table):
         table.delete(0)

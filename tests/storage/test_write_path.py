@@ -140,7 +140,6 @@ def state_of(table, hash_index, sorted_index):
         len(table),
         table.allocated,
         list(table.live_mask()),
-        table.rot_spans(),
         {k: hash_index.lookup(k) for k in (None, 1, 7)},
         sorted_index.ascending(),
         table.to_rows(),
@@ -171,13 +170,6 @@ class TestAppendMany:
             table.append_many([row(k=1), row(k=1), row(k="bad")])
         assert state_of(table, hash_index, sorted_index) == before
         assert seen == []
-
-    def test_rot_map_marks_only_rows_below_full_freshness(self, vector_t):
-        table, _, _ = make_table(vector_t)
-        table.append_many([row(), row(f=0.5), row(f=0.25), row(), row(f=0.0)])
-        assert table.rot_spans() == [(1, 2), (4, 4)]
-        table.append_many([row(f=float("nan"))])
-        assert table.rot_spans() == [(1, 2), (4, 5)]
 
     def test_indexes_file_an_out_of_order_batch(self, vector_t):
         table, hash_index, sorted_index = make_table(vector_t)
