@@ -526,7 +526,8 @@ class BatchMutatorRule(Rule):
         "do one vectorized pass and publish one coalesced event. "
         "Likewise a row_dict/add_row per dying row builds a dict and "
         "hashes every cell three times; TableSummary.add_columns takes "
-        "one Table.gather per column and hashes each cell once. The "
+        "one Table.gather per column and hashes each distinct value "
+        "once. The "
         "observers on top of a vectorized mutation (metrics collector, "
         "health report, planner statistics) are held to the same "
         "standard: expanding a TupleDecayedBatch or walking "
@@ -535,8 +536,9 @@ class BatchMutatorRule(Rule):
         "rule's scope: the forensics collector, which takes each decay "
         "batch per row (the bus expands it) by contract because the "
         "LineageStore keeps one biography per tuple, and repro/sketch/, "
-        "whose per-value loops are the sketches' own arithmetic (the streaming "
-        "histogram merges one value at a time). The row going in is "
+        "whose per-value loops are the order-dependent sketches' own "
+        "arithmetic: one loop on local variables per batch, with no method "
+        "call per value. The row going in is "
         "held to it "
         "too: a table append/insert/restore or an event publish per "
         "row of a batch re-pays coercion, one append per column, every "

@@ -9,6 +9,7 @@ return the minimum over rows, overestimating by at most
 from __future__ import annotations
 
 import math
+import struct
 from typing import Any, Hashable, Iterable
 
 import numpy
@@ -29,6 +30,11 @@ _MASK_64 = 0xFFFFFFFFFFFFFFFF
 _VECTOR_BYTES = 64
 
 _U64 = numpy.uint64
+
+#: equal values of these types have equal reprs, once a float is told
+#: apart by its bits: :func:`_distinct` may hash them once per batch
+_KEYED_KINDS = frozenset((bool, int, float, str))
+_F64_BITS = struct.Struct("<d")
 
 
 def _hash_bytes(value: Hashable) -> bytes:
@@ -58,27 +64,72 @@ def _stable_hash(value: Hashable) -> int:
     return h ^ (h >> 31)
 
 
+def _distinct(values: list) -> tuple[list, Any]:
+    """The distinct values of ``values`` and each value's index among them.
+
+    Two values share an entry only when their reprs are equal: a float
+    is keyed by its ``uint64`` bit pattern (``0.0 == -0.0``, yet their
+    reprs differ), a bool, int or str by ``(type(v), v)`` (``True ==
+    1``). A batch holding any other type is returned whole, with index
+    None: its values' equality need not follow their reprs.
+    """
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        bits = numpy.array(values, dtype=numpy.float64).view(_U64)
+        unique, inverse = numpy.unique(bits, return_inverse=True)
+        return unique.view(numpy.float64).tolist(), inverse
+    if not kinds <= _KEYED_KINDS:
+        return values, None
+    if len(kinds) < 2:
+        keys = values
+    else:
+        bits = map(_F64_BITS.pack, [v if type(v) is float else 0.0 for v in values])
+        keys = list(zip(map(type, values), values, bits))
+    first = dict(zip(keys, values))
+    index = dict(zip(first, range(len(first))))
+    inverse = numpy.fromiter(map(index.__getitem__, keys), dtype=numpy.intp, count=len(keys))
+    return list(first.values()), inverse
+
+
 def stable_hashes(values: Iterable[Hashable]) -> Any:
     """:func:`_stable_hash` of every value, as one ``uint64`` array.
 
     The batch form the three hash-based sketches share: a summary hashes
-    each cell once and hands the same array to HyperLogLog, count-min
-    and Bloom. ``uint64`` array arithmetic wraps mod 2^64, which is the
-    scalar code's ``& 0xFFFF_FFFF_FFFF_FFFF``.
+    each distinct value of a column once (:func:`_distinct`) and hands
+    the broadcast array to HyperLogLog, count-min and Bloom. ``uint64``
+    array arithmetic wraps mod 2^64, which is the scalar code's
+    ``& 0xFFFF_FFFF_FFFF_FFFF``.
     """
-    encoded = [_hash_bytes(value) for value in values]
-    count = len(encoded)
+    distinct, inverse = _distinct(list(values))
+    h = _fnv1a_splitmix(distinct)
+    return h if inverse is None else h[inverse]
+
+
+def _fnv1a_splitmix(values: list) -> Any:
+    """:func:`_stable_hash` of every value, FNV-1a one byte position at a time."""
+    count = len(values)
+    if not count:
+        return numpy.zeros(0, dtype=_U64)
+    if bool in set(map(type, values)):
+        encoded = [_hash_bytes(value) for value in values]
+    else:
+        encoded = list(map(str.encode, map(repr, values)))
     lengths = numpy.fromiter(map(len, encoded), dtype=numpy.int64, count=count)
-    width = min(int(lengths.max(initial=0)), _VECTOR_BYTES)
-    padded = numpy.frombuffer(
-        b"".join([data[:width].ljust(width, b"\0") for data in encoded]),
-        dtype=numpy.uint8,
-    ).reshape(count, width)
-    h = numpy.full(count, _FNV_OFFSET, dtype=_U64)
+    width = min(int(lengths.max()), _VECTOR_BYTES)
+    # longest first, so the values still running at each byte position
+    # are a prefix of the rows: one in-place xor and multiply per position
+    order = numpy.argsort(-lengths, kind="stable")
+    columns = numpy.array(encoded, dtype=f"S{width}")[order].view(numpy.uint8)
+    columns = columns.reshape(count, width).T.copy()
+    running = count - numpy.cumsum(numpy.bincount(numpy.minimum(lengths, width)))
     prime = _U64(_FNV_PRIME)
-    for position in range(width):
-        step = (h ^ padded[:, position]) * prime
-        h = numpy.where(lengths > position, step, h)
+    sorted_h = numpy.full(count, _FNV_OFFSET, dtype=_U64)
+    for column, active in zip(columns, running.tolist()):
+        prefix = sorted_h[:active]
+        prefix ^= column[:active]
+        prefix *= prime
+    h = numpy.empty_like(sorted_h)
+    h[order] = sorted_h
     for i in numpy.flatnonzero(lengths > width).tolist():
         h[i] = _fnv1a(encoded[i][width:], int(h[i]))
     h = (h ^ (h >> _U64(30))) * _U64(_MIX_1)
@@ -93,8 +144,11 @@ def _mod_mersenne(x: Any) -> Any:
     return numpy.where(x >= p, x - p, x)
 
 
-def _mulmod_mersenne(a: int, x: Any, b: int) -> Any:
+def _mulmod_mersenne(a: Any, x: Any, b: Any) -> Any:
     """``(a·x + b) mod (2^61 - 1)`` for ``a, b, x < 2^61 - 1``, ``x`` an array.
+
+    ``a`` and ``b`` are ints, or ``uint64`` arrays that broadcast
+    against ``x`` (one row per count-min depth row).
 
     The product has up to 122 bits; 31-bit limbs keep every partial
     product below 2^62, and ``2^61 ≡ 1`` folds the high limbs back, so
@@ -115,7 +169,11 @@ def _mulmod_mersenne(a: int, x: Any, b: int) -> Any:
 
 
 class CountMinSketch:
-    """Approximate frequency table in ``depth × width`` counters."""
+    """Approximate frequency table in ``depth × width`` counters.
+
+    The counters are one ``int64`` array, a row per depth; ``serde``
+    writes them as plain int lists.
+    """
 
     def __init__(self, width: int = 256, depth: int = 4, seed: int = 7) -> None:
         if width <= 0 or depth <= 0:
@@ -124,7 +182,7 @@ class CountMinSketch:
         self.depth = depth
         self.seed = seed
         self.total = 0
-        self._rows: list[list[int]] = [[0] * width for _ in range(depth)]
+        self._rows = numpy.zeros((depth, width), dtype=numpy.int64)
         # pairwise-independent hash parameters (a*x + b mod p mod width)
         self._params = [
             ((seed * 2654435761 + i * 40503 + 1) % _MERSENNE_PRIME or 1,
@@ -150,8 +208,8 @@ class CountMinSketch:
         if count < 0:
             raise SketchError(f"negative count {count}")
         self.total += count
-        for row, pos in zip(self._rows, self._positions(value)):
-            row[pos] += count
+        for row, pos in enumerate(self._positions(value)):
+            self._rows[row, pos] += count
 
     def add_all(self, values: Iterable[Hashable]) -> None:
         """Record one occurrence of every value of ``values``."""
@@ -161,22 +219,19 @@ class CountMinSketch:
         """Record one occurrence per :func:`stable_hashes` entry.
 
         Leaves exactly the counters a loop of :meth:`add` leaves: the
-        same positions, counted with ``bincount`` per depth row.
+        same positions for every depth row in one ``depth × n`` pass,
+        counted with one ``bincount`` over the flattened counters.
         """
         self.total += len(hashes)
-        x = _mod_mersenne(hashes)
-        for row, (a, b) in zip(self._rows, self._params):
-            counts = numpy.bincount(
-                (_mulmod_mersenne(a, x, b) % _U64(self.width)).astype(numpy.intp),
-                minlength=self.width,
-            )
-            hit = numpy.flatnonzero(counts)
-            for pos, count in zip(hit.tolist(), counts[hit].tolist()):
-                row[pos] += count
+        a, b = numpy.array(self._params, dtype=_U64).T[:, :, None]
+        positions = _mulmod_mersenne(a, _mod_mersenne(hashes), b) % _U64(self.width)
+        cells = positions.astype(numpy.intp) + numpy.arange(self.depth)[:, None] * self.width
+        counts = numpy.bincount(cells.ravel(), minlength=self._rows.size)
+        self._rows += counts.reshape(self._rows.shape)
 
     def estimate(self, value: Hashable) -> int:
         """Estimated frequency of ``value`` (never underestimates)."""
-        return min(row[pos] for row, pos in zip(self._rows, self._positions(value)))
+        return int(self._rows[range(self.depth), self._positions(value)].min())
 
     def error_bound(self) -> float:
         """The ε·N additive error guarantee for the current total."""
@@ -188,10 +243,7 @@ class CountMinSketch:
             raise SketchError("can only merge identically-parameterised count-min sketches")
         merged = CountMinSketch(self.width, self.depth, self.seed)
         merged.total = self.total + other.total
-        merged._rows = [
-            [a + b for a, b in zip(row_a, row_b)]
-            for row_a, row_b in zip(self._rows, other._rows)
-        ]
+        merged._rows = self._rows + other._rows
         return merged
 
     def memory_cells(self) -> int:

@@ -19,6 +19,27 @@ from math import inf, isfinite
 from typing import Iterable
 
 from repro.errors import SketchError
+from repro.sketch.moments import check_numbers
+
+
+def _merge_closest(centroids: list[float], counts: list[int], gaps: list[float]) -> None:
+    """Merge the closest pair of bins, given as centroids, counts and the gaps between."""
+    gap = min(gaps)
+    if not gap < inf:
+        # min() cannot see past a NaN in front, and an infinite gap
+        # never wins: pick the first smallest among the rest
+        gap = min(g for g in gaps if g < inf)
+    best = gaps.index(gap)
+    n1, n2 = counts[best], counts[best + 1]
+    count = n1 + n2
+    centroid = (centroids[best] * n1 + centroids[best + 1] * n2) / count
+    centroids[best] = centroid
+    counts[best] = count
+    del centroids[best + 1], counts[best + 1], gaps[best]
+    if best:
+        gaps[best - 1] = centroid - centroids[best - 1]
+    if best < len(gaps):
+        gaps[best] = centroids[best + 1] - centroid
 
 
 class StreamingHistogram:
@@ -28,14 +49,16 @@ class StreamingHistogram:
         if max_bins < 2:
             raise SketchError(f"need at least 2 bins, got {max_bins}")
         self.max_bins = max_bins
-        self._bins: list[list[float]] = []  # [centroid, count], sorted by centroid
+        # bin i is (centroids[i], counts[i]); centroids ascend
+        self._centroids: list[float] = []
+        self._counts: list[int] = []
         self.total = 0
         self.non_finite = 0
         self.min_value: float | None = None
         self.max_value: float | None = None
 
     def __len__(self) -> int:
-        return len(self._bins)
+        return len(self._centroids)
 
     def add(self, value: float) -> None:
         """Insert one numeric value."""
@@ -45,54 +68,50 @@ class StreamingHistogram:
         """Insert every value of ``values``, in order.
 
         Ben-Haim/Tom-Tov merging depends on arrival order, so this is
-        sequential; the centroid list is built once per call and kept
-        in step with the bins rather than rebuilt per value.
+        one sequential loop on local variables. The centroid and gap
+        lists are built once per call and kept in step with the bins:
+        an insert or a merge changes two gaps, never all of them. A
+        batch holding a non-number raises before any value is inserted.
         """
-        bins = self._bins
-        centroids = [b[0] for b in bins]
-        for value in values:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise SketchError(f"histogram takes numbers, got {value!r}")
-            value = float(value)
-            if not isfinite(value):
-                self.non_finite += 1
-                continue
-            self.total += 1
-            self.min_value = value if self.min_value is None else min(self.min_value, value)
-            self.max_value = value if self.max_value is None else max(self.max_value, value)
-            idx = bisect.bisect_left(centroids, value)
-            if idx < len(bins) and centroids[idx] == value:
-                bins[idx][1] += 1
-                continue
-            bins.insert(idx, [value, 1])
-            centroids.insert(idx, value)
-            if len(bins) > self.max_bins:
-                self._merge_closest(centroids)
-
-    def _merge_closest(self, centroids: list[float]) -> None:
-        """Merge the closest pair of bins (``centroids`` mirrors them)."""
+        values = list(values)
+        check_numbers(values, "histogram")
+        finite = [value for value in map(float, values) if isfinite(value)]
+        self.non_finite += len(values) - len(finite)
+        if not finite:
+            return
+        self.total += len(finite)
+        lo, hi = self.min_value, self.max_value
+        self.min_value = min(finite) if lo is None else min(lo, *finite)
+        self.max_value = max(finite) if hi is None else max(hi, *finite)
+        max_bins, centroids, counts = self.max_bins, self._centroids, self._counts
         gaps = list(map(operator.sub, centroids[1:], centroids))
-        gap = min(gaps)
-        if not gap < inf:
-            # min() cannot see past a NaN in front, and an infinite gap
-            # never wins: pick the first smallest among the rest
-            gap = min(g for g in gaps if g < inf)
-        best = gaps.index(gap)
-        (c1, n1), (c2, n2) = self._bins[best], self._bins[best + 1]
-        merged_count = n1 + n2
-        merged_centroid = (c1 * n1 + c2 * n2) / merged_count
-        self._bins[best: best + 2] = [[merged_centroid, merged_count]]
-        centroids[best: best + 2] = [merged_centroid]
+        for value in finite:
+            idx = bisect.bisect_left(centroids, value)
+            size = len(centroids)
+            if idx < size:
+                if centroids[idx] == value:
+                    counts[idx] += 1
+                    continue
+                gaps.insert(idx, centroids[idx] - value)
+            if idx:
+                if idx < size:
+                    gaps[idx - 1] = value - centroids[idx - 1]
+                else:
+                    gaps.append(value - centroids[idx - 1])
+            centroids.insert(idx, value)
+            counts.insert(idx, 1)
+            if size >= max_bins:
+                _merge_closest(centroids, counts, gaps)
 
     def bins(self) -> list[tuple[float, int]]:
         """The (centroid, count) pairs, ascending by centroid."""
-        return [(c, int(n)) for c, n in self._bins]
+        return [(c, int(n)) for c, n in zip(self._centroids, self._counts)]
 
     def quantile(self, q: float) -> float:
         """Estimated q-quantile (0 ≤ q ≤ 1) of the inserted values."""
         if not (0.0 <= q <= 1.0):
             raise SketchError(f"quantile must be in [0,1], got {q}")
-        if not self._bins:
+        if not self._centroids:
             raise SketchError("quantile of an empty histogram")
         if q == 0.0:
             return self.min_value  # type: ignore[return-value]
@@ -100,10 +119,10 @@ class StreamingHistogram:
             return self.max_value  # type: ignore[return-value]
         target = q * self.total
         running = 0.0
-        for i, (c, n) in enumerate(self._bins):
+        for i, (c, n) in enumerate(zip(self._centroids, self._counts)):
             if running + n >= target:
                 if i > 0:
-                    prev_c = self._bins[i - 1][0]
+                    prev_c = self._centroids[i - 1]
                 elif self.min_value is not None:
                     prev_c = self.min_value
                 else:
@@ -123,7 +142,7 @@ class StreamingHistogram:
         """Weighted mean of the centroids."""
         if self.total == 0:
             return None
-        return sum(c * n for c, n in self._bins) / self.total
+        return sum(map(operator.mul, self._centroids, self._counts)) / self.total
 
     def merge(self, other: "StreamingHistogram") -> "StreamingHistogram":
         """Combine two histograms into one with this histogram's budget."""
@@ -134,22 +153,23 @@ class StreamingHistogram:
         maxs = [v for v in (self.max_value, other.max_value) if v is not None]
         merged.min_value = min(mins) if mins else None
         merged.max_value = max(maxs) if maxs else None
-        merged._bins = sorted(
-            ([c, n] for c, n in self._bins + other._bins), key=lambda b: b[0]
+        pairs = sorted(
+            [*zip(self._centroids, self._counts), *zip(other._centroids, other._counts)],
+            key=lambda b: b[0],
         )
         # collapse duplicate centroids, then shrink to budget
-        collapsed: list[list[float]] = []
-        for c, n in merged._bins:
-            if collapsed and collapsed[-1][0] == c:
-                collapsed[-1][1] += n
+        centroids, counts = merged._centroids, merged._counts
+        for c, n in pairs:
+            if centroids and centroids[-1] == c:
+                counts[-1] += n
             else:
-                collapsed.append([c, n])
-        merged._bins = collapsed
-        centroids = [b[0] for b in collapsed]
-        while len(collapsed) > merged.max_bins:
-            merged._merge_closest(centroids)
+                centroids.append(c)
+                counts.append(n)
+        gaps = list(map(operator.sub, centroids[1:], centroids))
+        while len(centroids) > merged.max_bins:
+            _merge_closest(centroids, counts, gaps)
         return merged
 
     def memory_cells(self) -> int:
         """Number of (centroid, count) pairs held."""
-        return len(self._bins)
+        return len(self._centroids)

@@ -8,9 +8,23 @@ parallel formula).
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.errors import SketchError
+
+
+def check_numbers(values: Sequence[float], sketch: str) -> None:
+    """Raise SketchError naming the first value of ``values`` that is not a number.
+
+    A number is an int or float instance (subclasses included) that is
+    not a bool. The whole batch is checked before a sketch folds any of
+    it, so a bad batch changes nothing.
+    """
+    if set(map(type, values)) <= {int, float}:
+        return
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise SketchError(f"{sketch} takes numbers, got {value!r}")
 
 
 class RunningMoments:
@@ -36,9 +50,29 @@ class RunningMoments:
         self.max_value = value if self.max_value is None else max(self.max_value, value)
 
     def add_all(self, values: Iterable[float]) -> None:
-        """Observe every value of ``values``."""
-        for value in values:
-            self.add(value)
+        """Observe every value of ``values``, in order.
+
+        Welford's update depends on arrival order, so this is one
+        sequential loop on local variables; min and max are taken once
+        per batch, with the same first-wins ties and NaN handling as a
+        per-value ``min``/``max``. A batch holding a non-number raises
+        before any value is observed.
+        """
+        values = list(values)
+        check_numbers(values, "RunningMoments")
+        floats = list(map(float, values))
+        if not floats:
+            return
+        count, mean, m2 = self.count, self.mean, self._m2
+        for value in floats:
+            count += 1
+            delta = value - mean
+            mean += delta / count
+            m2 += delta * (value - mean)
+        self.count, self.mean, self._m2 = count, mean, m2
+        lo, hi = self.min_value, self.max_value
+        self.min_value = min(floats if lo is None else (lo, *floats))
+        self.max_value = max(floats if hi is None else (hi, *floats))
 
     @property
     def variance(self) -> float | None:

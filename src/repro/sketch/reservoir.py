@@ -12,6 +12,19 @@ from typing import Any, Iterable, Iterator
 from repro.errors import SketchError
 
 
+def derived_seed(*counts: int) -> int:
+    """A 32-bit seed from ``counts``, for a sample rebuilt from others.
+
+    A restored or merged sample seeds its RNG from its counts, so
+    rebuilding it again (a second merge of the same parents, or one
+    after a checkpoint round trip) makes the same draws.
+    """
+    seed = 0
+    for count in counts:
+        seed = (seed * 2654435761 + count) & 0xFFFFFFFF
+    return seed
+
+
 class ReservoirSample:
     """Uniform fixed-size sample over a stream.
 
@@ -49,9 +62,29 @@ class ReservoirSample:
             self._items[j] = value
 
     def add_all(self, values: Iterable[Any]) -> None:
-        """Offer every value of ``values``."""
-        for value in values:
-            self.add(value)
+        """Offer every value of ``values``, in order.
+
+        One loop on local variables that makes the RNG draws a loop of
+        :meth:`add` makes: none while the sample fills, then one
+        ``randrange(seen)`` per value, inlined as the rejection loop on
+        ``getrandbits`` that ``random.Random`` runs for it (the property
+        tests hold the two RNG states equal).
+        """
+        values = list(values)
+        items, capacity = self._items, self.capacity
+        fill = values[: max(capacity - len(items), 0)]
+        items.extend(fill)
+        seen = self._seen + len(fill)
+        getrandbits = self._rng.getrandbits
+        for value in values[len(fill):]:
+            seen += 1
+            bits = seen.bit_length()
+            j = getrandbits(bits)
+            while j >= seen:
+                j = getrandbits(bits)
+            if j < capacity:
+                items[j] = value
+        self._seen = seen
 
     def values(self) -> list[Any]:
         """A copy of the current sample contents."""
@@ -64,7 +97,10 @@ class ReservoirSample:
         proportionally to how many stream items it has seen, which keeps
         the merged sample approximately uniform over the union stream.
         """
-        merged = ReservoirSample(self.capacity, seed=self._rng.randrange(2**32))
+        merged = ReservoirSample(
+            self.capacity,
+            seed=derived_seed(self._seen, self.capacity, other._seen, other.capacity),
+        )
         total = self._seen + other._seen
         merged._seen = total
         if total == 0:

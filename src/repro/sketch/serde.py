@@ -22,13 +22,15 @@ from __future__ import annotations
 import base64
 from typing import Any
 
+import numpy
+
 from repro.errors import SketchError
 from repro.sketch.bloom import BloomFilter
 from repro.sketch.countmin import CountMinSketch
 from repro.sketch.histogram import StreamingHistogram
 from repro.sketch.hyperloglog import HyperLogLog
 from repro.sketch.moments import RunningMoments
-from repro.sketch.reservoir import ReservoirSample
+from repro.sketch.reservoir import ReservoirSample, derived_seed
 from repro.sketch.summary import ColumnSummary, SummaryConfig, TableSummary
 from repro.storage.schema import DataType, Schema
 
@@ -55,7 +57,7 @@ def countmin_to_dict(cm: CountMinSketch) -> dict:
         "depth": cm.depth,
         "seed": cm.seed,
         "total": cm.total,
-        "rows": [list(row) for row in cm._rows],
+        "rows": cm._rows.tolist(),
     }
 
 
@@ -63,7 +65,7 @@ def countmin_from_dict(data: dict) -> CountMinSketch:
     """Decode a count-min sketch."""
     cm = CountMinSketch(width=data["width"], depth=data["depth"], seed=data["seed"])
     cm.total = data["total"]
-    cm._rows = [list(row) for row in data["rows"]]
+    cm._rows = numpy.array(data["rows"], dtype=numpy.int64).reshape(cm.depth, cm.width)
     return cm
 
 
@@ -111,7 +113,7 @@ def histogram_to_dict(hist: StreamingHistogram) -> dict:
         "non_finite": hist.non_finite,
         "min_value": hist.min_value,
         "max_value": hist.max_value,
-        "bins": [[c, n] for c, n in hist._bins],
+        "bins": [[c, n] for c, n in zip(hist._centroids, hist._counts)],
     }
 
 
@@ -122,7 +124,8 @@ def histogram_from_dict(data: dict) -> StreamingHistogram:
     hist.non_finite = data.get("non_finite", 0)  # absent before the field existed
     hist.min_value = data["min_value"]
     hist.max_value = data["max_value"]
-    hist._bins = [[c, n] for c, n in data["bins"]]
+    hist._centroids = [c for c, _ in data["bins"]]
+    hist._counts = [n for _, n in data["bins"]]
     return hist
 
 
@@ -153,8 +156,8 @@ def reservoir_to_dict(reservoir: ReservoirSample) -> dict:
     """Encode a reservoir sample.
 
     The RNG state is not preserved; the restored sample reseeds from
-    its current content hash, which keeps behaviour deterministic
-    without snapshotting Mersenne state.
+    its ``seen`` and ``capacity`` (:func:`derived_seed`), which keeps
+    behaviour deterministic without snapshotting Mersenne state.
     """
     return {
         "kind": "reservoir",
@@ -166,8 +169,9 @@ def reservoir_to_dict(reservoir: ReservoirSample) -> dict:
 
 def reservoir_from_dict(data: dict) -> ReservoirSample:
     """Decode a reservoir sample."""
-    reseed = (data["seen"] * 2654435761 + data["capacity"]) & 0xFFFFFFFF
-    reservoir = ReservoirSample(data["capacity"], seed=reseed)
+    reservoir = ReservoirSample(
+        data["capacity"], seed=derived_seed(data["seen"], data["capacity"])
+    )
     reservoir._items = list(data["items"])
     reservoir._seen = data["seen"]
     return reservoir

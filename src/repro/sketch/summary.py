@@ -7,9 +7,9 @@ row spans, which time range). Summaries merge, so the summary of a
 whole table can be assembled from per-rot-spot summaries.
 
 Rows arrive in columns: :meth:`TableSummary.add_columns` takes one value
-list per column and :meth:`ColumnSummary.add_all` hashes each cell once
-for the three hash-based sketches. ``add_row`` / ``add`` are the
-one-row / one-value case of the same objects and leave the same bits.
+list per column and :meth:`ColumnSummary.add_all` hashes each distinct
+value once for the three hash-based sketches. ``add_row`` / ``add`` are
+the one-row / one-value case of the same objects and leave the same bits.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ class ColumnSummary:
         """Fold a batch of cell values into the summary.
 
         Leaves exactly the state a loop of :meth:`add` leaves. NULLs are
-        stripped once and each value is hashed once: HyperLogLog,
+        stripped once and each distinct value is hashed once: HyperLogLog,
         count-min and Bloom share one :func:`stable_hashes` array.
         Moments, histogram and reservoir are order-dependent and consume
         the batch sequentially.

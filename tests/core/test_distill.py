@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import repro.core.table as core_table
 from repro import FungusDB, LinearDecayFungus
+from repro.core.checkpoint import load_checkpoint, save_checkpoint
 from repro.core.clock import DecayClock
 from repro.core.distill import Distiller, SummaryStore
 from repro.core.events import SummaryCreated
@@ -109,6 +110,34 @@ class TestDistiller:
         assert summary.row_count == 0 and summary.spans == []
         assert summary.time_range is None
         assert [e.rows for e in seen] == [0]
+
+
+class TestMergedExamples:
+    """The merged summary's reservoir is a function of the stored summaries."""
+
+    @staticmethod
+    def _db() -> FungusDB:
+        db = FungusDB(seed=3)
+        db.create_table("r", Schema.of(v="int"), fungus=LinearDecayFungus(rate=0.5))
+        for start in range(0, 600, 200):
+            db.insert_many("r", [{"v": v} for v in range(start, start + 200)])
+            db.tick(2)
+        assert len(db.store.for_table("r")) == 3
+        return db
+
+    @staticmethod
+    def _examples(db: FungusDB) -> list:
+        return db.merged_summary("r").column("v").examples.values()
+
+    def test_repeated_reads_agree(self):
+        db = self._db()
+        assert self._examples(db) == self._examples(db)
+
+    def test_checkpoint_round_trip_keeps_examples(self, tmp_path):
+        db = self._db()
+        before = self._examples(db)
+        save_checkpoint(db, tmp_path)
+        assert self._examples(load_checkpoint(tmp_path)) == before
 
 
 def _bench_table(rows: int) -> DecayingTable:

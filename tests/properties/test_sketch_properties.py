@@ -3,6 +3,7 @@
 import contextlib
 import json
 import math
+import struct
 from collections import Counter
 from unittest import mock
 
@@ -62,8 +63,7 @@ def test_countmin_merge_equals_single_sketch(values, split):
     for v in values[split:]:
         b.add(v)
     merged = a.merge(b)
-    assert merged._rows == whole._rows
-    assert merged.total == whole.total
+    assert serde.countmin_to_dict(merged) == serde.countmin_to_dict(whole)
 
 
 @settings(max_examples=50, deadline=None)
@@ -251,11 +251,26 @@ def test_column_summary_add_all_equals_add_loop(dtype, cutover, data, sizes):
     assert batched.examples._rng.getstate() == looped.examples._rng.getstate()
 
 
+#: a NaN whose bits differ from ``math.nan``'s (``repr`` is still ``nan``)
+_NAN_PAYLOAD = struct.unpack("<d", struct.pack("<Q", 0x7FF8_0000_0000_0001))[0]
+
+
 @settings(max_examples=100, deadline=None)
 @given(values=st.lists(hashables, max_size=60))
 @example(values=["x" * 63, "y" * 64, "é" * 40, "", "z" * 500, 0.5])  # past the padded width
+# the distinct route: values that compare equal but print differently
+@example(values=[0.0, -0.0, 0.0, -0.0])
+@example(values=[True, 1, 1.0, False, 0, 0.0, -0.0, True, 1])
+@example(values=[math.nan, -math.nan, _NAN_PAYLOAD, math.nan, 1.0])
+@example(values=[math.nan, "nan", 0.0, False])
+@example(values=[2**63, 2**64 + 1, -(2**63) - 1, 2**63, 10**30, 1])
+@example(values=["q" * 100, "q" * 99, "q" * 100, "é" * 70, "é" * 70])
+@example(values=["same"] * 50)
+@example(values=[7.5] * 40)
+@example(values=[3.25])
+@example(values=["x"])
 def test_stable_hashes_match_scalar_hash(values):
-    """One vectorized hash per cell, equal to the scalar hash of each."""
+    """One vectorized hash per distinct value, equal to the scalar hash of each cell."""
     assert stable_hashes(values).tolist() == [_stable_hash(v) for v in values]
 
 

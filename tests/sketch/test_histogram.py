@@ -6,7 +6,7 @@ import statistics
 import pytest
 
 from repro.errors import SketchError
-from repro.sketch import StreamingHistogram
+from repro.sketch import StreamingHistogram, serde
 
 
 class TestBasics:
@@ -107,3 +107,23 @@ class TestMerge:
         merged = a.merge(b)
         true_median = statistics.median(values_a + values_b)
         assert merged.quantile(0.5) == pytest.approx(true_median, abs=0.6)
+
+
+class _Float(float):
+    """A float subclass: still a number."""
+
+
+@pytest.mark.parametrize("bad", ["x", True, None])
+@pytest.mark.parametrize("where", [0, 40, 80], ids=["first", "middle", "last"])
+def test_bad_batch_changes_nothing(bad, where):
+    """A batch holding a non-number raises before any value is folded in."""
+    sketch = StreamingHistogram(16)
+    sketch.add_all([float(v) for v in range(70)])
+    before = serde.histogram_to_dict(sketch)
+    values = [_Float(v) / 3 for v in range(80)]
+    values.insert(where, bad)
+    with pytest.raises(SketchError):
+        sketch.add_all(values)
+    assert serde.histogram_to_dict(sketch) == before
+    sketch.add_all([_Float(0.5), 7])
+    assert sketch.total == 72

@@ -6,7 +6,7 @@ import statistics
 import pytest
 
 from repro.errors import SketchError
-from repro.sketch import RunningMoments
+from repro.sketch import RunningMoments, serde
 
 
 class TestRunningMoments:
@@ -65,3 +65,23 @@ class TestRunningMoments:
         merged = RunningMoments().merge(RunningMoments())
         assert merged.count == 0
         assert merged.min_value is None
+
+
+class _Float(float):
+    """A float subclass: still a number."""
+
+
+@pytest.mark.parametrize("bad", ["x", True, None])
+@pytest.mark.parametrize("where", [0, 40, 80], ids=["first", "middle", "last"])
+def test_bad_batch_changes_nothing(bad, where):
+    """A batch holding a non-number raises before any value is folded in."""
+    sketch = RunningMoments()
+    sketch.add_all([float(v) for v in range(70)])
+    before = serde.moments_to_dict(sketch)
+    values = [_Float(v) / 3 for v in range(80)]
+    values.insert(where, bad)
+    with pytest.raises(SketchError):
+        sketch.add_all(values)
+    assert serde.moments_to_dict(sketch) == before
+    sketch.add_all([_Float(0.5), 7])
+    assert sketch.count == 72

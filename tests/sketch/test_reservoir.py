@@ -76,3 +76,15 @@ class TestMerge:
         merged = ReservoirSample(5, seed=1).merge(ReservoirSample(5, seed=2))
         assert merged.seen == 0
         assert len(merged) == 0
+
+    def test_merge_is_deterministic_and_leaves_parents_alone(self):
+        a, b = ReservoirSample(10, seed=1), ReservoirSample(10, seed=2)
+        a.add_all(range(100))
+        b.add_all(range(100, 250))
+        states = a._rng.getstate(), b._rng.getstate()
+        first, second = a.merge(b), a.merge(b)
+        assert first.values() == second.values()
+        assert (a._rng.getstate(), b._rng.getstate()) == states
+        # the seed comes from the parents' counts, not from their RNGs
+        a._rng.random()
+        assert a.merge(b).values() == first.values()
