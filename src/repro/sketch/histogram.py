@@ -68,10 +68,10 @@ class StreamingHistogram:
         """Insert every value of ``values``, in order.
 
         Ben-Haim/Tom-Tov merging depends on arrival order, so this is
-        one sequential loop on local variables. The centroid and gap
-        lists are built once per call and kept in step with the bins:
-        an insert or a merge changes two gaps, never all of them. A
-        batch holding a non-number raises before any value is inserted.
+        one sequential loop on local variables. The gap list is built
+        once per call and kept in step with the bins: an insert or a
+        merge changes two gaps, never all of them. A batch holding a
+        non-number raises before any value is inserted.
         """
         values = list(values)
         check_numbers(values, "histogram")
