@@ -5,19 +5,21 @@ of 1000 rows into a table with the time index and one hash index >= 5x
 the row-at-a-time path it replaced, and ``Schema.coerce_columns`` on a
 clean 1000-row batch >= 5x a ``coerce_row`` loop. The per-row path is
 kept here step for step (:class:`PerRowWriter`: two ``coerce_row``
-calls, one append per column, ``on_append`` on both indexes and one
+calls, one append per column, a per-row update of both indexes — the
+bodies of the per-row index hooks the batch ones replaced — and one
 ``TupleInserted`` per row — on plain lists, so if anything it flatters
 the reference). The cost of a one-row ``insert`` through the batch path
 is printed, not gated. Same-process ratios only; numbers compared
 across commits come from ``python -m bench_e2e run``.
 """
 
+import bisect
 import random
 
 from repro.bench.measure import time_callable
 from repro.core.db import FungusDB
 from repro.core.events import EventBus, TupleInserted
-from repro.storage import HashIndex, RowSet, Schema, SortedIndex, Table
+from repro.storage import RowSet, Schema
 from repro.storage.schema import ColumnDef, DataType
 
 ATTRIBUTES = Schema.of(sensor="int", temp="float", site="str")
@@ -49,8 +51,9 @@ class PerRowWriter:
         )
         self.columns: list[list] = [[] for _ in self.schema]
         self.live: list[bool] = []
-        detached = Table(self.schema)  # the indexes only need a schema to read
-        self.observers = [SortedIndex(detached, "t"), HashIndex(detached, "sensor")]
+        self.sensor_pos = self.schema.index_of("sensor")
+        self.entries: list[tuple[float, int]] = []  # the time index
+        self.buckets: dict[int, set[int]] = {}  # the hash index on sensor
         self.bus = EventBus()
 
     def insert(self, row: dict, now: float) -> int:
@@ -60,8 +63,8 @@ class PerRowWriter:
         for col, value in zip(self.columns, full):
             col.append(value)
         self.live.append(True)
-        for observer in self.observers:
-            observer.on_append(rid, full)
+        bisect.insort(self.entries, (full[0], rid))
+        self.buckets.setdefault(full[self.sensor_pos], set()).add(rid)
         self.bus.publish(TupleInserted("readings", now, rid))
         return rid
 

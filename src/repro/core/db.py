@@ -33,7 +33,7 @@ from repro.core.events import (
     ConsumeAnalyzed,
     EventBus,
     QueryExecuted,
-    TupleConsumed,
+    TupleConsumedBatch,
 )
 from repro.core.fungus import Fungus
 from repro.core.health import HealthReport, measure_health
@@ -306,8 +306,10 @@ class FungusDB:
         query_text = self.engine.current_sql or "consume"
         if self.engine.current_actor is not None:
             query_text = f"{query_text} @{self.engine.current_actor}"
-        for rid in consumed:
-            self.bus.publish(TupleConsumed(table_name, self.clock.now, rid, query=query_text))
+        if consumed:
+            self.bus.publish(
+                TupleConsumedBatch(table_name, self.clock.now, consumed.rows, query_text)
+            )
         table.set_eviction_reason("consume")
 
     def _on_access(self, table_name: str, matched: RowSet) -> None:

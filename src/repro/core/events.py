@@ -5,18 +5,20 @@ infection, freshness decay, eviction, consumption, summarisation, tick
 completion. Health metrics, the distiller, experiment probes and tests
 all subscribe here instead of poking at internals.
 
-Insertions, infections and freshness writes are published once per
-batch (:class:`TupleInsertedBatch`, a rid range;
-:class:`TupleInfectedBatch`, one fungus cycle's infections;
-:class:`TupleDecayedBatch`, the changed rows of one write), yet the
-lifecycle ledger counts tuples, not deliveries: a batch of *n* advances
-``counts["TupleInserted"]``, ``counts["TupleInfected"]`` or
-``counts["TupleDecayed"]`` by *n*, its own subscribers get the one
-event, and subscribers of the per-tuple type still get one event per
-row in the batch's order (ascending rids; infection order for an
-infection batch) — built by the bus, and only when such a subscriber
-exists. By then the whole batch is in the table: a handler looking at
-row *i* may already see rows *i+1…*.
+Every lifecycle step of a tuple is published once per batch:
+:class:`TupleInsertedBatch` (a rid range), :class:`TupleInfectedBatch`
+(one fungus cycle's infections), :class:`TupleDecayedBatch` (the
+changed rows of one write), :class:`TupleConsumedBatch` (one consuming
+statement's rows) and :class:`TupleEvictedBatch` (one storage delete,
+with the rows' last values by column). Yet the lifecycle ledger counts
+tuples, not deliveries: a batch of *n* advances the per-tuple type's
+count (``counts["TupleInserted"]``, ``counts["TupleEvicted"]``…) by
+*n*, its own subscribers get the one event, and subscribers of the
+per-tuple type still get one event per row in the batch's order
+(ascending rids; infection order for an infection batch; delete order
+for an eviction batch) — built by the bus, and only when such a
+subscriber exists. By then the whole batch has happened: a handler
+looking at row *i* may already see rows *i+1…* inserted or gone.
 """
 
 from __future__ import annotations
@@ -164,11 +166,66 @@ class TupleEvicted(Event):
 
 
 @dataclass(frozen=True)
+class TupleEvictedBatch(Event):
+    """One storage delete took these tuples out of R (``len > 0``).
+
+    The one eviction event: policy eviction, ``CONSUME``, ``DELETE`` and
+    ``drop_table`` all publish it, once per ``Table.delete_many``.
+    ``rids`` is the batch in the order it was deleted; ``columns`` holds
+    one list of the rows' last values per storage column (schema order),
+    aligned with ``rids``. The bus counts it as ``len(event)``
+    :class:`TupleEvicted` events and delivers its :meth:`expand` to
+    subscribers of that type.
+    """
+
+    rids: tuple
+    reason: str
+    columns: tuple
+
+    per_tuple = TupleEvicted
+
+    def __len__(self) -> int:
+        return len(self.rids)
+
+    def expand(self) -> Iterator[TupleEvicted]:
+        """Per-tuple :class:`TupleEvicted` events, in batch order, each
+        carrying its row's values as a schema-order tuple."""
+        for rid, values in zip(self.rids, zip(*self.columns)):
+            yield TupleEvicted(self.table, self.tick, rid, self.reason, values)
+
+
+@dataclass(frozen=True)
 class TupleConsumed(Event):
     """A consuming query carried this tuple into its answer set."""
 
     rid: int
     query: str
+
+
+@dataclass(frozen=True)
+class TupleConsumedBatch(Event):
+    """One consuming statement carried these tuples into its answer set.
+
+    Published once per consume, before the rows are deleted, so a
+    per-tuple subscriber sees every :class:`TupleConsumed` of a
+    statement before its :class:`TupleEvicted` events. ``rids`` is
+    ascending. The bus counts it as ``len(event)``
+    :class:`TupleConsumed` events and delivers its :meth:`expand` to
+    subscribers of that type.
+    """
+
+    rids: tuple
+    query: str
+
+    per_tuple = TupleConsumed
+
+    def __len__(self) -> int:
+        return len(self.rids)
+
+    def expand(self) -> Iterator[TupleConsumed]:
+        """Per-tuple :class:`TupleConsumed` events, ascending rid order."""
+        for rid in self.rids:
+            yield TupleConsumed(self.table, self.tick, rid, self.query)
 
 
 @dataclass(frozen=True)

@@ -10,14 +10,16 @@ decides their fate.
 
 Fungi with internal state keyed by row id (EGI's infected set, Blue
 Cheese's spots) implement :meth:`on_evicted` / :meth:`on_compacted`
-to stay consistent with the row space.
+to stay consistent with the row space. Evictions arrive a batch at a
+time: the policy calls :meth:`on_evicted` once per storage delete with
+all of its rids.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from repro.core.table import BatchOutcome, DecayingTable
 
@@ -57,8 +59,9 @@ class Fungus:
         """Run one decay cycle against ``table``; return what happened."""
         raise NotImplementedError
 
-    def on_evicted(self, rid: int) -> None:
-        """Row ``rid`` left the table; drop any internal state for it."""
+    def on_evicted(self, rids: Sequence[int]) -> None:
+        """Rows ``rids`` left the table (one storage delete, in its
+        order); drop any internal state for them."""
 
     def on_compacted(self, remap: Mapping[int, int]) -> None:
         """The table compacted; translate internal row ids via ``remap``."""

@@ -21,7 +21,7 @@ import enum
 import random
 from dataclasses import dataclass, field
 
-from repro.core.events import TickCompleted, TupleEvicted
+from repro.core.events import TickCompleted, TupleEvictedBatch
 from repro.core.fungus import DecayReport, Fungus
 from repro.core.table import DecayingTable
 from repro.errors import DecayError
@@ -80,11 +80,11 @@ class DecayPolicy:
         self.stats = PolicyStats()
         # every eviction — decay, consume, or manual — must reach the
         # fungus so row-keyed state (infected sets, spots) stays valid
-        table.bus.subscribe(TupleEvicted, self._on_evicted_event)
+        table.bus.subscribe(TupleEvictedBatch, self._on_evicted_event)
 
-    def _on_evicted_event(self, event: TupleEvicted) -> None:
+    def _on_evicted_event(self, event: TupleEvictedBatch) -> None:
         if event.table == self.table.name:
-            self.fungus.on_evicted(event.rid)
+            self.fungus.on_evicted(event.rids)
 
     def run_tick(self, tick: int) -> DecayReport | None:
         """Run one clock tick; the fungus only cycles on period multiples."""

@@ -25,7 +25,7 @@ from repro.core.events import (
     EventBus,
     TableCompacted,
     TupleDecayedBatch,
-    TupleEvicted,
+    TupleEvictedBatch,
     TupleInfectedBatch,
     TupleInsertedBatch,
 )
@@ -155,7 +155,7 @@ class DecayingTable:
     @property
     def exhausted(self) -> RowSet:
         """Rows whose freshness hit 0, awaiting eviction by the policy."""
-        return RowSet(self._exhausted)
+        return RowSet.from_sorted(tuple(sorted(self._exhausted)))
 
     @property
     def exhausted_count(self) -> int:
@@ -286,7 +286,8 @@ class DecayingTable:
         data the owner is actively taking care of doesn't rot.
         """
         self.storage._check_live(rid)  # noqa: SLF001 — deliberate liveness check
-        self._pinned.add(rid)
+        # a plain int, so ``pinned`` can skip RowSet's per-rid check
+        self._pinned.add(int(rid))
 
     def unpin(self, rid: int) -> None:
         """Remove decay immunity from a row (no-op if not pinned)."""
@@ -299,7 +300,7 @@ class DecayingTable:
     @property
     def pinned(self) -> RowSet:
         """All currently pinned rows."""
-        return RowSet(self._pinned)
+        return RowSet.from_sorted(tuple(sorted(self._pinned)))
 
     @property
     def pinned_count(self) -> int:
@@ -571,10 +572,12 @@ class DecayingTable:
     # ------------------------------------------------------------------
 
     def evict(self, rows: RowSet, reason: str) -> None:
-        """Remove ``rows`` from R.
+        """Remove ``rows`` from R in one storage delete.
 
-        Publishes one :class:`TupleEvicted` per row, carrying the row's
-        last values so distillers can cook them without a second read.
+        Publishes one :class:`TupleEvictedBatch` for the whole batch,
+        carrying the rows' last values by column so distillers can cook
+        them without a second read (per-tuple subscribers still get one
+        :class:`TupleEvicted` per row, by expansion).
         """
         self._pending_reason = reason
         try:
@@ -587,7 +590,7 @@ class DecayingTable:
 
         The query engine deletes consumed rows directly on the storage
         table; the consume hook calls this first so the resulting
-        :class:`TupleEvicted` events carry reason ``"consume"``. The
+        :class:`TupleEvictedBatch` carries reason ``"consume"``. The
         label stays until set again — :class:`~repro.core.db.FungusDB`
         resets it to ``"external"`` before every query.
         """
@@ -604,15 +607,18 @@ class DecayingTable:
 
     # -- TableObserver protocol (self-observation of storage) ----------
 
-    def on_append_many(self, rids: Sequence[int], columns: Sequence[list]) -> None:
+    def on_append(self, rids: Sequence[int], columns: Sequence[list]) -> None:
         """Storage observer hook; insertion events are published by _admit()."""
 
-    def on_delete(self, rid: int, values: tuple) -> None:
-        """Any deletion — policy eviction or Law-2 consume — lands here."""
-        self._exhausted.discard(rid)
-        self._pinned.discard(rid)
+    def on_delete(self, rids: Sequence[int], columns: Sequence[list]) -> None:
+        """Any deletion — policy eviction or Law-2 consume — lands here,
+        one call per storage delete: two set updates, one event."""
+        self._exhausted.difference_update(rids)
+        self._pinned.difference_update(rids)
         self.bus.publish(
-            TupleEvicted(self.name, self.clock.now, rid, self._pending_reason, values)
+            TupleEvictedBatch(
+                self.name, self.clock.now, rids, self._pending_reason, tuple(columns)
+            )
         )
 
     def on_compact(self, remap: Mapping[int, int]) -> None:

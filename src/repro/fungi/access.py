@@ -13,7 +13,7 @@ query over the table.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from repro.core.fungus import DecayReport, Fungus
 from repro.core.table import DecayingTable
@@ -43,9 +43,9 @@ class AccessRefreshFungus(Fungus):
         self._pending.clear()
         self.inner.reset()
 
-    def on_evicted(self, rid: int) -> None:
-        self._pending.discard(rid)
-        self.inner.on_evicted(rid)
+    def on_evicted(self, rids: Sequence[int]) -> None:
+        self._pending.difference_update(rids)
+        self.inner.on_evicted(rids)
 
     def on_compacted(self, remap: Mapping[int, int]) -> None:
         self._pending = {remap[rid] for rid in self._pending if rid in remap}

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from repro.core.fungus import DecayReport, Fungus
 from repro.core.table import DecayingTable
@@ -82,8 +82,8 @@ class BlueCheeseFungus(Fungus):
         self._spots.clear()
         self._evicted.clear()
 
-    def on_evicted(self, rid: int) -> None:
-        self._evicted.append(rid)
+    def on_evicted(self, rids: Sequence[int]) -> None:
+        self._evicted.extend(rids)
 
     def on_compacted(self, remap: Mapping[int, int]) -> None:
         self._drop_evicted()

@@ -84,8 +84,8 @@ class EGIFungus(Fungus):
         self._spots.clear()
         self._evicted.clear()
 
-    def on_evicted(self, rid: int) -> None:
-        self._evicted.append(rid)
+    def on_evicted(self, rids: Sequence[int]) -> None:
+        self._evicted.extend(rids)
 
     def on_compacted(self, remap: Mapping[int, int]) -> None:
         self._drop_evicted()

@@ -14,7 +14,7 @@ their control arms:
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.core.fungus import DecayReport, Fungus
 from repro.core.table import DecayingTable
@@ -84,9 +84,9 @@ class CompositeFungus(Fungus):
         for fungus in self.fungi:
             fungus.reset()
 
-    def on_evicted(self, rid: int) -> None:
+    def on_evicted(self, rids: Sequence[int]) -> None:
         for fungus in self.fungi:
-            fungus.on_evicted(rid)
+            fungus.on_evicted(rids)
 
     def on_compacted(self, remap: Mapping[int, int]) -> None:
         for fungus in self.fungi:

@@ -16,7 +16,7 @@ from typing import ClassVar, Iterator, Sequence
 from repro.lint.catalogue import load_metric_catalogue
 from repro.lint.engine import Finding, ModuleSource, Rule
 
-CATALOGUE_VERSION = "1.10"
+CATALOGUE_VERSION = "1.11"
 
 #: packages where simulated time and injected randomness are mandatory
 RESTRICTED_PACKAGES = ("core", "fungi", "query", "sim", "storage")
@@ -545,7 +545,9 @@ class BatchMutatorRule(Rule):
         "index update and one event per row, and leaves half a batch "
         "behind when a later row is bad; append_many/insert_many/"
         "restore_many coerce by column, extend each column once and "
-        "publish one TupleInsertedBatch."
+        "publish one TupleInsertedBatch. The consume hook in core/db.py "
+        "publishes one TupleConsumedBatch per statement, not a "
+        "TupleConsumed per row."
     )
 
     SCALAR_MUTATORS = frozenset(
@@ -570,10 +572,16 @@ class BatchMutatorRule(Rule):
                 "use the batch mutators (decay_many/scale_many/"
                 "set_freshness_many) instead"
             )
-        if posix.endswith(("repro/core/distill.py", "repro/core/db.py")):
+        if posix.endswith("repro/core/distill.py"):
             return cls.ROW_DISTILLERS, (
                 "gather each column once (Table.gather) and feed "
                 "TableSummary.add_columns instead"
+            )
+        if posix.endswith("repro/core/db.py"):
+            return cls.ROW_DISTILLERS | cls.ROW_PUBLISHES, (
+                "gather each column once (Table.gather) and feed "
+                "TableSummary.add_columns; publish one batch event "
+                "(TupleConsumedBatch) instead"
             )
         if posix.endswith(
             (

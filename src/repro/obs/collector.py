@@ -18,10 +18,12 @@ in one pass, and the band gauges come from
 exactly where per-row handlers would have left it — same children,
 same float additions in the same order, byte-equal exposition
 (``tests/obs/test_collector_arrays.py`` keeps the per-row forms as
-references). Inserts arrive one ``TupleInsertedBatch`` per batch and
-infections one ``TupleInfectedBatch`` per fungus cycle, each folded
-with one ``labels().inc(n)``; evictions and consumes still arrive one
-event per tuple.
+references). Inserts arrive one ``TupleInsertedBatch`` per batch,
+infections one ``TupleInfectedBatch`` per fungus cycle, consumes one
+``TupleConsumedBatch`` per statement and evictions one
+``TupleEvictedBatch`` per storage delete, each folded with one
+``labels().inc(n)``; the eviction and consume rates take the batch's
+*n* marks on the one child.
 
 Checkpoint restores replay the surviving rows as an insert batch; the
 ``RestoreCompleted`` event that follows tells the collector how
@@ -89,13 +91,13 @@ from repro.core.events import (
     RestoreCompleted,
     SummaryCreated,
     TickCompleted,
-    TupleConsumed,
+    TupleConsumedBatch,
     TupleDecayedBatch,
-    TupleEvicted,
+    TupleEvictedBatch,
     TupleInfectedBatch,
     TupleInsertedBatch,
 )
-from repro.obs.metrics import Counter, MetricsRegistry
+from repro.obs.metrics import Counter, EWMARate, MetricsRegistry
 from repro.storage.vector import numpy
 
 
@@ -109,6 +111,14 @@ def _inc_each(counter: Counter, amounts: Any) -> None:
     """
     seeded = numpy.concatenate(([counter.value], amounts))
     counter.value = float(numpy.add.accumulate(seeded)[-1])
+
+
+def _mark_each(rate: EWMARate, count: int, now: float) -> None:
+    """``count`` calls of ``rate.mark(1.0, now)``: the same decay and the
+    same ``+ 1.0`` additions, in order, as one mark per tuple (adding
+    ``count`` at once could round differently)."""
+    for _ in range(count):
+        rate.mark(1.0, now)
 
 
 class BusCollector:
@@ -262,8 +272,8 @@ class BusCollector:
             (TupleInsertedBatch, self._on_inserted_batch),
             (TupleInfectedBatch, self._on_infected_batch),
             (TupleDecayedBatch, self._on_decayed_batch),
-            (TupleEvicted, self._on_evicted),
-            (TupleConsumed, self._on_consumed),
+            (TupleEvictedBatch, self._on_evicted_batch),
+            (TupleConsumedBatch, self._on_consumed_batch),
             (ConsumeAnalyzed, self._on_consume_analyzed),
             (SummaryCreated, self._on_summary),
             (TickCompleted, self._on_tick),
@@ -315,13 +325,13 @@ class BusCollector:
         if restored.size:
             _inc_each(self.freshness_restored.labels(**labels), restored)
 
-    def _on_evicted(self, event: TupleEvicted) -> None:
-        self.evictions.labels(table=event.table, reason=event.reason).inc()
-        self.eviction_rate.labels(table=event.table).mark(1.0, now=event.tick)
+    def _on_evicted_batch(self, event: TupleEvictedBatch) -> None:
+        self.evictions.labels(table=event.table, reason=event.reason).inc(len(event))
+        _mark_each(self.eviction_rate.labels(table=event.table), len(event), event.tick)
 
-    def _on_consumed(self, event: TupleConsumed) -> None:
-        self.consumed.labels(table=event.table).inc()
-        self.consume_rate.labels(table=event.table).mark(1.0, now=event.tick)
+    def _on_consumed_batch(self, event: TupleConsumedBatch) -> None:
+        self.consumed.labels(table=event.table).inc(len(event))
+        _mark_each(self.consume_rate.labels(table=event.table), len(event), event.tick)
 
     def _on_consume_analyzed(self, event: ConsumeAnalyzed) -> None:
         self.consume_analyzed.labels(table=event.table, verdict=event.verdict).inc()

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.core.events import TupleEvicted
+from repro.core.events import TupleEvictedBatch
 from repro.core.table import DecayingTable
 from repro.fungi.linear import LinearDecayFungus
 
@@ -20,16 +20,18 @@ Undo = Callable[[], None]
 
 
 def _broken_tombstone_accounting() -> Undo:
-    """Comment out the exhausted/pinned bookkeeping on delete.
+    """Comment out the exhausted/pinned bookkeeping of a batch delete.
 
     Dead row ids linger in the exhausted set, so the exhausted-⊆-live
     invariant and the HealthReport exhausted count both break.
     """
     original = DecayingTable.on_delete
 
-    def on_delete(self, rid, values):  # pragma: no cover - mutant body
+    def on_delete(self, rids, columns):  # pragma: no cover - mutant body
         self.bus.publish(
-            TupleEvicted(self.name, self.clock.now, rid, self._pending_reason, values)
+            TupleEvictedBatch(
+                self.name, self.clock.now, rids, self._pending_reason, tuple(columns)
+            )
         )
 
     DecayingTable.on_delete = on_delete

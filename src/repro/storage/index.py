@@ -9,12 +9,13 @@ Two index kinds cover the query engine's needs:
 
 Both register themselves as table observers, so appends, tombstone
 deletes and compactions keep them consistent without caller effort.
-Appends arrive a batch at a time (``on_append_many``: the rids and one
-value list per column, shared with every other observer): the hash
-index files the batch in one pass, the sorted index sorts it and
-extends, merging only the stretch a batch overlaps when it reaches
-below the current tail. The table never calls ``on_append``; the two
-methods stay because ``bench_e2e/trace.py`` names them as targets.
+Every call carries a batch (the rids and one value list per column,
+shared with every other observer). On append the hash index files the
+batch in one pass, and the sorted index sorts it and extends, merging
+only the stretch a batch overlaps when it reaches below the current
+tail. On delete the hash index unfiles the batch in one loop, and the
+sorted index adds it to its dead set in one ``update`` and purges at
+most once.
 """
 
 from __future__ import annotations
@@ -48,11 +49,7 @@ class HashIndex:
 
     # -- TableObserver protocol ---------------------------------------
 
-    def on_append(self, rid: int, values: tuple) -> None:
-        # unreachable from Table; kept as a bench_e2e trace target
-        self._buckets.setdefault(values[self._col_pos], set()).add(rid)
-
-    def on_append_many(self, rids: Sequence[int], columns: Sequence[list]) -> None:
+    def on_append(self, rids: Sequence[int], columns: Sequence[list]) -> None:
         buckets = self._buckets
         for value, rid in zip(columns[self._col_pos], rids):
             bucket = buckets.get(value)
@@ -61,15 +58,17 @@ class HashIndex:
             else:
                 bucket.add(rid)
 
-    def on_delete(self, rid: int, values: tuple) -> None:
-        bucket = self._buckets.get(values[self._col_pos])
-        if bucket is None or rid not in bucket:
-            raise StorageError(
-                f"hash index on {self.column!r} out of sync: delete of unknown rid {rid}"
-            )
-        bucket.discard(rid)
-        if not bucket:
-            del self._buckets[values[self._col_pos]]
+    def on_delete(self, rids: Sequence[int], columns: Sequence[list]) -> None:
+        buckets = self._buckets
+        for value, rid in zip(columns[self._col_pos], rids):
+            bucket = buckets.get(value)
+            if bucket is None or rid not in bucket:
+                raise StorageError(
+                    f"hash index on {self.column!r} out of sync: delete of unknown rid {rid}"
+                )
+            bucket.remove(rid)
+            if not bucket:
+                del buckets[value]
 
     def on_compact(self, remap: Mapping[int, int]) -> None:
         self._buckets = {
@@ -82,9 +81,10 @@ class HashIndex:
 class SortedIndex:
     """Order index: sorted ``(value, rid)`` pairs with lazy deletion.
 
-    Deletions mark a rid dead in a side set; the sorted list is purged
-    when dead entries exceed half the list (and on compaction). This
-    keeps delete O(1) — important because decay evicts constantly.
+    Deletions mark their rids dead in a side set, one ``update`` per
+    batch; the sorted list is purged when dead entries exceed half the
+    list (checked once per batch, and on compaction). This keeps delete
+    O(1) per row — important because decay evicts constantly.
 
     NULL keys are not indexed: NULL never satisfies a range predicate,
     and it does not order against a value.
@@ -158,12 +158,7 @@ class SortedIndex:
 
     # -- TableObserver protocol ---------------------------------------
 
-    def on_append(self, rid: int, values: tuple) -> None:
-        # unreachable from Table; kept as a bench_e2e trace target
-        if values[self._col_pos] is not None:
-            bisect.insort(self._entries, (values[self._col_pos], rid))
-
-    def on_append_many(self, rids: Sequence[int], columns: Sequence[list]) -> None:
+    def on_append(self, rids: Sequence[int], columns: Sequence[list]) -> None:
         pairs: Iterable[tuple[Any, int]] = zip(columns[self._col_pos], rids)
         if self._nullable:
             pairs = [(value, rid) for value, rid in pairs if value is not None]
@@ -181,10 +176,13 @@ class SortedIndex:
         hi = bisect.bisect_right(entries, batch[-1], lo)
         entries[lo:hi] = sorted(entries[lo:hi] + batch)
 
-    def on_delete(self, rid: int, values: tuple) -> None:
-        if values[self._col_pos] is not None:
-            self._dead.add(rid)
-            self._purge()
+    def on_delete(self, rids: Sequence[int], columns: Sequence[list]) -> None:
+        if self._nullable:
+            values = columns[self._col_pos]
+            self._dead.update(rid for rid, value in zip(rids, values) if value is not None)
+        else:
+            self._dead.update(rids)
+        self._purge()
 
     def on_compact(self, remap: Mapping[int, int]) -> None:
         self._entries = [

@@ -31,9 +31,12 @@ array itself.
 
 Observers (secondary indexes, decay bookkeeping) register through
 :meth:`Table.add_observer` and are told about every append, delete and
-compaction, so they never go stale. An append reaches an observer as
-one ``on_append_many(rids, columns)`` call per batch, or — for an
-observer that only defines it — one ``on_append(rid, values)`` per row.
+compaction, so they never go stale. Observers get the batch: an append
+reaches each one as one ``on_append(rids, columns)`` call and a delete
+as one ``on_delete(rids, columns)`` call, ``columns`` holding one value
+list per schema column (the delete's gathered once, before the rows
+die: one fancy index per array column, one comprehension per list
+column).
 
 One storage backend: the live mask is always a boolean array, and the
 freshness column plus any ``vector_columns`` (in practice ``t`` and
@@ -72,24 +75,18 @@ class TableObserver(Protocol):
 
     Implementations must tolerate any call order that matches the
     table's actual mutation order; the table never calls observers
-    re-entrantly.
+    re-entrantly. Every call carries a whole batch, and its arguments
+    are shared with the other observers — read, never mutate.
     """
 
-    def on_append(self, rid: int, values: tuple) -> None:
-        """Row ``rid`` was appended with ``values`` (schema order)."""
+    def on_append(self, rids: Sequence[int], columns: Sequence[list]) -> None:
+        """Rows ``rids`` (ascending, contiguous) were appended, ``columns``
+        holding one value list per schema column. One call per batch."""
 
-    def on_append_many(self, rids: Sequence[int], columns: Sequence[list]) -> None:
-        """Optional batch form: rows ``rids`` (ascending, contiguous) were
-        appended, ``columns`` holding one value list per schema column.
-
-        An observer that defines it gets one call per batch and no
-        ``on_append``; one that does not gets ``on_append`` per row, in
-        rid order. Both arguments are shared with the other observers —
-        read, never mutate.
-        """
-
-    def on_delete(self, rid: int, values: tuple) -> None:
-        """Row ``rid`` was tombstoned; ``values`` are its last values."""
+    def on_delete(self, rids: Sequence[int], columns: Sequence[list]) -> None:
+        """Rows ``rids`` (in the order given to :meth:`Table.delete_many`)
+        were tombstoned; ``columns`` holds one list of their last values
+        per schema column, aligned with ``rids``. One call per batch."""
 
     def on_compact(self, remap: Mapping[int, int]) -> None:
         """The table compacted; ``remap`` maps old live rid -> new rid."""
@@ -300,12 +297,7 @@ class Table:
         self._live_count += count
         self._version += 1
         for obs in self._observers:
-            notify = getattr(obs, "on_append_many", None)
-            if notify is not None:
-                notify(rids, columns)
-            else:
-                for rid, values in zip(rids, zip(*columns)):
-                    obs.on_append(rid, values)
+            obs.on_append(rids, columns)
         return rids
 
     def delete(self, rid: int) -> None:
@@ -316,13 +308,12 @@ class Table:
         """Tombstone many live rows in one pass.
 
         Validates every rid up front (so a bad batch deletes nothing),
-        flips the whole live mask in one vectorized write, adds the
-        batch's runs to the tombstone index in one merge, then
-        notifies observers once per row in the order given — per-row
-        eviction provenance is preserved while the mask work is O(1)
-        Python calls.
+        gathers the dying rows' values once per column, flips the whole
+        live mask in one vectorized write, adds the batch's runs to the
+        tombstone index in one merge, then makes one ``on_delete`` call
+        per observer with the rids in the order given.
         """
-        ordered = list(rids)
+        ordered = tuple(rids)
         if not ordered:
             return
         if self.probe is not None:
@@ -330,21 +321,22 @@ class Table:
         self.check_live_many(ordered)
         if len(set(ordered)) != len(ordered):
             raise StorageError(f"duplicate row ids in batch delete on {self.name!r}")
-        captured = [
-            (rid, tuple(col[rid] for col in self._columns)) for rid in ordered
-        ]
         dead = numpy.asarray(ordered, dtype=numpy.intp)
+        vector = self._vector_positions
+        columns = [
+            col.array()[dead].tolist() if pos in vector else [col[rid] for rid in ordered]
+            for pos, col in enumerate(self._columns)
+        ]
         self._live.array()[dead] = False
         self._tombs.add_many(dead)
         self._live_count -= len(ordered)
         self._version += 1
-        for rid, values in captured:
-            for obs in self._observers:
-                obs.on_delete(rid, values)
+        for obs in self._observers:
+            obs.on_delete(ordered, columns)
 
     def delete_rows(self, rows: RowSet) -> None:
         """Tombstone every row in ``rows`` (all must be live)."""
-        self.delete_many(list(rows))
+        self.delete_many(rows.rows)
 
     # ------------------------------------------------------------------
     # reads

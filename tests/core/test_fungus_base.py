@@ -29,7 +29,7 @@ class TestFungusBase:
 
     def test_default_hooks_are_noops(self):
         fungus = Fungus()
-        fungus.on_evicted(1)
+        fungus.on_evicted((1,))
         fungus.on_compacted({1: 0})
         fungus.reset()
 

@@ -89,7 +89,7 @@ class TestAllOrNothing:
         calls: list = []
 
         class Watcher:
-            def on_append_many(self, rids, columns):
+            def on_append(self, rids, columns):
                 calls.append(list(rids))
 
         plain.add_observer(Watcher())

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy
 
@@ -195,8 +195,9 @@ class ReferenceEGI(Fungus):
     def reset(self) -> None:
         self.spots = ListSpots()
 
-    def on_evicted(self, rid: int) -> None:
-        self.spots.remove(rid)
+    def on_evicted(self, rids: Sequence[int]) -> None:
+        for rid in rids:
+            self.spots.remove(rid)
 
     def on_compacted(self, remap: Mapping[int, int]) -> None:
         self.spots.remap(remap)
@@ -271,9 +272,10 @@ class ReferenceBlueCheese(Fungus):
     def reset(self) -> None:
         self.veins.clear()
 
-    def on_evicted(self, rid: int) -> None:
-        for vein in self.veins:
-            vein.members.remove(rid)
+    def on_evicted(self, rids: Sequence[int]) -> None:
+        for rid in rids:
+            for vein in self.veins:
+                vein.members.remove(rid)
 
     def on_compacted(self, remap: Mapping[int, int]) -> None:
         for vein in self.veins:

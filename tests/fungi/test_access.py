@@ -76,7 +76,7 @@ class TestStatePlumbing:
         inner = LinearDecayFungus(rate=0.1)
         fungus = AccessRefreshFungus(inner)
         fungus.note_access(RowSet([3]))
-        fungus.on_evicted(3)
+        fungus.on_evicted((3,))
         assert 3 not in fungus._pending
 
     def test_on_compacted_remaps_pending(self, decaying):

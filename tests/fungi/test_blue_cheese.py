@@ -100,7 +100,7 @@ class TestLifecycle:
         fungus = BlueCheeseFungus(max_spots=1, base_rate=0.01)
         fungus.cycle(big_table, rng)
         rid = next(iter(fungus.spots[0]))
-        fungus.on_evicted(rid)
+        fungus.on_evicted((rid,))
         assert rid not in fungus.spots[0]
 
     def test_on_compacted(self, big_table, rng):
@@ -109,7 +109,7 @@ class TestLifecycle:
         before = set(fungus.spots[0])
         big_table.evict(RowSet([99]), "manual")
         before.discard(99)
-        fungus.on_evicted(99)
+        fungus.on_evicted((99,))
         remap = big_table.compact()
         fungus.on_compacted(remap)
         assert set(fungus.spots[0]) == {remap[r] for r in before}

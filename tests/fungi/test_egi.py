@@ -132,7 +132,7 @@ class TestLifecycle:
             table.evict(table.exhausted, "decay")
             for rid in list(fungus.infected):
                 if not table.is_live(rid):
-                    fungus.on_evicted(rid)
+                    fungus.on_evicted((rid,))
             if len(table) == 0:
                 break
         assert len(table) == 0
@@ -141,7 +141,7 @@ class TestLifecycle:
         fungus = EGIFungus(seeds_per_cycle=1, decay_rate=0.1)
         fungus.cycle(big_table, rng)
         rid = next(iter(fungus.infected))
-        fungus.on_evicted(rid)
+        fungus.on_evicted((rid,))
         assert rid not in fungus.infected
 
     def test_on_compacted_remaps(self, big_table, rng):
@@ -150,7 +150,7 @@ class TestLifecycle:
         old_infected = set(fungus.infected)
         big_table.evict(RowSet([0]), "manual")
         if 0 in old_infected:
-            fungus.on_evicted(0)
+            fungus.on_evicted((0,))
             old_infected.discard(0)
         remap = big_table.compact()
         fungus.on_compacted(remap)

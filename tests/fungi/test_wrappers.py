@@ -83,7 +83,7 @@ class TestComposite:
         inner = EGIFungus(seeds_per_cycle=1, decay_rate=0.1)
         fungus = CompositeFungus([inner])
         inner._spots.add(3)
-        fungus.on_evicted(3)
+        fungus.on_evicted((3,))
         assert 3 not in inner.infected
         inner._spots.add(5)
         fungus.on_compacted({5: 1})

@@ -1,8 +1,10 @@
-"""Known-good fixture: the columnar distill shape RS007 asks for.
+"""Known-good fixture: the columnar distill and one-batch consume
+shapes RS007 asks for.
 
-Same scope as ``distill.py`` beside it (``repro/core/db.py``), no
-finding: liveness is checked once, each column is gathered once, and
-the summary takes the whole batch.
+Same scope as ``distill.py`` beside it and ``per_row/repro/core/db.py``
+(``repro/core/db.py``), no finding: liveness is checked once, each
+column is gathered once, the summary takes the whole batch, and the
+consume hook publishes one event for all of its rows.
 """
 
 
@@ -12,3 +14,11 @@ def distill_rowset(summary, storage, rows):
         {name: storage.gather(name, rows.rows) for name in storage.schema.names}
     )
     return summary
+
+
+def before_consume(self, table_name, consumed, TupleConsumedBatch):
+    query_text = self.engine.current_sql or "consume"
+    if consumed:
+        self.bus.publish(
+            TupleConsumedBatch(table_name, self.clock.now, consumed.rows, query_text)
+        )

@@ -23,4 +23,4 @@ def append_columns(self, rids, columns):
     for col, values in zip(self._columns, columns):
         col.extend(values)
     for observer in self._observers:
-        observer.on_append_many(rids, columns)
+        observer.on_append(rids, columns)

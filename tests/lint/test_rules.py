@@ -85,6 +85,17 @@ class TestRulesFireOnFixtures:
         good = LintEngine().lint_paths([core / "db.py"])
         assert good.findings == [], good.human()
 
+    def test_rs007_consume_publish_fixture_pair(self):
+        """A TupleConsumed per consumed row is flagged in db.py; one batch passes."""
+        bad = LintEngine().lint_paths(
+            [FIXTURES / "per_row" / "repro" / "core" / "db.py"]
+        )
+        assert [f.rule for f in bad.findings] == ["RS007"], bad.human()
+        assert bad.findings[0].message.startswith("per-row publish")
+        assert "TupleConsumedBatch" in bad.findings[0].message
+        good = LintEngine().lint_paths([FIXTURES / "repro" / "core" / "db.py"])
+        assert good.findings == [], good.human()
+
     def test_rs007_observer_scope_fixture_pair(self):
         """Re-expanding a batch per row is flagged in the observers; arrays pass."""
         bad = LintEngine().lint_paths([FIXTURES / "repro" / "obs" / "collector.py"])

@@ -1,9 +1,12 @@
 """The collector reads columns, not rows — and nobody can tell.
 
-The batch fold of ``TupleDecayedBatch`` and the array band sampling must
-leave the registry exactly as the per-row forms did; the per-row forms
-live on here as the references.
+The batch folds of ``TupleDecayedBatch``, ``TupleEvictedBatch`` and
+``TupleConsumedBatch`` and the array band sampling must leave the
+registry exactly as the per-row forms did; the per-row forms live on
+here as the references.
 """
+
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +17,7 @@ from repro.core.events import TupleDecayed
 from repro.core.freshness import FreshnessBand, band_of
 from repro.core.table import DecayingTable
 from repro.errors import DecayError
-from repro.fungi import LinearDecayFungus
+from repro.fungi import EGIFungus, LinearDecayFungus
 from repro.obs.collector import BusCollector
 from repro.obs.export import render_prometheus
 from repro.storage.schema import Schema
@@ -35,6 +38,21 @@ class ExpandingCollector(BusCollector):
             self.freshness_removed.labels(table=event.table, fungus=event.fungus).inc(delta)
         else:
             self.freshness_restored.labels(table=event.table, fungus=event.fungus).inc(-delta)
+
+
+class PerRowCollector(BusCollector):
+    """The reference: one ``inc()`` and one ``mark(1.0)`` per evicted or
+    consumed tuple, through the batch's expansion."""
+
+    def _on_evicted_batch(self, event):
+        for sub in event.expand():
+            self.evictions.labels(table=sub.table, reason=sub.reason).inc()
+            self.eviction_rate.labels(table=sub.table).mark(1.0, now=sub.tick)
+
+    def _on_consumed_batch(self, event):
+        for sub in event.expand():
+            self.consumed.labels(table=sub.table).inc()
+            self.consume_rate.labels(table=sub.table).mark(1.0, now=sub.tick)
 
 
 ROWS = 80  # batches of 1..80 rids fall on both sides of _SMALL_BATCH (32)
@@ -174,3 +192,31 @@ def test_one_tick_over_25k_rows_builds_no_per_row_object(monkeypatch):
         "column_values": 0,
         "freshness_values": 0,
     }
+
+
+def test_eviction_and_consume_folds_are_byte_equal_to_per_row_folds():
+    db = FungusDB(seed=5)
+    for name in ("a", "b"):
+        db.create_table(
+            name,
+            Schema.of(k="int"),
+            fungus=EGIFungus(seeds_per_cycle=2, decay_rate=0.3),
+            compact_every=4,
+        )
+    folded = BusCollector().attach(db)
+    per_row = PerRowCollector().attach(db)
+    rng = random.Random(5)
+    for step in range(60):
+        name = rng.choice(("a", "b"))
+        db.insert_many(name, [{"k": rng.randrange(10)} for _ in range(rng.randint(1, 60))])
+        db.tick(rng.randint(1, 2))  # the rates decay between marks
+        if step % 3 == 0:
+            db.query(f"CONSUME SELECT k FROM {name} WHERE k < {rng.randrange(10)}")
+        if step % 7 == 0:
+            db.query(f"DELETE FROM {name} WHERE k = {rng.randrange(10)}")
+    registry = folded.registry
+    assert registry.value("repro_evictions_total", table="a", reason="decay") > 0
+    assert registry.value("repro_consumed_tuples_total", table="b") > 0
+    rate = registry.value("repro_eviction_rate", table="a")
+    assert rate != round(rate)  # fractional mass: the order of additions shows
+    assert render_prometheus(folded.registry) == render_prometheus(per_row.registry)

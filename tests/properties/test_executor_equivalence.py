@@ -35,11 +35,13 @@ class _Recorder:
     def __init__(self) -> None:
         self.events: list[tuple] = []
 
-    def on_append(self, rid: int, values: tuple) -> None:
-        self.events.append(("append", rid, values))
+    def on_append(self, rids, columns) -> None:
+        for rid, values in zip(rids, zip(*columns)):
+            self.events.append(("append", rid, values))
 
-    def on_delete(self, rid: int, values: tuple) -> None:
-        self.events.append(("delete", rid, values))
+    def on_delete(self, rids, columns) -> None:
+        for rid, values in zip(rids, zip(*columns)):
+            self.events.append(("delete", rid, values))
 
     def on_compact(self, remap) -> None:
         self.events.append(("compact", tuple(sorted(remap.items()))))

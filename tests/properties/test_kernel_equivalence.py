@@ -73,8 +73,7 @@ def _drain_exhausted(table: DecayingTable, fungus) -> None:
     dead = sorted(table.exhausted)
     if dead:
         table.evict(table.exhausted, "decay")
-        for rid in dead:
-            fungus.on_evicted(rid)
+        fungus.on_evicted(dead)
 
 
 # one mutation step of a schedule: (op, rid-offsets, operand)

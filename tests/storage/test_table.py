@@ -159,11 +159,13 @@ class TestObservers:
         def __init__(self):
             self.events = []
 
-        def on_append(self, rid, values):
-            self.events.append(("append", rid))
+        def on_append(self, rids, columns):
+            for rid in rids:
+                self.events.append(("append", rid))
 
-        def on_delete(self, rid, values):
-            self.events.append(("delete", rid, values[2]))
+        def on_delete(self, rids, columns):
+            for rid, value in zip(rids, columns[2]):
+                self.events.append(("delete", rid, value))
 
         def on_compact(self, remap):
             self.events.append(("compact", dict(remap)))

@@ -161,7 +161,7 @@ class TestAppendMany:
         seen = []
 
         class Watcher:
-            def on_append_many(self, rids, columns):
+            def on_append(self, rids, columns):
                 seen.append(rids)
 
         table.add_observer(Watcher())
@@ -198,7 +198,7 @@ class TestAppendMany:
             {op: counted(op) for op in ("__lt__", "__le__", "__gt__", "__ge__")},
         )
         # an observer sees the stored value, so count on the index's side
-        sorted_index.on_append_many((2000,), [[Counted(1001.0)]])
+        sorted_index.on_append((2000,), [[Counted(1001.0)]])
         assert sorted_index._entries[501] == (1001.0, 2000)
         assert len(compares) <= 2 * 12 + 2  # the tail check, two bisects of 2000
 
@@ -210,28 +210,12 @@ class TestAppendMany:
         table.append_many([row(t=-1.0), row(t=9.0)])
         assert sorted_index.ascending() == [8, 0, 1, 6, 2, 7, 5, 3, 4, 9]
 
-    def test_per_row_only_observer_gets_one_call_per_row_in_order(self, vector_t):
-        table, _, _ = make_table(vector_t)
-        table.append(row())
-        calls = []
-
-        class PerRow:
-            def on_append(self, rid, values):
-                calls.append((rid, values))
-
-        table.add_observer(PerRow())
-        table.append_many([row(k=1, t=2), row(k=None, f=0.5)])
-        assert calls == [
-            (1, (2.0, 1.0, 1, "x", True)),
-            (2, (1.0, 0.5, None, "x", True)),
-        ]
-
     def test_every_observer_shares_one_rid_sequence(self, vector_t):
         table, _, _ = make_table(vector_t)
         got = []
 
         class Batch:
-            def on_append_many(self, rids, columns):
+            def on_append(self, rids, columns):
                 got.append((rids, columns))
 
         table.add_observer(Batch())
