@@ -1,20 +1,20 @@
 """One delete batch against the same rows deleted one at a time, in one process.
 
 At the size of an ``ingest_decay`` eviction batch (550 rows), one
-``Table.delete_many`` on a ``DecayingTable``'s storage — the time index,
-one hash index, the exhausted/pinned bookkeeping and one
-``TupleEvictedBatch`` — must beat 550 single ``Table.delete`` calls (each
-a batch of one: one call per observer and one event per row) by the
-floor below. Each repeat deletes from a freshly built table, so only the
-delete is timed. Same-process ratios only; numbers compared across
-commits come from ``python -m bench_e2e run``.
+``DecayingTable.evict`` — ``Table.delete_many`` through the time index
+and one hash index, the exhausted/pinned bookkeeping and one
+``TupleEvictedBatch`` — must beat 550 single-row evictions (each a batch
+of one: one call per index and one event per row) by the floor below.
+Each repeat deletes from a freshly built table, so only the delete is
+timed. Same-process ratios only; numbers compared across commits come
+from ``python -m bench_e2e run``.
 """
 
 import random
 import time
 
 from repro.core.db import FungusDB
-from repro.storage import Schema
+from repro.storage import RowSet, Schema
 
 ROWS = 2000
 BATCH = 550
@@ -24,7 +24,7 @@ REPEATS = 9
 FLOOR = 22.9
 
 
-def _storage_and_victims():
+def _table_and_victims():
     db = FungusDB(seed=0)
     db.create_table("r", Schema.of(sensor="int", temp="float", site="str"))
     db.catalog.create_hash_index("r", "sensor")
@@ -36,32 +36,34 @@ def _storage_and_victims():
             for i in range(ROWS)
         ],
     )
-    return db.tables["r"].storage, sorted(rng.sample(range(ROWS), BATCH))
+    return db.tables["r"], sorted(rng.sample(range(ROWS), BATCH))
 
 
 def _best(delete) -> float:
     samples = []
     for _ in range(REPEATS):
-        storage, victims = _storage_and_victims()
+        table, victims = _table_and_victims()
         start = time.perf_counter()
-        delete(storage, victims)
+        delete(table, victims)
         samples.append(time.perf_counter() - start)
-        assert len(storage) == ROWS - BATCH
+        assert len(table) == ROWS - BATCH
     return min(samples)
 
 
-def _one_at_a_time(storage, victims) -> None:
+def _one_at_a_time(table, victims) -> None:
     for rid in victims:
-        storage.delete(rid)
+        table.evict(RowSet.from_sorted((rid,)), "decay")
 
 
 def test_delete_many_against_single_deletes(capsys):
     loop_s = _best(_one_at_a_time)
-    batch_s = _best(lambda storage, victims: storage.delete_many(victims))
+    batch_s = _best(
+        lambda table, victims: table.evict(RowSet.from_sorted(tuple(victims)), "decay")
+    )
     with capsys.disabled():
         print(
-            f"\ndelete {BATCH} of {ROWS} rows, time + hash index: single deletes "
-            f"{loop_s * 1e3:.2f} ms, delete_many {batch_s * 1e3:.2f} ms, "
+            f"\ndelete {BATCH} of {ROWS} rows, time + hash index: single evictions "
+            f"{loop_s * 1e3:.2f} ms, one evict {batch_s * 1e3:.2f} ms, "
             f"{loop_s / batch_s:.1f}x"
         )
     assert loop_s >= FLOOR * batch_s

@@ -76,7 +76,6 @@ class FungusDB:
         self.forensics = None
         self.querystats = None
         self.race_probe = None
-        self.engine.add_consume_hook(self._before_consume)
         self.engine.add_access_hook(self._on_access)
         # Tier-B static analysis: EXPLAIN CONSUME + the strict gate see
         # the freshness domain invariant, and every analysis is published
@@ -165,8 +164,14 @@ class FungusDB:
         self.tables[name] = table
         self.policies[name] = policy
         # SQL INSERTs go through the decaying insert path (t/f stamped);
-        # bare INSERT INTO <name> VALUES (...) targets the attributes only
-        self.engine.register_insert_delegate(name, table.insert_many, attributes.names)
+        # bare INSERT INTO <name> VALUES (...) targets the attributes only.
+        # DELETE and CONSUME victims leave through evict, with their cause
+        self.engine.register_delegates(
+            name,
+            table.insert_many,
+            lambda victims, cause: self._remove(table, policy, victims, cause),
+            attributes.names,
+        )
         return table
 
     def drop_table(self, name: str) -> None:
@@ -178,12 +183,11 @@ class FungusDB:
         silently vanishing with the catalog entry.
         """
         table = self._table(name)  # raise early on unknown names
-        live = table.rowset()
-        if live:
-            table.evict(live, reason="truncate")
+        table.evict(table.rowset(), "truncate")
         del self.tables[name]
         del self.policies[name]
         self.catalog.drop_table(name)
+        self.engine.drop_delegates(name)
 
     def table(self, name: str) -> DecayingTable:
         """The decaying table called ``name``."""
@@ -241,8 +245,6 @@ class FungusDB:
 
     def query(self, sql: str) -> ResultSet:
         """Run ``SELECT`` / ``CONSUME SELECT`` against the database."""
-        for table in self.tables.values():
-            table.set_eviction_reason("external")
         return self.engine.execute(sql)
 
     def consume(self, sql: str) -> ResultSet:
@@ -293,24 +295,26 @@ class FungusDB:
             )
         )
 
-    def _before_consume(self, table_name: str, consumed: RowSet) -> None:
-        """Consume hook: distill + label + notify, before deletion."""
-        table = self.tables.get(table_name)
-        if table is None:
-            return  # a plain storage table, not a decaying one
-        self.distiller.distill_rowset(table, consumed, reason="consume")
-        self.policies[table_name].stats.tuples_distilled += len(consumed)
-        # the executor exposes the SQL text of the statement currently
-        # running — Law-2 death records carry the consuming query verbatim,
-        # plus the acting session when one is set (the network server)
-        query_text = self.engine.current_sql or "consume"
-        if self.engine.current_actor is not None:
-            query_text = f"{query_text} @{self.engine.current_actor}"
-        if consumed:
+    def _remove(
+        self, table: DecayingTable, policy: DecayPolicy, victims: RowSet, cause: str
+    ) -> None:
+        """Delete delegate: SQL ``DELETE`` (cause ``external``) and
+        ``CONSUME`` (cause ``consume``) victims leave through
+        :meth:`DecayingTable.evict`. A consume first distils the rows
+        and publishes one :class:`TupleConsumedBatch`."""
+        if cause == "consume":
+            self.distiller.distill_rowset(table, victims, reason="consume")
+            policy.stats.tuples_distilled += len(victims)
+            # the executor exposes the SQL text of the statement currently
+            # running — Law-2 death records carry the consuming query
+            # verbatim, plus the acting session when one is set (the server)
+            query_text = self.engine.current_sql or "consume"
+            if self.engine.current_actor is not None:
+                query_text = f"{query_text} @{self.engine.current_actor}"
             self.bus.publish(
-                TupleConsumedBatch(table_name, self.clock.now, consumed.rows, query_text)
+                TupleConsumedBatch(table.name, self.clock.now, victims.rows, query_text)
             )
-        table.set_eviction_reason("consume")
+        table.evict(victims, cause)
 
     def _on_access(self, table_name: str, matched: RowSet) -> None:
         """Access hook: matched rows may refresh, per the table's fungus."""

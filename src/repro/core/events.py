@@ -170,7 +170,8 @@ class TupleEvictedBatch(Event):
     """One storage delete took these tuples out of R (``len > 0``).
 
     The one eviction event: policy eviction, ``CONSUME``, ``DELETE`` and
-    ``drop_table`` all publish it, once per ``Table.delete_many``.
+    ``drop_table`` all publish it, once per ``DecayingTable.evict`` (the
+    one way out of R), with the cause ``evict`` was given as ``reason``.
     ``rids`` is the batch in the order it was deleted; ``columns`` holds
     one list of the rows' last values per storage column (schema order),
     aligned with ``rids``. The bus counts it as ``len(event)``

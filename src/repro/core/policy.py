@@ -135,7 +135,7 @@ class DecayPolicy:
         if self.distiller is not None:
             self.distiller.distill_rowset(self.table, rows, reason="decay")
             self.stats.tuples_distilled += len(rows)
-        self.table.evict(rows, reason="decay")
+        self.table.evict(rows, "decay")
         self.stats.tuples_evicted += len(rows)
         return len(rows)
 

@@ -7,6 +7,14 @@ a fungus needs is exposed here: ages, freshness mutation, neighbour
 navigation along the insertion axis, uniform sampling of live rows,
 and eviction with event publication.
 
+There is one way out of R: :meth:`DecayingTable.evict` with the cause
+of the departure (``decay``, ``consume``, ``external``, ``truncate``,
+...). It deletes on storage, takes the rows out of the exhausted and
+pinned sets and publishes one :class:`TupleEvictedBatch` carrying that
+cause — the table does not observe its own storage, so no label has to
+travel from the caller to an observer callback. :meth:`compact` remaps
+the two sets and publishes :class:`TableCompacted` itself.
+
 Freshness reaching 0 does **not** evict by itself — the row joins the
 *exhausted* set and the :class:`~repro.core.policy.DecayPolicy` decides
 when exhausted rows actually leave (eager vs lazy ablation, F6).
@@ -127,14 +135,9 @@ class DecayingTable:
         self._f_pos = 1
         self._exhausted: set[int] = set()
         self._pinned: set[int] = set()
-        # Deletions may be issued by the query engine (Law 2) directly
-        # against the storage table; observing our own storage keeps the
-        # decay bookkeeping consistent no matter who deletes.
-        self._pending_reason = "external"
         #: replaced by FungusDB's tracer property so tables created at
         #: any point — before or after a checkpoint restore — share it
         self.tracer = Tracer(max_finished=0)
-        self.storage.add_observer(self)
 
     # ------------------------------------------------------------------
     # extent
@@ -285,7 +288,7 @@ class DecayingTable:
         This is the "inspect them once before removal" escape hatch:
         data the owner is actively taking care of doesn't rot.
         """
-        self.storage._check_live(rid)  # noqa: SLF001 — deliberate liveness check
+        self.storage.check_live_many((rid,))
         # a plain int, so ``pinned`` can skip RowSet's per-rid check
         self._pinned.add(int(rid))
 
@@ -571,63 +574,49 @@ class DecayingTable:
     # eviction (policies and Law 2)
     # ------------------------------------------------------------------
 
-    def evict(self, rows: RowSet, reason: str) -> None:
-        """Remove ``rows`` from R in one storage delete.
+    def evict(self, rows: RowSet, cause: str) -> None:
+        """Remove ``rows`` from R in one storage delete: the one exit.
 
-        Publishes one :class:`TupleEvictedBatch` for the whole batch,
-        carrying the rows' last values by column so distillers can cook
-        them without a second read (per-tuple subscribers still get one
-        :class:`TupleEvicted` per row, by expansion).
+        Every departure comes through here with its ``cause`` — policy
+        eviction (``decay``), Law 2 (``consume``), SQL ``DELETE``
+        (``external``), ``drop_table`` (``truncate``). The storage
+        delete validates the whole batch first, so a dead or duplicate
+        rid raises and changes nothing. Then the rows leave the
+        exhausted and pinned sets, and one :class:`TupleEvictedBatch`
+        carries the cause and the rows' last values by column (the ones
+        the delete gathered), so distillers cook them without a second
+        read; per-tuple subscribers get one :class:`TupleEvicted` per
+        row, by expansion.
         """
-        self._pending_reason = reason
-        try:
-            self.storage.delete_many(rows)
-        finally:
-            self._pending_reason = "external"
-
-    def set_eviction_reason(self, reason: str) -> None:
-        """Label upcoming storage-level deletions (Law 2 consume path).
-
-        The query engine deletes consumed rows directly on the storage
-        table; the consume hook calls this first so the resulting
-        :class:`TupleEvictedBatch` carries reason ``"consume"``. The
-        label stays until set again — :class:`~repro.core.db.FungusDB`
-        resets it to ``"external"`` before every query.
-        """
-        self._pending_reason = reason
-
-    def compact(self) -> dict[int, int]:
-        """Reclaim tombstones; remaps bookkeeping via the storage remap."""
-        with self.tracer.span(
-            "table.compact", table=self.name, tombstones=self.storage.tombstones
-        ) as span:
-            remap = self.storage.compact()
-            span.set(remapped=len(remap))
-        return remap
-
-    # -- TableObserver protocol (self-observation of storage) ----------
-
-    def on_append(self, rids: Sequence[int], columns: Sequence[list]) -> None:
-        """Storage observer hook; insertion events are published by _admit()."""
-
-    def on_delete(self, rids: Sequence[int], columns: Sequence[list]) -> None:
-        """Any deletion — policy eviction or Law-2 consume — lands here,
-        one call per storage delete: two set updates, one event."""
+        rids = rows.rows
+        if not rids:
+            return
+        columns = self.storage.delete_many(rids)
         self._exhausted.difference_update(rids)
         self._pinned.difference_update(rids)
         self.bus.publish(
-            TupleEvictedBatch(
-                self.name, self.clock.now, rids, self._pending_reason, tuple(columns)
-            )
+            TupleEvictedBatch(self.name, self.clock.now, rids, cause, tuple(columns))
         )
 
-    def on_compact(self, remap: Mapping[int, int]) -> None:
-        """Keep exhausted/pinned sets valid across compaction."""
-        self._exhausted = {remap[rid] for rid in self._exhausted if rid in remap}
-        self._pinned = {remap[rid] for rid in self._pinned if rid in remap}
-        self.bus.publish(
-            TableCompacted(self.name, self.clock.now, remap=tuple(sorted(remap.items())))
-        )
+    def compact(self) -> dict[int, int]:
+        """Reclaim tombstones; remaps the exhausted and pinned sets through
+        the storage remap and publishes :class:`TableCompacted` (nothing
+        when there was no tombstone to reclaim)."""
+        tombstones = self.storage.tombstones
+        with self.tracer.span(
+            "table.compact", table=self.name, tombstones=tombstones
+        ) as span:
+            remap = self.storage.compact()
+            span.set(remapped=len(remap))
+            if tombstones:
+                self._exhausted = {remap[rid] for rid in self._exhausted if rid in remap}
+                self._pinned = {remap[rid] for rid in self._pinned if rid in remap}
+                self.bus.publish(
+                    TableCompacted(
+                        self.name, self.clock.now, remap=tuple(sorted(remap.items()))
+                    )
+                )
+        return remap
 
     # ------------------------------------------------------------------
     # bulk views

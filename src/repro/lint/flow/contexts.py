@@ -115,6 +115,7 @@ TRACKED_METHODS = frozenset(
         "set_freshness_many",
         "pin",
         "unpin",
+        "evict",
         # storage Table surface
         "append",
         "append_many",

@@ -16,7 +16,7 @@ from typing import ClassVar, Iterator, Sequence
 from repro.lint.catalogue import load_metric_catalogue
 from repro.lint.engine import Finding, ModuleSource, Rule
 
-CATALOGUE_VERSION = "1.11"
+CATALOGUE_VERSION = "1.12"
 
 #: packages where simulated time and injected randomness are mandatory
 RESTRICTED_PACKAGES = ("core", "fungi", "query", "sim", "storage")
@@ -545,7 +545,7 @@ class BatchMutatorRule(Rule):
         "index update and one event per row, and leaves half a batch "
         "behind when a later row is bad; append_many/insert_many/"
         "restore_many coerce by column, extend each column once and "
-        "publish one TupleInsertedBatch. The consume hook in core/db.py "
+        "publish one TupleInsertedBatch. The delete delegate in core/db.py "
         "publishes one TupleConsumedBatch per statement, not a "
         "TupleConsumed per row."
     )

@@ -302,8 +302,9 @@ class DeleteStmt:
     """``DELETE FROM table [WHERE predicate]``.
 
     Plain removal — unlike ``CONSUME SELECT`` the rows are not turned
-    into an answer set, and FungusDB does not distill them (their
-    eviction reason stays "external").
+    into an answer set, and FungusDB does not distill them: the
+    executor hands the victims to the table's delete delegate with
+    cause ``"external"``, which evicts them under that cause.
     """
 
     table: str

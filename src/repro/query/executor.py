@@ -11,10 +11,17 @@ set is built, every base-table row satisfying the WHERE predicate is
 deleted — *all* of them, even when LIMIT truncates the visible answer,
 because the law replaces the extent of R by ``R − σ_P(R)`` regardless
 of what the user chose to look at.
+
+``DELETE`` and ``CONSUME`` hand their victims, as one :class:`RowSet`,
+and a cause (``"external"`` or ``"consume"``) to the table's delete
+delegate; the decay core registers one per relation, beside its insert
+delegate, so every tuple leaves through the relation's own exit. A table
+without one (a plain storage table) is deleted from directly.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence, Sized
@@ -47,8 +54,15 @@ from repro.query.result import ExecutionStats, ResultSet
 from repro.storage.catalog import Catalog
 from repro.storage.rowset import RowSet
 
-ConsumeHook = Callable[[str, RowSet], None]
+AccessHook = Callable[[str, RowSet], None]
 InsertDelegate = Callable[[Sequence[Mapping[str, Any]]], Any]
+DeleteDelegate = Callable[[RowSet, str], Any]
+AnswerCheck = Callable[[ResultSet], None]
+
+#: the wall time an ``EXPLAIN ANALYZE CONSUME`` plan is sized with for
+#: the parts not yet measured when it is checked: wider than any real
+#: run prints
+_WIDEST_SECONDS = 1e6
 
 
 @dataclass(frozen=True)
@@ -75,17 +89,17 @@ StatsHook = Callable[[QueryRecord], None]
 class QueryEngine:
     """Executes SELECT / CONSUME SELECT statements against a catalog.
 
-    ``consume_hooks`` run *before* consumed rows are deleted — the decay
-    core uses this to distill outgoing rows into summaries (the paper's
-    "inspect them once before removal").
+    Consumed rows go to the table's delete delegate — the decay core
+    distils them into summaries there (the paper's "inspect them once
+    before removal") before they leave.
     """
 
     def __init__(self, catalog: Catalog) -> None:
         self.catalog = catalog
         self.tracer = Tracer(max_finished=0)
         #: SQL text of the statement currently executing (None outside
-        #: execute()); consume hooks read it so Law-2 death provenance
-        #: records the consuming query verbatim.
+        #: execute()); delete delegates read it so Law-2 death
+        #: provenance records the consuming query verbatim.
         self.current_sql: str | None = None
         #: who is running the current statement (a server session id);
         #: death provenance appends it to the consuming-query text so
@@ -97,43 +111,53 @@ class QueryEngine:
         #: table-name -> column-domain mapping fed to the analyzer
         #: (FungusDB supplies the freshness invariant f in [0, 1])
         self.consume_domains: DomainsProvider | None = None
-        self._consume_hooks: list[ConsumeHook] = []
-        self._access_hooks: list[ConsumeHook] = []
+        #: called with a CONSUME's answer once it is built and before
+        #: anything is deleted (the server sizes its reply here); a
+        #: raise aborts the statement with nothing eaten
+        self.answer_check: AnswerCheck | None = None
+        self._access_hooks: list[AccessHook] = []
         self._explain_hooks: list[Callable[[ConsumeReport], None]] = []
         self._stats_hooks: list[StatsHook] = []
         self._insert_delegates: dict[str, InsertDelegate] = {}
+        self._delete_delegates: dict[str, DeleteDelegate] = {}
         self._insert_default_columns: dict[str, tuple[str, ...]] = {}
         #: instrumentation of the most recent EXPLAIN ANALYZE, read by
         #: the stats-hook record builder within the same execute() call
         self._last_instr: PlanInstrumentation | None = None
 
-    def add_consume_hook(self, hook: ConsumeHook) -> None:
-        """Register a callback ``(table_name, consumed_rowset) -> None``."""
-        self._consume_hooks.append(hook)
-
-    def add_access_hook(self, hook: ConsumeHook) -> None:
+    def add_access_hook(self, hook: AccessHook) -> None:
         """Register ``(table_name, matched_rowset)`` called on every
         single-table query — the access-refresh fungus feeds off this."""
         self._access_hooks.append(hook)
 
-    def register_insert_delegate(
+    def register_delegates(
         self,
         table_name: str,
-        delegate: InsertDelegate,
-        columns: tuple[str, ...] | None = None,
+        insert: InsertDelegate,
+        delete: DeleteDelegate,
+        columns: tuple[str, ...],
     ) -> None:
         """Hand each ``INSERT INTO table_name`` statement's rows, as one
-        batch, to ``delegate``.
+        batch, to ``insert``, and each ``DELETE``/``CONSUME`` statement's
+        victims to ``delete(victims, cause)``.
 
         FungusDB registers each decaying table's :meth:`insert_many` here
         so SQL inserts get stamped with ``t = now`` and ``f = 1.0`` instead
-        of having to supply the reserved columns explicitly. ``columns``
-        is the default column list for INSERTs that omit one (a decaying
-        table's attributes, without t/f).
+        of having to supply the reserved columns explicitly, and a delete
+        delegate that distils consumed rows and evicts with the cause.
+        ``columns`` is the default column list for INSERTs that omit one
+        (a decaying table's attributes, without t/f).
         """
-        self._insert_delegates[table_name] = delegate
-        if columns is not None:
-            self._insert_default_columns[table_name] = tuple(columns)
+        self._insert_delegates[table_name] = insert
+        self._delete_delegates[table_name] = delete
+        self._insert_default_columns[table_name] = tuple(columns)
+
+    def drop_delegates(self, table_name: str) -> None:
+        """Forget a dropped table's delegates, so a table registered
+        later under the same name is written to directly."""
+        self._insert_delegates.pop(table_name, None)
+        self._delete_delegates.pop(table_name, None)
+        self._insert_default_columns.pop(table_name, None)
 
     def add_explain_hook(self, hook: Callable[[ConsumeReport], None]) -> None:
         """Run ``hook(report)`` after every Tier-B consume analysis
@@ -175,7 +199,7 @@ class QueryEngine:
                     if stmt.consume and self.strict_consume:
                         self._enforce_strict_consume(stmt)
                     plan = plan_select(stmt, self.catalog)
-                    result = self._run(plan)
+                    result = self._run(plan, check=self.answer_check)
                 span.set(
                     rows=len(result),
                     rows_scanned=result.stats.rows_scanned,
@@ -253,21 +277,14 @@ class QueryEngine:
                 instr = PlanInstrumentation(
                     select_plan, estimate(select_plan, self.catalog)
                 )
-                result = self._run(select_plan, instr)
+                check = self.answer_check
+                if check is not None:
+                    check = _as_plan(check, instr, report)
+                result = self._run(select_plan, instr, check)
         instr.total_seconds = span.duration
         instr.result_rows = len(result)
         self._last_instr = instr
-        lines = render_analyzed(instr)
-        if report is not None:
-            lines.insert(
-                len(lines) - 1, f"Tier-B consume verdict: {report.verdict}"
-            )
-        return ResultSet(
-            columns=("explain",),
-            rows=[(line,) for line in lines],
-            consumed=result.consumed,
-            stats=result.stats,
-        )
+        return _analyzed(instr, report, result)
 
     def _enforce_strict_consume(
         self, stmt: SelectStmt, report: ConsumeReport | None = None
@@ -313,12 +330,23 @@ class QueryEngine:
         node = instr.node("delete") if instr is not None else None
 
         def delete(_: Any) -> RowSet:
-            victims = RowSet(ops.scan_rids(plan, self.catalog, stats, node))
-            self.catalog.table(stmt.table).delete_rows(victims)
+            victims = RowSet.from_sorted(
+                tuple(ops.scan_rids(plan, self.catalog, stats, node))
+            )
+            self._remove(stmt.table, victims, "external")
             return victims
 
         victims = self._step(node, delete)
         return ResultSet(columns=("deleted",), rows=[(len(victims),)], stats=stats)
+
+    def _remove(self, table_name: str, victims: RowSet, cause: str) -> None:
+        """Hand ``victims`` to the table's delete delegate, or delete
+        them directly from a table that has none."""
+        delegate = self._delete_delegates.get(table_name)
+        if delegate is None:
+            self.catalog.table(table_name).delete_rows(victims)
+        else:
+            delegate(victims, cause)
 
     # ------------------------------------------------------------------
 
@@ -355,12 +383,19 @@ class QueryEngine:
         return out
 
     def _run(
-        self, plan: SelectPlan, instr: PlanInstrumentation | None = None
+        self,
+        plan: SelectPlan,
+        instr: PlanInstrumentation | None = None,
+        check: AnswerCheck | None = None,
     ) -> ResultSet:
         """Drive ``plan``'s operators in :func:`plan_nodes` order, each
-        through :meth:`_step` — EXPLAIN ANALYZE runs this same code."""
+        through :meth:`_step` — EXPLAIN ANALYZE runs this same code.
+
+        ``check`` sees a consume's finished answer before anything is
+        deleted; if it raises, nothing is eaten.
+        """
         stats = ExecutionStats()
-        consumed = RowSet.empty()
+        matched = RowSet.empty()
         source = plan.source
         aggregate = plan.aggregate
         count_only = ops.is_count_star_only(aggregate)
@@ -369,15 +404,13 @@ class QueryEngine:
             return instr.node(kind) if instr is not None else None
 
         def scan(_: Any) -> list[Any]:
-            nonlocal consumed
+            nonlocal matched
             assert isinstance(source, ScanPlan)
             rids = ops.scan_rids(source, self.catalog, stats, node("scan"))
-            if self._access_hooks and rids:
-                matched = RowSet(rids)
-                for hook in self._access_hooks:
-                    hook(source.table_name, matched)
-            if plan.consume:
-                consumed = RowSet(rids)
+            if rids and (self._access_hooks or plan.consume):
+                # ascending and unique, off the live mask or an index:
+                # one unchecked RowSet serves the hooks and the consume
+                matched = RowSet.from_sorted(tuple(rids))
             if count_only:
                 # late materialization's endgame: a pure count(*) needs
                 # no contexts at all, only the surviving rid count
@@ -399,9 +432,7 @@ class QueryEngine:
             assert isinstance(source, ScanPlan)
             table_name = source.table_name
             with self.tracer.span("consume", table=table_name, rows=len(victims)):
-                for hook in self._consume_hooks:
-                    hook(table_name, victims)
-                ops.consume_rows(self.catalog.table(table_name), victims)
+                self._remove(table_name, victims, "consume")
             return victims
 
         if isinstance(source, ScanPlan):
@@ -420,15 +451,60 @@ class QueryEngine:
             rows = self._step(node("distinct"), ops.distinct, rows)
         if plan.limit is not None:
             rows = self._step(node("limit"), ops.limit, rows, plan.limit)
-        out_rows = list(rows)
-
-        if consumed:
-            self._step(node("consume"), consume, consumed)
-            stats.rows_consumed = len(consumed)
-
-        return ResultSet(
+        consumed = matched if plan.consume else RowSet.empty()
+        result = ResultSet(
             columns=plan.output_columns,
-            rows=out_rows,
+            rows=list(rows),
             consumed=consumed,
             stats=stats,
         )
+        if consumed:
+            stats.rows_consumed = len(consumed)
+            if check is not None:
+                check(result)
+        if matched:
+            # only an answer that will be handed over counts as an
+            # access: a refused consume refreshes nothing either
+            assert isinstance(source, ScanPlan)
+            for hook in self._access_hooks:
+                hook(source.table_name, matched)
+        if consumed:
+            self._step(node("consume"), consume, consumed)
+        return result
+
+
+def _as_plan(
+    check: AnswerCheck, instr: PlanInstrumentation, report: ConsumeReport | None
+) -> AnswerCheck:
+    """``check`` for an ``EXPLAIN ANALYZE CONSUME``, whose answer is the
+    plan. The plan prints the consume's own time and the total, neither
+    measured yet, so ``check`` sees it as it will read once the consume
+    has run with both times at :data:`_WIDEST_SECONDS`: at least as long
+    as the real one."""
+
+    def sized(answer: ResultSet) -> None:
+        widest = copy.deepcopy(instr)
+        pending = widest.node("consume")
+        assert pending is not None
+        pending.rows_in = pending.rows_out = answer.stats.rows_consumed
+        pending.seconds = widest.total_seconds = _WIDEST_SECONDS
+        widest.result_rows = len(answer)
+        check(_analyzed(widest, report, answer))
+
+    return sized
+
+
+def _analyzed(
+    instr: PlanInstrumentation, report: ConsumeReport | None, result: ResultSet
+) -> ResultSet:
+    """The ``EXPLAIN ANALYZE`` answer: the annotated plan's lines, with
+    the Tier-B verdict of a consume before the total line."""
+    lines = render_analyzed(instr)
+    if report is not None:
+        lines.insert(len(lines) - 1, f"Tier-B consume verdict: {report.verdict}")
+    return ResultSet(
+        columns=("explain",),
+        rows=[(line,) for line in lines],
+        consumed=result.consumed,
+        stats=result.stats,
+    )

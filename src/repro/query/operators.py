@@ -78,14 +78,15 @@ def scan_rids(
     stats: ExecutionStats,
     collect: "OperatorStats | None" = None,
 ) -> list[int]:
-    """Row ids of live rows matching the scan plan, in candidate order.
+    """Row ids of live rows matching the scan plan, ascending and unique.
 
-    Candidates come from the index or the live mask, as one ``intp``
-    rid array; each residual conjunct then narrows that array in plan
-    order. Mask-compilable conjuncts index it with one numpy mask; the
-    rest fall back to row evaluation over materialized survivor
-    contexts, with identical counting. Python ints are made only for
-    such a conjunct and for the returned list.
+    Candidates come from the index (a hash bucket or a sorted-index
+    range, each a :class:`RowSet`) or the live mask, as one ascending
+    ``intp`` rid array; each residual conjunct then narrows that array
+    to a subsequence, in plan order. Mask-compilable conjuncts index it
+    with one numpy mask; the rest fall back to row evaluation over
+    materialized survivor contexts, with identical counting. Python ints
+    are made only for such a conjunct and for the returned list.
     """
     table = catalog.table(plan.table_name)
     if plan.index is not None:
@@ -380,7 +381,3 @@ def limit(rows: Iterable[tuple], n: int) -> Iterator[tuple]:
         if count >= n:
             return
 
-
-def consume_rows(table: Any, rids: RowSet) -> None:
-    """Law 2 enforcement: delete every answer-set row from the table."""
-    table.delete_rows(rids)

@@ -58,6 +58,7 @@ from repro.server.protocol import (
     FrameError,
     MAX_FRAME,
     decode_frame,
+    encode_frame,
     error,
     ok,
     read_frame_body,
@@ -68,6 +69,7 @@ from repro.server.snapshot import TickSnapshot
 
 if TYPE_CHECKING:
     from repro.core.db import FungusDB
+    from repro.query.result import ResultSet
 
 
 @dataclass
@@ -110,7 +112,7 @@ class _Request:
     raced.
     """
 
-    __slots__ = ("span", "op", "sql", "verdict", "trace", "stages")
+    __slots__ = ("span", "op", "sql", "verdict", "trace", "stages", "frame")
 
     def __init__(self, span: Span) -> None:
         self.span = span
@@ -119,6 +121,8 @@ class _Request:
         self.verdict: str | None = None
         self.trace: str | None = None
         self.stages: dict[str, float] = {}
+        #: the reply, already encoded by the worker (a strong query's)
+        self.frame: bytes | None = None
 
 
 class FungusServer:
@@ -375,7 +379,7 @@ class FungusServer:
         self, writer: asyncio.StreamWriter, req: _Request, response: dict[str, Any]
     ) -> None:
         with self._stage(req, "reply"):
-            await self._safe_write(writer, response)
+            await self._safe_write(writer, response, req.frame)
 
     def _finish_request(self, req: _Request, session: Session | None) -> None:
         """Fold one finished request into histograms and the slow log."""
@@ -397,13 +401,19 @@ class FungusServer:
             )
 
     async def _safe_write(
-        self, writer: asyncio.StreamWriter, payload: dict[str, Any]
+        self,
+        writer: asyncio.StreamWriter,
+        payload: dict[str, Any],
+        frame: bytes | None = None,
     ) -> None:
+        """Write ``payload``, or ``frame`` when the worker already
+        encoded it."""
         try:
-            await write_frame(writer, payload, self.config.max_frame)
+            writer.write(frame or encode_frame(payload, self.config.max_frame))
+            await writer.drain()
         except FrameError as exc:
-            # the response itself won't frame (a strong SELECT whose
-            # result outgrows max_frame): the connection still gets a
+            # the response itself won't frame (a SELECT whose result
+            # outgrows max_frame): the connection still gets a
             # structured error, never an escaped exception
             self.metrics.request("write", exc.code)
             fallback = error(exc.code, exc.message)
@@ -551,7 +561,8 @@ class FungusServer:
             raise FrameError(
                 Code.BAD_REQUEST, f"unknown consistency {consistency!r}"
             )
-        return await self._admitted(session, self._job_query(sql, session, req), req)
+        job = self._job_query(sql, session, req, payload)
+        return await self._admitted(session, job, req)
 
     def _snapshot_query(
         self, sql: str, session: Session, req: _Request
@@ -586,7 +597,7 @@ class FungusServer:
         )
 
     def _job_query(
-        self, sql: str, session: Session, req: _Request
+        self, sql: str, session: Session, req: _Request, payload: dict[str, Any]
     ) -> Callable[[], dict[str, Any]]:
         def job() -> dict[str, Any]:
             # worker side: the stack holds the worker.exec anchor the
@@ -596,25 +607,33 @@ class FungusServer:
                 admission = self.gatekeeper.admit(sql, session.grant)
             req.stages["policy.analyze"] = span.duration
             req.verdict = admission.verdict
+            sealed: list[Any] = []
+
+            def seal(answer: ResultSet) -> None:
+                # a consume's reply is encoded once, here, before it
+                # eats anything: one that cannot be framed raises
+                # OVERSIZED and leaves R as it was
+                reply = _reply(answer, admission.verdict, self.db.clock.now, payload)
+                sealed[:] = (answer, reply, encode_frame(reply, self.config.max_frame))
+
             engine = self.db.engine
             engine.current_actor = _actor(session, req)
+            engine.answer_check = seal
             try:
                 # execute the raw SQL, not the parsed statement:
                 # current_sql must carry the text so Law-2 death
                 # provenance records the consuming query verbatim
                 result = self.db.query(sql)
             finally:
-                engine.current_actor = None
+                engine.current_actor = engine.answer_check = None
             self.oplog.append(("query", sql))
             session.rows_consumed += result.stats.rows_consumed
-            return ok(
-                columns=list(result.columns),
-                rows=[list(row) for row in result.rows],
-                consumed=result.stats.rows_consumed,
-                tick=self.db.clock.now,
-                consistency="strong",
-                verdict=admission.verdict,
-            )
+            if sealed and sealed[0] is result:
+                req.frame = sealed[2]
+                return sealed[1]
+            # no consume ran, or an EXPLAIN ANALYZE one whose plan was
+            # only sized: the loop encodes this reply
+            return _reply(result, admission.verdict, self.db.clock.now, payload)
 
         return job
 
@@ -720,6 +739,23 @@ def _actor(session: Session, req: _Request) -> str:
     if req.trace is None:
         return session.id
     return f"{session.id}#{req.trace}"
+
+
+def _reply(
+    result: ResultSet, verdict: str | None, tick: float, payload: dict[str, Any]
+) -> dict[str, Any]:
+    """The reply to a strong query, carrying the request's ``id``."""
+    reply = ok(
+        columns=list(result.columns),
+        rows=[list(row) for row in result.rows],
+        consumed=result.stats.rows_consumed,
+        tick=tick,
+        consistency="strong",
+        verdict=verdict,
+    )
+    if "id" in payload:
+        reply["id"] = payload["id"]
+    return reply
 
 
 def _worker_nap(seconds: float) -> dict[str, Any]:

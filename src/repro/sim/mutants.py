@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.core.events import TupleEvictedBatch
 from repro.core.table import DecayingTable
 from repro.fungi.linear import LinearDecayFungus
 
@@ -20,24 +19,22 @@ Undo = Callable[[], None]
 
 
 def _broken_tombstone_accounting() -> Undo:
-    """Comment out the exhausted/pinned bookkeeping of a batch delete.
+    """Undo the exhausted-set bookkeeping of every eviction.
 
     Dead row ids linger in the exhausted set, so the exhausted-⊆-live
     invariant and the HealthReport exhausted count both break.
     """
-    original = DecayingTable.on_delete
+    original = DecayingTable.evict
 
-    def on_delete(self, rids, columns):  # pragma: no cover - mutant body
-        self.bus.publish(
-            TupleEvictedBatch(
-                self.name, self.clock.now, rids, self._pending_reason, tuple(columns)
-            )
-        )
+    def evict(self, rows, cause):  # pragma: no cover - mutant body
+        exhausted = set(self._exhausted)
+        original(self, rows, cause)
+        self._exhausted |= exhausted
 
-    DecayingTable.on_delete = on_delete
+    DecayingTable.evict = evict
 
     def undo() -> None:
-        DecayingTable.on_delete = original
+        DecayingTable.evict = original
 
     return undo
 
@@ -71,19 +68,20 @@ def _broken_consume() -> Undo:
     ``R − σ_P(R)`` leaves survivors behind: the consume diff and the
     row diff both fire.
     """
-    from repro.query import operators as ops
+    from repro.query.executor import QueryEngine
     from repro.storage.rowset import RowSet
 
-    original = ops.consume_rows
+    original = QueryEngine._remove
 
-    def consume_rows(table, rows):  # pragma: no cover - mutant body
-        kept = RowSet(rid for i, rid in enumerate(sorted(rows)) if i % 2 == 0)
-        return original(table, kept)
+    def _remove(self, table_name, victims, cause):  # pragma: no cover - mutant body
+        if cause == "consume":
+            victims = RowSet(rid for i, rid in enumerate(victims) if i % 2 == 0)
+        return original(self, table_name, victims, cause)
 
-    ops.consume_rows = consume_rows
+    QueryEngine._remove = _remove
 
     def undo() -> None:
-        ops.consume_rows = original
+        QueryEngine._remove = original
 
     return undo
 

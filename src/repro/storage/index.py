@@ -29,15 +29,19 @@ from repro.storage.table import Table
 
 
 class HashIndex:
-    """Equality index: column value -> set of live row ids."""
+    """Equality index: column value -> set of live row ids.
+
+    NaN keys are not filed: equality never matches NaN, and a NaN read
+    back off a float array is a new object no bucket would find.
+    """
 
     def __init__(self, table: Table, column: str) -> None:
         self.table = table
         self.column = column
         self._col_pos = table.schema.index_of(column)
         self._buckets: dict[Hashable, set[int]] = {}
-        for rid, values in table.iter_rows():
-            self._buckets.setdefault(values[self._col_pos], set()).add(rid)
+        rids = table.live_list()
+        self._file(table.gather(column, rids), rids)
         table.add_observer(self)
 
     def __len__(self) -> int:
@@ -50,10 +54,15 @@ class HashIndex:
     # -- TableObserver protocol ---------------------------------------
 
     def on_append(self, rids: Sequence[int], columns: Sequence[list]) -> None:
+        self._file(columns[self._col_pos], rids)
+
+    def _file(self, values: Sequence[Any], rids: Sequence[int]) -> None:
         buckets = self._buckets
-        for value, rid in zip(columns[self._col_pos], rids):
+        for value, rid in zip(values, rids):
             bucket = buckets.get(value)
             if bucket is None:
+                if value != value:
+                    continue  # NaN
                 buckets[value] = {rid}
             else:
                 bucket.add(rid)
@@ -62,6 +71,8 @@ class HashIndex:
         buckets = self._buckets
         for value, rid in zip(columns[self._col_pos], rids):
             bucket = buckets.get(value)
+            if bucket is None and value != value:
+                continue  # NaN, never filed
             if bucket is None or rid not in bucket:
                 raise StorageError(
                     f"hash index on {self.column!r} out of sync: delete of unknown rid {rid}"

@@ -29,14 +29,17 @@ or scalar kernel — keeps the caches current. Nothing beside the data
 tracks which rows have rotted: a scan for ``f < x`` reads the freshness
 array itself.
 
-Observers (secondary indexes, decay bookkeeping) register through
+Observers (the secondary indexes) register through
 :meth:`Table.add_observer` and are told about every append, delete and
 compaction, so they never go stale. Observers get the batch: an append
 reaches each one as one ``on_append(rids, columns)`` call and a delete
 as one ``on_delete(rids, columns)`` call, ``columns`` holding one value
 list per schema column (the delete's gathered once, before the rows
 die: one fancy index per array column, one comprehension per list
-column).
+column). :meth:`Table.delete_many` also returns those columns, which is
+how the decay core's one exit,
+:meth:`~repro.core.table.DecayingTable.evict`, books and publishes the
+rows it removed without observing its own storage.
 
 One storage backend: the live mask is always a boolean array, and the
 freshness column plus any ``vector_columns`` (in practice ``t`` and
@@ -213,21 +216,22 @@ class Table:
         """True when ``rid`` exists and has not been deleted."""
         return 0 <= rid < self._next_rid and self._live[rid]
 
-    def _check_live(self, rid: int) -> None:
-        if not (0 <= rid < self._next_rid):
-            raise StorageError(f"row id {rid} out of range [0, {self._next_rid}) in {self.name!r}")
-        if not self._live[rid]:
-            raise StorageError(f"row id {rid} is deleted in table {self.name!r}")
-
     def check_live_many(self, rids: Sequence[int]) -> None:
-        """Raise :class:`StorageError` unless every rid is a live row."""
+        """Raise :class:`StorageError` unless every rid is a live row.
+
+        A rid is an integer: a bool, a float or any other non-integral
+        value raises too, before it can index the live mask.
+        """
         if len(rids) < 32:
             # ufunc reductions cost ~2us of fixed dispatch each;
             # for a handful of rids a direct loop is far cheaper
             live = self._live.array()
             upper = self._next_rid
             for rid in rids:
-                rid = int(rid)
+                if isinstance(rid, (bool, numpy.bool_)) or not isinstance(
+                    rid, (int, numpy.integer)
+                ):
+                    raise StorageError(f"row id {rid!r} is not an integer")
                 if not 0 <= rid < upper:
                     raise StorageError(
                         f"row id {rid} out of range [0, {upper}) in {self.name!r}"
@@ -237,7 +241,15 @@ class Table:
                         f"row id {rid} is deleted in table {self.name!r}"
                     )
             return
-        arr = numpy.asarray(rids, dtype=numpy.intp)
+        arr = numpy.asarray(rids)
+        # numpy turns a bool among ints into an int: look at the types
+        if arr.dtype.kind not in "iu" or (
+            not isinstance(rids, numpy.ndarray)
+            and not {bool, numpy.bool_}.isdisjoint(map(type, rids))
+        ):
+            raise StorageError(
+                f"row ids of {self.name!r} are not integers ({arr.dtype})"
+            )
         if int(arr.min()) < 0 or int(arr.max()) >= self._next_rid:
             bad = next(r for r in rids if not 0 <= r < self._next_rid)
             raise StorageError(
@@ -304,18 +316,20 @@ class Table:
         """Tombstone one live row (a batch of one)."""
         self.delete_many((rid,))
 
-    def delete_many(self, rids: Sequence[int]) -> None:
-        """Tombstone many live rows in one pass.
+    def delete_many(self, rids: Sequence[int]) -> list[list[Any]]:
+        """Tombstone many live rows in one pass; returns their last values.
 
         Validates every rid up front (so a bad batch deletes nothing),
         gathers the dying rows' values once per column, flips the whole
         live mask in one vectorized write, adds the batch's runs to the
         tombstone index in one merge, then makes one ``on_delete`` call
-        per observer with the rids in the order given.
+        per observer with the rids in the order given. The gathered
+        columns — one value list per schema column, aligned with
+        ``rids`` — are returned (empty for an empty batch).
         """
         ordered = tuple(rids)
         if not ordered:
-            return
+            return []
         if self.probe is not None:
             self.probe.note(self.name, "delete_many")
         self.check_live_many(ordered)
@@ -333,6 +347,7 @@ class Table:
         self._version += 1
         for obs in self._observers:
             obs.on_delete(ordered, columns)
+        return columns
 
     def delete_rows(self, rows: RowSet) -> None:
         """Tombstone every row in ``rows`` (all must be live)."""
@@ -344,12 +359,12 @@ class Table:
 
     def value(self, rid: int, column: str) -> Any:
         """One cell of a live row."""
-        self._check_live(rid)
+        self.check_live_many((rid,))
         return self._columns[self.schema.index_of(column)][rid]
 
     def row(self, rid: int) -> tuple:
         """All values of a live row, in schema order."""
-        self._check_live(rid)
+        self.check_live_many((rid,))
         return tuple(col[rid] for col in self._columns)
 
     def row_dict(self, rid: int) -> dict[str, Any]:
@@ -361,9 +376,9 @@ class Table:
         col = self._columns[self.schema.index_of(column)]
         if rows is None:
             return [col[rid] for rid in self.live_rows()]
-        for rid in rows:
-            self._check_live(rid)
-        return [col[rid] for rid in rows]
+        rids = list(rows)
+        self.check_live_many(rids)
+        return [col[rid] for rid in rids]
 
     def live_rows(self) -> Iterator[int]:
         """Row ids of live rows, ascending (insertion/time order): an

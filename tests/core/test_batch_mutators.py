@@ -52,7 +52,7 @@ class TestDecayMany:
     def test_dead_rid_raises(self, table):
         from repro.storage import RowSet
 
-        table.evict(RowSet([3]), reason="manual")
+        table.evict(RowSet([3]), "manual")
         with pytest.raises(StorageError):
             table.decay_many([2, 3], 0.1, "t")
 
@@ -235,7 +235,7 @@ class TestOneWritePath:
     def test_dead_rid_changes_nothing(self, table, monkeypatch, force_vector):
         if force_vector:
             monkeypatch.setattr(core_table, "_SMALL_BATCH", 0)
-        table.evict(RowSet([3]), reason="manual")
+        table.evict(RowSet([3]), "manual")
         table.decay_many([0], 1.0, "t")
         before = (
             table.storage.freshness_array().tolist(),

@@ -171,19 +171,6 @@ def test_seeded_schedule_retires_batches_faithfully(seed, monkeypatch):
     assert db.tables["r"].rows() == quiet.tables["r"].rows()
 
 
-def test_a_delete_batch_expands_in_the_order_given():
-    db = _db(0)
-    db.insert_many("r", [{"k": i % KEYS, "s": f"s{i}"} for i in range(12)])
-    log = _Log(db)
-    table = db.tables["r"]
-    before = dict(table.storage.iter_rows())
-    table.storage.delete_many([9, 2, 5])
-    (batch,) = log.batches
-    assert batch.rids == (9, 2, 5)
-    assert [(e.rid, e.values) for e in log.tuples] == [(rid, before[rid]) for rid in (9, 2, 5)]
-    assert db.bus.counts["TupleEvicted"] == 3
-
-
 class TestBadBatchChangesNothing:
     @staticmethod
     def _state(db: FungusDB, log: _Log):
@@ -210,7 +197,7 @@ class TestBadBatchChangesNothing:
         table = db.tables["r"]
         table.pin(3)
         table.decay_many([4, 5], 1.0, "manual")  # exhausted, not yet evicted
-        table.evict(RowSet([7]), reason="manual")
+        table.evict(RowSet([7]), "manual")
         return db, _Log(db)
 
     @pytest.mark.parametrize(
@@ -229,7 +216,7 @@ class TestBadBatchChangesNothing:
         db, log = setup
         before = self._state(db, log)
         with pytest.raises(StorageError):
-            db.tables["r"].evict(RowSet([3, 4, 7]), reason="decay")
+            db.tables["r"].evict(RowSet([3, 4, 7]), "decay")
         assert self._state(db, log) == before
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.events import TupleDecayed, TupleEvicted, TupleInserted
 from repro.core.table import DecayingTable
-from repro.errors import DecayError
+from repro.errors import DecayError, StorageError
 from repro.storage import RowSet, Schema
 
 
@@ -157,19 +157,6 @@ class TestEviction:
         assert seen[0].reason == "consume"
         assert seen[0].values[2] == 1  # v column
 
-    def test_external_delete_gets_labelled(self, decaying):
-        seen = []
-        decaying.bus.subscribe(TupleEvicted, seen.append)
-        decaying.set_eviction_reason("consume")
-        decaying.storage.delete(4)  # e.g. the query engine
-        assert seen[0].reason == "consume"
-
-    def test_external_delete_default_reason(self, decaying):
-        seen = []
-        decaying.bus.subscribe(TupleEvicted, seen.append)
-        decaying.storage.delete(4)
-        assert seen[0].reason == "external"
-
     def test_evict_clears_exhausted(self, decaying):
         decaying.decay(1, 1.0, "test")
         decaying.evict(RowSet([1]), "decay")
@@ -215,3 +202,22 @@ class TestCompaction:
         decaying.compact()
         assert decaying.exhausted == RowSet([3])  # old rid 5
         assert decaying.pinned == RowSet([5])  # old rid 7
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda table: table.pin(True),
+        lambda table: table.pin(1.5),
+        lambda table: table.storage.delete_many([True]),
+        lambda table: table.storage.delete_many([1.5]),
+        lambda table: table.storage.delete_many([*range(2, 40), True]),
+    ],
+    ids=["pin-bool", "pin-float", "delete-bool", "delete-float", "delete-many-with-bool"],
+)
+def test_a_rid_that_is_not_an_integer_is_refused(clock, call):
+    table = DecayingTable("r", Schema.of(v="int"), clock)
+    table.insert_many({"v": v} for v in range(40))
+    with pytest.raises(StorageError, match="not an integer|not integers"):
+        call(table)
+    assert len(table) == 40 and table.pinned_count == 0

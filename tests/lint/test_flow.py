@@ -107,6 +107,14 @@ class TestRS011RotRace:
         # the executor-submitted job (line 34) must never be flagged
         assert all(f.line != 34 for f in report.findings)
 
+    def test_loop_side_evict_fires(self):
+        report = FlowEngine().analyze_paths(
+            [FIXTURES / "repro" / "server" / "rs011_loop_evict.py"]
+        )
+        assert _rules(report.findings) == ["RS011"]
+        (finding,) = report.findings
+        assert finding.line == 19 and ".evict()" in finding.message
+
 
 class TestRS012DeterminismTaint:
     PATHS = [

@@ -101,7 +101,7 @@ def _apply(table: DecayingTable, steps, n_rows: int) -> None:
             for rid in rids:
                 table.unpin(rid)
         elif op == "evict" and rids:
-            table.evict(RowSet(rids[:3]), reason="manual")
+            table.evict(RowSet(rids[:3]), "manual")
         elif op == "compact":
             table.compact()
 

@@ -190,17 +190,6 @@ class TestConsume:
         assert len(res.consumed) == 6  # 16, 25, 36, 49, 64, 81
         assert len(catalog.table("r")) == 4
 
-    def test_consume_hook_runs_before_delete(self, engine, catalog):
-        seen = {}
-
-        def hook(table_name, consumed):
-            table = catalog.table(table_name)
-            seen["values"] = [table.value(rid, "v") for rid in consumed]
-
-        engine.add_consume_hook(hook)
-        engine.execute("CONSUME SELECT v FROM r WHERE v >= 64")
-        assert seen["values"] == [64, 81]
-
     def test_plain_select_does_not_consume(self, engine, catalog):
         res = engine.execute("SELECT v FROM r WHERE v > 50")
         assert len(res.consumed) == 0

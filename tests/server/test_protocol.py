@@ -504,6 +504,77 @@ class TestOversizedResponse:
         asyncio.run(scenario())
 
 
+def _rows_db():
+    db = seeded_db()
+    db.insert_many("r", [{"k": k, "v": k} for k in range(600)])
+    db.enable_forensics()
+    db.enable_querystats()
+    return db
+
+
+def _state(db):
+    """Everything a consume would change; the gate's own Tier-B
+    analysis is published before the statement runs, so its
+    ``ConsumeAnalyzed`` count is left out."""
+    counts = {k: v for k, v in db.bus.counts.items() if k != "ConsumeAnalyzed"}
+    return (
+        db.tables["r"].rows(),
+        len(db.summaries("r")),
+        len(db.forensics.deaths("r")),
+        db.querystats.describe(),
+        counts,
+    )
+
+
+def _ask(db, payload, **config):
+    async def scenario():
+        async with running_server(db, **config) as server:
+            client = await connect(server)
+            try:
+                return await client.request_raw(payload)
+            finally:
+                await client.close()
+
+    return asyncio.run(scenario())
+
+
+class TestOversizedConsume:
+    """A CONSUME whose reply cannot be framed eats nothing."""
+
+    SQL = "CONSUME SELECT k, v FROM r WHERE k < 500"
+
+    def test_an_oversized_consume_changes_nothing(self):
+        db = _rows_db()
+        before = _state(db)
+        raw = _ask(db, {"op": "query", "sql": self.SQL}, max_frame=2048)
+        assert raw["ok"] is False and raw["code"] == Code.OVERSIZED
+        assert _state(db) == before
+        assert len(db.tables["r"]) == 600
+
+    def test_an_answer_of_exactly_max_frame_is_served(self):
+        payload = {"op": "query", "sql": self.SQL, "id": 7}
+        reply = _ask(_rows_db(), payload)
+        size = len(json.dumps(reply, separators=(",", ":")).encode("utf-8"))
+        # a byte short is refused whole; exactly the size is served
+        short = _rows_db()
+        assert _ask(short, payload, max_frame=size - 1)["code"] == Code.OVERSIZED
+        assert len(short.tables["r"]) == 600
+        db = _rows_db()
+        assert _ask(db, payload, max_frame=size) == reply
+        assert reply["consumed"] == 500 and len(db.tables["r"]) == 100
+
+    def test_an_oversized_explain_analyze_consume_eats_nothing(self):
+        db = _rows_db()
+        before = _state(db)
+        sql = "EXPLAIN ANALYZE " + self.SQL
+        raw = _ask(db, {"op": "query", "sql": sql}, max_frame=256)
+        assert raw["ok"] is False and raw["code"] == Code.OVERSIZED
+        assert _state(db) == before
+        served = _ask(db, {"op": "query", "sql": sql})
+        assert served["ok"] and served["consumed"] == 500
+        assert len(db.tables["r"]) == 100
+
+
 class TestRehello:
     """A second hello replaces the session instead of leaking the first."""
 

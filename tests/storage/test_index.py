@@ -160,3 +160,15 @@ class TestSortedIndexNullKeys:
         assert len(index) == 2
         assert index.range() == _filtered(table) == RowSet([0, 2])
         assert index.ascending() == [2, 0]
+
+
+def test_a_hash_index_on_an_array_column_skips_nan_keys():
+    from repro.storage import Table
+
+    table = Table(Schema.of(x="float"), vector_columns=("x",))
+    table.append_many([{"x": 1.0}, {"x": float("nan")}])
+    index = HashIndex(table, "x")  # built over a NaN
+    table.append({"x": float("nan")})  # and appended one
+    table.delete_many([1, 2])  # read back off the array: new NaN objects
+    assert len(index) == 1 and index.lookup(float("nan")) == RowSet.empty()
+    assert index.lookup(1.0) == RowSet([0]) and len(table) == 1
