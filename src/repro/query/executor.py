@@ -59,9 +59,9 @@ InsertDelegate = Callable[[Sequence[Mapping[str, Any]]], Any]
 DeleteDelegate = Callable[[RowSet, str], Any]
 AnswerCheck = Callable[[ResultSet], None]
 
-#: the wall time an ``EXPLAIN ANALYZE CONSUME`` plan is sized with for
-#: the parts not yet measured when it is checked: wider than any real
-#: run prints
+#: the wall time an ``EXPLAIN ANALYZE`` CONSUME or DELETE plan is sized
+#: with for the parts not yet measured when it is checked: wider than any
+#: real run prints
 _WIDEST_SECONDS = 1e6
 
 
@@ -279,7 +279,7 @@ class QueryEngine:
                 )
                 check = self.answer_check
                 if check is not None:
-                    check = _as_plan(check, instr, report)
+                    check = _as_plan(check, instr, report, "consume")
                 result = self._run(select_plan, instr, check)
         instr.total_seconds = span.duration
         instr.result_rows = len(result)
@@ -326,18 +326,28 @@ class QueryEngine:
         plan: ScanPlan,
         instr: PlanInstrumentation | None,
     ) -> ResultSet:
+        """Delete ``plan``'s matches. An ``EXPLAIN ANALYZE DELETE``
+        (``instr`` set) answers with the plan, which the answer check
+        sizes once the victims are known and before any is removed."""
         stats = ExecutionStats()
         node = instr.node("delete") if instr is not None else None
+        check = None
+        if instr is not None and self.answer_check is not None:
+            check = _as_plan(self.answer_check, instr, None, "delete")
+
+        def answer(victims: RowSet) -> ResultSet:
+            return ResultSet(columns=("deleted",), rows=[(len(victims),)], stats=stats)
 
         def delete(_: Any) -> RowSet:
             victims = RowSet.from_sorted(
                 tuple(ops.scan_rids(plan, self.catalog, stats, node))
             )
+            if check is not None:
+                check(answer(victims))
             self._remove(stmt.table, victims, "external")
             return victims
 
-        victims = self._step(node, delete)
-        return ResultSet(columns=("deleted",), rows=[(len(victims),)], stats=stats)
+        return answer(self._step(node, delete))
 
     def _remove(self, table_name: str, victims: RowSet, cause: str) -> None:
         """Hand ``victims`` to the table's delete delegate, or delete
@@ -399,12 +409,13 @@ class QueryEngine:
         source = plan.source
         aggregate = plan.aggregate
         count_only = ops.is_count_star_only(aggregate)
+        route: ops.ColumnRoute | None = None
 
         def node(kind: str) -> OperatorStats | None:
             return instr.node(kind) if instr is not None else None
 
         def scan(_: Any) -> list[Any]:
-            nonlocal matched
+            nonlocal matched, route
             assert isinstance(source, ScanPlan)
             rids = ops.scan_rids(source, self.catalog, stats, node("scan"))
             if rids and (self._access_hooks or plan.consume):
@@ -416,6 +427,10 @@ class QueryEngine:
                 # no contexts at all, only the surviving rid count
                 return rids
             table = self.catalog.table(source.table_name)
+            if aggregate is None:
+                route = ops.column_route(plan, table, rids)
+                if route is not None:
+                    return rids
             return ops.materialize(table, source.binding, rids)
 
         def join(_: Any) -> list[ops.RowContext]:
@@ -441,16 +456,26 @@ class QueryEngine:
             rows = self._step(node("join"), join)
         stats.rows_matched = len(rows)
 
-        if aggregate is not None:
-            grouper = ops.count_star_group if count_only else ops.aggregate
-            rows = self._step(node("aggregate"), grouper, rows, aggregate)
-        if plan.order_by:
-            rows = self._step(node("sort"), ops.sort_rows, rows, plan.order_by)
-        rows = ops.project(rows, plan.projections)
+        limit = plan.limit
+        if route is not None:
+            # rows are rids: order and cut them, then gather the answer
+            if plan.order_by:
+                rows = self._step(node("sort"), route.sort, rows)
+            if limit is not None and not plan.distinct:
+                rows = self._step(node("limit"), ops.limit_rids, rows, limit)
+                limit = None
+            rows = route.emit(rows)
+        else:
+            if aggregate is not None:
+                grouper = ops.count_star_group if count_only else ops.aggregate
+                rows = self._step(node("aggregate"), grouper, rows, aggregate)
+            if plan.order_by:
+                rows = self._step(node("sort"), ops.sort_rows, rows, plan.order_by)
+            rows = ops.project(rows, plan.projections)
         if plan.distinct:
             rows = self._step(node("distinct"), ops.distinct, rows)
-        if plan.limit is not None:
-            rows = self._step(node("limit"), ops.limit, rows, plan.limit)
+        if limit is not None:
+            rows = self._step(node("limit"), ops.limit, rows, limit)
         consumed = matched if plan.consume else RowSet.empty()
         result = ResultSet(
             columns=plan.output_columns,
@@ -474,19 +499,28 @@ class QueryEngine:
 
 
 def _as_plan(
-    check: AnswerCheck, instr: PlanInstrumentation, report: ConsumeReport | None
+    check: AnswerCheck,
+    instr: PlanInstrumentation,
+    report: ConsumeReport | None,
+    kind: str,
 ) -> AnswerCheck:
-    """``check`` for an ``EXPLAIN ANALYZE CONSUME``, whose answer is the
-    plan. The plan prints the consume's own time and the total, neither
-    measured yet, so ``check`` sees it as it will read once the consume
-    has run with both times at :data:`_WIDEST_SECONDS`: at least as long
-    as the real one."""
+    """``check`` for an ``EXPLAIN ANALYZE`` of a CONSUME or DELETE, whose
+    answer is the plan. It is checked before the ``kind`` node (the one
+    that removes rows) has finished, so the plan prints that node's time
+    and the total unmeasured: ``check`` sees the plan as it will read
+    once the node has run, with both times at :data:`_WIDEST_SECONDS` —
+    at least as long as the real one. A consume's removed rows are that
+    node's input and output; a delete's are its output (its input count
+    is the scan's, already booked)."""
 
     def sized(answer: ResultSet) -> None:
         widest = copy.deepcopy(instr)
-        pending = widest.node("consume")
+        pending = widest.node(kind)
         assert pending is not None
-        pending.rows_in = pending.rows_out = answer.stats.rows_consumed
+        if kind == "consume":
+            pending.rows_in = pending.rows_out = answer.stats.rows_consumed
+        else:
+            pending.rows_out = answer.rows[0][0]
         pending.seconds = widest.total_seconds = _WIDEST_SECONDS
         widest.result_rows = len(answer)
         check(_analyzed(widest, report, answer))

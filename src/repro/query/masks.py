@@ -28,21 +28,33 @@ Exactness rules keep float64 arithmetic equal to Python's:
   needs both sides integer-typed, where ``numpy.remainder`` matches
   Python's floored modulo exactly.
 
-Anything else — string/bool columns, function calls, non-literal
-divisors — refuses to compile and the executor falls back to the
-row-at-a-time interpreter for that conjunct, so errors and results
-never depend on which route a conjunct took.
+A predicate whose only column is one STR column (``=``, ``!=``,
+ordering comparisons, BETWEEN, IN, IS NULL, scalar functions of the
+column, AND/OR/NOT of those) runs on the column's dictionary codes
+(:meth:`Table.codes`): :func:`evaluate` itself answers it once per
+distinct value and once for NULL, and the ``(true, null)`` tables are
+indexed by each candidate's code — identical to the row path by
+construction. If that pass raises or yields a non-boolean, the
+conjunct goes to the row path, which raises exactly as it would have.
+
+Anything else — bool columns, functions of numeric columns, mixed
+STR/numeric comparisons, non-literal divisors — refuses to compile and
+the executor falls back to the row-at-a-time interpreter for that
+conjunct, so errors and results never depend on which route a conjunct
+took.
 
 :func:`mask_compilable` is the static (schema-only) version of the
 same judgement; the planner uses it to stamp the per-node
 vectorized-vs-fallback mode into EXPLAIN output without touching
-column data.
+column data. :func:`compile_values` hands the numeric half to ORDER
+BY, which sorts rid arrays by the same exact float64 values.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable
 
+from repro.errors import ExecutionError
 from repro.storage.schema import DataType, Schema
 from repro.storage.table import Table, _EXACT_INT
 from repro.storage.vector import numpy
@@ -57,6 +69,7 @@ from repro.query.ast_nodes import (
     Literal,
     UnaryOp,
 )
+from repro.query.expressions import evaluate
 
 #: column dtypes whose values the compiler may load as float64
 _NUMERIC_DTYPES = (DataType.INT, DataType.FLOAT, DataType.TIMESTAMP)
@@ -99,6 +112,34 @@ def _numeric_literal(expr: Expression) -> float | int:
     return v
 
 
+def _is_predicate(expr: Expression) -> bool:
+    """True for the node shapes whose value is a truth value."""
+    if isinstance(expr, BinaryOp):
+        return expr.op in ("AND", "OR", "=", "!=", "<", "<=", ">", ">=")
+    if isinstance(expr, UnaryOp):
+        return expr.op == "NOT"
+    return isinstance(expr, (Between, InList, IsNull))
+
+
+def _str_subtree(expr: Expression, schema: Schema, binding: str) -> str | None:
+    """The STR column a predicate-shaped ``expr`` reads, when that one
+    column is all it reads; otherwise None.
+
+    Such a subtree is a function of one cell, so it can be evaluated
+    once per distinct value of the column (see :func:`_dictionary`).
+    """
+    if not _is_predicate(expr):
+        return None
+    try:
+        names = {_resolve_column(ref, schema, binding) for ref in expr.column_refs()}
+    except _Fallback:
+        return None
+    if len(names) != 1:
+        return None
+    (name,) = names
+    return name if schema.column(name).dtype is DataType.STR else None
+
+
 # ----------------------------------------------------------------------
 # static judgement (planner: schema only, no data)
 # ----------------------------------------------------------------------
@@ -108,9 +149,10 @@ def mask_compilable(expr: Expression, schema: Schema, binding: str) -> bool:
     """True when ``expr`` has mask-compilable *shape* against ``schema``.
 
     Schema-level only: runtime compilation can still refuse (INT
-    column magnitudes past the float64-exact range) — the executor
-    re-checks per conjunct. The planner uses this to label
-    plan nodes vectorized vs row-fallback.
+    column magnitudes past the float64-exact range, a STR predicate
+    that raises on some value) — the executor re-checks per conjunct.
+    The planner uses this to label plan nodes vectorized vs
+    row-fallback.
     """
     try:
         _check_bool(expr, schema, binding)
@@ -120,6 +162,8 @@ def mask_compilable(expr: Expression, schema: Schema, binding: str) -> bool:
 
 
 def _check_bool(expr: Expression, schema: Schema, binding: str) -> None:
+    if _str_subtree(expr, schema, binding) is not None:
+        return
     if isinstance(expr, Literal):
         if isinstance(expr.value, bool):
             return
@@ -210,6 +254,20 @@ def compile_mask(expr: Expression, table: Table, binding: str) -> MaskFn | None:
     return run
 
 
+def compile_values(expr: Expression, table: Table, binding: str) -> Any:
+    """Compile numeric ``expr`` over ``table``, or return None.
+
+    The callable maps an ``intp`` rid array to ``(values, nulls)``:
+    float64 values that order exactly as the row interpreter's numbers
+    do (the exactness rules above), and a NULL mask or ``None``. A
+    literal yields one scalar. ORDER BY sorts rid arrays by these.
+    """
+    try:
+        return _compile_num(expr, table, binding)
+    except _Fallback:
+        return None
+
+
 #: a boolean node: rid array -> (definitely-true mask, null mask)
 _BoolNode = Callable[[Any], tuple[Any, Any]]
 
@@ -226,6 +284,9 @@ def _union_nulls(a: Any, b: Any) -> Any:
 
 
 def _compile_bool(expr: Expression, table: Table, binding: str) -> _BoolNode:
+    name = _str_subtree(expr, table.schema, binding)
+    if name is not None:
+        return _dictionary(expr, table, binding, name)
     if isinstance(expr, Literal) and isinstance(expr.value, bool):
         value = expr.value
 
@@ -358,6 +419,50 @@ def _compile_bool(expr: Expression, table: Table, binding: str) -> _BoolNode:
 
         return is_null
     raise _Fallback
+
+
+def _dictionary(
+    expr: Expression, table: Table, binding: str, name: str
+) -> _BoolNode:
+    """A predicate over STR column ``name`` alone, through its codes.
+
+    The row interpreter's :func:`evaluate` runs once per distinct value
+    (and once for NULL when the column has one), which fills a
+    ``(true, null)`` table per code; a candidate's masks are those
+    tables indexed by its code, NULL (-1) reading the last slot. An
+    evaluation that raises or yields a non-boolean sends the conjunct
+    to the row path, which raises (or not) exactly as before: only
+    candidate rows reach it there.
+    """
+    view = table.codes(name)
+    assert view is not None  # _str_subtree checked the dtype
+    cells = view.values + ((None,) if view.has_null else ())
+    true = numpy.zeros(len(view.values) + 1, dtype=bool)
+    null = numpy.zeros(len(view.values) + 1, dtype=bool)
+    qualified = f"{binding}.{name}"
+    for code, cell in enumerate(cells):
+        try:
+            answer = evaluate(expr, {name: cell, qualified: cell})
+        except (ExecutionError, ArithmeticError):
+            # what evaluate raises: its own errors, and an overflow in a
+            # scalar function (math.exp); the row path raises it, if a
+            # candidate row holds the value
+            raise _Fallback from None
+        # NULL's slot, when evaluated, is the last: the one -1 reads
+        if answer is None:
+            null[code] = True
+        elif answer is True:
+            true[code] = True
+        elif answer is not False:
+            raise _Fallback
+    codes = view.codes
+    any_null = bool(null.any())
+
+    def dictionary(rid_arr: Any) -> tuple[Any, Any]:
+        c = codes[rid_arr]
+        return true[c], (null[c] if any_null else None)
+
+    return dictionary
 
 
 def _compile_num(expr: Expression, table: Table, binding: str) -> _NumNode:

@@ -14,6 +14,14 @@ contexts are only built for survivors via the column-wise
 :func:`materialize`. Both routes run the *same* conjunct-major pipeline
 over the same candidate order, so results, row counts and error
 behaviour are bit-identical whichever a conjunct takes.
+
+A scan with no aggregate whose every projection is a column of the
+table builds no contexts at all: :func:`column_route` sorts the rid
+array by ORDER BY keys that compile to float64 values, LIMIT cuts it,
+and the answer is one :meth:`Table.gather` per output column. The sort
+is the context sort's: stable, NULLs last either way, DESC a stable
+reverse. A NaN among the sort keys (which Python's sort does not
+order), a computed projection, a join or an aggregate keep contexts.
 """
 
 from __future__ import annotations
@@ -21,16 +29,17 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence, Sized
 
 from repro.errors import ExecutionError
-from repro.query.ast_nodes import Expression, OrderItem, Projection
+from repro.query.ast_nodes import ColumnRef, Expression, OrderItem, Projection
 from repro.query.expressions import evaluate, matches
 from repro.query.functions import aggregate_arity, make_aggregate
-from repro.query.masks import compile_mask
+from repro.query.masks import compile_mask, compile_values
 from repro.query.normalize import conjuncts
 from repro.query.planner import (
     AggregatePlan,
     IndexAccess,
     JoinPlan,
     ScanPlan,
+    SelectPlan,
 )
 from repro.query.result import ExecutionStats
 from repro.storage.catalog import Catalog
@@ -370,8 +379,7 @@ def sort_rows(
 
 def limit(rows: Iterable[tuple], n: int) -> Iterator[tuple]:
     """Pass through at most ``n`` rows, never over-pulling the source."""
-    if n < 0:
-        raise ExecutionError(f"LIMIT must be non-negative, got {n}")
+    _check_limit(n)
     if n == 0:
         return
     count = 0
@@ -381,3 +389,77 @@ def limit(rows: Iterable[tuple], n: int) -> Iterator[tuple]:
         if count >= n:
             return
 
+
+def _check_limit(n: int) -> None:
+    if n < 0:
+        raise ExecutionError(f"LIMIT must be non-negative, got {n}")
+
+
+def limit_rids(rids: Any, n: int) -> Any:
+    """The first ``n`` of an ordered rid list or array."""
+    _check_limit(n)
+    return rids[:n]
+
+
+class ColumnRoute:
+    """Answer a scan plan from gathered columns, not row contexts.
+
+    ``keys`` are the :func:`numpy.lexsort` keys of the ORDER BY, least
+    significant first and aligned with ``rids`` (the scan's matches):
+    per ORDER BY item its values (negated for DESC, 0 at NULLs), then
+    its NULL mask, so NULLs sort last and ties keep scan order.
+    """
+
+    def __init__(
+        self, table: Table, names: list[str], rids: Any, keys: list[Any]
+    ) -> None:
+        self.table = table
+        self.names = names
+        self.rids = rids
+        self.keys = keys
+
+    def sort(self, _rows: Any) -> Any:
+        """The matched rids in ORDER BY order, as an ``intp`` array."""
+        return self.rids[numpy.lexsort(self.keys)]
+
+    def emit(self, rids: Any) -> list[tuple]:
+        """Output tuples for ``rids``: one gather per projected column."""
+        if isinstance(rids, numpy.ndarray):
+            rids = rids.tolist()
+        columns = [self.table.gather(name, rids) for name in self.names]
+        return list(zip(*columns))
+
+
+def column_route(plan: SelectPlan, table: Table, rids: list[int]) -> ColumnRoute | None:
+    """The :class:`ColumnRoute` of aggregate-free scan ``plan`` over its
+    matched ``rids``, or None when its answer needs row contexts: a
+    projection that is not a bare column, an ORDER BY key that does not
+    compile to values, or a NaN among those values."""
+    source = plan.source
+    assert isinstance(source, ScanPlan) and plan.aggregate is None
+    names = []
+    for proj in plan.projections:
+        ref = proj.expr
+        if not (
+            isinstance(ref, ColumnRef)
+            and ref.table in (None, source.binding)
+            and ref.name in table.schema
+        ):
+            return None
+        names.append(ref.name)
+    rid_arr = numpy.asarray(rids, dtype=numpy.intp) if plan.order_by else rids
+    keys: list[Any] = []
+    for item in reversed(plan.order_by):
+        compiled = compile_values(item.expr, table, source.binding)
+        if compiled is None:
+            return None
+        values, nulls = compiled(rid_arr)
+        values = numpy.broadcast_to(values, rid_arr.shape)
+        if nulls is not None:
+            values = numpy.where(nulls, 0.0, values)
+        if numpy.isnan(values).any():
+            return None
+        keys.append(values if item.ascending else -values)
+        if nulls is not None:
+            keys.append(nulls)
+    return ColumnRoute(table, names, rid_arr, keys)

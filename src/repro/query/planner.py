@@ -12,8 +12,10 @@ index kind.
 
 Each scan plan carries the ``mode:`` line EXPLAIN prints: its filters
 all run as boolean masks (``vectorized``), some do (``hybrid``), or
-none compiles (``row-fallback``). There is one storage backend, so the
-mode depends on the predicates and the schema, never on the table.
+none compiles (``row-fallback``). A predicate on one STR column counts
+as a mask: it runs on the column's dictionary codes. There is one
+storage backend, so the mode depends on the predicates and the schema,
+never on the table.
 
 The cost model lives here too: :func:`selectivity` turns a predicate
 into a matching fraction from the equi-width histograms of the lazy,

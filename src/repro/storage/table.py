@@ -57,6 +57,7 @@ from __future__ import annotations
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Iterable,
     Iterator,
     Mapping,
@@ -126,6 +127,89 @@ class ColumnMaskData:
         self.is_int = is_int
 
 
+class ColumnCodes:
+    """A STR column's dictionary view: one ``int32`` code per row.
+
+    ``codes`` covers the whole allocated row space (index with
+    known-live rids only); ``-1`` is NULL, any other code indexes
+    ``values``, the column's distinct values in first-seen order.
+    ``has_null`` tells whether any code is ``-1``.
+    """
+
+    __slots__ = ("codes", "values", "has_null", "_index")
+
+    def __init__(
+        self, codes: Any, values: tuple, has_null: bool, index: dict[Any, int]
+    ) -> None:
+        self.codes = codes
+        self.values = values
+        self.has_null = has_null
+        # value -> code, shared with the view extended from this one
+        self._index = index
+
+
+def _mask_view(
+    tail: list[Any], prev: ColumnMaskData | None, is_int: bool
+) -> ColumnMaskData | None:
+    """``prev`` (None: no rows yet) extended by the coerced cells ``tail``."""
+    nulls = None
+    # asarray would silently coerce None to nan, losing the null
+    # mask SQL three-valued logic depends on — detect NULLs first
+    if any(v is None for v in tail):
+        values = numpy.zeros(len(tail), dtype=numpy.float64)
+        nulls = numpy.zeros(len(tail), dtype=numpy.bool_)
+        for i, v in enumerate(tail):
+            if v is None:
+                nulls[i] = True
+            else:
+                values[i] = v
+    else:
+        values = numpy.asarray(tail, dtype=numpy.float64)
+    bound = 0.0
+    if is_int and values.size:
+        bound = float(numpy.max(numpy.abs(values)))
+        if bound >= _EXACT_INT:
+            return None
+    if prev is None:
+        return ColumnMaskData(values, nulls, bound, is_int)
+    if prev.nulls is not None or nulls is not None:
+        nulls = numpy.concatenate(
+            (
+                numpy.zeros(len(prev.values), dtype=numpy.bool_)
+                if prev.nulls is None
+                else prev.nulls,
+                numpy.zeros(len(tail), dtype=numpy.bool_) if nulls is None else nulls,
+            )
+        )
+    return ColumnMaskData(
+        numpy.concatenate((prev.values, values)),
+        nulls,
+        max(prev.int_bound, bound),
+        is_int,
+    )
+
+
+def _codes_view(tail: list[Any], prev: ColumnCodes | None) -> ColumnCodes:
+    """``prev`` (None: no rows yet) extended by the cells ``tail``."""
+    index: dict[Any, int] = {} if prev is None else prev._index
+    # len(index) is read before setdefault inserts: the next fresh code
+    codes = numpy.fromiter(
+        (-1 if v is None else index.setdefault(v, len(index)) for v in tail),
+        dtype=numpy.int32,
+        count=len(tail),
+    )
+    has_null = bool(codes.size) and bool((codes < 0).any())
+    if prev is None:
+        return ColumnCodes(codes, tuple(index), has_null, index)
+    values = prev.values if len(index) == len(prev.values) else tuple(index)
+    return ColumnCodes(
+        numpy.concatenate((prev.codes, codes)),
+        values,
+        prev.has_null or has_null,
+        index,
+    )
+
+
 class Table:
     """Columnar table with tombstone deletes and stable row ids.
 
@@ -174,7 +258,9 @@ class Table:
         # touch them, so value-derived caches (mask arrays, histograms)
         # survive deletes and only rebuild when a cell really moved
         self._data_versions = [0] * len(schema)
-        self._mask_cache: dict[int, tuple[tuple, ColumnMaskData | None]] = {}
+        # (column position, view kind) -> ((generation, data version),
+        # rows covered, view): see _view
+        self._views: dict[tuple[int, str], tuple[tuple, int, Any]] = {}
         # deferred import: repro.fungi.__init__ pulls in modules that
         # import this one; by the time a table is constructed the cycle
         # has resolved
@@ -503,7 +589,7 @@ class Table:
         Returns ``None`` when the column cannot back exact mask
         arithmetic: non-numeric dtype, or an INT column whose magnitude
         exceeds the float64-exact range. Views for non-vector columns
-        are cached per :meth:`data_token`.
+        are cached per :meth:`data_token` (see :meth:`_view`).
         """
         pos = self.schema.index_of(column)
         dtype = self.schema.columns[pos].dtype
@@ -511,36 +597,41 @@ class Table:
             return None
         if pos in self._vector_positions:
             return ColumnMaskData(self._columns[pos].array(), None, 0.0, False)
-        token = self.data_token(column)
-        cached = self._mask_cache.get(pos)
-        if cached is not None and cached[0] == token:
-            return cached[1]
-        data = self._build_mask_data(pos, dtype)
-        self._mask_cache[pos] = (token, data)
-        return data
-
-    def _build_mask_data(self, pos: int, dtype: DataType) -> ColumnMaskData | None:
-        col = self._columns[pos]
-        nulls = None
-        # asarray would silently coerce None to nan, losing the null
-        # mask SQL three-valued logic depends on — detect NULLs first
-        if any(v is None for v in col):
-            values = numpy.zeros(len(col), dtype=numpy.float64)
-            nulls = numpy.zeros(len(col), dtype=numpy.bool_)
-            for i, v in enumerate(col):
-                if v is None:
-                    nulls[i] = True
-                else:
-                    values[i] = v
-        else:
-            values = numpy.asarray(col, dtype=numpy.float64)
         is_int = dtype is DataType.INT
-        bound = 0.0
-        if is_int and values.size:
-            bound = float(numpy.max(numpy.abs(values)))
-            if bound >= _EXACT_INT:
-                return None
-        return ColumnMaskData(values, nulls, bound, is_int)
+        return self._view(
+            pos, "mask", lambda tail, prev: _mask_view(tail, prev, is_int)
+        )
+
+    def codes(self, column: str) -> ColumnCodes | None:
+        """Dictionary codes of a STR column (None for any other dtype),
+        cached per :meth:`data_token` like :meth:`mask_data`."""
+        pos = self.schema.index_of(column)
+        if self.schema.columns[pos].dtype is not DataType.STR:
+            return None
+        return self._view(pos, "codes", _codes_view)
+
+    def _view(self, pos: int, kind: str, extend: Callable[[list, Any], Any]) -> Any:
+        """The cached ``kind`` view of list column ``pos``, kept current.
+
+        ``extend(tail, prev)`` builds the view of ``prev``'s rows plus
+        the cells ``tail`` (``prev`` None: from nothing). When only
+        appends happened since the cached view — same generation and
+        data version, more rows allocated — only the new tail is read;
+        compaction and cell writes rebuild the whole column. A view
+        that is None (an INT past 2**53) stays None as the column grows.
+        """
+        # the data token, split: what an append leaves alone, and what it moves
+        stamp, allocated = (self._generation, self._data_versions[pos]), self._next_rid
+        col = self._columns[pos]
+        cached = self._views.get((pos, kind))
+        if cached is None or cached[0] != stamp:
+            view = extend(col, None)
+        elif cached[1] == allocated:
+            return cached[2]
+        else:
+            view = None if cached[2] is None else extend(col[cached[1]:], cached[2])
+        self._views[(pos, kind)] = (stamp, allocated, view)
+        return view
 
     # ------------------------------------------------------------------
     # neighbour navigation (EGI's spread axis)
@@ -646,7 +737,7 @@ class Table:
         self._generation += 1
         self._version += 1
         self._live_cache = None
-        self._mask_cache.clear()
+        self._views.clear()
         for obs in self._observers:
             obs.on_compact(remap)
         return remap

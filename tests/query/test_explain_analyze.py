@@ -220,17 +220,36 @@ class TestVectorizedPlanGoldens:
             "total: 2 row(s); worst misestimation q=1.00",
         ]
 
-    def test_hybrid_mode_for_string_conjunct(self):
-        """A string conjunct cannot mask-compile; the scan goes hybrid."""
+    def test_hybrid_mode_for_numeric_function(self):
+        """A function of a numeric column cannot mask-compile; the scan
+        goes hybrid."""
         engine = build_rotted_engine()
         result = engine.execute(
-            "EXPLAIN SELECT v FROM r WHERE v > 50 AND key = 'a'"
+            "EXPLAIN SELECT v FROM r WHERE v > 50 AND abs(v) > 50"
         )
         assert [row[0] for row in result.rows] == [
-            "scan r via full scan; residual ((v > 50) AND (key = 'a'))",
+            "scan r via full scan; residual ((v > 50) AND (abs(v) > 50))",
             "  mode: hybrid",
-            "  filters: (v > 50) [sel 0.22] -> (key = 'a') [sel 0.50]",
+            "  filters: (v > 50) [sel 0.22] -> (abs(v) > 50) [sel 0.33]",
             "  rows: est 1",
+        ]
+
+    def test_a_string_conjunct_is_vectorized(self):
+        """A predicate on one STR column runs on its dictionary codes:
+        the shape of a filtered count by site is all masks."""
+        engine = build_rotted_engine()
+        assert analyzed(
+            engine, "EXPLAIN ANALYZE SELECT count(*) FROM r WHERE key = 'a' AND v > 50"
+        ) == [
+            "EXPLAIN ANALYZE (plan vs. actual)",
+            "scan r via full scan; residual ((v > 50) AND (key = 'a'))",
+            "  mode: vectorized",
+            "  filters: (v > 50) [sel 0.22] -> (key = 'a') [sel 0.50]",
+            "  rows: est 1, actual 1 (q=1.00) | in 10, index hits 0, "
+            "rotted skipped 0, predicate evals 12",
+            "aggregate by ALL computing ['count(*)']",
+            "  rows: est 1, actual 1 (q=1.00) | in 1",
+            "total: 1 row(s); worst misestimation q=1.00",
         ]
 
 
@@ -268,8 +287,10 @@ class TestOnePlanOneExecutor:
 
     def test_limit_still_never_over_pulls(self, engine, monkeypatch):
         """Without instrumentation the step helper adds no ``list()``:
-        projection stays a generator that LIMIT stops after one row."""
+        a computed projection stays a generator that LIMIT stops after
+        one row, and a projection of columns gathers only that row."""
         from repro.query import operators
+        from repro.storage.table import Table
 
         evaluated = []
 
@@ -279,12 +300,29 @@ class TestOnePlanOneExecutor:
 
         evaluate = operators.evaluate
         monkeypatch.setattr(operators, "evaluate", counting)
-        assert engine.execute("SELECT v FROM r LIMIT 1").rows == [(0,)]
+        assert engine.execute("SELECT v + 0 FROM r LIMIT 1").rows == [(0,)]
         assert len(evaluated) == 1
         # the analyzed run materializes between operators to count rows
         del evaluated[:]
-        engine.execute("EXPLAIN ANALYZE SELECT v FROM r LIMIT 1")
+        engine.execute("EXPLAIN ANALYZE SELECT v + 0 FROM r LIMIT 1")
         assert len(evaluated) == 10
+
+        gathered = []
+
+        def gather(table, column, rids):
+            gathered.append(len(rids))
+            return real_gather(table, column, rids)
+
+        real_gather = Table.gather
+        monkeypatch.setattr(Table, "gather", gather)
+        assert engine.execute("SELECT v FROM r LIMIT 1").rows == [(0,)]
+        assert gathered == [1]
+        del gathered[:]
+        assert engine.execute("SELECT v FROM r ORDER BY v DESC LIMIT 2").rows == [
+            (81,),
+            (64,),
+        ]
+        assert gathered == [2]
 
 
 class TestTimingsAreSpans:

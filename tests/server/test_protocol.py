@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import re
 import struct
 
 import pytest
@@ -572,6 +573,50 @@ class TestOversizedConsume:
         assert _state(db) == before
         served = _ask(db, {"op": "query", "sql": sql})
         assert served["ok"] and served["consumed"] == 500
+        assert len(db.tables["r"]) == 100
+
+
+def _at_widest(reply):
+    """``reply`` with every wall time printed as the answer check sizes
+    it before the delete runs: at the executor's widest, 1e6 s."""
+    widest = json.loads(json.dumps(reply))
+    for row in widest["rows"]:
+        row[0] = re.sub(r"(\| |; )\d+\.\d{3} ms$", r"\g<1>1000000000.000 ms", row[0])
+    return widest
+
+
+class TestOversizedExplainDelete:
+    """An EXPLAIN ANALYZE DELETE whose plan cannot be framed deletes nothing."""
+
+    SQL = "EXPLAIN ANALYZE DELETE FROM r WHERE k < 500"
+
+    def test_an_oversized_plan_deletes_nothing(self):
+        db = _rows_db()
+        before = _state(db)
+        raw = _ask(db, {"op": "query", "sql": self.SQL}, max_frame=256)
+        assert raw["ok"] is False and raw["code"] == Code.OVERSIZED
+        assert _state(db) == before
+        assert len(db.tables["r"]) == 600
+
+    def test_a_plan_of_exactly_max_frame_is_served(self):
+        payload = {"op": "query", "sql": self.SQL, "id": 7}
+        reply = _ask(_rows_db(), payload)
+        widest = _at_widest(reply)
+        size = len(json.dumps(widest, separators=(",", ":")).encode("utf-8"))
+        # a byte short is refused whole; exactly the size is served
+        short = _rows_db()
+        assert _ask(short, payload, max_frame=size - 1)["code"] == Code.OVERSIZED
+        assert len(short.tables["r"]) == 600
+        db = _rows_db()
+        served = _ask(db, payload, max_frame=size)
+        assert served["ok"] and _at_widest(served) == widest
+        assert len(db.tables["r"]) == 100
+
+    def test_a_plain_delete_is_not_sized(self):
+        db = _rows_db()
+        payload = {"op": "query", "sql": "DELETE FROM r WHERE k < 500"}
+        raw = _ask(db, payload, max_frame=256)
+        assert raw["ok"] and raw["rows"] == [[500]]
         assert len(db.tables["r"]) == 100
 
 

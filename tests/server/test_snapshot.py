@@ -32,7 +32,8 @@ _ATTRIBUTES = Schema(
 _STATEMENTS = (
     "SELECT count(*), avg(x) FROM r WHERE v > 20",  # mask filter + aggregate
     "SELECT v, f FROM r WHERE f < 0.95",  # freshness mask
-    "SELECT v, x FROM r WHERE s = 'a' AND v >= 10",  # hybrid: string conjunct
+    "SELECT v, x FROM r WHERE s = 'a' AND v >= 10",  # string conjunct on codes
+    "SELECT v, x FROM r WHERE abs(x) > 5.0 AND v >= 10",  # hybrid: a function
     "SELECT v FROM r WHERE x IS NULL",  # NULL attributes
     "SELECT count(*) FROM r WHERE x > 5.0",  # comparison over NULLs
     "SELECT s, count(*), avg(f) FROM r GROUP BY s",
