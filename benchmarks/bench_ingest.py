@@ -7,23 +7,31 @@ clean 1000-row batch >= 5x a ``coerce_row`` loop. The per-row path is
 kept here step for step (:class:`PerRowWriter`: two ``coerce_row``
 calls, one append per column, a per-row update of both indexes — the
 bodies of the per-row index hooks the batch ones replaced — and one
-``TupleInserted`` per row — on plain lists, so if anything it flatters
-the reference). The cost of a one-row ``insert`` through the batch path
-is printed, not gated. Same-process ratios only; numbers compared
+``TupleInserted`` event per row, the dataclass kept here — on plain
+lists, so if anything it flatters the reference). The cost of a one-row
+``insert`` through the batch path is printed, not gated. Same-process ratios only; numbers compared
 across commits come from ``python -m bench_e2e run``.
 """
 
 import bisect
 import random
+from dataclasses import dataclass
 
 from repro.bench.measure import time_callable
 from repro.core.db import FungusDB
-from repro.core.events import EventBus, TupleInserted
+from repro.core.events import Event, EventBus
 from repro.storage import RowSet, Schema
 from repro.storage.schema import ColumnDef, DataType
 
 ATTRIBUTES = Schema.of(sensor="int", temp="float", site="str")
 BATCH = 1000
+
+
+@dataclass(frozen=True)
+class TupleInserted(Event):
+    """The per-row insert event the row-at-a-time path published."""
+
+    rid: int
 
 
 def _rows(count: int) -> list[dict]:

@@ -2,7 +2,8 @@
 
 Three ratios, each at the size where the observer used to dominate a
 ``consume_cook`` tick or statement: the collector's batch fold >= 10x a
-loop over ``TupleDecayedBatch.expand()`` at 25k rows, array band
+loop that builds one per-row ``TupleDecayed`` event (the dataclass the
+bus once expanded each batch into, kept here) at 25k rows, array band
 sampling >= 10x a ``band_of`` loop at 25k rows, and array column
 statistics >= 10x the list path at 100k rows. The 8-row cost of each is
 printed, not gated: these run once per tick or once per statement, so
@@ -11,24 +12,37 @@ numbers compared across commits come from ``python -m bench_e2e run``.
 """
 
 import random
+from dataclasses import dataclass
 
 import pytest
 
 from repro.bench.measure import time_callable
 from repro.core.db import FungusDB
-from repro.core.events import TupleDecayed, TupleDecayedBatch
+from repro.core.events import Event, TupleDecayedBatch
 from repro.core.freshness import FreshnessBand, band_of
 from repro.obs.collector import BusCollector
 from repro.storage import Schema
 from repro.storage.stats import DEFAULT_HISTOGRAM_BINS, planner_stats
 
 
+@dataclass(frozen=True)
+class TupleDecayed(Event):
+    """One row of a decay batch, as the per-row fold received it."""
+
+    rid: int
+    old_freshness: float
+    new_freshness: float
+    fungus: str
+
+
 class ExpandingCollector(BusCollector):
     """The per-row fold: one ``TupleDecayed`` and four lookups per row."""
 
     def _on_decayed_batch(self, event):
-        for sub in event.expand():
-            self._on_decayed(sub)
+        for rid, old, new in zip(event.rids, event.old_freshness, event.new_freshness):
+            self._on_decayed(
+                TupleDecayed(event.table, event.tick, rid, old, new, event.fungus)
+            )
 
     def _on_decayed(self, event: TupleDecayed) -> None:
         delta = event.old_freshness - event.new_freshness

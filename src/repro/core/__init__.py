@@ -26,12 +26,7 @@ from repro.core.events import (
     EventBus,
     SummaryCreated,
     TickCompleted,
-    TupleConsumed,
-    TupleDecayed,
     TupleDecayedBatch,
-    TupleEvicted,
-    TupleInfected,
-    TupleInserted,
 )
 from repro.core.freshness import FreshnessBand, band_of, clamp_freshness
 from repro.core.fungus import DecayReport, Fungus
@@ -57,12 +52,7 @@ __all__ = [
     "SummaryCreated",
     "SummaryStore",
     "TickCompleted",
-    "TupleConsumed",
-    "TupleDecayed",
     "TupleDecayedBatch",
-    "TupleEvicted",
-    "TupleInfected",
-    "TupleInserted",
     "band_of",
     "clamp_freshness",
     "measure_health",

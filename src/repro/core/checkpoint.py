@@ -137,9 +137,9 @@ def load_checkpoint(
     After each table's rows are replayed, a
     :class:`~repro.core.events.RestoreCompleted` event is published on
     the new bus: restore re-publishes the surviving rows as one
-    ``TupleInsertedBatch`` (counted, and delivered to ``TupleInserted``
-    subscribers, per row), and metrics consumers use the completion
-    event to avoid double-counting those as fresh inserts.
+    ``TupleInsertedBatch`` (counted per row under ``"TupleInserted"``),
+    and metrics consumers use the completion event to avoid
+    double-counting those as fresh inserts.
     """
     directory = Path(directory)
     manifest = _read_json(directory / MANIFEST_NAME, "checkpoint manifest")

@@ -10,22 +10,20 @@ Every lifecycle step of a tuple is published once per batch:
 (one fungus cycle's infections), :class:`TupleDecayedBatch` (the
 changed rows of one write), :class:`TupleConsumedBatch` (one consuming
 statement's rows) and :class:`TupleEvictedBatch` (one storage delete,
-with the rows' last values by column). Yet the lifecycle ledger counts
-tuples, not deliveries: a batch of *n* advances the per-tuple type's
-count (``counts["TupleInserted"]``, ``counts["TupleEvicted"]``…) by
-*n*, its own subscribers get the one event, and subscribers of the
-per-tuple type still get one event per row in the batch's order
-(ascending rids; infection order for an infection batch; delete order
-for an eviction batch) — built by the bus, and only when such a
-subscriber exists. By then the whole batch has happened: a handler
-looking at row *i* may already see rows *i+1…* inserted or gone.
+with the rows' last values by column). The batch is the only shape a
+step has: a subscriber that needs rows walks the batch itself. Yet the
+lifecycle ledger counts tuples, not deliveries: a batch of *n* advances
+the count under its :attr:`~Event.ledger_key` (``"TupleInserted"``,
+``"TupleEvicted"``…) by *n*. By the time any handler runs the whole
+batch has happened: a handler looking at row *i* may already see rows
+*i+1…* inserted or gone.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, ClassVar, Iterator, Type, TypeVar
+from typing import Any, Callable, ClassVar, Type, TypeVar
 
 from repro.errors import EventFanoutError
 
@@ -37,17 +35,9 @@ class Event:
     table: str
     tick: float
 
-    #: set by a coalesced event that stands for ``len(event)`` events of
-    #: this per-tuple type: the bus counts it under that type's name and
-    #: delivers its :meth:`expand` to that type's subscribers
-    per_tuple: ClassVar["Type[Event] | None"] = None
-
-
-@dataclass(frozen=True)
-class TupleInserted(Event):
-    """A tuple entered R with freshness 1.0."""
-
-    rid: int
+    #: set by a batch event: the bus counts ``len(event)`` tuples under
+    #: this name instead of one event under the class name
+    ledger_key: ClassVar[str | None] = None
 
 
 @dataclass(frozen=True)
@@ -63,31 +53,10 @@ class TupleInsertedBatch(Event):
     start: int
     stop: int
 
-    per_tuple = TupleInserted
+    ledger_key = "TupleInserted"
 
     def __len__(self) -> int:
         return self.stop - self.start
-
-    def expand(self) -> Iterator[TupleInserted]:
-        """Per-tuple :class:`TupleInserted` events, ascending rid order."""
-        for rid in range(self.start, self.stop):
-            yield TupleInserted(self.table, self.tick, rid)
-
-
-@dataclass(frozen=True)
-class TupleInfected(Event):
-    """A fungus seeded or spread onto a tuple.
-
-    ``origin`` is ``"seed"`` (age-biased selection landed here) or
-    ``"spread"`` (infection grew in from a neighbour); for spread
-    infections ``source`` is the row id of the infecting neighbour —
-    the edge the forensics layer chains into infection lineage.
-    """
-
-    rid: int
-    fungus: str
-    origin: str = "seed"
-    source: int | None = None
 
 
 @dataclass(frozen=True)
@@ -97,9 +66,10 @@ class TupleInfectedBatch(Event):
     ``rids``, ``origins`` and ``sources`` align: EGI publishes its seeds
     in draw order, then its spread frontier (span by span, the row
     before a spot ahead of the row after it); a single infection
-    (``DecayingTable.mark_infected``) is a batch of one. The bus counts
-    it as ``len(event)`` :class:`TupleInfected` events and delivers its
-    :meth:`expand` to subscribers of that type.
+    (``DecayingTable.mark_infected``) is a batch of one. ``origins[i]``
+    is ``"seed"`` (age-biased selection landed on ``rids[i]``) or
+    ``"spread"`` (infection grew in from neighbour row ``sources[i]`` —
+    the edge the forensics layer chains into infection lineage).
     """
 
     rids: tuple
@@ -107,25 +77,10 @@ class TupleInfectedBatch(Event):
     sources: tuple
     fungus: str
 
-    per_tuple = TupleInfected
+    ledger_key = "TupleInfected"
 
     def __len__(self) -> int:
         return len(self.rids)
-
-    def expand(self) -> Iterator[TupleInfected]:
-        """Per-tuple :class:`TupleInfected` events, in infection order."""
-        for rid, origin, source in zip(self.rids, self.origins, self.sources):
-            yield TupleInfected(self.table, self.tick, rid, self.fungus, origin, source)
-
-
-@dataclass(frozen=True)
-class TupleDecayed(Event):
-    """A tuple's freshness changed (dropped, or rose on a refresh)."""
-
-    rid: int
-    old_freshness: float
-    new_freshness: float
-    fungus: str
 
 
 @dataclass(frozen=True)
@@ -135,9 +90,8 @@ class TupleDecayedBatch(Event):
     The one decay event: the batch mutators and the scalar ones (a
     batch of one row) all publish it. ``rids`` is ascending,
     ``old_freshness``/``new_freshness`` align with it, and only rows
-    whose freshness actually changed are included. The bus counts it as
-    ``len(event)`` :class:`TupleDecayed` events and delivers its
-    :meth:`expand` to subscribers of that type.
+    whose freshness actually changed (dropped, or rose on a refresh)
+    are included.
     """
 
     rids: tuple
@@ -145,24 +99,10 @@ class TupleDecayedBatch(Event):
     new_freshness: tuple
     fungus: str
 
-    per_tuple = TupleDecayed
+    ledger_key = "TupleDecayed"
 
     def __len__(self) -> int:
         return len(self.rids)
-
-    def expand(self) -> Iterator[TupleDecayed]:
-        """Per-tuple :class:`TupleDecayed` events, ascending rid order."""
-        for rid, old, new in zip(self.rids, self.old_freshness, self.new_freshness):
-            yield TupleDecayed(self.table, self.tick, rid, old, new, self.fungus)
-
-
-@dataclass(frozen=True)
-class TupleEvicted(Event):
-    """A tuple left R. ``reason`` is "decay", "consume", or "manual"."""
-
-    rid: int
-    reason: str
-    values: tuple = field(default=())
 
 
 @dataclass(frozen=True)
@@ -174,59 +114,35 @@ class TupleEvictedBatch(Event):
     one way out of R), with the cause ``evict`` was given as ``reason``.
     ``rids`` is the batch in the order it was deleted; ``columns`` holds
     one list of the rows' last values per storage column (schema order),
-    aligned with ``rids``. The bus counts it as ``len(event)``
-    :class:`TupleEvicted` events and delivers its :meth:`expand` to
-    subscribers of that type.
+    aligned with ``rids``.
     """
 
     rids: tuple
     reason: str
     columns: tuple
 
-    per_tuple = TupleEvicted
+    ledger_key = "TupleEvicted"
 
     def __len__(self) -> int:
         return len(self.rids)
-
-    def expand(self) -> Iterator[TupleEvicted]:
-        """Per-tuple :class:`TupleEvicted` events, in batch order, each
-        carrying its row's values as a schema-order tuple."""
-        for rid, values in zip(self.rids, zip(*self.columns)):
-            yield TupleEvicted(self.table, self.tick, rid, self.reason, values)
-
-
-@dataclass(frozen=True)
-class TupleConsumed(Event):
-    """A consuming query carried this tuple into its answer set."""
-
-    rid: int
-    query: str
 
 
 @dataclass(frozen=True)
 class TupleConsumedBatch(Event):
     """One consuming statement carried these tuples into its answer set.
 
-    Published once per consume, before the rows are deleted, so a
-    per-tuple subscriber sees every :class:`TupleConsumed` of a
-    statement before its :class:`TupleEvicted` events. ``rids`` is
-    ascending. The bus counts it as ``len(event)``
-    :class:`TupleConsumed` events and delivers its :meth:`expand` to
-    subscribers of that type.
+    Published once per consume, before the rows are deleted, so every
+    subscriber sees a statement's consume batch before its eviction
+    batch. ``rids`` is ascending.
     """
 
     rids: tuple
     query: str
 
-    per_tuple = TupleConsumed
+    ledger_key = "TupleConsumed"
 
     def __len__(self) -> int:
         return len(self.rids)
-
-    def expand(self) -> Iterator[TupleConsumed]:
-        """Per-tuple :class:`TupleConsumed` events, ascending rid order."""
-        for rid in self.rids:
-            yield TupleConsumed(self.table, self.tick, rid, self.query)
 
 
 @dataclass(frozen=True)
@@ -300,10 +216,10 @@ class TableCompacted(Event):
 class DeathRecorded(Event):
     """The forensics layer closed one tuple's biography.
 
-    Published after the corresponding :class:`TupleEvicted`, with the
-    forensic cause (``evicted``/``consumed``/``truncated``/
-    ``restored-over``) already resolved — the metrics collector feeds
-    ``repro_deaths_total`` from it.
+    Published once per row while the forensics layer walks a
+    :class:`TupleEvictedBatch`, with the forensic cause (``evicted``/
+    ``consumed``/``truncated``/``restored-over``) already resolved — the
+    metrics collector feeds ``repro_deaths_total`` from it.
     """
 
     rid: int
@@ -370,65 +286,42 @@ class EventBus:
         The event lands in :attr:`counts` either way, so the ledger is
         identical whether or not the (possibly expensive) payload was
         ever built — the decay core uses this to skip assembling per-row
-        tuples nobody would see. For an event with a
-        :attr:`~Event.per_tuple` type, ``count`` is its length: a
-        subscriber of either type gets the event built, and with none
-        the pass costs one counter add.
+        tuples nobody would see. For a batch event ``count`` is its
+        length; with no subscriber the pass costs one counter add.
         """
-        per_tuple = event_type.per_tuple
-        if self._handlers.get(event_type) or (
-            per_tuple is not None and self._handlers.get(per_tuple)
-        ):
+        if self._handlers.get(event_type):
             self.publish(factory())
             return
-        self.counts[(per_tuple or event_type).__name__] += count
+        self.counts[event_type.ledger_key or event_type.__name__] += count
 
     def publish(self, event: Event) -> None:
         """Deliver ``event`` to its type's handlers; count it either way.
 
-        Fan-out is *complete*: a handler that raises cannot starve the
-        handlers registered after it (the decay bookkeeping in
+        A batch event counts ``len(event)`` under its
+        :attr:`~Event.ledger_key`, any other event one under its class
+        name. Fan-out is *complete*: a handler that raises cannot starve
+        the handlers registered after it (the decay bookkeeping in
         :class:`~repro.core.policy.DecayPolicy` subscribes alongside
         user probes and must always see every eviction). Failures are
         collected and re-raised after the full fan-out — the original
         exception when one handler failed, an
         :class:`~repro.errors.EventFanoutError` when several did.
-
-        An event with a :attr:`~Event.per_tuple` type is counted as
-        that many per-tuple events and, after its own handlers, expanded
-        for the per-tuple type's handlers (if any) under the same rule.
         """
         kind = type(event)
-        per_tuple = kind.per_tuple
-        handlers = self._handlers.get(kind)
-        if per_tuple is None:
+        if kind.ledger_key is None:
             self.counts[kind.__name__] += 1
-            if not handlers:
-                return
-            row_handlers = None
         else:
-            self.counts[per_tuple.__name__] += len(event)
-            row_handlers = self._handlers.get(per_tuple)
+            self.counts[kind.ledger_key] += len(event)
+        handlers = self._handlers.get(kind)
+        if not handlers:
+            return
         failures: list[tuple[Callable[[Any], None], Exception]] = []
-        if handlers:
-            _deliver(handlers, event, failures)
-        if row_handlers:
-            for sub in event.expand():
-                _deliver(row_handlers, sub, failures)
+        for handler in list(handlers):
+            try:
+                handler(event)
+            except Exception as exc:
+                failures.append((handler, exc))
         if failures:
             if len(failures) == 1:
                 raise failures[0][1]
             raise EventFanoutError(kind.__name__, failures) from failures[0][1]
-
-
-def _deliver(
-    handlers: list[Callable[[Any], None]],
-    event: Event,
-    failures: list[tuple[Callable[[Any], None], Exception]],
-) -> None:
-    """Run every handler on ``event``, collecting the ones that raise."""
-    for handler in list(handlers):
-        try:
-            handler(event)
-        except Exception as exc:
-            failures.append((handler, exc))

@@ -585,8 +585,7 @@ class DecayingTable:
         exhausted and pinned sets, and one :class:`TupleEvictedBatch`
         carries the cause and the rows' last values by column (the ones
         the delete gathered), so distillers cook them without a second
-        read; per-tuple subscribers get one :class:`TupleEvicted` per
-        row, by expansion.
+        read.
         """
         rids = rows.rows
         if not rids:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from repro.bench.runner import ExperimentResult, register
 from repro.core.db import FungusDB
-from repro.core.events import TupleEvicted
+from repro.core.events import TupleEvictedBatch
 from repro.core.fungus import Fungus
 from repro.experiments.common import pick
 from repro.fungi import (
@@ -63,10 +63,12 @@ def _run_arm(
     lifetimes: list[float] = []
     evictions_by_tick: dict[int, int] = {}
 
-    def on_evict(event: TupleEvicted) -> None:
-        inserted_at = event.values[0]  # column 0 is the time column
-        lifetimes.append(event.tick - inserted_at)
-        evictions_by_tick[int(event.tick)] = evictions_by_tick.get(int(event.tick), 0) + 1
+    def on_evict(event: TupleEvictedBatch) -> None:
+        inserted_at = event.columns[0]  # column 0 is the time column
+        lifetimes.extend(event.tick - t for t in inserted_at)
+        evictions_by_tick[int(event.tick)] = (
+            evictions_by_tick.get(int(event.tick), 0) + len(event)
+        )
 
     def probe(tick: int, db: FungusDB, stats: ReplayStats) -> None:
         stats.record("extent", db.extent("readings"))
@@ -76,7 +78,7 @@ def _run_arm(
     db = FungusDB(seed=3)
     generator = SensorGenerator(num_sensors=25, seed=3)
     db.create_table("readings", generator.schema, fungus=fungus)
-    db.bus.subscribe(TupleEvicted, on_evict)
+    db.bus.subscribe(TupleEvictedBatch, on_evict)
     driver = ReplayDriver(db, "readings", PoissonArrivals(rate, seed=3), generator)
     driver.probe_each_tick(probe)
     stats = driver.run(ticks)

@@ -16,7 +16,7 @@ from typing import ClassVar, Iterator, Sequence
 from repro.lint.catalogue import load_metric_catalogue
 from repro.lint.engine import Finding, ModuleSource, Rule
 
-CATALOGUE_VERSION = "1.12"
+CATALOGUE_VERSION = "1.13"
 
 #: packages where simulated time and injected randomness are mandatory
 RESTRICTED_PACKAGES = ("core", "fungi", "query", "sim", "storage")
@@ -530,12 +530,12 @@ class BatchMutatorRule(Rule):
         "once. The "
         "observers on top of a vectorized mutation (metrics collector, "
         "health report, planner statistics) are held to the same "
-        "standard: expanding a TupleDecayedBatch or walking "
-        "freshness_values/column_values through band_of per row costs "
+        "standard: walking freshness_values/column_values through "
+        "band_of per row costs "
         "more than the decay it measures. Two places are outside this "
-        "rule's scope: the forensics collector, which takes each decay "
-        "batch per row (the bus expands it) by contract because the "
-        "LineageStore keeps one biography per tuple, and repro/sketch/, "
+        "rule's scope: the forensics collector, which walks each batch "
+        "per row by contract because the LineageStore keeps one "
+        "biography per tuple, and repro/sketch/, "
         "whose per-value loops are the order-dependent sketches' own "
         "arithmetic: one loop on local variables per batch, with no method "
         "call per value. The row going in is "
@@ -546,8 +546,8 @@ class BatchMutatorRule(Rule):
         "behind when a later row is bad; append_many/insert_many/"
         "restore_many coerce by column, extend each column once and "
         "publish one TupleInsertedBatch. The delete delegate in core/db.py "
-        "publishes one TupleConsumedBatch per statement, not a "
-        "TupleConsumed per row."
+        "publishes one TupleConsumedBatch per statement, not one event "
+        "per row."
     )
 
     SCALAR_MUTATORS = frozenset(
@@ -555,7 +555,7 @@ class BatchMutatorRule(Rule):
     )
     ROW_DISTILLERS = frozenset({"add_row", "row_dict"})
     OBSERVER_ROW_READS = frozenset(
-        {"expand", "freshness_values", "column_values", "band_of"}
+        {"freshness_values", "column_values", "band_of"}
     )
     ROW_WRITES = frozenset({"append", "insert", "restore"})
     ROW_PUBLISHES = frozenset({"publish", "publish_lazy"})

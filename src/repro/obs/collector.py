@@ -11,9 +11,8 @@ freshness-band occupancy).
 
 Observers of a vectorized mutation read what it left in the arrays:
 every freshness write arrives as one ``TupleDecayedBatch`` (a scalar
-mutator's is a batch of one row), which the collector subscribes to
-*instead of* the per-tuple ``TupleDecayed`` and folds as ``old - new``
-in one pass, and the band gauges come from
+mutator's is a batch of one row), which the collector folds as
+``old - new`` in one pass, and the band gauges come from
 :meth:`DecayingTable.band_counts`. Either way the registry ends up
 exactly where per-row handlers would have left it — same children,
 same float additions in the same order, byte-equal exposition

@@ -47,8 +47,8 @@ from repro.core.events import (
     AlertResolved,
     EventBus,
     TickCompleted,
-    TupleConsumed,
-    TupleEvicted,
+    TupleConsumedBatch,
+    TupleEvictedBatch,
 )
 from repro.errors import ObsError
 from repro.obs.metrics import EWMARate
@@ -193,15 +193,15 @@ class AlertEngine:
         if self._bus is not None:
             return
         self._bus = bus
-        bus.subscribe(TupleEvicted, self._on_evicted)
-        bus.subscribe(TupleConsumed, self._on_consumed)
+        bus.subscribe(TupleEvictedBatch, self._on_evicted)
+        bus.subscribe(TupleConsumedBatch, self._on_consumed)
         bus.subscribe(TickCompleted, self._on_tick)
 
     def detach(self) -> None:
         if self._bus is None:
             return
-        self._bus.unsubscribe(TupleEvicted, self._on_evicted)
-        self._bus.unsubscribe(TupleConsumed, self._on_consumed)
+        self._bus.unsubscribe(TupleEvictedBatch, self._on_evicted)
+        self._bus.unsubscribe(TupleConsumedBatch, self._on_consumed)
         self._bus.unsubscribe(TickCompleted, self._on_tick)
         self._bus = None
 
@@ -213,17 +213,19 @@ class AlertEngine:
             signals = self._signals[name] = _TableSignals()
         return signals
 
-    def _on_evicted(self, event: TupleEvicted) -> None:
+    def _on_evicted(self, event: TupleEvictedBatch) -> None:
         signals = self._table(event.table)
         if event.reason == "consume":
             return  # consumption is its own signal
-        signals.eviction_rate.mark(1.0, now=event.tick)
-        signals.evicted_total += 1
+        for _ in range(len(event)):
+            signals.eviction_rate.mark(1.0, now=event.tick)
+        signals.evicted_total += len(event)
 
-    def _on_consumed(self, event: TupleConsumed) -> None:
+    def _on_consumed(self, event: TupleConsumedBatch) -> None:
         signals = self._table(event.table)
-        signals.consume_rate.mark(1.0, now=event.tick)
-        signals.consumed_total += 1
+        for _ in range(len(event)):
+            signals.consume_rate.mark(1.0, now=event.tick)
+        signals.consumed_total += len(event)
 
     def _on_tick(self, event: TickCompleted) -> None:
         self.evaluate(event.table, event.tick)

@@ -1,18 +1,21 @@
 """The event-bus → lineage-store bridge.
 
-:class:`ForensicsCollector` subscribes to the decay-core events and
-keeps a :class:`~repro.obs.forensics.store.LineageStore` current:
-births on ``TupleInserted``, infection edges on ``TupleInfected``,
-trajectory points on ``TupleDecayed`` (the bus expands each decay batch
-into them, one per changed row), consuming-query capture on
-``TupleConsumed``, and biography closure on ``TupleEvicted`` — after
-which it publishes a :class:`~repro.core.events.DeathRecorded` event
-so metrics and dashboards see the resolved forensic cause without
-knowing the store exists.
+:class:`ForensicsCollector` subscribes to the decay-core batch events
+and keeps a :class:`~repro.obs.forensics.store.LineageStore` current.
+The store keeps one biography per tuple, so the collector walks each
+batch row by row, in the batch's order: births from
+``TupleInsertedBatch`` (ascending rids), infection edges from
+``TupleInfectedBatch`` (infection order), trajectory points from
+``TupleDecayedBatch`` (one per changed row), consuming-query capture
+from ``TupleConsumedBatch``, and biography closure from
+``TupleEvictedBatch`` (delete order) — after each closure it publishes
+a :class:`~repro.core.events.DeathRecorded` event so metrics and
+dashboards see the resolved forensic cause without knowing the store
+exists. It runs among the other handlers of a batch, in subscription
+order.
 
-Checkpoint restores re-insert the surviving rows as one batch, which
-the bus expands into one ``TupleInserted`` per row; those would open
-fresh (wrong) biographies and burn forensic ids for
+Checkpoint restores re-insert the surviving rows as one batch, whose
+births would open fresh (wrong) biographies and burn forensic ids for
 rows that are not new. :meth:`stage_restore` arms the collector with
 the checkpoint's persisted biographies; when ``RestoreCompleted``
 announces how many rows were replayed, the collector rebinds those
@@ -28,11 +31,11 @@ from repro.core.events import (
     DeathRecorded,
     RestoreCompleted,
     TableCompacted,
-    TupleConsumed,
-    TupleDecayed,
-    TupleEvicted,
-    TupleInfected,
-    TupleInserted,
+    TupleConsumedBatch,
+    TupleDecayedBatch,
+    TupleEvictedBatch,
+    TupleInfectedBatch,
+    TupleInsertedBatch,
 )
 from repro.obs.forensics.store import LineageStore
 
@@ -56,11 +59,11 @@ class ForensicsCollector:
             raise RuntimeError("forensics collector is already attached")
         self._db = db
         pairs = [
-            (TupleInserted, self._on_inserted),
-            (TupleInfected, self._on_infected),
-            (TupleDecayed, self._on_decayed),
-            (TupleConsumed, self._on_consumed),
-            (TupleEvicted, self._on_evicted),
+            (TupleInsertedBatch, self._on_inserted),
+            (TupleInfectedBatch, self._on_infected),
+            (TupleDecayedBatch, self._on_decayed),
+            (TupleConsumedBatch, self._on_consumed),
+            (TupleEvictedBatch, self._on_evicted),
             (TableCompacted, self._on_compacted),
             (RestoreCompleted, self._on_restore),
         ]
@@ -86,37 +89,33 @@ class ForensicsCollector:
     # handlers
     # ------------------------------------------------------------------
 
-    def _on_inserted(self, event: TupleInserted) -> None:
-        self.store.born(event.table, event.rid, event.tick)
+    def _on_inserted(self, event: TupleInsertedBatch) -> None:
+        for rid in range(event.start, event.stop):
+            self.store.born(event.table, rid, event.tick)
 
-    def _on_infected(self, event: TupleInfected) -> None:
-        self.store.infected(
-            event.table,
-            event.rid,
-            event.fungus,
-            event.origin,
-            event.source,
-            event.tick,
-        )
-
-    def _on_decayed(self, event: TupleDecayed) -> None:
-        self.store.decayed(event.table, event.rid, event.tick, event.new_freshness)
-
-    def _on_consumed(self, event: TupleConsumed) -> None:
-        self.store.note_consume(event.table, event.rid, event.query)
-
-    def _on_evicted(self, event: TupleEvicted) -> None:
-        record = self.store.died(event.table, event.rid, event.reason, event.tick)
-        if self._db is not None:
-            self._db.bus.publish(
-                DeathRecorded(
-                    event.table,
-                    event.tick,
-                    event.rid,
-                    record.cause,
-                    fungus=record.fungus,
-                )
+    def _on_infected(self, event: TupleInfectedBatch) -> None:
+        for rid, origin, source in zip(event.rids, event.origins, event.sources):
+            self.store.infected(
+                event.table, rid, event.fungus, origin, source, event.tick
             )
+
+    def _on_decayed(self, event: TupleDecayedBatch) -> None:
+        for rid, freshness in zip(event.rids, event.new_freshness):
+            self.store.decayed(event.table, rid, event.tick, freshness)
+
+    def _on_consumed(self, event: TupleConsumedBatch) -> None:
+        for rid in event.rids:
+            self.store.note_consume(event.table, rid, event.query)
+
+    def _on_evicted(self, event: TupleEvictedBatch) -> None:
+        for rid in event.rids:
+            record = self.store.died(event.table, rid, event.reason, event.tick)
+            if self._db is not None:
+                self._db.bus.publish(
+                    DeathRecorded(
+                        event.table, event.tick, rid, record.cause, fungus=record.fungus
+                    )
+                )
 
     def _on_compacted(self, event: TableCompacted) -> None:
         self.store.compacted(event.table, dict(event.remap))

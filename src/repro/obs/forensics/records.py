@@ -32,7 +32,7 @@ from typing import Any, Mapping
 #: Every cause a DeathRecord may carry.
 CAUSES = ("evicted", "consumed", "truncated", "restored-over")
 
-#: Eviction-reason label (TupleEvicted.reason) -> forensic cause.
+#: Eviction-reason label (TupleEvictedBatch.reason) -> forensic cause.
 REASON_TO_CAUSE = {
     "decay": "evicted",
     "manual": "evicted",
@@ -86,7 +86,7 @@ class TupleLife:
     born_tick: float | None
     infections: list[InfectionEvent] = field(default_factory=list)
     trajectory: deque = field(default_factory=lambda: deque(maxlen=16))
-    pending_query: str | None = None  # set by TupleConsumed, read at death
+    pending_query: str | None = None  # set by a consume batch, read at death
 
     @property
     def last_infection(self) -> InfectionEvent | None:

@@ -541,7 +541,7 @@ class LineageStore:
     ) -> int:
         """Rebind saved biographies to the rids a restore replayed.
 
-        The replayed ``TupleInserted`` events opened fresh (wrong)
+        The replayed insert batch opened fresh (wrong)
         biographies for ``rids``; this replaces them positionally
         with the persisted ones and rolls the fid counter back to the
         persisted watermark, so no DeathRecords and no fid drift come

@@ -7,7 +7,7 @@ import pytest
 
 import repro.core.table as core_table
 from repro.core.db import FungusDB
-from repro.core.events import TupleDecayed, TupleDecayedBatch
+from repro.core.events import TupleDecayedBatch
 from repro.core.table import BatchOutcome, DecayingTable
 from repro.errors import DecayError, StorageError
 from repro.fungi import LinearDecayFungus
@@ -83,22 +83,14 @@ class TestCoalescedEvents:
         assert event.new_freshness == (0.4,)
         assert event.fungus == "t"
 
-    def test_expand_matches_scalar_event_shape(self, table):
-        batches, scalars = [], []
+    def test_scalar_mutator_publishes_the_one_row_batch(self, table):
+        batches = []
         table.bus.subscribe(TupleDecayedBatch, batches.append)
-        table.bus.subscribe(TupleDecayed, scalars.append)
         table.decay_many([2, 5], 0.25, "t")
-        (batch,) = batches
-        expanded = list(batch.expand())
-        assert [e.rid for e in expanded] == [2, 5]
-        assert all(isinstance(e, TupleDecayed) for e in expanded)
-        # per-tuple subscribers get the expansion from the bus
-        assert scalars == expanded
-        scalars.clear()
-        # the scalar mutator publishes the same per-row payload
         table.decay(6, 0.25, "t")
-        (scalar,) = scalars
-        assert (scalar.old_freshness, scalar.new_freshness) == (1.0, 0.75)
+        assert [batch.rids for batch in batches] == [(2, 5), (6,)]
+        assert (batches[1].old_freshness, batches[1].new_freshness) == ((1.0,), (0.75,))
+        assert table.bus.counts["TupleDecayed"] == 3
 
     def test_counts_ledger_without_subscribers(self, table):
         """publish_lazy skips payload construction but still counts."""
@@ -274,7 +266,7 @@ class TestOneWritePath:
             t.decay_many([2], 1.0, "t")
             t.set_freshness_many([4], [0.5], "t")
             events = []
-            t.bus.subscribe(TupleDecayed, events.append)
+            t.bus.subscribe(TupleDecayedBatch, events.append)
             if one_row:
                 arg = [operand] if batch == "set_freshness_many" else operand
                 getattr(t, batch)([rid], arg, "t")

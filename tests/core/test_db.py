@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.events import TupleConsumed, TupleEvicted
+from repro.core.events import TupleConsumedBatch, TupleEvictedBatch
 from repro.core.policy import EvictionMode
 from repro.errors import CatalogError, DecayError
 from repro.fungi import AccessRefreshFungus, EGIFungus, LinearDecayFungus
@@ -114,11 +114,11 @@ class TestLaw2:
 
     def test_consume_publishes_events(self, logs_db):
         consumed, evicted = [], []
-        logs_db.bus.subscribe(TupleConsumed, consumed.append)
-        logs_db.bus.subscribe(TupleEvicted, evicted.append)
+        logs_db.bus.subscribe(TupleConsumedBatch, consumed.append)
+        logs_db.bus.subscribe(TupleEvictedBatch, evicted.append)
         logs_db.query("CONSUME SELECT * FROM logs WHERE status = 500")
-        assert len(consumed) == 4
-        assert all(e.reason == "consume" for e in evicted)
+        assert [len(e) for e in consumed] == [4]
+        assert [(len(e), e.reason) for e in evicted] == [(4, "consume")]
 
     def test_consume_guard_helper(self, logs_db):
         with pytest.raises(DecayError):

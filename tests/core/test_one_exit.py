@@ -3,14 +3,14 @@
 Each cause of departure — SQL ``DELETE``, ``CONSUME``, decay, and
 ``drop_table`` — is driven from the public surface, and the cause shows
 up the same way in all three places that record it: the
-``TupleEvicted`` reason, the forensics death cause and the collector's
+eviction batch's reason, the forensics death cause and the collector's
 ``reason`` label. No label outlives the statement that set it.
 """
 
 import pytest
 
 from repro.core.db import FungusDB
-from repro.core.events import TupleEvicted
+from repro.core.events import TupleEvictedBatch
 from repro.fungi import LinearDecayFungus
 from repro.obs.collector import BusCollector
 from repro.query.executor import QueryEngine
@@ -23,8 +23,10 @@ def _db() -> tuple[FungusDB, BusCollector, list]:
     db.enable_forensics()
     collector = BusCollector().attach(db)
     db.insert_many("r", [{"k": k} for k in range(10)])
-    seen: list = []
-    db.bus.subscribe(TupleEvicted, seen.append)
+    seen: list = []  # (rid, reason) per evicted row
+    db.bus.subscribe(
+        TupleEvictedBatch, lambda e: seen.extend((rid, e.reason) for rid in e.rids)
+    )
     return db, collector, seen
 
 
@@ -44,7 +46,7 @@ def test_a_consume_label_does_not_leak_into_a_later_delete():
     db, _, seen = _db()
     db.query("CONSUME SELECT k FROM r WHERE k < 2")
     db.engine.execute("DELETE FROM r WHERE k > 7")
-    assert [(e.rid, e.reason) for e in seen] == [
+    assert seen == [
         (0, "consume"),
         (1, "consume"),
         (8, "external"),
@@ -68,7 +70,7 @@ def test_each_cause_is_recorded_alike(act, reason, cause):
     db.tables["r"].pin(7)
     db.tables["r"].decay_many([8, 9], 1.0, "manual")  # exhausted
     act(db)
-    assert seen and {e.reason for e in seen} == {reason}
+    assert seen and {r for _, r in seen} == {reason}
     assert set(_causes(db)) == {cause}
     assert len(_causes(db)) == len(seen)
     registry = collector.registry
@@ -83,10 +85,11 @@ def test_evict_books_before_it_publishes():
     table.decay_many([3], 1.0, "manual")
     states = []
     db.bus.subscribe(
-        TupleEvicted, lambda e: states.append((set(table.pinned), set(table.exhausted)))
+        TupleEvictedBatch,
+        lambda e: states.append((set(table.pinned), set(table.exhausted))),
     )
     table.evict(RowSet([2, 3]), "manual")
-    assert states == [(set(), set()), (set(), set())]
+    assert states == [(set(), set())]
 
 
 def test_decaying_table_does_not_observe_its_storage():

@@ -2,9 +2,10 @@
 
 Seeded schedules mix EGI ticks (with compaction), inserts, SQL
 ``CONSUME``/``DELETE`` and pins on a table with a hash index and the
-``t`` sorted index. After every step the per-tuple ``TupleConsumed``/
-``TupleEvicted`` stream the bus expands carries each row's pre-delete
-values in batch order, the ledger counts tuples, the indexes answer as
+``t`` sorted index. After every step the consume and eviction batches,
+walked row by row, carry each row's pre-delete values in batch order,
+every consume batch comes before its eviction batch, the ledger counts
+tuples, the indexes answer as
 a filter over the live rows does, and the exhausted and pinned sets stay
 inside the live extent. A bad batch changes nothing at all.
 """
@@ -16,12 +17,7 @@ import numpy
 import pytest
 
 from repro.core.db import FungusDB
-from repro.core.events import (
-    TupleConsumed,
-    TupleConsumedBatch,
-    TupleEvicted,
-    TupleEvictedBatch,
-)
+from repro.core.events import TupleConsumedBatch, TupleEvictedBatch
 from repro.errors import StorageError
 from repro.fungi import EGIFungus
 from repro.storage import RowSet, Schema, Table
@@ -70,18 +66,17 @@ def _step(db: FungusDB, rng: random.Random) -> str:
 
 
 class _Log:
-    """Every batch and per-tuple consume/evict event, in delivery order,
-    and each evicted row's values as read just before its delete."""
+    """Every consume/evict batch in delivery order, its rows walked as
+    ``(kind, rid, reason)``, and each evicted row's values as read just
+    before its delete."""
 
     def __init__(self, db: FungusDB, monkeypatch=None) -> None:
         self.batches: list = []
         self.tuples: list = []
         self.pre_delete: dict[int, tuple] = {}
         self.mismatches: list = []
-        db.bus.subscribe(TupleEvictedBatch, self.batches.append)
-        db.bus.subscribe(TupleConsumedBatch, self.batches.append)
-        db.bus.subscribe(TupleEvicted, self._on_evicted)
-        db.bus.subscribe(TupleConsumed, self.tuples.append)
+        db.bus.subscribe(TupleEvictedBatch, self._on_evicted)
+        db.bus.subscribe(TupleConsumedBatch, self._on_consumed)
         if monkeypatch is not None:
             storage = db.tables["r"].storage
             real = Table.delete_many
@@ -95,10 +90,17 @@ class _Log:
 
             monkeypatch.setattr(Table, "delete_many", delete_many)
 
-    def _on_evicted(self, event: TupleEvicted) -> None:
-        self.tuples.append(event)
-        if event.values != self.pre_delete.get(event.rid):
-            self.mismatches.append(event)
+    def _on_consumed(self, event: TupleConsumedBatch) -> None:
+        self.batches.append(event)
+        self.tuples.extend(("consumed", rid, None) for rid in event.rids)
+
+    def _on_evicted(self, event: TupleEvictedBatch) -> None:
+        self.batches.append(event)
+        assert all(len(column) == len(event.rids) for column in event.columns)
+        for rid, values in zip(event.rids, zip(*event.columns)):
+            self.tuples.append(("evicted", rid, event.reason))
+            if values != self.pre_delete.get(rid):
+                self.mismatches.append((rid, values))
 
 
 def _check_indexes(db: FungusDB) -> None:
@@ -128,7 +130,7 @@ def _check_indexes(db: FungusDB) -> None:
 def test_seeded_schedule_retires_batches_faithfully(seed, monkeypatch):
     rng = random.Random(seed)
     db = _db(seed)
-    quiet = _db(seed)  # the same schedule with no per-tuple subscriber
+    quiet = _db(seed)  # the same schedule with no subscriber
     quiet_rng = random.Random(seed)
     log = _Log(db, monkeypatch)
     table = db.tables["r"]
@@ -139,32 +141,26 @@ def test_seeded_schedule_retires_batches_faithfully(seed, monkeypatch):
         _step(quiet, quiet_rng)
         batches = log.batches[seen_batches:]
         tuples = log.tuples[seen_tuples:]
-        # the expansion is the batches, row by row, in batch order
-        expected = [
-            (type(batch).per_tuple, rid, getattr(batch, "reason", None))
-            for batch in batches
-            for rid in batch.rids
-        ]
-        assert [
-            (type(event), event.rid, getattr(event, "reason", None)) for event in tuples
-        ] == expected
+        assert len(tuples) == sum(len(batch) for batch in batches)
         assert log.mismatches == []
         if kind == "consume" and tuples:
-            consumed = [e.rid for e in tuples if isinstance(e, TupleConsumed)]
-            evicted = [e.rid for e in tuples if isinstance(e, TupleEvicted)]
-            # every TupleConsumed of a statement before its evictions
-            assert tuples[: len(consumed)] == [e for e in tuples if isinstance(e, TupleConsumed)]
-            assert consumed == evicted
-            assert {e.reason for e in tuples[len(consumed) :]} == {"consume"}
+            # one consume batch, then its one eviction batch of the same rows
+            assert [type(batch) for batch in batches] == [
+                TupleConsumedBatch,
+                TupleEvictedBatch,
+            ]
+            consumed, evicted = batches
+            assert consumed.rids == evicted.rids
+            assert evicted.reason == "consume"
         if kind == "delete":
-            assert {e.reason for e in tuples} <= {"external"}
+            assert {reason for _, _, reason in tuples} <= {"external"}
         _check_indexes(db)
         live = set(table.storage.live_list())
         assert set(table.exhausted) <= live
         assert set(table.pinned) <= live
     counts = db.bus.counts
-    assert counts["TupleEvicted"] == sum(isinstance(e, TupleEvicted) for e in log.tuples)
-    assert counts["TupleConsumed"] == sum(isinstance(e, TupleConsumed) for e in log.tuples)
+    assert counts["TupleEvicted"] == sum(kind == "evicted" for kind, _, _ in log.tuples)
+    assert counts["TupleConsumed"] == sum(kind == "consumed" for kind, _, _ in log.tuples)
     assert counts["TupleEvicted"] > 0 and counts["TupleConsumed"] > 0
     assert "TupleEvictedBatch" not in counts and "TupleConsumedBatch" not in counts
     assert counts == quiet.bus.counts

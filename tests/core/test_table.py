@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.core.events import TupleDecayed, TupleEvicted, TupleInserted
+from repro.core.events import TupleDecayedBatch, TupleEvictedBatch, TupleInsertedBatch
 from repro.core.table import DecayingTable
 from repro.errors import DecayError, StorageError
 from repro.storage import RowSet, Schema
@@ -42,9 +42,9 @@ class TestInsert:
 
     def test_insert_publishes_event(self, decaying):
         seen = []
-        decaying.bus.subscribe(TupleInserted, seen.append)
+        decaying.bus.subscribe(TupleInsertedBatch, seen.append)
         decaying.insert({"v": 1})
-        assert len(seen) == 1
+        assert [len(e) for e in seen] == [1]
 
     def test_insert_many(self, decaying):
         rows = decaying.insert_many([{"v": 100}, {"v": 101}])
@@ -70,14 +70,14 @@ class TestFreshnessMutation:
 
     def test_decay_publishes_event(self, decaying):
         seen = []
-        decaying.bus.subscribe(TupleDecayed, seen.append)
+        decaying.bus.subscribe(TupleDecayedBatch, seen.append)
         decaying.decay(0, 0.3, "spore")
         assert seen[0].fungus == "spore"
-        assert seen[0].old_freshness == 1.0
+        assert seen[0].old_freshness == (1.0,)
 
     def test_no_event_when_unchanged(self, decaying):
         seen = []
-        decaying.bus.subscribe(TupleDecayed, seen.append)
+        decaying.bus.subscribe(TupleDecayedBatch, seen.append)
         decaying.set_freshness(0, 1.0)
         assert seen == []
 
@@ -145,17 +145,19 @@ class TestPinning:
 class TestEviction:
     def test_evict_publishes_row_values(self, decaying):
         seen = []
-        decaying.bus.subscribe(TupleEvicted, seen.append)
+        decaying.bus.subscribe(TupleEvictedBatch, seen.append)
         decaying.evict(RowSet([1, 2]), "decay")
-        assert [e.values[2] for e in seen] == [1, 2]  # v column
+        (event,) = seen
+        assert event.rids == (1, 2)
+        assert list(event.columns[2]) == [1, 2]  # v column
         assert len(decaying) == 8
 
     def test_evict_publishes_reason(self, decaying):
         seen = []
-        decaying.bus.subscribe(TupleEvicted, seen.append)
+        decaying.bus.subscribe(TupleEvictedBatch, seen.append)
         decaying.evict(RowSet([1]), "consume")
         assert seen[0].reason == "consume"
-        assert seen[0].values[2] == 1  # v column
+        assert list(seen[0].columns[2]) == [1]  # v column
 
     def test_evict_clears_exhausted(self, decaying):
         decaying.decay(1, 1.0, "test")

@@ -6,17 +6,11 @@ import json
 
 import pytest
 
-import repro.core.events as events_module
 from repro.core.checkpoint import load_checkpoint, save_checkpoint
 from repro.core.db import FungusDB
-from repro.core.events import (
-    EventBus,
-    RestoreCompleted,
-    TupleInserted,
-    TupleInsertedBatch,
-)
+from repro.core.events import EventBus, RestoreCompleted, TupleInsertedBatch
 from repro.core.table import DecayingTable
-from repro.errors import EventFanoutError, QueryError, SchemaError
+from repro.errors import QueryError, SchemaError
 from repro.fungi import LinearDecayFungus
 from repro.obs.collector import BusCollector
 from repro.obs.export import render_prometheus
@@ -51,7 +45,6 @@ class TestAllOrNothing:
         db = make_db()
         db.insert_many("r", [{"v": 1, "s": "a"}])
         seen: list = []
-        db.bus.subscribe(TupleInserted, seen.append)
         db.bus.subscribe(TupleInsertedBatch, seen.append)
         before = footprint(db, seen)
         with pytest.raises(SchemaError, match="expected int, got 'bad'"):
@@ -67,7 +60,7 @@ class TestAllOrNothing:
         db = make_db()
         db.query("INSERT INTO r VALUES (1, 'a')")
         seen: list = []
-        db.bus.subscribe(TupleInserted, seen.append)
+        db.bus.subscribe(TupleInsertedBatch, seen.append)
         before = footprint(db, seen)
         with pytest.raises((SchemaError, QueryError)):
             db.query(f"INSERT INTO r VALUES (1, 'a'), (2, 'b'), {third}")
@@ -112,20 +105,26 @@ class TestEventContract:
         assert len(batches[0]) == 5
         assert rows == RowSet.span(0, 5)
 
-    def test_per_tuple_subscribers_get_one_event_per_row_in_rid_order(self):
+    def test_a_single_insert_is_the_one_row_batch(self):
         db = make_db()
         db.tick(2)
         seen: list = []
-        db.bus.subscribe(TupleInserted, seen.append)
+        db.bus.subscribe(TupleInsertedBatch, seen.append)
         db.insert_many("r", [{"v": i, "s": "x"} for i in range(3)])
         db.insert("r", {"v": 9, "s": "y"})
-        assert seen == [TupleInserted("r", 2.0, rid) for rid in range(4)]
+        assert seen == [
+            TupleInsertedBatch("r", 2.0, 0, 3),
+            TupleInsertedBatch("r", 2.0, 3, 4),
+        ]
         assert db.bus.counts["TupleInserted"] == 4
 
     def test_a_subscriber_may_already_see_the_rest_of_its_batch(self):
         db = make_db()
         extents: list = []
-        db.bus.subscribe(TupleInserted, lambda e: extents.append(db.extent("r")))
+        db.bus.subscribe(
+            TupleInsertedBatch,
+            lambda e: extents.extend(db.extent("r") for _ in range(e.start, e.stop)),
+        )
         db.insert_many("r", [{"v": i, "s": "x"} for i in range(3)])
         assert extents == [3, 3, 3]
 
@@ -136,29 +135,11 @@ class TestEventContract:
         assert db.insert_many("r", []) == RowSet.empty()
         assert batches == [] and not db.bus.counts
 
-    def test_fan_out_is_complete_across_batch_and_tuple_handlers(self):
-        bus = EventBus()
-        seen: list = []
-
-        def bad_batch(event):
-            raise ValueError("batch handler")
-
-        def bad_row(event):
-            if event.rid == 1:
-                raise KeyError("row handler")
-
-        bus.subscribe(TupleInsertedBatch, bad_batch)
-        bus.subscribe(TupleInserted, bad_row)
-        bus.subscribe(TupleInserted, seen.append)
-        with pytest.raises(EventFanoutError):
-            bus.publish(TupleInsertedBatch("r", 0.0, 0, 3))
-        assert [e.rid for e in seen] == [0, 1, 2]
-
 
 class TestCallCounts:
     def test_a_clean_batch_never_touches_the_per_row_steps(self, monkeypatch):
         db = make_db()
-        counts = {"coerce_row": 0, "append": 0, "TupleInserted": 0, "publish": 0}
+        counts = {"coerce_row": 0, "append": 0, "TupleInsertedBatch": 0, "publish": 0}
 
         def counting(name, original):
             def wrapper(*args, **kwargs):
@@ -176,12 +157,17 @@ class TestCallCounts:
             EventBus, "publish_lazy", counting("publish", EventBus.publish_lazy)
         )
         monkeypatch.setattr(
-            events_module.TupleInserted,
+            TupleInsertedBatch,
             "__init__",
-            counting("TupleInserted", events_module.TupleInserted.__init__),
+            counting("TupleInsertedBatch", TupleInsertedBatch.__init__),
         )
         db.insert_many("r", [{"v": i, "s": "x"} for i in range(1000)])
-        assert counts == {"coerce_row": 0, "append": 0, "TupleInserted": 0, "publish": 1}
+        assert counts == {
+            "coerce_row": 0,
+            "append": 0,
+            "TupleInsertedBatch": 1,
+            "publish": 1,
+        }
         assert db.bus.counts["TupleInserted"] == 1000
 
     def test_inserts_total_is_byte_equal_to_the_per_row_fold(self):
@@ -191,10 +177,12 @@ class TestCallCounts:
             def attach(self, db):
                 super().attach(db)
                 db.bus.unsubscribe(TupleInsertedBatch, self._on_inserted_batch)
-                db.bus.subscribe(
-                    TupleInserted, lambda e: self.inserts.labels(table=e.table).inc()
-                )
+                db.bus.subscribe(TupleInsertedBatch, self._per_tuple)
                 return self
+
+            def _per_tuple(self, event):
+                for _ in range(event.start, event.stop):
+                    self.inserts.labels(table=event.table).inc()
 
         db = make_db(fungus=LinearDecayFungus(rate=0.3))
         db.create_table("other", Schema.of(v="int"))

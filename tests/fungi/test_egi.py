@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.core.clock import DecayClock
-from repro.core.events import TupleInfected
+from repro.core.events import TupleInfectedBatch
 from repro.core.table import DecayingTable
 from repro.errors import DecayError
 from repro.fungi import EGIFungus
@@ -51,10 +51,11 @@ class TestSeeding:
 
     def test_seeding_publishes_infection_events(self, big_table, rng):
         seen = []
-        big_table.bus.subscribe(TupleInfected, seen.append)
+        big_table.bus.subscribe(TupleInfectedBatch, seen.append)
         EGIFungus(seeds_per_cycle=2, decay_rate=0.1, spread=False).cycle(big_table, rng)
-        assert len(seen) == 2
-        assert all(e.fungus == "egi" for e in seen)
+        assert [len(e) for e in seen] == [2]
+        assert seen[0].fungus == "egi"
+        assert seen[0].origins == ("seed", "seed")
 
     def test_age_bias_prefers_old_tuples(self, clock, rng):
         # 50 old tuples, then 50 young; with tournament selection the

@@ -29,7 +29,7 @@ import pytest
 
 from repro.core.db import FungusDB
 from repro.core.fungus import DecayReport
-from repro.core.events import TupleDecayed, TupleInfected
+from repro.core.events import TupleDecayedBatch, TupleInfectedBatch
 from repro.fungi import BlueCheeseFungus, EGIFungus
 from repro.storage import Schema
 from tests.fungi.spread_reference import ReferenceBlueCheese, ReferenceEGI
@@ -101,13 +101,17 @@ class Side:
         self.infections: list[tuple] = []
         self.decays: list[tuple] = []
         self.db.bus.subscribe(
-            TupleInfected,
-            lambda e: self.infections.append((e.tick, e.rid, e.fungus, e.origin, e.source)),
+            TupleInfectedBatch,
+            lambda e: self.infections.extend(
+                (e.tick, rid, e.fungus, origin, source)
+                for rid, origin, source in zip(e.rids, e.origins, e.sources)
+            ),
         )
         self.db.bus.subscribe(
-            TupleDecayed,
-            lambda e: self.decays.append(
-                (e.tick, e.rid, e.old_freshness, e.new_freshness, e.fungus)
+            TupleDecayedBatch,
+            lambda e: self.decays.extend(
+                (e.tick, rid, old, new, e.fungus)
+                for rid, old, new in zip(e.rids, e.old_freshness, e.new_freshness)
             ),
         )
         self.rows = random.Random(seed)

@@ -6,7 +6,9 @@ applies; the ``publish`` inside the loop must be flagged.
 """
 
 
-def before_consume(self, table_name, consumed, TupleConsumed):
+def before_consume(self, table_name, consumed, TupleConsumedBatch):
     query_text = self.engine.current_sql or "consume"
     for rid in consumed:
-        self.bus.publish(TupleConsumed(table_name, self.clock.now, rid, query=query_text))
+        self.bus.publish(
+            TupleConsumedBatch(table_name, self.clock.now, (rid,), query=query_text)
+        )

@@ -16,12 +16,12 @@ def insert_many(self, rows):
     return [self.insert(row) for row in rows]  # flagged: insert
 
 
-def load(storage, lines, bus, TupleInserted):
+def load(storage, lines, bus, TupleInsertedBatch):
     kept = []
     for values in lines:
         kept.append(values)  # a list, not a table: fine
         rid = storage.append(values)  # flagged: append
-        bus.publish(TupleInserted("r", 0.0, rid))  # flagged: publish
+        bus.publish(TupleInsertedBatch("r", 0.0, rid, rid + 1))  # flagged: publish
 
 
 def announce(bus, tables, RestoreCompleted):

@@ -1,4 +1,4 @@
-"""Known-bad fixture: observers that re-expand a vectorized mutation row by row.
+"""Known-bad fixture: observers that walk a vectorized mutation row by row.
 
 The path (``repro/obs/collector.py``) puts this file inside RS007's
 observer scope; every per-row read in the loops below must be flagged.
@@ -7,8 +7,8 @@ observer scope; every per-row read in the loops below must be flagged.
 
 
 def on_decayed_batch(collector, event):
-    for sub in event.expand():  # flagged: one dataclass per decayed row
-        collector.on_decayed(sub)
+    bands = [band_of(f) for f in event.new_freshness]  # flagged: one lookup per row
+    collector.on_decayed(event.rids, bands)
 
 
 def sample_bands(table, bands):

@@ -4,20 +4,20 @@ A dropped event is an invisible state change — metrics, forensics and
 probes all miss it.
 """
 
-from repro.core.events import TupleEvicted, TupleInserted
+from repro.core.events import TupleEvictedBatch, TupleInsertedBatch
 
 
 def evict(bus, table: str, tick: float, rid: int) -> None:
-    TupleEvicted(table, tick, rid=rid, reason="decay")  # flagged: dropped
-    event = TupleInserted(table, tick, rid=rid)  # flagged: never published
+    TupleEvictedBatch(table, tick, (rid,), "decay", ())  # flagged: dropped
+    event = TupleInsertedBatch(table, tick, rid, rid + 1)  # flagged: never published
     del event
 
 
 def evict_published(bus, table: str, tick: float, rid: int) -> None:
-    bus.publish(TupleEvicted(table, tick, rid=rid, reason="decay"))  # fine
-    pending = TupleInserted(table, tick, rid=rid)  # fine: published below
+    bus.publish(TupleEvictedBatch(table, tick, (rid,), "decay", ()))  # fine
+    pending = TupleInsertedBatch(table, tick, rid, rid + 1)  # fine: published below
     bus.publish(pending)
 
 
-def make_event(table: str, tick: float, rid: int) -> TupleInserted:
-    return TupleInserted(table, tick, rid=rid)  # fine: escapes to caller
+def make_event(table: str, tick: float, rid: int) -> TupleInsertedBatch:
+    return TupleInsertedBatch(table, tick, rid, rid + 1)  # fine: escapes to caller

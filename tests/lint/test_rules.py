@@ -86,7 +86,7 @@ class TestRulesFireOnFixtures:
         assert good.findings == [], good.human()
 
     def test_rs007_consume_publish_fixture_pair(self):
-        """A TupleConsumed per consumed row is flagged in db.py; one batch passes."""
+        """An event per consumed row is flagged in db.py; one batch passes."""
         bad = LintEngine().lint_paths(
             [FIXTURES / "per_row" / "repro" / "core" / "db.py"]
         )
@@ -97,11 +97,10 @@ class TestRulesFireOnFixtures:
         assert good.findings == [], good.human()
 
     def test_rs007_observer_scope_fixture_pair(self):
-        """Re-expanding a batch per row is flagged in the observers; arrays pass."""
+        """Walking a batch per row is flagged in the observers; arrays pass."""
         bad = LintEngine().lint_paths([FIXTURES / "repro" / "obs" / "collector.py"])
         assert [f.rule for f in bad.findings] == ["RS007"] * 4, bad.human()
         assert {f.message.split("(")[0] for f in bad.findings} == {
-            "per-row expand",
             "per-row freshness_values",
             "per-row band_of",
             "per-row column_values",
@@ -320,10 +319,10 @@ class TestRS014Scope:
 class TestRS006Patterns:
     def test_publish_arg_and_assignment_paths_pass(self):
         source = (
-            "from repro.core.events import TupleInserted\n"
+            "from repro.core.events import TupleInsertedBatch\n"
             "def f(bus):\n"
-            "    bus.publish(TupleInserted('r', 1.0, rid=1))\n"
-            "    e = TupleInserted('r', 2.0, rid=2)\n"
+            "    bus.publish(TupleInsertedBatch('r', 1.0, 1, 2))\n"
+            "    e = TupleInsertedBatch('r', 2.0, 2, 3)\n"
             "    bus.publish(e)\n"
         )
         findings, _ = LintEngine(
@@ -333,9 +332,9 @@ class TestRS006Patterns:
 
     def test_returned_event_passes(self):
         source = (
-            "from repro.core.events import TupleInserted\n"
+            "from repro.core.events import TupleInsertedBatch\n"
             "def f():\n"
-            "    return TupleInserted('r', 1.0, rid=1)\n"
+            "    return TupleInsertedBatch('r', 1.0, 1, 2)\n"
         )
         findings, _ = LintEngine(
             rules=[PublishedEventRule()]
@@ -344,9 +343,9 @@ class TestRS006Patterns:
 
     def test_dropped_event_fails(self):
         source = (
-            "from repro.core.events import TupleInserted\n"
+            "from repro.core.events import TupleInsertedBatch\n"
             "def f():\n"
-            "    TupleInserted('r', 1.0, rid=1)\n"
+            "    TupleInsertedBatch('r', 1.0, 1, 2)\n"
         )
         findings, _ = LintEngine(
             rules=[PublishedEventRule()]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.db import FungusDB
-from repro.core.events import RestoreCompleted, TupleInfected
+from repro.core.events import RestoreCompleted, TupleInfectedBatch
 from repro.fungi import EGIFungus, LinearDecayFungus
 from repro.obs.collector import BusCollector
 from repro.storage.schema import Schema
@@ -78,14 +78,16 @@ class TestCounters:
             "r", Schema.of(v="int"), fungus=EGIFungus(seeds_per_cycle=3, decay_rate=0.3)
         )
         collector = BusCollector().attach(db)
-        per_tuple: list = []
-        db.bus.subscribe(TupleInfected, per_tuple.append)
+        batches: list = []
+        db.bus.subscribe(TupleInfectedBatch, batches.append)
         db.insert_many("r", [{"v": i} for i in range(200)])
         db.tick(8)
         infections = collector.registry.value(
             "repro_infections_total", table="r", fungus="egi"
         )
-        assert infections == len(per_tuple) == db.bus.counts["TupleInfected"] > 8
+        tuples = sum(len(batch) for batch in batches)
+        assert infections == tuples == db.bus.counts["TupleInfected"] > 8
+        assert len(batches) == 8  # one per cycle
 
 
 class TestGauges:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.core import freshness as freshness_module
 from repro.core.db import FungusDB
-from repro.core.events import TupleDecayed
+from repro.core.events import TupleDecayedBatch
 from repro.core.freshness import FreshnessBand, band_of
 from repro.core.table import DecayingTable
 from repro.errors import DecayError
@@ -24,35 +24,33 @@ from repro.storage.schema import Schema
 from repro.storage.table import Table
 
 
-class ExpandingCollector(BusCollector):
-    """The reference: a coalesced batch counted through its expansion."""
+class RowWalkingCollector(BusCollector):
+    """The reference: a decay batch counted row by row."""
 
-    def _on_decayed_batch(self, event):
-        for sub in event.expand():
-            self._on_decayed(sub)
-
-    def _on_decayed(self, event: TupleDecayed) -> None:
-        delta = event.old_freshness - event.new_freshness
-        if delta >= 0:
-            self.decay_events.labels(table=event.table, fungus=event.fungus).inc()
-            self.freshness_removed.labels(table=event.table, fungus=event.fungus).inc(delta)
-        else:
-            self.freshness_restored.labels(table=event.table, fungus=event.fungus).inc(-delta)
+    def _on_decayed_batch(self, event: TupleDecayedBatch) -> None:
+        labels = {"table": event.table, "fungus": event.fungus}
+        for old, new in zip(event.old_freshness, event.new_freshness):
+            delta = old - new
+            if delta >= 0:
+                self.decay_events.labels(**labels).inc()
+                self.freshness_removed.labels(**labels).inc(delta)
+            else:
+                self.freshness_restored.labels(**labels).inc(-delta)
 
 
 class PerRowCollector(BusCollector):
     """The reference: one ``inc()`` and one ``mark(1.0)`` per evicted or
-    consumed tuple, through the batch's expansion."""
+    consumed tuple of a batch."""
 
     def _on_evicted_batch(self, event):
-        for sub in event.expand():
-            self.evictions.labels(table=sub.table, reason=sub.reason).inc()
-            self.eviction_rate.labels(table=sub.table).mark(1.0, now=sub.tick)
+        for _ in event.rids:
+            self.evictions.labels(table=event.table, reason=event.reason).inc()
+            self.eviction_rate.labels(table=event.table).mark(1.0, now=event.tick)
 
     def _on_consumed_batch(self, event):
-        for sub in event.expand():
-            self.consumed.labels(table=sub.table).inc()
-            self.consume_rate.labels(table=sub.table).mark(1.0, now=sub.tick)
+        for _ in event.rids:
+            self.consumed.labels(table=event.table).inc()
+            self.consume_rate.labels(table=event.table).mark(1.0, now=event.tick)
 
 
 ROWS = 80  # batches of 1..80 rids fall on both sides of _SMALL_BATCH (32)
@@ -80,7 +78,7 @@ def test_batch_fold_is_byte_equal_to_the_expand_loop(schedule, pins):
     for rid in pins:
         db.tables["a"].pin(rid)
     folded = BusCollector().attach(db)
-    expanded = ExpandingCollector().attach(db)
+    walked = RowWalkingCollector().attach(db)
     for name, kind, fungus, rids, amount in schedule:
         table = db.tables[name]
         rids = sorted(rids)
@@ -95,7 +93,7 @@ def test_batch_fold_is_byte_equal_to_the_expand_loop(schedule, pins):
                 table.set_freshness_many(rids, values, fungus)
         except DecayError:
             pass  # scale factors above 1.0 are rejected before any write
-    assert render_prometheus(folded.registry) == render_prometheus(expanded.registry)
+    assert render_prometheus(folded.registry) == render_prometheus(walked.registry)
 
 
 def _reference_gauges(table):
@@ -153,7 +151,12 @@ def test_one_tick_over_25k_rows_builds_no_per_row_object(monkeypatch):
     db.create_table("r", Schema.of(v="int"), fungus=LinearDecayFungus(rate=0.01))
     db.enable_telemetry()
     db.insert_many("r", [{"v": i} for i in range(25_000)])
-    calls = {"TupleDecayed": 0, "band_of": 0, "column_values": 0, "freshness_values": 0}
+    calls = {
+        "TupleDecayedBatch": 0,
+        "band_of": 0,
+        "column_values": 0,
+        "freshness_values": 0,
+    }
 
     def counted(name, real):
         def wrapper(*args, **kwargs):
@@ -163,7 +166,9 @@ def test_one_tick_over_25k_rows_builds_no_per_row_object(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(
-        TupleDecayed, "__init__", counted("TupleDecayed", TupleDecayed.__init__)
+        TupleDecayedBatch,
+        "__init__",
+        counted("TupleDecayedBatch", TupleDecayedBatch.__init__),
     )
     # band_of is bound by name wherever it is imported; the clamp it
     # calls through its own module's globals is not
@@ -187,7 +192,7 @@ def test_one_tick_over_25k_rows_builds_no_per_row_object(monkeypatch):
     assert registry.value("repro_decay_events_total", table="r", fungus="linear") == 25_000
     assert registry.value("repro_band_occupancy", table="r", band="fresh") == 25_000
     assert calls == {
-        "TupleDecayed": 0,
+        "TupleDecayedBatch": 1,  # the one event of the tick's decay
         "band_of": 0,
         "column_values": 0,
         "freshness_values": 0,

@@ -5,9 +5,13 @@ resolution back to seed events, rot-spot reconstruction, the bounded
 store, and the end-of-run audit contract the CI replay sweep enforces.
 """
 
+import random
+
 import pytest
 
 from repro.core.db import FungusDB
+from repro.core.events import DeathRecorded
+from repro.core.policy import EvictionMode
 from repro.errors import ObsError
 from repro.fungi import EGIFungus, LinearDecayFungus
 from repro.obs.forensics import Forensics
@@ -25,6 +29,7 @@ from repro.obs.forensics.store import (
     TERMINUS_SEED,
     TERMINUS_TRUNCATED,
 )
+from repro.storage import RowSet
 from repro.storage.schema import Schema
 
 
@@ -192,6 +197,100 @@ class TestAdoption:
         db.tick(3)
         assert len(forensics.deaths("r")) == 4
         assert forensics.audit() == []
+
+
+class TestBatchWalk:
+    """The collector walks each batch row by row, in the batch's order."""
+
+    def test_infections_are_walked_in_infection_order(self):
+        db = FungusDB(seed=5)
+        table = db.create_table("r", Schema.of(v="int"))
+        db.insert_many("r", [{"v": i} for i in range(10)])
+        forensics = db.enable_forensics()  # the rows are adopted when first seen
+        table.mark_infected_many(
+            [7, 2, 6, 9], "egi", ["seed", "seed", "spread", "spread"], [None, None, 7, 7]
+        )
+        store = forensics.store
+        assert [store.life("r", rid).fid for rid in (7, 2, 6, 9)] == [0, 1, 2, 3]
+        spread = store.life("r", 9).last_infection
+        assert (spread.origin, spread.source_fid) == ("spread", 0)
+
+    def test_births_trajectories_and_deaths_follow_the_batch(self):
+        db = FungusDB(seed=5)
+        table = db.create_table("r", Schema.of(v="int"))
+        forensics = db.enable_forensics()
+        deaths: list = []
+        db.bus.subscribe(DeathRecorded, deaths.append)
+        db.insert_many("r", [{"v": i} for i in range(5)])
+        table.set_freshness_many([1, 3, 4], [0.5, 0.25, 1.0], "manual")
+        table.evict(RowSet([1, 3, 4]), "manual")
+        store = forensics.store
+        assert [store.life("r", rid).fid for rid in (0, 2)] == [0, 2]
+        records = forensics.deaths("r")
+        assert [(r.fid, r.rid) for r in records] == [(1, 1), (3, 3), (4, 4)]
+        assert [r.trajectory[-1][1] for r in records] == [0.5, 0.25, 1.0]
+        assert [(e.rid, e.cause) for e in deaths] == [
+            (1, "evicted"),
+            (3, "evicted"),
+            (4, "evicted"),
+        ]
+
+
+def _attach_order_run(forensics_first: bool):
+    """One seeded schedule; forensics, alerts and telemetry attached
+    before the tables exist, or after them."""
+    rules = ["eviction_rate > 1.5 for 2", "consume_rate > 0.5", "extent < 30 for 3"]
+    db = FungusDB(seed=11)
+    if forensics_first:
+        db.enable_forensics(rules=rules)
+        db.enable_telemetry()
+    db.create_table(
+        "egi",
+        Schema.of(k="int"),
+        fungus=EGIFungus(seeds_per_cycle=2, decay_rate=0.3),
+        compact_every=4,
+    )
+    db.create_table(
+        "lin",
+        Schema.of(k="int"),
+        fungus=LinearDecayFungus(rate=0.15),
+        eviction=EvictionMode.LAZY,
+        lazy_batch=5,
+    )
+    if not forensics_first:
+        db.enable_telemetry()
+        db.enable_forensics(rules=rules)
+    rng = random.Random(11)
+    for _ in range(120):
+        name = rng.choice(("egi", "lin"))
+        op = rng.random()
+        if op < 0.35:
+            db.insert_many(name, [{"k": rng.randrange(8)} for _ in range(rng.randint(1, 20))])
+        elif op < 0.75:
+            db.tick(rng.randint(1, 2))
+        elif op < 0.87:
+            db.query(f"CONSUME SELECT k FROM {name} WHERE k = {rng.randrange(8)}")
+        else:
+            db.query(f"DELETE FROM {name} WHERE k = {rng.randrange(8)}")
+    forensics = db.forensics
+    deaths = {name: forensics.deaths(name) for name in ("egi", "lin")}
+    why = [
+        forensics.why_text(name, record.fid, by_fid=True)
+        for name, records in deaths.items()
+        for record in records
+    ]
+    return deaths, why, list(forensics.store.alert_log), db.stats()["events"]
+
+
+def test_attach_order_changes_no_forensic_answer():
+    """Forensics runs among the batch handlers in subscription order;
+    attaching it before or after the tables and telemetry changes nothing."""
+    early = _attach_order_run(forensics_first=True)
+    late = _attach_order_run(forensics_first=False)
+    deaths, _, alert_log, events = early
+    assert sum(len(records) for records in deaths.values()) > 50
+    assert alert_log and events["TupleConsumed"] > 0
+    assert early == late
 
 
 class TestBounds:

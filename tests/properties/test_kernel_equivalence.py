@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 import repro.core.table as core_table
 from repro.core.clock import DecayClock
-from repro.core.events import TupleDecayed
+from repro.core.events import TupleDecayedBatch
 from repro.core.table import DecayingTable
 from repro.fungi import BlueCheeseFungus, EGIFungus
 from repro.storage import RowSet, Schema, Table
@@ -54,7 +54,13 @@ def _build(n_rows: int) -> tuple[DecayingTable, list]:
     clock = DecayClock()
     table = DecayingTable("r", Schema.of(v="int"), clock)
     events: list = []
-    table.bus.subscribe(TupleDecayed, events.append)
+    table.bus.subscribe(
+        TupleDecayedBatch,
+        lambda e: events.extend(
+            (e.tick, rid, old, new, e.fungus)
+            for rid, old, new in zip(e.rids, e.old_freshness, e.new_freshness)
+        ),
+    )
     for i in range(n_rows):
         table.insert({"v": i})
         clock.advance(1)

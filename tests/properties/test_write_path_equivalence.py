@@ -2,7 +2,7 @@
 
 The per-row steps of the old write path — ``coerce_row``, one append per
 column, ``setdefault(...).add`` on the hash index,
-``insort`` on the sorted index, one ``TupleInserted`` — live on here as
+``insort`` on the sorted index, one event per row — live on here as
 the reference model. ``Table.append_many`` and
 ``DecayingTable.insert_many`` must agree with it on both backends, and a
 batch with a bad row must raise what the reference raises for its first
@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.clock import DecayClock
-from repro.core.events import TupleInserted, TupleInsertedBatch
+from repro.core.events import TupleInsertedBatch
 from repro.core.table import DecayingTable
 from repro.storage import HashIndex, RowSet, SortedIndex, Table
 from repro.storage.schema import ColumnDef, DataType, Schema
@@ -194,21 +194,20 @@ def attribute_rows(allow_bad: bool):
     data=st.lists(
         st.lists(attribute_rows(allow_bad=True), max_size=10), min_size=1, max_size=4
     ),
-    watch_tuples=st.booleans(),
 )
-def test_insert_many_matches_a_loop_of_inserts(data, watch_tuples):
+def test_insert_many_matches_a_loop_of_inserts(data):
     """Batch table vs. one ``insert`` per row: same rows, ``t``/``f``,
-    exhausted set, returned rids and ``TupleInserted`` stream."""
+    exhausted set, returned rids and inserted ``(tick, rid)`` stream."""
 
     def build():
         clock = DecayClock()
         table = DecayingTable("r", ATTRIBUTES, clock)
         index = HashIndex(table.storage, "k"), SortedIndex(table.storage, "t")
         seen: list = []
-        if watch_tuples:
-            table.bus.subscribe(TupleInserted, seen.append)
-        else:
-            table.bus.subscribe(TupleInsertedBatch, lambda e: seen.extend(e.expand()))
+        table.bus.subscribe(
+            TupleInsertedBatch,
+            lambda e: seen.extend((e.tick, rid) for rid in range(e.start, e.stop)),
+        )
         return table, index, seen
 
     batched, (b_hash, b_sorted), b_seen = build()
@@ -240,5 +239,5 @@ def test_insert_many_matches_a_loop_of_inserts(data, watch_tuples):
     for key in (None, *range(-3, 4)):
         assert b_hash.lookup(key) == l_hash.lookup(key)
     assert b_seen == l_seen
-    assert [e.rid for e in b_seen] == list(range(batched.storage.allocated))
+    assert [rid for _, rid in b_seen] == list(range(batched.storage.allocated))
     assert batched.bus.counts == looped.bus.counts
