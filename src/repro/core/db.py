@@ -25,7 +25,7 @@ Quickstart::
 from __future__ import annotations
 
 import zlib
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.core.clock import DecayClock
 from repro.core.distill import Distiller, SummaryStore
@@ -76,7 +76,10 @@ class FungusDB:
         self.forensics = None
         self.querystats = None
         self.race_probe = None
-        self.engine.add_access_hook(self._on_access)
+        #: ``note_access`` of each table whose fungus refreshes on access;
+        #: the engine's access hook is registered with the first of them
+        self._access_notes: dict[str, Callable[[RowSet], None]] = {}
+        self._access_hooked = False
         # Tier-B static analysis: EXPLAIN CONSUME + the strict gate see
         # the freshness domain invariant, and every analysis is published
         self.engine.strict_consume = strict_consume
@@ -163,6 +166,14 @@ class FungusDB:
             table.storage.probe = self.race_probe
         self.tables[name] = table
         self.policies[name] = policy
+        note = getattr(policy.fungus, "note_access", None)
+        if note is not None:
+            # only a fungus that refreshes on access needs each query's
+            # matched rows: until one exists the engine builds none
+            self._access_notes[name] = note
+            if not self._access_hooked:
+                self.engine.add_access_hook(self._on_access)
+                self._access_hooked = True
         # SQL INSERTs go through the decaying insert path (t/f stamped);
         # bare INSERT INTO <name> VALUES (...) targets the attributes only.
         # DELETE and CONSUME victims leave through evict, with their cause
@@ -186,6 +197,7 @@ class FungusDB:
         table.evict(table.rowset(), "truncate")
         del self.tables[name]
         del self.policies[name]
+        self._access_notes.pop(name, None)
         self.catalog.drop_table(name)
         self.engine.drop_delegates(name)
 
@@ -317,10 +329,10 @@ class FungusDB:
         table.evict(victims, cause)
 
     def _on_access(self, table_name: str, matched: RowSet) -> None:
-        """Access hook: matched rows may refresh, per the table's fungus."""
-        policy = self.policies.get(table_name)
-        if policy is not None:
-            policy.note_access(matched)
+        """Access hook: a fungus that refreshes on access notes the rows."""
+        note = self._access_notes.get(table_name)
+        if note is not None:
+            note(matched)
 
     # ------------------------------------------------------------------
     # observability

@@ -108,12 +108,6 @@ class DecayPolicy:
         )
         return report
 
-    def note_access(self, rids: RowSet) -> None:
-        """Forward query accesses to fungi that refresh on access."""
-        note = getattr(self.fungus, "note_access", None)
-        if note is not None:
-            note(rids)
-
     # ------------------------------------------------------------------
 
     def _maybe_collect(self, tick: int) -> int:

@@ -4,9 +4,10 @@ import random
 
 import pytest
 
+from repro.core.db import FungusDB
 from repro.errors import DecayError
-from repro.fungi import AccessRefreshFungus, LinearDecayFungus
-from repro.storage import RowSet
+from repro.fungi import AccessRefreshFungus, EGIFungus, LinearDecayFungus
+from repro.storage import RowSet, Schema
 
 
 @pytest.fixture
@@ -90,3 +91,50 @@ class TestStatePlumbing:
         fungus.note_access(RowSet([1]))
         fungus.reset()
         assert fungus._pending == set()
+
+
+class TestAccessHook:
+    """The engine hands matched rows only to a fungus that notes them."""
+
+    @staticmethod
+    def _count_rowsets(monkeypatch) -> list:
+        built: list = []
+        real = RowSet.from_sorted.__func__
+
+        def from_sorted(cls, rows):
+            built.append(len(rows))
+            return real(cls, rows)
+
+        monkeypatch.setattr(RowSet, "from_sorted", classmethod(from_sorted))
+        return built
+
+    def test_select_without_a_refreshing_fungus_builds_no_rowset(self, monkeypatch):
+        db = FungusDB(seed=2)
+        db.create_table("r", Schema.of(v="int"), fungus=EGIFungus())
+        db.insert_many("r", [{"v": i} for i in range(50)])
+        built = self._count_rowsets(monkeypatch)
+        assert len(db.query("SELECT v FROM r WHERE v < 30").rows) == 30
+        assert built == []
+        consumed = db.query("CONSUME SELECT v FROM r WHERE v < 10").consumed
+        assert len(consumed) == 10 and built == [10]
+
+    def test_only_the_refreshing_table_notes_its_accesses(self):
+        db = FungusDB(seed=2)
+        db.create_table("plain", Schema.of(v="int"), fungus=LinearDecayFungus(rate=0.1))
+        fungus = AccessRefreshFungus(LinearDecayFungus(rate=0.1))
+        db.create_table("cared", Schema.of(v="int"), fungus=fungus)
+        for name in ("plain", "cared"):
+            db.insert_many(name, [{"v": i} for i in range(6)])
+        db.query("SELECT v FROM plain WHERE v < 4")
+        assert fungus._pending == set()
+        db.query("SELECT v FROM cared WHERE v < 2")
+        assert fungus._pending == {0, 1}
+        # dropped and re-created: one hook still, feeding the new fungus
+        db.drop_table("cared")
+        again = AccessRefreshFungus(LinearDecayFungus(rate=0.1))
+        accessed: list = []
+        again.note_access = accessed.append
+        db.create_table("cared", Schema.of(v="int"), fungus=again)
+        db.insert_many("cared", [{"v": i} for i in range(6)])
+        db.query("SELECT v FROM cared WHERE v >= 4")
+        assert accessed == [RowSet([4, 5])]
