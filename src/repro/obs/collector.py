@@ -21,8 +21,10 @@ references). Inserts arrive one ``TupleInsertedBatch`` per batch,
 infections one ``TupleInfectedBatch`` per fungus cycle, consumes one
 ``TupleConsumedBatch`` per statement and evictions one
 ``TupleEvictedBatch`` per storage delete, each folded with one
-``labels().inc(n)``; the eviction and consume rates take the batch's
-*n* marks on the one child.
+``labels().inc(n)``; the eviction and consume rates take one
+``mark(n)`` per batch, which differs from *n* ``mark(1.0)`` calls only
+by their rounding (at most ``n * 2**-52 * (mass + n)``,
+``tests/obs/test_metrics.py``).
 
 Checkpoint restores replay the surviving rows as an insert batch; the
 ``RestoreCompleted`` event that follows tells the collector how
@@ -96,7 +98,7 @@ from repro.core.events import (
     TupleInfectedBatch,
     TupleInsertedBatch,
 )
-from repro.obs.metrics import Counter, EWMARate, MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.storage.vector import numpy
 
 
@@ -110,14 +112,6 @@ def _inc_each(counter: Counter, amounts: Any) -> None:
     """
     seeded = numpy.concatenate(([counter.value], amounts))
     counter.value = float(numpy.add.accumulate(seeded)[-1])
-
-
-def _mark_each(rate: EWMARate, count: int, now: float) -> None:
-    """``count`` calls of ``rate.mark(1.0, now)``: the same decay and the
-    same ``+ 1.0`` additions, in order, as one mark per tuple (adding
-    ``count`` at once could round differently)."""
-    for _ in range(count):
-        rate.mark(1.0, now)
 
 
 class BusCollector:
@@ -326,11 +320,11 @@ class BusCollector:
 
     def _on_evicted_batch(self, event: TupleEvictedBatch) -> None:
         self.evictions.labels(table=event.table, reason=event.reason).inc(len(event))
-        _mark_each(self.eviction_rate.labels(table=event.table), len(event), event.tick)
+        self.eviction_rate.labels(table=event.table).mark(float(len(event)), event.tick)
 
     def _on_consumed_batch(self, event: TupleConsumedBatch) -> None:
         self.consumed.labels(table=event.table).inc(len(event))
-        _mark_each(self.consume_rate.labels(table=event.table), len(event), event.tick)
+        self.consume_rate.labels(table=event.table).mark(float(len(event)), event.tick)
 
     def _on_consume_analyzed(self, event: ConsumeAnalyzed) -> None:
         self.consume_analyzed.labels(table=event.table, verdict=event.verdict).inc()

@@ -217,6 +217,8 @@ class AlertEngine:
         signals = self._table(event.table)
         if event.reason == "consume":
             return  # consumption is its own signal
+        # one mark per tuple: the alert log records this rate's value,
+        # and one mark of n could round it differently
         for _ in range(len(event)):
             signals.eviction_rate.mark(1.0, now=event.tick)
         signals.evicted_total += len(event)

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ObsError
 from repro.obs.metrics import (
@@ -91,6 +93,25 @@ class TestEWMARate:
     def test_bad_tau_rejected(self):
         with pytest.raises(ObsError):
             EWMARate(tau=0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    mass=st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+    dt=st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
+    n=st.integers(min_value=1, max_value=2_000),
+)
+def test_one_mark_of_n_is_n_marks_of_one_up_to_their_rounding(mass, dt, n):
+    """A batch of *n* is one ``mark(n)``. It decays the mass once, as the
+    first of *n* ``mark(1.0)`` calls at the same time does, and then
+    differs from them only by their *n* additions' rounding."""
+    one, many = EWMARate(tau=10.0), EWMARate(tau=10.0)
+    for rate in (one, many):
+        rate.mark(mass, now=0.0)
+    one.mark(float(n), now=dt)
+    for _ in range(n):
+        many.mark(1.0, now=dt)
+    assert abs(one._mass - many._mass) <= n * 2.0**-52 * (mass + n)
 
 
 class TestRegistry:
