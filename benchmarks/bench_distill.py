@@ -18,7 +18,7 @@ import random
 
 import pytest
 
-from repro.bench.measure import time_callable
+from benchmarks.timing import time_callable
 from repro.sketch import ReservoirSample, RunningMoments, StreamingHistogram
 from repro.sketch.countmin import stable_hashes
 from repro.sketch.summary import TableSummary

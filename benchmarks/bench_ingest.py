@@ -17,7 +17,7 @@ import bisect
 import random
 from dataclasses import dataclass
 
-from repro.bench.measure import time_callable
+from benchmarks.timing import time_callable
 from repro.core.db import FungusDB
 from repro.core.events import Event, EventBus
 from repro.storage import RowSet, Schema

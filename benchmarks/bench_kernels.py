@@ -20,7 +20,7 @@ import random
 import pytest
 
 import repro.core.table as core_table
-from repro.bench.measure import time_callable
+from benchmarks.timing import time_callable
 from repro.core.clock import DecayClock
 from repro.core.table import DecayingTable
 from repro.fungi import EGIFungus

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.bench.measure import time_callable
+from benchmarks.timing import time_callable
 from repro.core.db import FungusDB
 from repro.core.events import Event, TupleDecayedBatch
 from repro.core.freshness import FreshnessBand, band_of

@@ -1,4 +1,8 @@
-"""Timing helpers."""
+"""The one timer the same-process benchmarks share.
+
+Not a ``bench_*.py`` file, so pytest imports it but collects nothing
+from it; the benchmarks import it as ``benchmarks.timing``.
+"""
 
 from __future__ import annotations
 
@@ -6,22 +10,6 @@ import time
 from typing import Any, Callable
 
 from repro.errors import BenchError
-
-
-class Timer:
-    """Context-manager stopwatch: ``with Timer() as t: ...; t.elapsed``."""
-
-    def __init__(self) -> None:
-        self.start: float | None = None
-        self.elapsed: float = 0.0
-
-    def __enter__(self) -> "Timer":
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        assert self.start is not None
-        self.elapsed = time.perf_counter() - self.start
 
 
 def time_callable(fn: Callable[[], Any], repeats: int = 5) -> dict[str, float]:
@@ -41,4 +29,3 @@ def time_callable(fn: Callable[[], Any], repeats: int = 5) -> dict[str, float]:
         "mean": sum(samples) / len(samples),
         "max": max(samples),
     }
-

@@ -9,7 +9,7 @@ Run: ``python examples/chessboard_fable.py``
 """
 
 from repro import EGIFungus, FungusDB, NullFungus, RetentionFungus
-from repro.bench.reporting import sparkline
+from repro.experiments.report import sparkline
 from repro.workload import ChessboardArrivals, SensorGenerator
 from repro.workload.replay import ReplayDriver
 

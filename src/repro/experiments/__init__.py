@@ -2,13 +2,16 @@
 
 The paper publishes no tables or figures; each module here
 operationalises one quantitative claim from its text. Importing this
-package registers every experiment with
-:mod:`repro.bench.runner`; run one with::
+package registers every experiment in ``common.REGISTRY``; run one
+with::
 
-    from repro.bench import run_experiment, render_result
+    from repro.experiments.common import run_experiment
+    from repro.experiments.report import render_result
     print(render_result(run_experiment("F1", scale="paper")))
 
-or everything via ``python -m repro.experiments``.
+or everything via ``python -m repro.experiments``. Every check an
+experiment records is deterministic; whatever compares timings lives
+in ``benchmarks/`` (T3's clock costs and T4's query speed included).
 """
 
 from repro.experiments import (  # noqa: F401  (imported for registration)

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import sys
 
-from repro.bench.reporting import render_result
-from repro.bench.runner import run_all
-from repro.experiments.common import SCALES
+from repro.experiments.common import SCALES, run_all
+from repro.experiments.report import render_result
 
 
 def main(argv: list[str]) -> int:
@@ -31,9 +30,7 @@ def main(argv: list[str]) -> int:
     for result in results:
         print(render_result(result))
         for name, passed in result.checks.items():
-            marker = "PASS" if passed else "FAIL"
-            tag = " (wall-clock)" if name in result.wall_clock_checks else ""
-            print(f"  [{marker}] {name}{tag}")
+            print(f"  [{'PASS' if passed else 'FAIL'}] {name}")
         print()
     failed = [r.experiment_id for r in results if not r.all_checks_pass]
     print("=" * 72)

@@ -29,8 +29,7 @@ Expected shapes (the checks):
 
 from __future__ import annotations
 
-from repro.bench.runner import ExperimentResult, register
-from repro.experiments.common import extent_probe, pick, run_arm
+from repro.experiments.common import ExperimentResult, extent_probe, pick, register, run_arm
 from repro.fungi import EGIFungus, LinearDecayFungus, NullFungus, RetentionFungus
 from repro.workload.arrival import ChessboardArrivals
 
@@ -109,14 +108,3 @@ def run(scale: str = "smoke") -> ExperimentResult:
         all(b >= a for a, b in zip(extents["none"], extents["none"][1:])),
     )
     return result
-
-
-def main() -> None:
-    """Print the paper-scale report."""
-    from repro.bench.reporting import render_result
-
-    print(render_result(run("paper")))
-
-
-if __name__ == "__main__":
-    main()

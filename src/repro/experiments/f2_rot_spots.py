@@ -17,9 +17,8 @@ health report every tick until extinction (or the tick budget).
 
 from __future__ import annotations
 
-from repro.bench.runner import ExperimentResult, register
 from repro.core.health import measure_health
-from repro.experiments.common import build_sensor_db, pick
+from repro.experiments.common import ExperimentResult, build_sensor_db, pick, register
 from repro.fungi import EGIFungus
 
 CLAIM = (
@@ -109,14 +108,3 @@ def run(scale: str = "smoke") -> ExperimentResult:
         extinction_tick is not None or live_fraction[-1] < 0.05,
     )
     return result
-
-
-def main() -> None:
-    """Print the paper-scale report."""
-    from repro.bench.reporting import render_result
-
-    print(render_result(run("paper")))
-
-
-if __name__ == "__main__":
-    main()

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import random
 
-from repro.bench.runner import ExperimentResult, register
 from repro.core.db import FungusDB
-from repro.experiments.common import pick
+from repro.experiments.common import ExperimentResult, pick, register
 from repro.workload.generators import SensorGenerator
 
 CLAIM = (
@@ -109,14 +108,3 @@ def run(scale: str = "smoke") -> ExperimentResult:
         halves[0.30] <= halves[0.15] <= halves[0.05],
     )
     return result
-
-
-def main() -> None:
-    """Print the paper-scale report."""
-    from repro.bench.reporting import render_result
-
-    print(render_result(run("paper")))
-
-
-if __name__ == "__main__":
-    main()

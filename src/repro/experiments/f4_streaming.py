@@ -25,9 +25,8 @@ fungus, its oldest summary.
 
 from __future__ import annotations
 
-from repro.bench.runner import ExperimentResult, register
 from repro.core.db import FungusDB
-from repro.experiments.common import pick
+from repro.experiments.common import ExperimentResult, pick, register
 from repro.fungi import EGIFungus, RetentionFungus
 from repro.workload.generators import SensorGenerator
 
@@ -151,14 +150,3 @@ def run(scale: str = "smoke") -> ExperimentResult:
         total_ingested == db.extent("readings") + total_summarised,
     )
     return result
-
-
-def main() -> None:
-    """Print the paper-scale report."""
-    from repro.bench.reporting import render_result
-
-    print(render_result(run("paper")))
-
-
-if __name__ == "__main__":
-    main()

@@ -14,8 +14,7 @@ Paper claims operationalised:
 
 from __future__ import annotations
 
-from repro.bench.runner import ExperimentResult, register
-from repro.experiments.common import build_sensor_db, pick
+from repro.experiments.common import ExperimentResult, build_sensor_db, pick, register
 from repro.fungi import EGIFungus
 
 CLAIM = (
@@ -103,14 +102,3 @@ def run(scale: str = "smoke") -> ExperimentResult:
         ),
     )
     return result
-
-
-def main() -> None:
-    """Print the paper-scale report."""
-    from repro.bench.reporting import render_result
-
-    print(render_result(run("paper")))
-
-
-if __name__ == "__main__":
-    main()

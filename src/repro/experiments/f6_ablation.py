@@ -14,10 +14,9 @@ the same constant ingest + EGI fungus:
 
 from __future__ import annotations
 
-from repro.bench.runner import ExperimentResult, register
 from repro.core.db import FungusDB
 from repro.core.policy import EvictionMode
-from repro.experiments.common import pick
+from repro.experiments.common import ExperimentResult, pick, register
 from repro.fungi import EGIFungus
 from repro.workload.arrival import ConstantArrivals
 from repro.workload.generators import SensorGenerator
@@ -168,14 +167,3 @@ def run(scale: str = "smoke") -> ExperimentResult:
         len(pinned_table.pinned) == pin_count,
     )
     return result
-
-
-def main() -> None:
-    """Print the paper-scale report."""
-    from repro.bench.reporting import render_result
-
-    print(render_result(run("paper")))
-
-
-if __name__ == "__main__":
-    main()

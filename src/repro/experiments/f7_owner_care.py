@@ -19,9 +19,8 @@ survival rate and mean freshness at the end.
 
 from __future__ import annotations
 
-from repro.bench.runner import ExperimentResult, register
 from repro.core.db import FungusDB
-from repro.experiments.common import pick
+from repro.experiments.common import ExperimentResult, pick, register
 from repro.fungi import AccessRefreshFungus, EGIFungus
 from repro.storage.schema import ColumnDef, DataType, Schema
 from repro.workload.distributions import ZipfInts
@@ -123,14 +122,3 @@ def run(scale: str = "smoke") -> ExperimentResult:
         abs(neglected["hot_f"] - neglected["cold_f"]) <= 0.25,
     )
     return result
-
-
-def main() -> None:
-    """Print the paper-scale report."""
-    from repro.bench.reporting import render_result
-
-    print(render_result(run("paper")))
-
-
-if __name__ == "__main__":
-    main()

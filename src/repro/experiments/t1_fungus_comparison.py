@@ -16,11 +16,10 @@ differences in the table are differences in *shape*, not budget.
 
 from __future__ import annotations
 
-from repro.bench.runner import ExperimentResult, register
 from repro.core.db import FungusDB
 from repro.core.events import TupleEvictedBatch
 from repro.core.fungus import Fungus
-from repro.experiments.common import pick
+from repro.experiments.common import ExperimentResult, pick, register
 from repro.fungi import (
     BlueCheeseFungus,
     EGIFungus,
@@ -160,14 +159,3 @@ def run(scale: str = "smoke") -> ExperimentResult:
         finals["exponential"]["mean_f"] <= finals["retention"]["mean_f"] + 0.15,
     )
     return result
-
-
-def main() -> None:
-    """Print the paper-scale report."""
-    from repro.bench.reporting import render_result
-
-    print(render_result(run("paper")))
-
-
-if __name__ == "__main__":
-    main()

@@ -22,9 +22,8 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.bench.runner import ExperimentResult, register
 from repro.core.db import FungusDB
-from repro.experiments.common import pick
+from repro.experiments.common import ExperimentResult, pick, register
 from repro.sketch.summary import SummaryConfig
 from repro.workload.generators import WebLogGenerator
 
@@ -140,14 +139,3 @@ def run(scale: str = "smoke") -> ExperimentResult:
         space_ratio >= pick(scale, 2.0, 5.0),
     )
     return result
-
-
-def main() -> None:
-    """Print the paper-scale report."""
-    from repro.bench.reporting import render_result
-
-    print(render_result(run("paper")))
-
-
-if __name__ == "__main__":
-    main()

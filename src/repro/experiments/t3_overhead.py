@@ -1,164 +1,75 @@
-"""T3 — the cost of the decay clock.
+"""T3 — the work of the decay clock.
 
 Paper claim operationalised: Law 1 runs "with a periodic clock of T
-seconds" — so the fungus cycle is on the hot path and its cost
-matters. This experiment measures:
+seconds" — so the fungus cycle is on the hot path and what it touches
+matters. This experiment counts, from each cycle's ``DecayReport``,
+the rows one cycle decays per fungus as a function of live extent:
+full-scan fungi (retention/linear) decay every live row each cycle,
+so their work scales linearly with the extent, while EGI's cycle
+touches only seeds + the infected frontier, the same few rows at every
+size. The counts are deterministic; what a cycle *costs* in time is
+``benchmarks/bench_clock.py``'s same-process gates.
 
-* tick latency per fungus as a function of live extent — full-scan
-  fungi (retention/linear) should scale linearly with the extent,
-  while EGI's cycle touches only seeds + the infected frontier and
-  should be far cheaper on large tables;
-* ingest throughput with the clock running vs the NullFungus control;
-* the cost of the observability layer: ingest throughput with
-  telemetry off (twice, independently — the run-to-run agreement
-  gate), with metrics collection on, and with a recording tracer
-  keeping every span. Each configuration takes the min over several
-  fresh-db runs so the gate is robust to scheduler noise.
+It also ingests through the clock with metrics collection on and
+checks that the collector counts every ingested row exactly.
 """
 
 from __future__ import annotations
 
-from repro.bench.measure import time_callable
-from repro.bench.runner import ExperimentResult, register
-from repro.core.db import FungusDB
-from repro.experiments.common import pick
-from repro.fungi import EGIFungus, LinearDecayFungus, NullFungus, RetentionFungus
-from repro.obs.tracing import Tracer
-from repro.workload.generators import SensorGenerator
+from repro.experiments.common import ExperimentResult, build_sensor_db, pick, register
+from repro.fungi import EGIFungus, LinearDecayFungus, RetentionFungus
 
 CLAIM = (
-    "The periodic decay clock is affordable: spot fungi (EGI) cost "
-    "near-constant time per cycle; full-scan fungi scale with the extent."
+    "The periodic decay clock is affordable: spot fungi (EGI) touch "
+    "a near-constant number of rows per cycle; full-scan fungi scale with the extent."
 )
 
+#: cycles counted per fungus and size
+CYCLES = 3
 
-def _fresh_db(fungus, n_rows: int, seed: int = 9) -> FungusDB:
-    db = FungusDB(seed=seed)
-    generator = SensorGenerator(num_sensors=25, seed=seed)
-    db.create_table("readings", generator.schema, fungus=fungus)
-    db.insert_many("readings", [generator.generate(0) for _ in range(n_rows)])
-    return db
+#: two full-scan fungi and the spot fungus; decay rates are ~0 so the
+#: extent stays constant over the cycles
+FUNGI = {
+    "retention": lambda: RetentionFungus(max_age=10_000),
+    "linear": lambda: LinearDecayFungus(rate=1e-6),
+    "egi": lambda: EGIFungus(seeds_per_cycle=2, decay_rate=1e-6),
+}
 
 
 @register("T3")
 def run(scale: str = "smoke") -> ExperimentResult:
-    """Run the clock-overhead experiment at the given scale."""
-    # the vectorized full-scan kernels pushed the EGI/full-scan
-    # crossover out to ~15k rows, so even the smoke extents must reach
-    # past it for the "cheaper on large tables" comparison to be real
+    """Run the clock-work experiment at the given scale."""
     sizes = pick(scale, (2_000, 20_000), (2_000, 20_000, 80_000))
-    repeats = pick(scale, 3, 5)
     ingest_rows = pick(scale, 2_000, 10_000)
 
-    fungi = {
-        "retention": lambda: RetentionFungus(max_age=10_000),
-        "linear": lambda: LinearDecayFungus(rate=1e-6),
-        "egi": lambda: EGIFungus(seeds_per_cycle=2, decay_rate=1e-6),
-    }
-    # decay rates are ~0 so the extent stays constant while we time ticks
-
-    headers = ("fungus", *[f"ms/tick @{n}" for n in sizes])
+    headers = ("fungus", "cycle", *[f"rows decayed @{n}" for n in sizes])
     rows = []
-    tick_ms: dict[str, list[float]] = {}
-    for name, make in fungi.items():
-        samples = []
+    decayed: dict[str, list[list[int]]] = {}  # fungus -> per size -> per cycle
+    for name, make in FUNGI.items():
+        per_size = []
         for n_rows in sizes:
-            db = _fresh_db(make(), n_rows)
-            timing = time_callable(lambda db=db: db.tick(1), repeats=repeats)
-            samples.append(timing["min"] * 1000.0)
-        tick_ms[name] = samples
-        rows.append((name, *[round(ms, 3) for ms in samples]))
+            db, generator = build_sensor_db(make(), seed=9)
+            db.insert_many("readings", [generator.generate(0) for _ in range(n_rows)])
+            policy = db.policies["readings"]
+            policy.keep_reports = True
+            db.tick(CYCLES)
+            per_size.append([report.decayed for report in policy.stats.reports])
+        decayed[name] = per_size
+        for cycle in range(CYCLES):
+            rows.append((name, cycle + 1, *[counts[cycle] for counts in per_size]))
 
-    # ingest throughput: rows/s without decay, with the bare clock, and
-    # with the full distill-on-evict pipeline (summaries are still the
-    # real cost: ~3x what the clock adds per row, columnar distill included)
-    throughput = {}
-    for name, fungus, distill in (
-        ("null", NullFungus(), False),
-        ("egi", EGIFungus(seeds_per_cycle=2, decay_rate=0.2), False),
-        ("egi+distill", EGIFungus(seeds_per_cycle=2, decay_rate=0.2), True),
-    ):
-        db = FungusDB(seed=9)
-        generator = SensorGenerator(num_sensors=25, seed=9)
-        db.create_table(
-            "readings", generator.schema, fungus=fungus, distill_on_evict=distill
-        )
-        batch = [generator.generate(0) for _ in range(100)]
+    # ingest through the clock, 100-row batches with a tick after each,
+    # with metrics collection on: the collector must count every row
+    db, generator = build_sensor_db(EGIFungus(seeds_per_cycle=2, decay_rate=0.2), seed=11)
+    db.enable_telemetry()
+    batch = [generator.generate(0) for _ in range(100)]
+    for _ in range(0, ingest_rows, 100):
+        db.insert_many("readings", batch)
+        db.tick(1)
 
-        def ingest(db=db, batch=batch) -> None:
-            for start in range(0, ingest_rows, 100):
-                db.insert_many("readings", batch)
-                db.tick(1)
-
-        timing = time_callable(ingest, repeats=1)
-        throughput[name] = ingest_rows / timing["min"]
-        rows.append((f"ingest rows/s ({name})", *[round(throughput[name])] * len(sizes)))
-
-    # telemetry overhead: with telemetry off, spans still time the work
-    # but keep nothing, and two such runs must agree; metrics collection
-    # should stay cheap; "full" adds a recording tracer that keeps every
-    # span, which is reported but not gated. The
-    # race probe's disabled state (one is-None check per table mutator)
-    # rides on the same "off" path and so under the same 5% gate; an
-    # armed probe is reported like full tracing
-    tele_repeats = pick(scale, 5, 7)
-
-    def timed_ingest(mode: str) -> tuple[float, FungusDB]:
-        db = FungusDB(seed=11)
-        generator = SensorGenerator(num_sensors=25, seed=11)
-        db.create_table(
-            "readings",
-            generator.schema,
-            fungus=EGIFungus(seeds_per_cycle=2, decay_rate=0.2),
-        )
-        if mode == "metrics":
-            db.enable_telemetry()
-        elif mode == "full":
-            db.enable_telemetry()
-            db.tracer = Tracer()
-        elif mode == "probe":
-            db.enable_race_probe()
-        batch = [generator.generate(0) for _ in range(100)]
-
-        def ingest(db=db, batch=batch) -> None:
-            for _ in range(0, ingest_rows, 100):
-                db.insert_many("readings", batch)
-                db.tick(1)
-
-        return time_callable(ingest, repeats=1)["min"], db
-
-    # the two disabled labels measure the *same* configuration; their
-    # agreement is the zero-overhead gate. All labels are interleaved
-    # round-robin so machine drift hits every mode equally.
-    modes = ("off", "off-rerun", "metrics", "full", "probe")
-    telemetry: dict[str, float] = {mode: float("inf") for mode in modes}
-    tele_dbs: dict[str, FungusDB] = {}
-    timed_ingest("off")  # warm-up run, discarded
-    for _ in range(tele_repeats):
-        for mode in modes:
-            seconds, db = timed_ingest("off" if mode == "off-rerun" else mode)
-            telemetry[mode] = min(telemetry[mode], seconds)
-            tele_dbs[mode] = db
-    # both disabled labels estimate the same noise floor; min-of-k only
-    # shrinks, so a few extra paired rounds converge them when the
-    # machine was busy during the main loop
-    for _ in range(10 * tele_repeats):
-        off_s, rerun_s = telemetry["off"], telemetry["off-rerun"]
-        if max(off_s, rerun_s) <= min(off_s, rerun_s) * 1.05:
-            break
-        for mode in ("off", "off-rerun"):
-            seconds, _ = timed_ingest("off")
-            telemetry[mode] = min(telemetry[mode], seconds)
-    for mode in modes:
-        rows.append(
-            (f"ingest rows/s (telemetry {mode})",
-             *[round(ingest_rows / telemetry[mode])] * len(sizes))
-        )
-
-    off_s = telemetry["off"]
     result = ExperimentResult(
         experiment_id="T3",
-        title="Decay-clock overhead: tick latency and ingest throughput",
+        title="Decay-clock work: rows each fungus cycle decays",
         claim=CLAIM,
         scale=scale,
         headers=headers,
@@ -166,70 +77,33 @@ def run(scale: str = "smoke") -> ExperimentResult:
     )
 
     small, large = sizes[0], sizes[-1]
-    growth = {name: samples[-1] / max(samples[0], 1e-9) for name, samples in tick_ms.items()}
+    work = {name: [sum(counts) for counts in per_size] for name, per_size in decayed.items()}
+    growth = {name: totals[-1] / max(totals[0], 1) for name, totals in work.items()}
     size_ratio = large / small
     result.notes.append(
-        f"tick-latency growth {small}->{large} rows: "
+        f"work growth {small}->{large} rows: "
         + ", ".join(f"{n}={g:.1f}x" for n, g in growth.items())
     )
 
     result.check(
-        "EGI tick is cheaper than full-scan fungi on the largest table",
-        tick_ms["egi"][-1] < tick_ms["retention"][-1]
-        and tick_ms["egi"][-1] < tick_ms["linear"][-1],
-        wall_clock=True,
+        "full-scan fungi decay every live row each cycle",
+        all(
+            counts == [n_rows] * CYCLES
+            for name in ("retention", "linear")
+            for n_rows, counts in zip(sizes, decayed[name])
+        ),
     )
     result.check(
-        "EGI tick grows much slower than table size",
+        "EGI cycle decays fewer rows than full-scan fungi on the largest table",
+        work["egi"][-1] < work["retention"][-1] and work["egi"][-1] < work["linear"][-1],
+    )
+    result.check(
+        "EGI work per cycle grows much slower than table size",
         growth["egi"] <= size_ratio / 2,
-        wall_clock=True,
     )
-    # both gates are in seconds per ingested row, the unit that does not
-    # move when the no-decay path gets cheaper. The bare clock includes
-    # eager eviction (reads + deletes + events); 6.2 us/row is what it
-    # cost before the write path took batches, and is the regression gate
-    per_row = {name: 1.0 / rows_per_s for name, rows_per_s in throughput.items()}
-    clock_s = per_row["egi"] - per_row["null"]
-    result.check(
-        "the bare decay clock costs at most 6.2 us per ingested row",
-        clock_s <= 6.2e-6,
-        wall_clock=True,
-    )
-    result.check(
-        "distill-on-evict dominates the pipeline cost, not the clock",
-        per_row["egi+distill"] - per_row["egi"] > 0.5 * clock_s,
-        wall_clock=True,
-    )
-
-    result.notes.append(
-        "telemetry overhead vs disabled: "
-        + ", ".join(
-            f"{label}={telemetry[label] / off_s - 1.0:+.1%}"
-            for label in ("off-rerun", "metrics", "full", "probe")
-        )
-    )
-    rerun_s = telemetry["off-rerun"]
-    result.check(
-        "telemetry-disabled ingest repeats within 5% (zero-overhead gate)",
-        max(off_s, rerun_s) <= min(off_s, rerun_s) * 1.05,
-        wall_clock=True,
-    )
-    metrics_db = tele_dbs["metrics"]
     result.check(
         "metrics collection is exact: inserts_total equals rows ingested",
-        metrics_db.telemetry.registry.value(
-            "repro_inserts_total", table="readings"
-        ) == float(ingest_rows),
+        db.telemetry.registry.value("repro_inserts_total", table="readings")
+        == float(ingest_rows),
     )
     return result
-
-
-def main() -> None:
-    """Print the paper-scale report."""
-    from repro.bench.reporting import render_result
-
-    print(render_result(run("paper")))
-
-
-if __name__ == "__main__":
-    main()

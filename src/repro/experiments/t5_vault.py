@@ -18,10 +18,9 @@ summaries).
 
 from __future__ import annotations
 
-from repro.bench.runner import ExperimentResult, register
 from repro.core.db import FungusDB
 from repro.core.vault import SummaryVault
-from repro.experiments.common import pick
+from repro.experiments.common import ExperimentResult, pick, register
 from repro.fungi import EGIFungus
 from repro.workload.generators import SensorGenerator
 
@@ -167,14 +166,3 @@ def run(scale: str = "smoke") -> ExperimentResult:
         vault_mean_err <= 0.02,
     )
     return result
-
-
-def main() -> None:
-    """Print the paper-scale report."""
-    from repro.bench.reporting import render_result
-
-    print(render_result(run("paper")))
-
-
-if __name__ == "__main__":
-    main()

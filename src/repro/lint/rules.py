@@ -16,10 +16,12 @@ from typing import ClassVar, Iterator, Sequence
 from repro.lint.catalogue import load_metric_catalogue
 from repro.lint.engine import Finding, ModuleSource, Rule
 
-CATALOGUE_VERSION = "1.13"
+CATALOGUE_VERSION = "1.14"
 
-#: packages where simulated time and injected randomness are mandatory
-RESTRICTED_PACKAGES = ("core", "fungi", "query", "sim", "storage")
+#: packages where simulated time is mandatory (RS001's scope): the
+#: decay-critical ones, and the experiments, whose shape checks must
+#: not depend on timings (only ``benchmarks/`` times anything)
+RESTRICTED_PACKAGES = ("core", "experiments", "fungi", "query", "sim", "storage")
 
 #: the linter's own process-local exposition series — documented in
 #: DESIGN.md prose, deliberately outside the event-bus catalogue table

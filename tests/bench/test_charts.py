@@ -1,9 +1,9 @@
-"""Tests for repro.bench.charts."""
+"""Tests for the experiment reports' line charts."""
 
 import pytest
 
-from repro.bench.charts import line_chart
 from repro.errors import BenchError
+from repro.experiments.report import line_chart
 
 
 class TestValidation:

@@ -1,16 +1,9 @@
-"""Tests for repro.bench.measure."""
+"""Tests for the benchmarks' shared timer (benchmarks/timing.py)."""
 
 import pytest
 
-from repro.bench.measure import Timer, time_callable
+from benchmarks.timing import time_callable
 from repro.errors import BenchError
-
-
-class TestTimer:
-    def test_measures_elapsed(self):
-        with Timer() as t:
-            sum(range(1000))
-        assert t.elapsed > 0
 
 
 class TestTimeCallable:

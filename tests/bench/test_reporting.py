@@ -1,7 +1,7 @@
-"""Tests for repro.bench.reporting."""
+"""Tests for the experiment reports' tables and series."""
 
-from repro.bench.reporting import ascii_table, format_series, render_result, sparkline
-from repro.bench.runner import ExperimentResult
+from repro.experiments.common import ExperimentResult
+from repro.experiments.report import ascii_table, format_series, render_result, sparkline
 
 
 class TestAsciiTable:

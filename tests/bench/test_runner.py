@@ -1,9 +1,9 @@
-"""Tests for repro.bench.runner."""
+"""Tests for the experiment results and registry."""
 
 import pytest
 
-from repro.bench.runner import REGISTRY, ExperimentResult, register, run_experiment
 from repro.errors import BenchError
+from repro.experiments.common import REGISTRY, ExperimentResult, register, run_experiment
 
 
 class TestExperimentResult:
@@ -14,13 +14,6 @@ class TestExperimentResult:
         result.check("b", False)
         assert not result.all_checks_pass
 
-    def test_wall_clock_checks_are_tagged_and_still_count(self):
-        result = ExperimentResult("X", "t", "c", "smoke")
-        result.check("a", True)
-        result.check("slow", False, wall_clock=True)
-        assert result.wall_clock_checks == {"slow"}
-        assert not result.all_checks_pass
-
     def test_add_series(self):
         result = ExperimentResult("X", "t", "c", "smoke")
         result.add_series("s", "tick", [0, 1], {"x": [1, 2]})
@@ -29,8 +22,6 @@ class TestExperimentResult:
 
 class TestRegistry:
     def test_all_ten_experiments_registered(self):
-        import repro.experiments  # noqa: F401
-
         assert {"F1", "F2", "F3", "F4", "F5", "F6", "F7", "T1", "T2", "T3", "T4", "T5"} <= set(
             REGISTRY
         )

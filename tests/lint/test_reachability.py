@@ -39,7 +39,7 @@ ALLOWED = {
     "repro.storage.table.Table.live_runs",
     "repro.obs.forensics.alerts.AlertEngine.states",
     # one-call drivers of an experiment and of a simulation run
-    "repro.bench.runner.run_experiment",
+    "repro.experiments.common.run_experiment",
     "repro.sim.driver.run_sim",
 }
 

@@ -163,12 +163,13 @@ class TestEngine:
         assert [f.rule for f in findings] == [SYNTAX_RULE_ID]
 
     def test_scoped_rules_skip_unrestricted_paths(self):
-        """RS001 only bites inside the decay-critical packages."""
+        """RS001 only bites inside the decay-critical packages and the
+        experiments, whose checks must not depend on timings."""
         rule = NoWallClockRule()
         assert rule.applies_to(Path("src/repro/core/db.py"))
         assert rule.applies_to(Path("src/repro/fungi/egi.py"))
+        assert rule.applies_to(Path("src/repro/experiments/t3_overhead.py"))
         assert not rule.applies_to(Path("src/repro/obs/profile.py"))
-        assert not rule.applies_to(Path("src/repro/bench/run.py"))
 
     def test_report_json_round_trips(self):
         import json

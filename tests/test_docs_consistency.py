@@ -7,7 +7,7 @@ cites; these tests keep the prose honest as the code evolves.
 import re
 from pathlib import Path
 
-from repro.bench.runner import REGISTRY
+from repro.experiments.common import REGISTRY
 
 REPO = Path(__file__).resolve().parents[1]
 
